@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     Budget,
@@ -31,6 +30,13 @@ from .mindisp import SampleConfig
 
 _SNAP = 1e-9  # entries this close to 0/1 are considered integral
 _ROW_TOL = 1e-6  # acceptable row-sum drift on input matrices
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first call: only an LP solve loads scipy."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -81,67 +87,88 @@ class IlpModel:
         npairs = len(self.pairs)
         return 2 * self.k + self.k * self.d + 4 * npairs * self.d * self.k + npairs
 
-    def to_matrices(self):
-        """Dense (c, A_ub, b_ub, A_eq, b_eq, bounds) for a minimizing solver."""
-        k, d = self.k, self.d
-        pairs = self.pairs
+    def _triplets(self):
+        """Nonzeros of A_ub and A_eq as row-major (rows, cols, vals), and b_ub.
+
+        Columns ascend within each row, and zero coefficients (a rank whose
+        count ties the majority's, and every rank 0) are left out, so the
+        triplets list exactly the nonzeros of the dense matrices.
+        """
+        k, dk, npairs = self.k, self.d * self.k, len(self.pairs)
+        costs = np.array(self.costs, dtype=float).ravel()  # indexed i*k + j
+        nz = np.flatnonzero(costs)
+
+        # deviation window per r: row 2r is sum u*c <= eps*opt, row 2r+1 is
+        # -sum u*c <= 0 (vacuous, but part of the model)
+        cost_rows = np.repeat(np.arange(2 * k), nz.size)
+        cost_cols = np.tile(nz, 2 * k) + np.repeat(np.arange(k) * dk, 2 * nz.size)
+        cost_vals = np.tile(np.concatenate([costs[nz], -costs[nz]]), k)
+
+        # linearization: four rows per (pair, i, j) over the columns (u, u', z)
+        # of candidates r < rr, which ascend in that order
+        first, second = np.array(self.pairs).T
+        q = np.arange(npairs * dk)  # z offset (p*d + i)*k + j
+        ij = q % dk
+        lin_cols = np.stack([first.repeat(dk) * dk + ij, second.repeat(dk) * dk + ij,
+                             self.n_u + q], axis=1)
+        lin_rows = np.repeat(2 * k + np.arange(4 * q.size), 3)
+        lin_cols = np.repeat(lin_cols, 4, axis=0).ravel()
+        signs = [[-1.0, -1.0, 1.0],  # z - u - u' <= 0
+                 [-1.0, 1.0, -1.0],  # u' - u - z <= 0
+                 [1.0, -1.0, -1.0],  # u - u' - z <= 0
+                 [1.0, 1.0, 1.0]]  # z + u + u' <= 2
+        lin_vals = np.tile(np.ravel(signs), q.size)
+
+        # dispersion per pair: 2t - sum z <= 0
+        disp_row0 = 2 * k + 4 * q.size
+        disp_rows = np.repeat(disp_row0 + np.arange(npairs), dk + 1)
+        disp_cols = np.concatenate(
+            [self.n_u + q.reshape(npairs, dk),
+             np.full((npairs, 1), self.t_index)], axis=1).ravel()
+        disp_vals = np.tile(np.append(np.full(dk, -1.0), 2.0), npairs)
+
+        ub = (np.concatenate([cost_rows, lin_rows, disp_rows]),
+              np.concatenate([cost_cols, lin_cols, disp_cols]),
+              np.concatenate([cost_vals, lin_vals, disp_vals]))
+        b_ub = np.zeros(disp_row0 + npairs)
+        b_ub[0:2 * k:2] = float(self.epsilon * self.opt)
+        b_ub[2 * k + 3:disp_row0:4] = 2.0
+        u = np.arange(self.n_u)  # simplex: each (r, i) picks one rank
+        eq = (u // k, u, np.ones(self.n_u))
+        return ub, b_ub, eq
+
+    def matrices(self):
+        """(c, A_ub, b_ub, A_eq, b_eq, bounds) for a minimizing solver, with
+        A_ub and A_eq as scipy CSR arrays."""
+        from scipy.sparse import csr_array
+
         n = self.n_vars
-        slack = float(self.epsilon * self.opt)
-
-        rows_ub = 2 * k + 4 * len(pairs) * d * k + len(pairs)
-        a_ub = np.zeros((rows_ub, n))
-        b_ub = np.zeros(rows_ub)
-        row = 0
-        for r in range(k):  # deviation window: 0 <= sum u*c <= eps*opt
-            for i in range(d):
-                for j in range(k):
-                    a_ub[row, self.u_index(r, i, j)] = float(self.costs[i][j])
-                    a_ub[row + 1, self.u_index(r, i, j)] = -float(self.costs[i][j])
-            b_ub[row] = slack
-            b_ub[row + 1] = 0.0  # lower half is vacuous but part of the model
-            row += 2
-        for p, (r, rr) in enumerate(pairs):
-            for i in range(d):
-                for j in range(k):
-                    zi = self.z_index(p, i, j)
-                    ur, urr = self.u_index(r, i, j), self.u_index(rr, i, j)
-                    a_ub[row, zi], a_ub[row, ur], a_ub[row, urr] = 1, -1, -1
-                    a_ub[row + 1, zi], a_ub[row + 1, ur], a_ub[row + 1, urr] = -1, -1, 1
-                    a_ub[row + 2, zi], a_ub[row + 2, ur], a_ub[row + 2, urr] = -1, 1, -1
-                    a_ub[row + 3, zi], a_ub[row + 3, ur], a_ub[row + 3, urr] = 1, 1, 1
-                    b_ub[row + 3] = 2.0
-                    row += 4
-        for p in range(len(pairs)):  # 2t - sum z <= 0
-            a_ub[row, self.t_index] = 2.0
-            for i in range(d):
-                for j in range(k):
-                    a_ub[row, self.z_index(p, i, j)] = -1.0
-            row += 1
-        assert row == rows_ub
-
-        a_eq = np.zeros((k * d, n))
-        b_eq = np.ones(k * d)
-        for r in range(k):
-            for i in range(d):
-                for j in range(k):
-                    a_eq[r * d + i, self.u_index(r, i, j)] = 1.0
-
+        (ub_rows, ub_cols, ub_vals), b_ub, (eq_rows, eq_cols, eq_vals) = self._triplets()
+        a_ub = csr_array((ub_vals, (ub_rows, ub_cols)), shape=(b_ub.size, n))
+        a_eq = csr_array((eq_vals, (eq_rows, eq_cols)), shape=(self.k * self.d, n))
+        b_eq = np.ones(self.k * self.d)
         c = np.zeros(n)
         c[self.t_index] = -1.0  # maximize t
-        bounds = [(0.0, 1.0)] * (self.n_u + self.n_z) + [(0.0, float(d))]
+        bounds = [(0.0, 1.0)] * (self.n_u + self.n_z) + [(0.0, float(self.d))]
         return c, a_ub, b_ub, a_eq, b_eq, bounds
+
+    def to_matrices(self):
+        """Dense view of matrices(), for tests and small models."""
+        c, a_ub, b_ub, a_eq, b_eq, bounds = self.matrices()
+        return c, a_ub.toarray(), b_ub, a_eq.toarray(), b_eq, bounds
 
     def dump(self) -> str:
         """Sparse triplet text: one `section row col value` line per nonzero,
-        then `rhs_ub`/`rhs_eq`/`obj` entries. For debugging."""
-        c, a_ub, b_ub, a_eq, b_eq, _ = self.to_matrices()
-        out = [f"# vars={self.n_vars} ub_rows={len(b_ub)} eq_rows={len(b_eq)}"]
-        for name, mat in (("ub", a_ub), ("eq", a_eq)):
-            for r, col in zip(*np.nonzero(mat)):
-                out.append(f"{name} {r} {col} {mat[r, col]:g}")
-        out.extend(f"rhs_ub {r} {v:g}" for r, v in enumerate(b_ub))
-        out.extend(f"rhs_eq {r} {v:g}" for r, v in enumerate(b_eq))
-        out.extend(f"obj {i} {v:g}" for i, v in enumerate(c) if v)
+        row-major, then `rhs_ub`/`rhs_eq`/`obj` entries. For debugging."""
+        ub, b_ub, eq = self._triplets()
+        n_eq = self.k * self.d
+        out = [f"# vars={self.n_vars} ub_rows={b_ub.size} eq_rows={n_eq}"]
+        for name, (rows, cols, vals) in (("ub", ub), ("eq", eq)):
+            out.extend(f"{name} {r} {col} {v:g}"
+                       for r, col, v in zip(rows.tolist(), cols.tolist(), vals.tolist()))
+        out.extend(f"rhs_ub {r} {v:g}" for r, v in enumerate(b_ub.tolist()))
+        out.extend(f"rhs_eq {r} 1" for r in range(n_eq))
+        out.append(f"obj {self.t_index} -1")
         return "\n".join(out)
 
 
@@ -182,7 +209,7 @@ def build_ilp(ctx: MedianContext, budget: Budget, k: int) -> IlpModel:
 
 
 def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
-    """Internal LP capability: dense model in, optimal primal out (1e-7 tol)."""
+    """Internal LP capability: model in, optimal primal out (1e-7 tol)."""
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
     if res.status == 2:
@@ -200,15 +227,9 @@ def solve_lp_relaxation(model: IlpModel) -> tuple[FractionalAssignment, float]:
     The all-majority assignment is always feasible, so failure is a solver
     problem, not a model one.
     """
-    x = _solve_lp(*model.to_matrices())
-    mats = []
-    for r in range(model.k):
-        m = np.empty((model.d, model.k))
-        for i in range(model.d):
-            for j in range(model.k):
-                m[i, j] = x[model.u_index(r, i, j)]
-        mats.append(m)
-    return FractionalAssignment(matrices=tuple(mats)), 2.0 * float(x[model.t_index])
+    x = _solve_lp(*model.matrices())
+    u = x[:model.n_u].reshape(model.k, model.d, model.k)  # u[r, i, j] = x[u_index(r, i, j)]
+    return FractionalAssignment(matrices=tuple(u)), 2.0 * float(x[model.t_index])
 
 
 def _fractional_walk(mask: np.ndarray) -> list[tuple[int, int]]:

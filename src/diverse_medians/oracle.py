@@ -241,10 +241,8 @@ def brute_max_code_size(
     for v in range(m):
         ok = ((cand != cand[v]).sum(axis=1) >= t)
         ok[v] = False
-        mask = 0
-        for u in np.nonzero(ok)[0]:
-            mask |= 1 << int(u)
-        adj.append(mask)
+        # bit u of the row is ok[u]: little-endian bits and bytes
+        adj.append(int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little"))
 
     # Root symmetry reduction: relabeling symbols within a coordinate (fixing
     # symbol 0) and permuting coordinates of equal alphabet size both preserve
@@ -255,10 +253,11 @@ def brute_max_code_size(
     # retired (any clique meeting the orbit maps to one through the rep).
     classes = sorted(set(sizes))
     class_cols = {g: [i for i, gi in enumerate(sizes) if gi == g] for g in classes}
+    support = cand != 0
+    keys = np.stack([support[:, class_cols[g]].sum(axis=1) for g in classes], axis=1)
     orbits: dict[tuple[int, ...], list[int]] = {}
-    for v in range(m):
-        key = tuple(int((cand[v, class_cols[g]] != 0).sum()) for g in classes)
-        orbits.setdefault(key, []).append(v)
+    for v, key in enumerate(keys.tolist()):
+        orbits.setdefault(tuple(key), []).append(v)
     root_orbits = sorted(
         orbits.values(), key=lambda o: -bin(adj[o[0]]).count("1")
     )

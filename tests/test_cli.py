@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +345,27 @@ def test_console_script_help_exits_zero():
     )
     assert proc.returncode == 0
     assert "diverse" in proc.stdout
+
+
+def test_scipy_loads_only_when_the_lp_runs(ties_path):
+    code = (
+        "import sys, io, contextlib\n"
+        "loaded = []\n"
+        "import diverse_medians\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "import diverse_medians.cli as cli\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "for argv in (['--objective', 'median'],\n"
+        "             ['--objective', 'min-dispersion', '--strategy', 'lp', '--k', '3',\n"
+        "              '--epsilon', '1/2', '--seed', '4']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv + ['--input', sys.argv[1]]) == 0\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, ties_path], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # import, cli import and the median run stay scipy-free; the LP run loads it
+    assert proc.stdout.strip() == "[False, False, False, True]"

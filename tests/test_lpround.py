@@ -26,6 +26,45 @@ from conftest import random_rows
 # --- model construction -----------------------------------------------------
 
 
+def dense_reference(m):
+    """The model entry by entry through u_index/z_index: the loop reference
+    for the vectorized builder, as (A_ub, b_ub, A_eq)."""
+    k, d, pairs = m.k, m.d, m.pairs
+    rows_ub = 2 * k + 4 * len(pairs) * d * k + len(pairs)
+    a_ub, b_ub = np.zeros((rows_ub, m.n_vars)), np.zeros(rows_ub)
+    row = 0
+    for r in range(k):  # deviation window: 0 <= sum u*c <= eps*opt
+        for i in range(d):
+            for j in range(k):
+                a_ub[row, m.u_index(r, i, j)] = m.costs[i][j]
+                a_ub[row + 1, m.u_index(r, i, j)] = -m.costs[i][j]
+        b_ub[row] = float(m.epsilon * m.opt)
+        row += 2
+    for p, (r, rr) in enumerate(pairs):
+        for i in range(d):
+            for j in range(k):
+                zi = m.z_index(p, i, j)
+                ur, urr = m.u_index(r, i, j), m.u_index(rr, i, j)
+                a_ub[row, zi], a_ub[row, ur], a_ub[row, urr] = 1, -1, -1
+                a_ub[row + 1, zi], a_ub[row + 1, ur], a_ub[row + 1, urr] = -1, -1, 1
+                a_ub[row + 2, zi], a_ub[row + 2, ur], a_ub[row + 2, urr] = -1, 1, -1
+                a_ub[row + 3, zi], a_ub[row + 3, ur], a_ub[row + 3, urr] = 1, 1, 1
+                b_ub[row + 3] = 2.0
+                row += 4
+    for p in range(len(pairs)):  # 2t - sum z <= 0
+        a_ub[row, m.t_index] = 2.0
+        for i in range(d):
+            for j in range(k):
+                a_ub[row, m.z_index(p, i, j)] = -1.0
+        row += 1
+    a_eq = np.zeros((k * d, m.n_vars))
+    for r in range(k):
+        for i in range(d):
+            for j in range(k):
+                a_eq[r * d + i, m.u_index(r, i, j)] = 1.0
+    return a_ub, b_ub, a_eq
+
+
 def test_cost_vector_example():
     # single column, counts a:3 b:1 -> ranked (a, b), costs (0, 2)
     ctx = context_from_strings(["a", "a", "a", "b"], alphabet="ab")
@@ -59,6 +98,23 @@ def test_constraint_count_formula_matches_built_model(rng):
         _, a_ub, b_ub, a_eq, b_eq, bounds = m.to_matrices()
         assert a_ub.shape[0] + a_eq.shape[0] == m.constraint_count()
         assert a_ub.shape[1] == a_eq.shape[1] == m.n_vars == len(bounds)
+        ref_ub, ref_b_ub, ref_eq = dense_reference(m)
+        assert np.array_equal(a_ub, ref_ub) and np.array_equal(a_eq, ref_eq)
+        assert np.array_equal(b_ub, ref_b_ub) and np.array_equal(b_eq, np.ones(k * m.d))
+        # nonzeros: 2 cost rows per candidate over the nonzero costs, 4 rows of
+        # 3 per linearization, and one dispersion row of d*k z's plus t per pair
+        npairs = k * (k - 1) // 2
+        cost_nnz = sum(1 for per_index in m.costs for c in per_index if c)
+        ub_nnz = 2 * k * cost_nnz + 12 * npairs * m.d * k + npairs * (1 + m.d * k)
+        _, sp_ub, _, sp_eq, _, _ = m.matrices()
+        assert np.count_nonzero(a_ub) == sp_ub.nnz == ub_nnz
+        assert np.count_nonzero(a_eq) == sp_eq.nnz == k * m.d * k
+        # dump() lists exactly the dense nonzeros, row-major
+        dumped = [ln for ln in m.dump().splitlines() if ln.split()[0] in ("ub", "eq")]
+        expected = [f"{name} {r} {col} {mat[r, col]:g}"
+                    for name, mat in (("ub", a_ub), ("eq", a_eq))
+                    for r, col in zip(*np.nonzero(mat))]
+        assert dumped == expected
 
 
 def test_build_rejects_k_above_alphabet():
@@ -89,6 +145,29 @@ def test_zero_slack_forces_majority_assignment():
     for r in range(2):
         assert frac.per_candidate(r)[0, 0] == pytest.approx(1.0, abs=1e-7)
     assert lp_value == pytest.approx(0.0, abs=1e-7)
+
+
+def test_sparse_solve_matches_dense_reference(rng):
+    # reference: scipy's linprog on the loop-built dense model, unpacked
+    # through u_index
+    from scipy.optimize import linprog
+
+    for _ in range(6):
+        rows = random_rows(rng, sigma="abcd", d=int(rng.integers(1, 7)))
+        ctx = context_from_strings(rows, alphabet="abcd")
+        k = int(rng.integers(2, 5))
+        m = build_ilp(ctx, Budget.make(Fraction(int(rng.integers(0, 4)), 2), ctx.opt), k)
+        c, _, _, _, b_eq, bounds = m.to_matrices()
+        a_ub, b_ub, a_eq = dense_reference(m)
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                      method="highs")
+        assert res.status == 0
+        frac, lp_value = solve_lp_relaxation(m)
+        assert lp_value == 2.0 * float(res.x[m.t_index])
+        for r in range(k):
+            ref = np.array([[res.x[m.u_index(r, i, j)] for j in range(k)]
+                            for i in range(m.d)])
+            assert frac.per_candidate(r).tobytes() == ref.tobytes()
 
 
 def test_opt_zero_instance_gives_lp_zero():
