@@ -6,7 +6,7 @@ output, or at --output. Diagnostics go to standard error only. Identical
 therefore only embedded when --timing asks for it.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration/state cap exceeded,
-4 infeasible or solver nonconvergence.
+4 infeasible or solver nonconvergence, 5 internal error (a violated invariant).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .core import (
     CapExceeded,
     Dataset,
     InfeasibleError,
+    InternalError,
     MedianContext,
     ValidationError,
     Word,
@@ -243,7 +244,7 @@ def _revalidate(ctx: MedianContext, members: Sequence[Word], cap: Fraction) -> l
     for s in members:
         c = median_cost(ctx, s)
         if Fraction(c) > cap:
-            raise RuntimeError(
+            raise InternalError(
                 f"internal error: emitted string costs {c}, above its declared cap {cap}"
             )
         costs.append(c)
@@ -419,7 +420,9 @@ def run(config: RunConfig) -> dict:
                 cands, _ = sample_exact_medians(ctx.freq, cfg)
                 tag, guarantee = "sample", EXACT_GUARANTEES["sample"]
             else:
-                cands, _ = sample_approx_medians(ctx, budget, cfg)
+                cands, _ = sample_approx_medians(
+                    ctx, approx_diameter_pair(ctx, budget), cfg
+                )
                 tag, guarantee = "sample", APPROX_GUARANTEES["sample"]
         else:  # lp
             cands, lp_report = lp_min_dispersion(
@@ -593,6 +596,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("hint: raise --max-candidates/--max-tuples/--max-states, or pick "
               "--strategy sample", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"diverse-medians: {exc}", file=sys.stderr)
+        return 5
     except (InfeasibleError, RuntimeError) as exc:
         print(f"diverse-medians: {exc}", file=sys.stderr)
         return 4

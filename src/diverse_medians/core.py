@@ -8,6 +8,10 @@ candidate sets with cached costs and per-index character counts.
 
 All budget comparisons are exact integer comparisons (cross-multiplied
 rationals); no float ever decides feasibility.
+
+The pool kernels at the end (``farthest_pair``, ``distances_to``) give the
+greedy engines Hamming distances over an integer-coded pool without ever
+holding a pool-by-pool matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Symbol = str
 Word = tuple[Symbol, ...]
@@ -30,6 +36,10 @@ class CapExceeded(RuntimeError):
 
 class InfeasibleError(RuntimeError):
     """No feasible solution (e.g. every rounding trial filtered out)."""
+
+
+class InternalError(RuntimeError):
+    """A violated internal invariant: a bug in this package, not in the input."""
 
 
 def as_word(s: Sequence[Symbol] | str) -> Word:
@@ -372,3 +382,60 @@ class CandidateSet:
 
     def min_dispersion(self) -> int:
         return min_dispersion(self.members)
+
+
+# ---------------------------------------------------------------------------
+# streaming distance kernels over an integer-coded pool
+
+# Byte budget of one row block of distances in farthest_pair.
+BLOCK_BYTES = 2**22
+
+
+def _encode_pool(pool: Sequence[Word | str]) -> np.ndarray:
+    """The pool as a (p, d) integer matrix; equal symbols get equal codes."""
+    words = [as_word(p) for p in pool]
+    symbols = sorted({a for w in words for a in w})
+    code = {a: j for j, a in enumerate(symbols)}
+    dtype = np.min_scalar_type(max(0, len(symbols) - 1))
+    return np.array([[code[a] for a in w] for w in words], dtype=dtype)
+
+
+def farthest_pair(codes: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
+    """Farthest pair among the pool strings `rows` (ascending indices).
+
+    Returns the row-major first maximum of the distance matrix restricted to
+    rows x rows, diagonal included: what argmax over that matrix picks, so a
+    pool of copies gives (rows[0], rows[0]). Distances are built one block of
+    rows at a time, at most BLOCK_BYTES each, summing the per-column
+    mismatches in the smallest unsigned type that holds d.
+
+    A block of rows [lo, hi) only needs the columns from lo on: the matrix is
+    symmetric, so a maximum left of the diagonal at (i, j) also sits at
+    (j, i), which comes first in row-major order and is in this block or an
+    earlier one.
+    """
+    cols = np.ascontiguousarray(codes[rows].T)  # (d, m): one pass per column
+    m = cols.shape[1]
+    dtype = np.min_scalar_type(cols.shape[0])
+    # no pair differs on a column where all rows agree; reaching that bound
+    # means no later block can hold a strictly larger distance
+    bound = int((cols != cols[:, :1]).any(axis=1).sum())
+    step = max(1, BLOCK_BYTES // (m * dtype.itemsize))
+    best, first = -1, (0, 0)
+    for lo in range(0, m, step):
+        block = np.zeros((min(step, m - lo), m - lo), dtype=dtype)
+        for col in cols:
+            block += col[lo : lo + step, None] != col[lo:]
+        flat = int(block.argmax())
+        if block.flat[flat] > best:
+            best = int(block.flat[flat])
+            r, c = divmod(flat, m - lo)
+            first = (lo + r, lo + c)
+            if best == bound:
+                break
+    return int(rows[first[0]]), int(rows[first[1]])
+
+
+def distances_to(codes: np.ndarray, r: int) -> np.ndarray:
+    """Hamming distances from pool string r to every pool string, as one vector."""
+    return (codes != codes[r]).sum(axis=1, dtype=np.min_scalar_type(codes.shape[1]))

@@ -22,18 +22,21 @@ from .core import (
     CapExceeded,
     FrequencyTable,
     InfeasibleError,
+    InternalError,
     MedianContext,
     ValidationError,
     Word,
+    _encode_pool,
+    distances_to,
+    farthest_pair,
     min_dispersion,
 )
-from .diameter import approx_diameter_pair
+from .diameter import DiameterResult, approx_diameter_pair
 from .oracle import (
     DEFAULT_LIMITS,
     EnumerationLimits,
     enumerate_approx_medians,
     enumerate_exact_medians,
-    pairwise_hamming_matrix,
 )
 
 DEFAULT_MAX_STATES = 10**7
@@ -50,11 +53,10 @@ class PairwiseState:
 
     def check(self, cost_cap: int | None) -> None:
         if any(not 0 <= x <= self.column for x in self.distances):
-            raise AssertionError("distance outside [0, column]")
+            raise InternalError("DP state: distance outside [0, column]")
         if self.costs is not None:
-            assert cost_cap is not None
-            if any(not 0 <= c <= cost_cap for c in self.costs):
-                raise AssertionError("cost outside budget window")
+            if cost_cap is None or any(not 0 <= c <= cost_cap for c in self.costs):
+                raise InternalError("DP state: cost outside budget window")
 
 
 @dataclass(frozen=True)
@@ -232,17 +234,17 @@ def sample_exact_medians(freq: FrequencyTable, cfg: SampleConfig) -> tuple[Candi
 
 
 def sample_approx_medians(
-    ctx: MedianContext, budget: Budget, cfg: SampleConfig
+    ctx: MedianContext, diameter: DiameterResult, cfg: SampleConfig
 ) -> tuple[CandidateSet, int]:
     """Best of N trials of coin-flip mixes of a maximum-diameter pair.
 
+    `diameter` is approx_diameter_pair(ctx, budget), computed by the caller.
     Each candidate takes, at every index where the diameter pair deviates,
     either the deviating symbol or the majority symbol with probability 1/2.
     The two halves of the deviation set each fit one eps-budget, so every
     output is a (1+2eps)-approximate median deterministically.
     """
-    res = approx_diameter_pair(ctx, budget)
-    y, z = res.pair
+    y, z = diameter.pair
     devs = [i for i in range(ctx.d) if y[i] != z[i]]
     dev_sym = {i: (y[i] if y[i] != ctx.w[i] else z[i]) for i in devs}
     trials: list[list[Word]] = []
@@ -270,7 +272,8 @@ def greedy_dispersion(pool: Sequence[Word], k: int, freq: FrequencyTable) -> Can
 
     Half the pool-restricted optimum. A pool smaller than k gets filled with
     duplicates (their min distance is 0, consistent with the multiset
-    definition).
+    definition). Memory is O(p*d) plus one distance block: a running vector
+    holds each string's distance to its nearest chosen member.
     """
     if not pool:
         raise ValidationError("candidate pool is empty")
@@ -278,14 +281,12 @@ def greedy_dispersion(pool: Sequence[Word], k: int, freq: FrequencyTable) -> Can
         raise ValidationError("k must be >= 1")
     if len(pool) == 1 or k == 1:
         return CandidateSet.from_members(freq, [pool[0]] * k)
-    dmat = pairwise_hamming_matrix(pool)
-    p = len(pool)
-    flat = int(np.argmax(dmat))  # row-major: lexicographically first maximum
-    i, j = divmod(flat, p)
-    chosen = [min(i, j), max(i, j)]
+    codes = _encode_pool(pool)
+    chosen = sorted(farthest_pair(codes, np.arange(len(pool))))
+    mins = np.minimum(distances_to(codes, chosen[0]), distances_to(codes, chosen[1]))
     while len(chosen) < k:
-        mins = dmat[:, chosen].min(axis=1)
         chosen.append(int(np.argmax(mins)))  # ties: lowest pool index
+        np.minimum(mins, distances_to(codes, chosen[-1]), out=mins)
     return CandidateSet.from_members(freq, [pool[i] for i in chosen])
 
 
@@ -448,9 +449,9 @@ def min_dispersion_dispatch_approx(
             return cands, "dp", APPROX_GUARANTEES["dp"]
         except CapExceeded:
             pass
-    dstar = approx_diameter_pair(ctx, budget).diameter
+    diameter = approx_diameter_pair(ctx, budget)
     cfg = SampleConfig(k=k, delta=delta, eta=eta, seed=seed)
-    if Fraction(dstar) * delta**2 <= 4:
+    if Fraction(diameter.diameter) * delta**2 <= 4:
         try:
             pool = enumerate_approx_medians(ctx, budget, limits)
             return greedy_dispersion(pool, k, freq=ctx.freq), "greedy", APPROX_GUARANTEES["greedy"]
@@ -463,7 +464,7 @@ def min_dispersion_dispatch_approx(
             cands, _ = lp_min_dispersion(ctx, budget, k, delta, eta, seed)
             return cands, "lpround", APPROX_GUARANTEES["lpround"]
         except (InfeasibleError, ValidationError):
-            cands, _ = sample_approx_medians(ctx, budget, cfg)
+            cands, _ = sample_approx_medians(ctx, diameter, cfg)
             return cands, "sample_fallback", APPROX_GUARANTEES["sample_fallback"]
-    cands, _ = sample_approx_medians(ctx, budget, cfg)
+    cands, _ = sample_approx_medians(ctx, diameter, cfg)
     return cands, "sample", APPROX_GUARANTEES["sample"]

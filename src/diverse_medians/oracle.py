@@ -20,7 +20,7 @@ from .core import (
     FrequencyTable,
     MedianContext,
     Word,
-    as_word,
+    _encode_pool,
 )
 
 
@@ -92,15 +92,12 @@ def enumerate_approx_medians(
     return pool
 
 
-def _encode_pool(pool: Sequence[Word | str]) -> np.ndarray:
-    words = [as_word(p) for p in pool]
-    symbols = sorted({a for w in words for a in w})
-    code = {a: j for j, a in enumerate(symbols)}
-    return np.array([[code[a] for a in w] for w in words], dtype=np.int16)
-
-
 def pairwise_hamming_matrix(pool: Sequence[Word | str]) -> np.ndarray:
-    """Full pairwise distance matrix, chunked to keep memory flat."""
+    """Full p x p distance matrix, for the brute-force oracles and tests only.
+
+    The greedy engines stream their distances (core.farthest_pair and
+    core.distances_to) and never call this.
+    """
     arr = _encode_pool(pool)
     p = arr.shape[0]
     out = np.zeros((p, p), dtype=np.int32)

@@ -23,13 +23,11 @@ from .core import (
     MedianContext,
     ValidationError,
     Word,
+    _encode_pool,
+    distances_to,
+    farthest_pair,
 )
-from .oracle import (
-    DEFAULT_LIMITS,
-    EnumerationLimits,
-    enumerate_approx_medians,
-    pairwise_hamming_matrix,
-)
+from .oracle import DEFAULT_LIMITS, EnumerationLimits, enumerate_approx_medians
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,9 @@ def sum_dispersion_small_dstar(
     Farthest-pair matching while two or more seats remain, then single
     insertions maximizing the summed distance to the chosen set. Half the
     optimum on every pool small enough to check exhaustively; no stronger
-    claim is made.
+    claim is made. Memory is O(p*d) plus one distance block: each matching
+    round streams farthest_pair over the available strings, and a running
+    vector holds the summed distances for the insertions.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -233,21 +233,21 @@ def sum_dispersion_small_dstar(
     if len(pool) == 1 or k == 1:
         return CandidateSet.from_members(ctx.freq, [pool[0]] * k)
 
-    dmat = pairwise_hamming_matrix(pool).astype(np.int64)
-    p = len(pool)
-    avail = np.ones(p, dtype=bool)
+    codes = _encode_pool(pool)
+    avail = np.ones(len(pool), dtype=bool)
     chosen: list[int] = []
     while k - len(chosen) >= 2 and avail.sum() >= 2:
-        sub = np.where(avail[:, None] & avail[None, :], dmat, -1)
-        flat = int(np.argmax(sub))  # row-major: first (lexicographic) maximum
-        i, j = divmod(flat, p)
-        if i == j:  # single available point left with itself; bail to insertion
+        i, j = farthest_pair(codes, np.flatnonzero(avail))
+        if i == j:  # only copies of one string left available; go to insertion
             break
         chosen.extend(sorted((i, j)))
         avail[i] = avail[j] = False
+    gains = np.zeros(len(pool), dtype=np.int64)  # summed distance to the chosen
+    for c in chosen:
+        gains += distances_to(codes, c)
     while len(chosen) < k:
-        gains = dmat[:, chosen].sum(axis=1)
         chosen.append(int(np.argmax(gains)))  # duplicates allowed: argmax over all
+        gains += distances_to(codes, chosen[-1])
     return CandidateSet.from_members(ctx.freq, [pool[i] for i in chosen])
 
 

@@ -263,6 +263,7 @@ def test_criterion_08_sampler_bounds():
         ["1" * 60] * 6 + ["0" * 60] * 4, alphabet="01"
     )
     approx_budget = dm.Budget.make(Fraction(1, 2), approx_ctx.opt)
+    approx_diameter = dm.approx_diameter_pair(approx_ctx, approx_budget)
     exact_hits = approx_hits = 0
     for seed in range(100):
         cfg = dm.SampleConfig(k=4, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=seed)
@@ -270,7 +271,7 @@ def test_criterion_08_sampler_bounds():
         assert all(dm.is_exact_median(exact_ctx, s) for s in cs.members)  # 100%
         if mindp >= 10:  # (1 - delta) * 40 * (1/2)
             exact_hits += 1
-        cs2, mindp2 = dm.sample_approx_medians(approx_ctx, approx_budget, cfg)
+        cs2, mindp2 = dm.sample_approx_medians(approx_ctx, approx_diameter, cfg)
         cap = (1 + 2 * approx_budget.epsilon) * approx_ctx.opt
         assert all(
             Fraction(dm.median_cost(approx_ctx, s)) <= cap for s in cs2.members

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from diverse_medians import DEFAULT_LIMITS, ValidationError, cli
+from diverse_medians import CandidateSet, DEFAULT_LIMITS, ValidationError, cli
 
 
 def make_config(**kw):
@@ -327,6 +327,27 @@ def test_main_lp_infeasible_exits_4(tmp_path, capsys):
     )
     assert code == 4
     assert "cost cap" in err
+
+
+def test_main_cost_cap_violation_exits_5(ties_path, capsys, monkeypatch):
+    # an engine that emits a string above its cost class is a bug, not an
+    # infeasible instance: exit 5, not 4
+    real = cli.sum_dispersion_exact_k
+
+    def broken(ctx, freq, k):
+        cands = real(ctx, freq, k)
+        members = list(cands.members)
+        members[0] = tuple("z" if a == "a" else "a" for a in members[0])
+        return CandidateSet.from_members(freq, members)
+
+    monkeypatch.setattr(cli, "sum_dispersion_exact_k", broken)
+    code, _, err = run_main(
+        ["--objective", "sum-dispersion", "--strategy", "exact-construction",
+         "--input", ties_path, "--alphabet", "abcz", "--k", "2"],
+        capsys,
+    )
+    assert code == 5
+    assert "internal error" in err
 
 
 def test_main_rejects_oversized_seed(ties_path, capsys):

@@ -7,8 +7,10 @@ from diverse_medians import (
     CapExceeded,
     DEFAULT_LIMITS,
     EnumerationLimits,
+    InternalError,
     SampleConfig,
     ValidationError,
+    approx_diameter_pair,
     bound_certificate,
     brute_mindp_k,
     context_from_strings,
@@ -30,6 +32,7 @@ from diverse_medians import (
 from diverse_medians.mindisp import (
     APPROX_GUARANTEES,
     EXACT_GUARANTEES,
+    PairwiseState,
     _diameter_at_least,
 )
 
@@ -62,6 +65,14 @@ def test_dp_approx_matches_brute(rng):
             pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
             assert val == brute_mindp_k(pool, k, DEFAULT_LIMITS)
             assert all(is_approx_median(ctx, b, s) for s in cands.members)
+
+
+def test_dp_state_invariant_violation_is_an_internal_error():
+    with pytest.raises(InternalError):
+        PairwiseState(distances=(0, 3), costs=None, column=2).check(None)
+    with pytest.raises(InternalError):
+        PairwiseState(distances=(1,), costs=(0, 5), column=2).check(4)
+    PairwiseState(distances=(0, 2), costs=(0, 4), column=2).check(4)
 
 
 def test_dp_state_cap():
@@ -108,7 +119,7 @@ def test_approx_sampler_cost_class(rng):
         ctx = context_from_strings(rows, alphabet="ab")
         b = Budget.make(Fraction(1, 2), ctx.opt)
         cfg = SampleConfig(k=3, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=seed)
-        cands, _ = sample_approx_medians(ctx, b, cfg)
+        cands, _ = sample_approx_medians(ctx, approx_diameter_pair(ctx, b), cfg)
         cap = (1 + 2 * b.epsilon) * ctx.opt  # mixes are (1+2eps)-approximate
         assert all(Fraction(median_cost(ctx, s)) <= cap for s in cands.members)
 
@@ -259,6 +270,25 @@ def test_approx_dispatch_sample_branch():
     assert tag == "sample"
     cap = (1 + 2 * b.epsilon) * ctx.opt
     assert all(Fraction(median_cost(ctx, s)) <= cap for s in cands.members)
+
+
+def test_approx_dispatch_sample_branch_computes_the_diameter_once(monkeypatch):
+    import diverse_medians.mindisp as mindisp
+
+    calls = []
+
+    def counting(ctx, budget):
+        calls.append(1)
+        return approx_diameter_pair(ctx, budget)
+
+    monkeypatch.setattr(mindisp, "approx_diameter_pair", counting)
+    ctx = context_from_strings(["1" * 60] * 6 + ["0" * 60] * 4, alphabet="01")
+    b = Budget.make(Fraction(1, 2), ctx.opt)
+    _, tag, _ = min_dispersion_dispatch_approx(
+        ctx, b, 5, Fraction(1, 2), Fraction(1, 8), seed=0
+    )
+    assert tag == "sample"
+    assert len(calls) == 1
 
 
 def test_approx_dispatch_greedy_branch(rng):
