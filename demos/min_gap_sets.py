@@ -22,6 +22,7 @@ from diverse_medians import (
     sample_exact_medians,
     word_str,
 )
+from diverse_medians.cli import STRATEGY_TABLE
 
 ctx = context_from_strings(["abb", "bab", "bba", "aaa"], alphabet="ab")
 value, cs = min_disp_dp_exact(ctx.freq, 2)
@@ -43,8 +44,11 @@ print("certificate: plotkin_sum =", cert.plotkin_sum,
       "-> max code size at t=25:", cert.max_code_size)
 print("binary sanity:", plotkin_bound((2,) * 8, 5), "== 5")
 
-result, strategy, guarantee = min_dispersion_dispatch_exact(
+# The dispatcher returns the candidate set and the tag of the strategy it
+# ran; the CLI's strategy table holds each tag's guarantee and cost class.
+result, strategy = min_dispersion_dispatch_exact(
     wide.freq, 4, Fraction(1, 2), Fraction(1, 8), seed=1
 )
 print("dispatcher chose:", strategy, "-> minDp", result.min_dispersion())
-print("  guarantee:", guarantee)
+guarantee, cost_class = STRATEGY_TABLE["min-dispersion", "exact", strategy]
+print("  guarantee:", guarantee, "| cost class:", cost_class)

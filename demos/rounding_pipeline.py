@@ -28,7 +28,7 @@ model = build_ilp(ctx, budget, k=3)
 print(f"model: {model.n_vars} vars, {model.constraint_count()} constraints")
 frac, lp_value = solve_lp_relaxation(model)
 print("lp_value (= 2t~) =", lp_value)
-print("candidate 0 fractional rows:\n", np.round(frac.per_candidate(0), 3))
+print("candidate 0 fractional rows:\n", np.round(frac[0], 3))
 
 # Dependent rounding walks cycles/paths of fractional entries, shifting
 # probability mass until every entry is integral. Row sums stay exact.

@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,8 +37,7 @@ from .core import (
 from .diameter import approx_diameter_pair, exact_diameter_pair
 from .lpround import lp_min_dispersion
 from .mindisp import (
-    APPROX_GUARANTEES,
-    EXACT_GUARANTEES,
+    BoundCertificate,
     bound_certificate,
     greedy_dispersion,
     min_disp_dp_approx,
@@ -61,7 +60,6 @@ from .oracle import (
     enumerate_exact_medians,
 )
 from .sumdisp import (
-    DISPATCH_GUARANTEES,
     sum_dispersion_dispatch,
     sum_dispersion_exact_k,
     sum_dispersion_small_dstar,
@@ -75,14 +73,42 @@ FORMATS = ("lines", "fasta", "csv")
 ORACLE_OPS = ("exact-medians", "approx-medians", "diameter", "sumdp", "mindp",
               "max-code-size")
 
-# Which strategies make sense per objective; anything else is a mismatch.
-ALLOWED_STRATEGIES = {
-    "median": ("auto",),
-    "diameter": ("auto",),
-    "sum-dispersion": ("auto", "exact-construction", "greedy"),
-    "min-dispersion": ("auto", "dp", "greedy", "sample", "lp"),
-    "bound": ("auto",),
-    "oracle": ("auto",),
+# Cost class -> (label appended to the guarantee, a, b): every member costs at
+# most (1 + a*eps + b*delta) * opt. Members are re-checked against it.
+COST_CLASSES = {
+    "exact": ("cost == opt", 0, 0),
+    "approx": ("cost <= (1+eps)*opt", 1, 0),
+    "mix": ("cost <= (1+2*eps)*opt", 2, 0),
+    "lp": ("cost <= (1+eps+delta)*opt", 1, 1),
+}
+
+# (objective, regime, strategy tag) -> (guarantee, cost class). The regime is
+# "exact" at eps == 0 and "approx" above it; an "any" row holds in both.
+STRATEGY_TABLE = {
+    ("sum-dispersion", "any", "exact-construction"):
+        ("exact optimum sumDp over exact medians", "exact"),
+    ("sum-dispersion", "any", "greedy"):
+        ("farthest-pair + max-gain insertion; value >= optimum / 2", "approx"),
+    ("sum-dispersion", "any", "density"): ("value >= (1 - delta) * optimum", "approx"),
+    ("sum-dispersion", "any", "enumeration"): ("value >= optimum / 2", "approx"),
+    ("sum-dispersion", "any", "density_fallback"):
+        ("pool enumeration over cap; density value >= (1 - 4/D*) * optimum", "approx"),
+    ("min-dispersion", "exact", "dp"): ("exact optimum minDp over exact medians", "exact"),
+    ("min-dispersion", "exact", "greedy"): ("minDp >= t_star/2", "exact"),
+    ("min-dispersion", "exact", "sample"):
+        ("minDp >= (1-2*delta)*t_star with probability >= 1-eta", "exact"),
+    ("min-dispersion", "exact", "sample_fallback"):
+        ("enumeration over cap; sampler lower bound (1-delta)*plotkin_sum only", "exact"),
+    ("min-dispersion", "approx", "dp"):
+        ("exact optimum minDp over (1+eps)-approximate medians", "approx"),
+    ("min-dispersion", "approx", "greedy"):
+        ("minDp >= t_star/2; members are (1+eps)-approximate", "approx"),
+    ("min-dispersion", "approx", "sample"):
+        ("minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
+         "members are (1+2*eps)-approximate", "mix"),
+    ("min-dispersion", "any", "lpround"):
+        ("minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
+         "members are (1+eps+delta)-approximate", "lp"),
 }
 
 
@@ -104,7 +130,6 @@ class RunConfig:
     sizes: tuple[int, ...] | None
     oracle_op: str | None
     limits: EnumerationLimits
-    max_states: int
 
 
 def parse_rational(text: str) -> Fraction:
@@ -251,26 +276,101 @@ def _revalidate(ctx: MedianContext, members: Sequence[Word], cap: Fraction) -> l
     return costs
 
 
-def _cost_cap(tag: str, ctx: MedianContext, budget: Budget, delta: Fraction) -> tuple[Fraction, str]:
-    """(exact cap, human label) for the cost class a strategy tag promises."""
-    one_plus_eps = (1 + budget.epsilon) * ctx.opt
-    caps = {
-        "exact": (Fraction(ctx.opt), "cost == opt"),
-        "approx": (one_plus_eps, "cost <= (1+eps)*opt"),
-        "mix": ((1 + 2 * budget.epsilon) * ctx.opt, "cost <= (1+2*eps)*opt"),
-        "lp": ((1 + budget.epsilon + delta) * ctx.opt, "cost <= (1+eps+delta)*opt"),
+def _class_cap(cls: str, config: RunConfig, opt: int) -> tuple[Fraction, str]:
+    """(exact cap on each member's cost, label) for a cost class."""
+    label, a, b = COST_CLASSES[cls]
+    return (1 + a * config.epsilon + b * config.delta) * opt, label
+
+
+def _certificates(cert: BoundCertificate) -> dict:
+    return {
+        "alphabet_sizes": list(cert.alphabet_sizes),
+        "plotkin_sum": _fraction_str(cert.plotkin_sum),
+        "t": cert.t,
+        "max_code_size": cert.max_code_size,
+        "tstar_upper": _fraction_str(cert.tstar_upper),
     }
-    return caps[tag]
+
+
+# ---------------------------------------------------------------------------
+# engines: (objective, strategy) -> call returning (CandidateSet, tag). Each
+# looks its engine up by module-global name when it runs, so patching
+# cli.<engine> reaches it.
+
+
+def _sum_auto(ctx, budget, c, doc):
+    return sum_dispersion_dispatch(ctx, budget, c.k, c.delta, limits=c.limits)
+
+
+def _sum_exact_construction(ctx, budget, c, doc):
+    return sum_dispersion_exact_k(ctx, ctx.freq, c.k), "exact-construction"
+
+
+def _sum_greedy(ctx, budget, c, doc):
+    pool = enumerate_approx_medians(ctx, budget, c.limits)
+    return sum_dispersion_small_dstar(ctx, budget, c.k, pool), "greedy"
+
+
+def _min_auto(ctx, budget, c, doc):
+    if c.epsilon == 0:
+        return min_dispersion_dispatch_exact(ctx.freq, c.k, c.delta, c.eta, c.seed,
+                                             limits=c.limits)
+    return min_dispersion_dispatch_approx(ctx, budget, c.k, c.delta, c.eta, c.seed,
+                                          limits=c.limits)
+
+
+def _min_dp(ctx, budget, c, doc):
+    if c.epsilon == 0:
+        _, cands = min_disp_dp_exact(ctx.freq, c.k, limits=c.limits)
+    else:
+        _, cands = min_disp_dp_approx(ctx, budget, c.k, limits=c.limits)
+    return cands, "dp"
+
+
+def _min_greedy(ctx, budget, c, doc):
+    if c.epsilon == 0:
+        pool = enumerate_exact_medians(ctx.freq, c.limits)
+    else:
+        pool = enumerate_approx_medians(ctx, budget, c.limits)
+    return greedy_dispersion(pool, c.k, ctx.freq), "greedy"
+
+
+def _min_sample(ctx, budget, c, doc):
+    cfg = SampleConfig(k=c.k, delta=c.delta, eta=c.eta, seed=c.seed)
+    if c.epsilon == 0:
+        cands, _ = sample_exact_medians(ctx.freq, cfg)
+    else:
+        cands, _ = sample_approx_medians(ctx, approx_diameter_pair(ctx, budget), cfg)
+    return cands, "sample"
+
+
+def _min_lp(ctx, budget, c, doc):
+    cands, report = lp_min_dispersion(ctx, budget, c.k, c.delta, c.eta, c.seed)
+    doc["lp_report"] = asdict(report)
+    return cands, "lpround"
+
+
+ENGINES = {
+    ("sum-dispersion", "auto"): _sum_auto,
+    ("sum-dispersion", "exact-construction"): _sum_exact_construction,
+    ("sum-dispersion", "greedy"): _sum_greedy,
+    ("min-dispersion", "auto"): _min_auto,
+    ("min-dispersion", "dp"): _min_dp,
+    ("min-dispersion", "greedy"): _min_greedy,
+    ("min-dispersion", "sample"): _min_sample,
+    ("min-dispersion", "lp"): _min_lp,
+}
 
 
 def run(config: RunConfig) -> dict:
     """Execute one configured run and return the result document as a dict."""
     if config.objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {config.objective!r}")
-    if config.strategy not in ALLOWED_STRATEGIES[config.objective]:
+    allowed = [s for o, s in ENGINES if o == config.objective] or ["auto"]
+    if config.strategy not in allowed:
         raise ValidationError(
             f"strategy {config.strategy!r} does not apply to objective "
-            f"{config.objective!r}; allowed: {', '.join(ALLOWED_STRATEGIES[config.objective])}"
+            f"{config.objective!r}; allowed: {', '.join(allowed)}"
         )
 
     doc: dict = {
@@ -340,11 +440,11 @@ def run(config: RunConfig) -> dict:
     if config.objective == "diameter":
         if config.epsilon == 0:
             res = exact_diameter_pair(ctx, ctx.freq)
-            cap, cls = _cost_cap("exact", ctx, budget, config.delta)
+            cap, cls = _class_cap("exact", config, ctx.opt)
             doc["guarantee"] = f"exact diameter over exact medians; {cls}"
         else:
             res = approx_diameter_pair(ctx, budget)
-            cap, cls = _cost_cap("approx", ctx, budget, config.delta)
+            cap, cls = _class_cap("approx", config, ctx.opt)
             doc["guarantee"] = (
                 f"exact diameter over (1+eps)-approximate medians "
                 f"(branch: {res.branch}); {cls}"
@@ -356,122 +456,29 @@ def run(config: RunConfig) -> dict:
         doc["branch"] = res.branch
         return doc
 
-    if config.objective == "sum-dispersion":
-        if config.strategy == "exact-construction":
-            cands = sum_dispersion_exact_k(ctx, ctx.freq, config.k)
-            tag = "exact-construction"
-            guarantee = "exact optimum sumDp over exact medians"
-            cap, cls = _cost_cap("exact", ctx, budget, config.delta)
-        elif config.strategy == "greedy":
-            pool = enumerate_approx_medians(ctx, budget, config.limits)
-            cands = sum_dispersion_small_dstar(ctx, budget, config.k, pool)
-            tag = "greedy"
-            guarantee = "farthest-pair + max-gain insertion; value >= optimum / 2"
-            cap, cls = _cost_cap("approx", ctx, budget, config.delta)
-        else:
-            cands, tag = sum_dispersion_dispatch(
-                ctx, budget, config.k, config.delta, limits=config.limits
-            )
-            guarantee = DISPATCH_GUARANTEES[tag]
-            cap, cls = _cost_cap("approx", ctx, budget, config.delta)
+    if (config.objective, config.strategy) in ENGINES:
+        cands, tag = ENGINES[config.objective, config.strategy](ctx, budget, config, doc)
+        regime = "exact" if config.epsilon == 0 else "approx"
+        guarantee, cls = (STRATEGY_TABLE.get((config.objective, regime, tag))
+                          or STRATEGY_TABLE[config.objective, "any", tag])
+        cap, label = _class_cap(cls, config, ctx.opt)
         doc["strings"] = [_render_word(s, joined) for s in cands.members]
         doc["costs"] = _revalidate(ctx, cands.members, cap)
-        doc["objective_value"] = cands.sum_dispersion()
         doc["strategy_tag"] = tag
-        doc["guarantee"] = f"{guarantee}; {cls}"
-        return doc
-
-    if config.objective == "min-dispersion":
-        exact_regime = config.epsilon == 0
-        lp_report = None
-        if config.strategy == "auto":
-            if exact_regime:
-                cands, tag, guarantee = min_dispersion_dispatch_exact(
-                    ctx.freq, config.k, config.delta, config.eta, config.seed,
-                    max_states=config.max_states, limits=config.limits,
-                )
-            else:
-                cands, tag, guarantee = min_dispersion_dispatch_approx(
-                    ctx, budget, config.k, config.delta, config.eta, config.seed,
-                    lp_enabled=False, max_states=config.max_states,
-                    limits=config.limits,
-                )
-        elif config.strategy == "dp":
-            if exact_regime:
-                _, cands = min_disp_dp_exact(ctx.freq, config.k,
-                                             max_states=config.max_states)
-                tag, guarantee = "dp", EXACT_GUARANTEES["dp"]
-            else:
-                _, cands = min_disp_dp_approx(ctx, budget, config.k,
-                                              max_states=config.max_states)
-                tag, guarantee = "dp", APPROX_GUARANTEES["dp"]
-        elif config.strategy == "greedy":
-            if exact_regime:
-                pool = enumerate_exact_medians(ctx.freq, config.limits)
-                tag, guarantee = "greedy", EXACT_GUARANTEES["greedy"]
-            else:
-                pool = enumerate_approx_medians(ctx, budget, config.limits)
-                tag, guarantee = "greedy", APPROX_GUARANTEES["greedy"]
-            cands = greedy_dispersion(pool, config.k, ctx.freq)
-        elif config.strategy == "sample":
-            cfg = SampleConfig(k=config.k, delta=config.delta, eta=config.eta,
-                               seed=config.seed)
-            if exact_regime:
-                cands, _ = sample_exact_medians(ctx.freq, cfg)
-                tag, guarantee = "sample", EXACT_GUARANTEES["sample"]
-            else:
-                cands, _ = sample_approx_medians(
-                    ctx, approx_diameter_pair(ctx, budget), cfg
-                )
-                tag, guarantee = "sample", APPROX_GUARANTEES["sample"]
-        else:  # lp
-            cands, lp_report = lp_min_dispersion(
-                ctx, budget, config.k, config.delta, config.eta, config.seed
-            )
-            tag, guarantee = "lpround", APPROX_GUARANTEES["lpround"]
-
-        if exact_regime and tag in ("dp", "greedy", "sample"):
-            cap, cls = _cost_cap("exact", ctx, budget, config.delta)
-        elif tag in ("sample", "sample_fallback"):
-            cap, cls = _cost_cap("mix", ctx, budget, config.delta)
-        elif tag == "lpround":
-            cap, cls = _cost_cap("lp", ctx, budget, config.delta)
+        doc["guarantee"] = f"{guarantee}; {label}"
+        if config.objective == "sum-dispersion":
+            doc["objective_value"] = cands.sum_dispersion()
         else:
-            cap, cls = _cost_cap("approx", ctx, budget, config.delta)
-        doc["strings"] = [_render_word(s, joined) for s in cands.members]
-        doc["costs"] = _revalidate(ctx, cands.members, cap)
-        doc["objective_value"] = cands.min_dispersion()
-        doc["strategy_tag"] = tag
-        doc["guarantee"] = f"{guarantee}; {cls}"
-        cert = bound_certificate(ctx, budget, t=cands.min_dispersion())
-        doc["certificates"] = {
-            "alphabet_sizes": list(cert.alphabet_sizes),
-            "plotkin_sum": _fraction_str(cert.plotkin_sum),
-            "t": cert.t,
-            "max_code_size": cert.max_code_size,
-            "tstar_upper": _fraction_str(cert.tstar_upper),
-        }
-        if lp_report is not None:
-            doc["lp_report"] = {
-                "lp_value": lp_report.lp_value,
-                "regime_plausible": lp_report.regime_plausible,
-                "trials": lp_report.trials,
-                "kept": lp_report.kept,
-                "chosen_trial": lp_report.chosen_trial,
-            }
+            doc["objective_value"] = cands.min_dispersion()
+            doc["certificates"] = _certificates(
+                bound_certificate(ctx, budget, t=cands.min_dispersion()))
         return doc
 
     if config.objective == "bound":
         if config.t is None:
             raise ValidationError("objective=bound requires --t")
         cert = bound_certificate(ctx, budget, config.t)
-        doc["certificates"] = {
-            "alphabet_sizes": list(cert.alphabet_sizes),
-            "plotkin_sum": _fraction_str(cert.plotkin_sum),
-            "t": cert.t,
-            "max_code_size": cert.max_code_size,
-            "tstar_upper": _fraction_str(cert.tstar_upper),
-        }
+        doc["certificates"] = _certificates(cert)
         doc["objective_value"] = cert.max_code_size
         doc["guarantee"] = "code-size cap at pairwise distance >= t (null = bound inapplicable); tstar_upper caps achievable minDp"
         return doc
@@ -578,7 +585,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         sizes=sizes,
         oracle_op=args.oracle_op,
         limits=limits,
-        max_states=args.max_states,
     )
 
 

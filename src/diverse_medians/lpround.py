@@ -26,7 +26,7 @@ from .core import (
     Word,
     median_cost,
 )
-from .mindisp import SampleConfig
+from .mindisp import SampleConfig, tstar_upper_bound
 
 _SNAP = 1e-9  # entries this close to 0/1 are considered integral
 _ROW_TOL = 1e-6  # acceptable row-sum drift on input matrices
@@ -172,16 +172,6 @@ class IlpModel:
         return "\n".join(out)
 
 
-@dataclass(frozen=True)
-class FractionalAssignment:
-    """Per candidate r, a d-by-k row-stochastic matrix of relaxed u values."""
-
-    matrices: tuple[np.ndarray, ...]
-
-    def per_candidate(self, r: int) -> np.ndarray:
-        return self.matrices[r]
-
-
 def build_ilp(ctx: MedianContext, budget: Budget, k: int) -> IlpModel:
     """Rank the top-k characters per index and assemble the program."""
     if k < 2:
@@ -221,15 +211,16 @@ def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
     return res.x
 
 
-def solve_lp_relaxation(model: IlpModel) -> tuple[FractionalAssignment, float]:
+def solve_lp_relaxation(model: IlpModel) -> tuple[np.ndarray, float]:
     """Optimal fractional assignment and lp_value = 2 * t-tilde.
 
-    The all-majority assignment is always feasible, so failure is a solver
-    problem, not a model one.
+    The assignment is a (k, d, k) array: u[r] is candidate r's d-by-k
+    row-stochastic matrix of relaxed u values. The all-majority assignment is
+    always feasible, so failure is a solver problem, not a model one.
     """
     x = _solve_lp(*model.matrices())
     u = x[:model.n_u].reshape(model.k, model.d, model.k)  # u[r, i, j] = x[u_index(r, i, j)]
-    return FractionalAssignment(matrices=tuple(u)), 2.0 * float(x[model.t_index])
+    return u, 2.0 * float(x[model.t_index])
 
 
 def _fractional_walk(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -357,6 +348,19 @@ class LpReport:
     chosen_trial: int
 
 
+def _lp_plausible(t_up: Fraction, delta: Fraction, k: int, d: int) -> bool:
+    """Necessary condition for the LP regime, from the t* upper bound.
+
+    The regime needs t* >= ((8+4delta)/delta) * sqrt(d) * (2*log2(k) + 2);
+    since t* <= t_up, the test uses t_up, squared to stay rational, with
+    ceil(log2 k) on the right. Failing it proves the regime is out of reach.
+    """
+    lg = max(0, (k - 1).bit_length())  # ceil(log2 k)
+    lhs = (t_up * delta) ** 2
+    rhs = ((8 + 4 * delta) * (2 * lg + 2)) ** 2 * d
+    return lhs >= rhs
+
+
 def lp_min_dispersion(
     ctx: MedianContext,
     budget: Budget,
@@ -372,8 +376,6 @@ def lp_min_dispersion(
     (dispatcher) falls back to the sampler. The report says whether the
     guarantee's t* precondition was even plausible on this instance.
     """
-    from .mindisp import _lp_plausible, tstar_upper_bound
-
     delta, eta = Fraction(delta), Fraction(eta)
     cfg = SampleConfig(k=k, delta=delta, eta=eta, seed=seed)  # validates ranges
     model = build_ilp(ctx, budget, k)
@@ -382,7 +384,7 @@ def lp_min_dispersion(
     cap = (1 + budget.epsilon + delta) * ctx.opt  # exact rational threshold
     kept: list[tuple[int, list[Word], int]] = []
     for trial in range(cfg.trials):
-        picks = [dependent_round(frac.matrices[r], seed=[seed, trial, r])
+        picks = [dependent_round(frac[r], seed=[seed, trial, r])
                  for r in range(k)]
         members = [_decode(model, u) for u in picks]
         if all(Fraction(median_cost(ctx, s)) <= cap for s in members):

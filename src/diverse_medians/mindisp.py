@@ -21,7 +21,6 @@ from .core import (
     CandidateSet,
     CapExceeded,
     FrequencyTable,
-    InfeasibleError,
     InternalError,
     MedianContext,
     ValidationError,
@@ -39,24 +38,18 @@ from .oracle import (
     enumerate_exact_medians,
 )
 
-DEFAULT_MAX_STATES = 10**7
 
-
-@dataclass(frozen=True)
-class PairwiseState:
-    """DP state after the first `column` indices: all pairwise distances so
+def _check_dp_state(
+    distances: tuple[int, ...], costs: tuple[int, ...] | None, column: int,
+    cost_cap: int | None,
+) -> None:
+    """A DP state after the first `column` indices: all pairwise distances so
     far, plus (approx variant only) each candidate's deviation cost."""
-
-    distances: tuple[int, ...]
-    costs: tuple[int, ...] | None
-    column: int
-
-    def check(self, cost_cap: int | None) -> None:
-        if any(not 0 <= x <= self.column for x in self.distances):
-            raise InternalError("DP state: distance outside [0, column]")
-        if self.costs is not None:
-            if cost_cap is None or any(not 0 <= c <= cost_cap for c in self.costs):
-                raise InternalError("DP state: cost outside budget window")
+    if any(not 0 <= x <= column for x in distances):
+        raise InternalError("DP state: distance outside [0, column]")
+    if costs is not None:
+        if cost_cap is None or any(not 0 <= c <= cost_cap for c in costs):
+            raise InternalError("DP state: cost outside budget window")
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,7 @@ def _best_by_mindp(trials: list[list[Word]]) -> tuple[int, list[Word]]:
 
 
 def min_disp_dp_exact(
-    freq: FrequencyTable, k: int, *, max_states: int = DEFAULT_MAX_STATES
+    freq: FrequencyTable, k: int, *, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> tuple[int, CandidateSet]:
     """Exact max minDp over k-tuples from the exact-median product space.
 
@@ -125,9 +118,9 @@ def min_disp_dp_exact(
         raise ValidationError("k must be >= 2")
     d = freq.d
     pairs = list(combinations(range(k), 2))
-    if (d + 1) ** (1 + len(pairs)) > max_states:
+    if (d + 1) ** (1 + len(pairs)) > limits.max_states:
         raise CapExceeded(
-            f"state space (d+1)^(1+k(k-1)/2) exceeds max_states={max_states}"
+            f"state space (d+1)^(1+k(k-1)/2) exceeds max_states={limits.max_states}"
         )
     layers: list[dict[tuple[int, ...], tuple | None]] = [{(0,) * len(pairs): None}]
     for i in range(d):
@@ -141,11 +134,11 @@ def min_disp_dp_exact(
                 nk = tuple(a + b for a, b in zip(key, inc))
                 if nk not in nxt:
                     nxt[nk] = (key, assign)
-                    if len(nxt) > max_states:
-                        raise CapExceeded(f"live states exceed max_states={max_states}")
+                    if len(nxt) > limits.max_states:
+                        raise CapExceeded(f"live states exceed max_states={limits.max_states}")
         layers.append(nxt)
     best_key = max(layers[-1], key=lambda s: (min(s), s))
-    PairwiseState(distances=best_key, costs=None, column=d).check(None)
+    _check_dp_state(best_key, None, d, None)
     members = _walk_back(layers, best_key, k, d)
     return min(best_key), CandidateSet.from_members(freq, members)
 
@@ -155,7 +148,7 @@ def min_disp_dp_approx(
     budget: Budget,
     k: int,
     *,
-    max_states: int = DEFAULT_MAX_STATES,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> tuple[int, CandidateSet]:
     """Exact max minDp over k-tuples of (1+eps)-approximate medians.
 
@@ -168,9 +161,9 @@ def min_disp_dp_approx(
     d = ctx.d
     cap = budget.floor
     pairs = list(combinations(range(k), 2))
-    if (d + 1) ** (1 + len(pairs)) * (cap + 1) ** k > max_states:
+    if (d + 1) ** (1 + len(pairs)) * (cap + 1) ** k > limits.max_states:
         raise CapExceeded(
-            f"state space (d+1)^(1+k(k-1)/2)*(B+1)^k exceeds max_states={max_states}"
+            f"state space (d+1)^(1+k(k-1)/2)*(B+1)^k exceeds max_states={limits.max_states}"
         )
     empty = ((0,) * len(pairs), (0,) * k)
     layers: list[dict[tuple, tuple | None]] = [{empty: None}]
@@ -190,11 +183,11 @@ def min_disp_dp_approx(
                 nk = (tuple(a + b for a, b in zip(dist, inc)), nc)
                 if nk not in nxt:
                     nxt[nk] = (key, assign)
-                    if len(nxt) > max_states:
-                        raise CapExceeded(f"live states exceed max_states={max_states}")
+                    if len(nxt) > limits.max_states:
+                        raise CapExceeded(f"live states exceed max_states={limits.max_states}")
         layers.append(nxt)
     best_key = max(layers[-1], key=lambda s: (min(s[0]), s))
-    PairwiseState(distances=best_key[0], costs=best_key[1], column=d).check(cap)
+    _check_dp_state(best_key[0], best_key[1], d, cap)
     members = _walk_back(layers, best_key, k, d)
     return min(best_key[0]), CandidateSet.from_members(ctx.freq, members)
 
@@ -355,35 +348,6 @@ def _diameter_at_least(dstar: int, delta: Fraction, k: int, add: int) -> bool:
     return 2**a >= k**c
 
 
-def _lp_plausible(t_up: Fraction, delta: Fraction, k: int, d: int) -> bool:
-    """Necessary condition for the LP regime, from the t* upper bound.
-
-    The regime needs t* >= ((8+4delta)/delta) * sqrt(d) * (2*log2(k) + 2);
-    since t* <= t_up, the test uses t_up, squared to stay rational, with
-    ceil(log2 k) on the right. Failing it proves the regime is out of reach.
-    """
-    lg = max(0, (k - 1).bit_length())  # ceil(log2 k)
-    lhs = (t_up * delta) ** 2
-    rhs = ((8 + 4 * delta) * (2 * lg + 2)) ** 2 * d
-    return lhs >= rhs
-
-
-EXACT_GUARANTEES = {
-    "dp": "exact optimum minDp over exact medians",
-    "sample": "minDp >= (1-2*delta)*t_star with probability >= 1-eta",
-    "greedy": "minDp >= t_star/2",
-    "sample_fallback": "enumeration over cap; sampler lower bound (1-delta)*plotkin_sum only",
-}
-
-APPROX_GUARANTEES = {
-    "dp": "exact optimum minDp over (1+eps)-approximate medians",
-    "greedy": "minDp >= t_star/2; members are (1+eps)-approximate",
-    "sample": "minDp >= (1-delta)/2*t_star with probability >= 1-eta; members are (1+2*eps)-approximate",
-    "lpround": "minDp >= (1-delta)/2*t_star with probability >= 1-eta; members are (1+eps+delta)-approximate",
-    "sample_fallback": "LP or enumeration unavailable; sampler bound (1-delta)*D*/2; members are (1+2*eps)-approximate",
-}
-
-
 def min_dispersion_dispatch_exact(
     freq: FrequencyTable,
     k: int,
@@ -391,34 +355,34 @@ def min_dispersion_dispatch_exact(
     eta: Fraction,
     seed: int,
     *,
-    max_states: int = DEFAULT_MAX_STATES,
     limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> tuple[CandidateSet, str, str]:
+) -> tuple[CandidateSet, str]:
     """Exact-median dispersion: DP when k <= 1/delta, else sample or greedy.
 
     The diameter scale deciding sample-vs-greedy is the tie-set size (the
-    exact-median diameter). Tags come from EXACT_GUARANTEES.
+    exact-median diameter). Returns the candidate set and the strategy tag:
+    dp, sample, greedy, or sample_fallback when the pool is over the cap.
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
     delta, eta = Fraction(delta), Fraction(eta)
     if k * delta <= 1:
         try:
-            _, cands = min_disp_dp_exact(freq, k, max_states=max_states)
-            return cands, "dp", EXACT_GUARANTEES["dp"]
+            _, cands = min_disp_dp_exact(freq, k, limits=limits)
+            return cands, "dp"
         except CapExceeded:
             pass  # fall through to the large-k regimes
     dstar = sum(1 for g in freq.majority_sets if len(g) >= 2)
     cfg = SampleConfig(k=k, delta=delta, eta=eta, seed=seed)
     if _diameter_at_least(dstar, delta, k, add=1):
         cands, _ = sample_exact_medians(freq, cfg)
-        return cands, "sample", EXACT_GUARANTEES["sample"]
+        return cands, "sample"
     try:
         pool = enumerate_exact_medians(freq, limits)
     except CapExceeded:
         cands, _ = sample_exact_medians(freq, cfg)
-        return cands, "sample_fallback", EXACT_GUARANTEES["sample_fallback"]
-    return greedy_dispersion(pool, k, freq), "greedy", EXACT_GUARANTEES["greedy"]
+        return cands, "sample_fallback"
+    return greedy_dispersion(pool, k, freq), "greedy"
 
 
 def min_dispersion_dispatch_approx(
@@ -429,24 +393,23 @@ def min_dispersion_dispatch_approx(
     eta: Fraction,
     seed: int,
     *,
-    lp_enabled: bool = False,
-    max_states: int = DEFAULT_MAX_STATES,
     limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> tuple[CandidateSet, str, str]:
+) -> tuple[CandidateSet, str]:
     """Approximate-median dispersion dispatcher.
 
     Resolution order across the guarantee regimes (which overlap and leave
     gaps): DP for small k; greedy over the enumerable pool when D* <= 4/delta^2;
-    the LP pipeline when enabled and not provably out of regime; else the
-    mixing sampler. Tags come from APPROX_GUARANTEES.
+    else the mixing sampler. Returns the candidate set and the strategy tag:
+    dp, greedy or sample. The LP pipeline runs only when asked for by name
+    (lpround.lp_min_dispersion).
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
     delta, eta = Fraction(delta), Fraction(eta)
     if k * delta <= 1:
         try:
-            _, cands = min_disp_dp_approx(ctx, budget, k, max_states=max_states)
-            return cands, "dp", APPROX_GUARANTEES["dp"]
+            _, cands = min_disp_dp_approx(ctx, budget, k, limits=limits)
+            return cands, "dp"
         except CapExceeded:
             pass
     diameter = approx_diameter_pair(ctx, budget)
@@ -454,17 +417,8 @@ def min_dispersion_dispatch_approx(
     if Fraction(diameter.diameter) * delta**2 <= 4:
         try:
             pool = enumerate_approx_medians(ctx, budget, limits)
-            return greedy_dispersion(pool, k, freq=ctx.freq), "greedy", APPROX_GUARANTEES["greedy"]
+            return greedy_dispersion(pool, k, freq=ctx.freq), "greedy"
         except CapExceeded:
             pass
-    if lp_enabled and _lp_plausible(tstar_upper_bound(ctx, budget), delta, k, ctx.d):
-        from .lpround import lp_min_dispersion
-
-        try:
-            cands, _ = lp_min_dispersion(ctx, budget, k, delta, eta, seed)
-            return cands, "lpround", APPROX_GUARANTEES["lpround"]
-        except (InfeasibleError, ValidationError):
-            cands, _ = sample_approx_medians(ctx, diameter, cfg)
-            return cands, "sample_fallback", APPROX_GUARANTEES["sample_fallback"]
     cands, _ = sample_approx_medians(ctx, diameter, cfg)
-    return cands, "sample", APPROX_GUARANTEES["sample"]
+    return cands, "sample"

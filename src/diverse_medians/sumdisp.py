@@ -27,6 +27,7 @@ from .core import (
     distances_to,
     farthest_pair,
 )
+from .diameter import approx_diameter_pair
 from .oracle import DEFAULT_LIMITS, EnumerationLimits, enumerate_approx_medians
 
 
@@ -58,18 +59,6 @@ class ModOp:
         return Fraction(self.gain, self.cost)
 
 
-@dataclass(frozen=True)
-class OpList:
-    ops: tuple[ModOp, ...]
-    preprocessed: bool = True
-
-    def prefix(self, j: int) -> tuple[ModOp, ...]:
-        return self.ops[:j]
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-
 def sum_dispersion_exact_k(ctx: MedianContext, freq: FrequencyTable, k: int) -> CandidateSet:
     """k exact medians with maximum sum dispersion, by balanced tie layout.
 
@@ -91,7 +80,7 @@ def sum_dispersion_exact_k(ctx: MedianContext, freq: FrequencyTable, k: int) -> 
     return CandidateSet.from_members(freq, members)
 
 
-def build_oplist(ctx: MedianContext, k: int) -> OpList:
+def build_oplist(ctx: MedianContext, k: int) -> tuple[ModOp, ...]:
     """All useful modification ops, densest first.
 
     Per index we walk the k slots: with majority_count copies of the column
@@ -140,7 +129,7 @@ def build_oplist(ctx: MedianContext, k: int) -> OpList:
         return (*dens_rank, op.cost, op.index, alpha_pos[op.symbol], op.target_count)
 
     ops.sort(key=sort_key)
-    return OpList(ops=tuple(ops))
+    return tuple(ops)
 
 
 def cost_greedy_assign(
@@ -194,7 +183,7 @@ def sum_dispersion_approx_k(
     m = len(oplist)
 
     def probe(j: int) -> tuple[CandidateSet, bool]:
-        return cost_greedy_assign(ctx, budget, k, oplist.prefix(j))
+        return cost_greedy_assign(ctx, budget, k, oplist[:j])
 
     if linear_scan:
         for j in range(m, -1, -1):
@@ -251,13 +240,6 @@ def sum_dispersion_small_dstar(
     return CandidateSet.from_members(ctx.freq, [pool[i] for i in chosen])
 
 
-DISPATCH_GUARANTEES = {
-    "density": "value >= (1 - delta) * optimum",
-    "enumeration": "value >= optimum / 2",
-    "density_fallback": "pool enumeration over cap; density value >= (1 - 4/D*) * optimum",
-}
-
-
 def sum_dispersion_dispatch(
     ctx: MedianContext,
     budget: Budget,
@@ -268,12 +250,10 @@ def sum_dispersion_dispatch(
 ) -> tuple[CandidateSet, str]:
     """Pick the right engine from the pool diameter: density when D* >= 4/delta.
 
-    Returns the candidate set and the strategy tag (a DISPATCH_GUARANTEES
-    key). Enumeration that blows the candidate cap falls back to the density
-    engine with its unconditional (1 - 4/D*) bound.
+    Returns the candidate set and the strategy tag: density, enumeration, or
+    density_fallback when enumeration blows the candidate cap and the density
+    engine runs anyway, with its unconditional (1 - 4/D*) bound.
     """
-    from .diameter import approx_diameter_pair
-
     if not 0 < delta:
         raise ValidationError("delta must be positive")
     dstar = approx_diameter_pair(ctx, budget).diameter

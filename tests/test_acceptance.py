@@ -223,7 +223,8 @@ def test_criterion_07_min_dispersion_dps_match_brute():
             continue
         k = int(rng.integers(2, 4))
         try:
-            value, cs = dm.min_disp_dp_exact(ctx.freq, k, max_states=10**6)
+            value, cs = dm.min_disp_dp_exact(
+                ctx.freq, k, limits=dm.EnumerationLimits(max_states=10**6))
         except dm.CapExceeded:
             continue
         assert value == dm.brute_mindp_k(pool, k, limits)
@@ -243,7 +244,8 @@ def test_criterion_07_min_dispersion_dps_match_brute():
             continue
         k = int(rng.integers(2, 4))
         try:
-            value, cs = dm.min_disp_dp_approx(ctx, budget, k, max_states=10**6)
+            value, cs = dm.min_disp_dp_approx(
+                ctx, budget, k, limits=dm.EnumerationLimits(max_states=10**6))
         except dm.CapExceeded:
             continue
         assert value == dm.brute_mindp_k(pool, k, limits)

@@ -28,7 +28,6 @@ def make_config(**kw):
         sizes=None,
         oracle_op=None,
         limits=DEFAULT_LIMITS,
-        max_states=10**7,
     )
     base.update(kw)
     return cli.RunConfig(**base)
@@ -312,6 +311,19 @@ def test_main_cap_exceeded_exits_3_with_hint(ties_path, capsys):
     )
     assert code == 3
     assert "max-candidates" in err
+
+
+def test_main_max_states_caps_both_dps(ties_path, capsys):
+    # --max-states reaches the DP whichever way it is called; without the cap
+    # each of these runs returns a DP document
+    base = ["--objective", "min-dispersion", "--input", ties_path, "--k", "2",
+            "--delta", "1/2"]
+    for extra in (["--strategy", "dp"], ["--strategy", "dp", "--epsilon", "1/2"]):
+        assert run_main(base + extra, capsys)[0] == 0
+        code, _, err = run_main(base + extra + ["--max-states", "10"], capsys)
+        assert code == 3 and "max_states=10" in err
+    code, out, _ = run_main(base + ["--max-states", "10"], capsys)
+    assert code == 0 and json.loads(out)["strategy_tag"] != "dp"
 
 
 def test_main_lp_infeasible_exits_4(tmp_path, capsys):

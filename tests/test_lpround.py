@@ -143,7 +143,7 @@ def test_zero_slack_forces_majority_assignment():
     m = build_ilp(ctx, Budget.make(0, ctx.opt), 2)
     frac, lp_value = solve_lp_relaxation(m)
     for r in range(2):
-        assert frac.per_candidate(r)[0, 0] == pytest.approx(1.0, abs=1e-7)
+        assert frac[r][0, 0] == pytest.approx(1.0, abs=1e-7)
     assert lp_value == pytest.approx(0.0, abs=1e-7)
 
 
@@ -167,7 +167,7 @@ def test_sparse_solve_matches_dense_reference(rng):
         for r in range(k):
             ref = np.array([[res.x[m.u_index(r, i, j)] for j in range(k)]
                             for i in range(m.d)])
-            assert frac.per_candidate(r).tobytes() == ref.tobytes()
+            assert frac[r].tobytes() == ref.tobytes()
 
 
 def test_opt_zero_instance_gives_lp_zero():

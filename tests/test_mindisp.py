@@ -29,12 +29,7 @@ from diverse_medians import (
     sample_exact_medians,
     tstar_upper_bound,
 )
-from diverse_medians.mindisp import (
-    APPROX_GUARANTEES,
-    EXACT_GUARANTEES,
-    PairwiseState,
-    _diameter_at_least,
-)
+from diverse_medians.mindisp import _check_dp_state, _diameter_at_least
 
 from conftest import random_rows
 
@@ -69,17 +64,17 @@ def test_dp_approx_matches_brute(rng):
 
 def test_dp_state_invariant_violation_is_an_internal_error():
     with pytest.raises(InternalError):
-        PairwiseState(distances=(0, 3), costs=None, column=2).check(None)
+        _check_dp_state((0, 3), None, column=2, cost_cap=None)
     with pytest.raises(InternalError):
-        PairwiseState(distances=(1,), costs=(0, 5), column=2).check(4)
-    PairwiseState(distances=(0, 2), costs=(0, 4), column=2).check(4)
+        _check_dp_state((1,), (0, 5), column=2, cost_cap=4)
+    _check_dp_state((0, 2), (0, 4), column=2, cost_cap=4)
 
 
 def test_dp_state_cap():
     rows = ["a" * 20, "b" * 20]  # 2^20 exact medians, k=3 pair vectors blow up
     ctx = context_from_strings(rows, alphabet="ab")
     with pytest.raises(CapExceeded):
-        min_disp_dp_exact(ctx.freq, 3, max_states=100)
+        min_disp_dp_exact(ctx.freq, 3, limits=EnumerationLimits(max_states=100))
 
 
 # --- samplers -------------------------------------------------------------------
@@ -209,18 +204,36 @@ def test_diameter_threshold_is_boundary_exact():
 
 def test_exact_dispatch_dp_branch():
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")
-    cands, tag, note = min_dispersion_dispatch_exact(
+    cands, tag = min_dispersion_dispatch_exact(
         ctx.freq, 2, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "dp"
-    assert note == EXACT_GUARANTEES["dp"]
     assert cands.min_dispersion() == 2
+
+
+def test_dispatchers_read_max_states_from_limits():
+    # the same instances take the DP branch under the default limits; a state
+    # cap of 1 rules the DP out, so both dispatchers fall through to greedy
+    one = EnumerationLimits(max_states=1)
+    ctx = context_from_strings(["ab", "ba"], alphabet="ab")
+    _, tag = min_dispersion_dispatch_exact(
+        ctx.freq, 2, Fraction(1, 2), Fraction(1, 8), seed=0, limits=one
+    )
+    assert tag == "greedy"
+    ctx = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
+    b = Budget.make(Fraction(1, 2), ctx.opt)
+    _, tag = min_dispersion_dispatch_approx(
+        ctx, b, 2, Fraction(1, 2), Fraction(1, 8), seed=0, limits=one
+    )
+    assert tag == "greedy"
+    with pytest.raises(CapExceeded):
+        min_disp_dp_approx(ctx, b, 2, limits=one)
 
 
 def test_exact_dispatch_sample_branch():
     rows = ["a" * 90, "b" * 90]  # 90 ties >= threshold for delta=1/2, k=4
     ctx = context_from_strings(rows, alphabet="ab")
-    cands, tag, note = min_dispersion_dispatch_exact(
+    cands, tag = min_dispersion_dispatch_exact(
         ctx.freq, 4, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "sample"
@@ -230,7 +243,7 @@ def test_exact_dispatch_sample_branch():
 def test_exact_dispatch_greedy_branch():
     rows = ["ab", "ba", "aa", "bb"]  # 2 tie columns, small diameter
     ctx = context_from_strings(rows, alphabet="ab")
-    cands, tag, note = min_dispersion_dispatch_exact(
+    cands, tag = min_dispersion_dispatch_exact(
         ctx.freq, 3, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "greedy"
@@ -241,32 +254,31 @@ def test_exact_dispatch_sample_fallback_branch():
     # (~67 for delta=1/2, k=3); 2^40 medians blow the enumeration cap.
     rows = ["a" * 40, "b" * 40]
     ctx = context_from_strings(rows, alphabet="ab")
-    cands, tag, note = min_dispersion_dispatch_exact(
+    cands, tag = min_dispersion_dispatch_exact(
         ctx.freq, 3, Fraction(1, 2), Fraction(1, 8), seed=0,
         limits=EnumerationLimits(10**4, 10**7, 10**7),
     )
     assert tag == "sample_fallback"
-    assert note == EXACT_GUARANTEES["sample_fallback"]
+    assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
 
 
 def test_approx_dispatch_dp_branch():
     ctx = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
     b = Budget.make(Fraction(1, 2), ctx.opt)
-    cands, tag, note = min_dispersion_dispatch_approx(
+    cands, tag = min_dispersion_dispatch_approx(
         ctx, b, 2, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "dp"
-    assert note == APPROX_GUARANTEES["dp"]
 
 
 def test_approx_dispatch_sample_branch():
     rows = ["1" * 60] * 6 + ["0" * 60] * 4
     ctx = context_from_strings(rows, alphabet="01")
     b = Budget.make(Fraction(1, 2), ctx.opt)
-    cands, tag, note = min_dispersion_dispatch_approx(
+    cands, tag = min_dispersion_dispatch_approx(
         ctx, b, 5, Fraction(1, 2), Fraction(1, 8), seed=0
     )
-    # D* = 60 > 4/delta^2 = 16, LP disabled -> mixing sampler
+    # D* = 60 > 4/delta^2 = 16 -> mixing sampler
     assert tag == "sample"
     cap = (1 + 2 * b.epsilon) * ctx.opt
     assert all(Fraction(median_cost(ctx, s)) <= cap for s in cands.members)
@@ -284,7 +296,7 @@ def test_approx_dispatch_sample_branch_computes_the_diameter_once(monkeypatch):
     monkeypatch.setattr(mindisp, "approx_diameter_pair", counting)
     ctx = context_from_strings(["1" * 60] * 6 + ["0" * 60] * 4, alphabet="01")
     b = Budget.make(Fraction(1, 2), ctx.opt)
-    _, tag, _ = min_dispersion_dispatch_approx(
+    _, tag = min_dispersion_dispatch_approx(
         ctx, b, 5, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "sample"
@@ -295,26 +307,25 @@ def test_approx_dispatch_greedy_branch(rng):
     rows = ["ab", "ba", "aa"]
     ctx = context_from_strings(rows, alphabet="ab")
     b = Budget.make(Fraction(1, 2), ctx.opt)
-    cands, tag, note = min_dispersion_dispatch_approx(
+    cands, tag = min_dispersion_dispatch_approx(
         ctx, b, 3, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "greedy"
 
 
-def test_approx_dispatch_lp_branch_needs_enabling():
+def test_approx_dispatch_never_returns_lpround(rng):
+    # the LP pipeline runs only under its own name (lpround.lp_min_dispersion);
+    # past DP and greedy the dispatcher always ends at the mixing sampler
     rows = ["aaaa", "bbbb", "cccc"]
     ctx = context_from_strings(rows, alphabet="abc")
     b = Budget.make(0, ctx.opt)
     # k * delta > 1 and D* * delta^2 > 4 push past DP and greedy
-    got = min_dispersion_dispatch_approx(
-        ctx, b, 3, Fraction(3, 4), Fraction(1, 8), seed=0, lp_enabled=False
-    )
-    assert got[1] in ("sample", "greedy")  # never lpround when disabled
-    assert got[1] != "lpround"
-
-
-def test_guarantee_tables_cover_all_tags():
-    assert set(EXACT_GUARANTEES) == {"dp", "sample", "greedy", "sample_fallback"}
-    assert set(APPROX_GUARANTEES) == {
-        "dp", "greedy", "sample", "lpround", "sample_fallback"
-    }
+    _, tag = min_dispersion_dispatch_approx(ctx, b, 3, Fraction(3, 4), Fraction(1, 8), seed=0)
+    assert tag in ("sample", "greedy")
+    for _ in range(10):
+        rows = random_rows(rng, sigma="abc", d=int(rng.integers(2, 6)))
+        ctx = context_from_strings(rows, alphabet="abc")
+        b = Budget.make(Fraction(int(rng.integers(1, 3)), 2), ctx.opt)
+        for k, delta in ((2, Fraction(1, 2)), (3, Fraction(3, 4)), (4, Fraction(1, 2))):
+            _, tag = min_dispersion_dispatch_approx(ctx, b, k, delta, Fraction(1, 8), seed=0)
+            assert tag in ("dp", "greedy", "sample")

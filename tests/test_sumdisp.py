@@ -20,7 +20,7 @@ from diverse_medians import (
     sum_dispersion_exact_k,
     sum_dispersion_small_dstar,
 )
-from diverse_medians.sumdisp import DISPATCH_GUARANTEES
+from diverse_medians.cli import STRATEGY_TABLE
 
 from conftest import random_rows
 
@@ -67,7 +67,7 @@ def test_exact_k1_is_w():
 
 def test_oplist_one_op_per_index_slot():
     ctx = context_from_strings(["aab", "abb", "bbb", "bab", "aab"], alphabet="ab")
-    ops = build_oplist(ctx, 4).ops
+    ops = build_oplist(ctx, 4)
     seen = {(op.index, op.target_count) for op in ops}
     assert len(seen) == len(ops)
     assert all(1 <= op.target_count <= 4 for op in ops)
@@ -80,7 +80,7 @@ def test_oplist_global_order_contracts(rng):
     for _ in range(20):
         rows = random_rows(rng, sigma="abc")
         ctx = context_from_strings(rows, alphabet="abc")
-        ops = build_oplist(ctx, int(rng.integers(2, 6))).ops
+        ops = build_oplist(ctx, int(rng.integers(2, 6)))
         first_paid = next((p for p, op in enumerate(ops) if op.cost > 0), len(ops))
         assert all(op.cost == 0 for op in ops[:first_paid])
         assert all(op.cost > 0 for op in ops[first_paid:])
@@ -99,7 +99,7 @@ def test_oplist_global_order_contracts(rng):
 
 def test_oplist_zero_cost_ops_lead():
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")  # all ties
-    ops = build_oplist(ctx, 3).ops
+    ops = build_oplist(ctx, 3)
     assert ops and all(op.cost == 0 for op in ops)
 
 
@@ -112,7 +112,7 @@ def test_cost_greedy_respects_budget(rng):
         ctx = context_from_strings(rows, alphabet="abc")
         b = Budget.make(Fraction(1, 2), ctx.opt)
         oplist = build_oplist(ctx, 3)
-        cands, feasible = cost_greedy_assign(ctx, b, 3, oplist.prefix(len(oplist)))
+        cands, feasible = cost_greedy_assign(ctx, b, 3, oplist)
         for s in cands.members:
             assert is_approx_median(ctx, b, s)
 
@@ -180,7 +180,7 @@ def test_dispatch_enumeration_on_small_diameter():
     b = Budget.make(0, ctx.opt)
     cands, tag = sum_dispersion_dispatch(ctx, b, 2, Fraction(1, 4))
     assert tag == "enumeration"
-    assert tag in DISPATCH_GUARANTEES
+    assert ("sum-dispersion", "any", tag) in STRATEGY_TABLE
 
 
 def test_dispatch_density_on_large_diameter():
