@@ -203,9 +203,12 @@ def _ingest_csv(text: str, alphabet: tuple[str, ...] | None) -> list[list[str]]:
 
 
 def ingest(path: str, fmt: str, alphabet: tuple[str, ...] | None = None) -> Dataset:
-    """Read a dataset file. Ragged inputs are rejected naming the offender."""
+    """Read a dataset file. Ragged inputs are rejected naming the offender.
+
+    A UTF-8 byte order mark at the start of the file is skipped.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

@@ -54,15 +54,33 @@ def word_str(word: Word) -> str:
     return "".join(word)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """n strings of uniform length d over an ordered alphabet."""
+    """n strings of uniform length d over an ordered alphabet.
 
-    strings: tuple[Word, ...]
+    The strings are held as one (n, d) code matrix: ``codes[r, i]`` is the
+    alphabet position of string r's symbol at index i, stored as ``uint8``
+    (``uint16`` when the alphabet has more than 255 symbols), so a dataset
+    takes about n·d bytes. Datasets compare by identity.
+    """
+
+    codes: np.ndarray
     alphabet: tuple[Symbol, ...]
-    n: int
-    d: int
     alphabet_inferred: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.codes.shape[1]
+
+    @property
+    def strings(self) -> tuple[Word, ...]:
+        """The strings as tuples of symbols, decoded on each access."""
+        symbols = np.array(self.alphabet, dtype=object)
+        return tuple(map(tuple, symbols[self.codes].tolist()))
 
     @classmethod
     def from_strings(
@@ -70,40 +88,76 @@ class Dataset:
         strings: Iterable[Sequence[Symbol] | str],
         alphabet: Sequence[Symbol] | None = None,
     ) -> "Dataset":
-        words = tuple(as_word(s) for s in strings)
-        if not words:
+        rows = list(strings)
+        if not rows:
             raise ValidationError("empty dataset: at least one string required")
-        d = len(words[0])
+        d = len(rows[0])
         if d < 1:
             raise ValidationError("strings must have length >= 1")
-        for idx, word in enumerate(words):
-            if len(word) != d:
+        for idx, row in enumerate(rows):
+            if len(row) != d:
                 raise ValidationError(
-                    f"ragged dataset: string {idx + 1} has length {len(word)}, expected {d}"
+                    f"ragged dataset: string {idx + 1} has length {len(row)}, expected {d}"
                 )
-        if alphabet is not None:
-            alpha = tuple(alphabet)
-            if len(set(alpha)) != len(alpha):
-                raise ValidationError("alphabet contains duplicate symbols")
-            allowed = set(alpha)
-            for idx, word in enumerate(words):
-                for sym in word:
-                    if sym not in allowed:
-                        raise ValidationError(
-                            f"string {idx + 1} uses symbol {sym!r} outside the declared alphabet"
-                        )
-            inferred = False
+        alpha = None if alphabet is None else tuple(alphabet)
+        if alpha is not None and len(set(alpha)) != len(alpha):
+            raise ValidationError("alphabet contains duplicate symbols")
+        if all(isinstance(row, str) for row in rows):
+            codes, symbols = _encode_text("".join(rows), alpha)
         else:
-            # Inferred alphabet: first-occurrence order, documented in output.
-            seen: dict[Symbol, None] = {}
-            for word in words:
-                for sym in word:
-                    if sym not in seen:
-                        seen[sym] = None
-            alpha = tuple(seen)
-            inferred = True
-        return cls(strings=words, alphabet=alpha, n=len(words), d=d,
-                   alphabet_inferred=inferred)
+            codes, symbols = _encode_cells(rows, alpha)
+        codes = codes.reshape(len(rows), d)
+        # a symbol outside a declared alphabet is coded len(alpha), above all others
+        if alpha is not None and codes.max() == len(alpha):
+            r, i = divmod(int((codes == len(alpha)).argmax()), d)
+            raise ValidationError(
+                f"string {r + 1} uses symbol {as_word(rows[r])[i]!r} outside the declared alphabet"
+            )
+        return cls(codes=codes, alphabet=symbols, alphabet_inferred=alpha is None)
+
+
+def _encode_text(
+    text: str, alphabet: tuple[Symbol, ...] | None
+) -> tuple[np.ndarray, tuple[Symbol, ...]]:
+    """Codes of every character of `text`, through a table indexed by code point.
+
+    An inferred alphabet lists the characters that occur in order of their
+    first occurrence (documented in the CLI output). With a declared one, a character outside it (or a
+    multi-character symbol, which no single character can match) is coded
+    len(alphabet).
+    """
+    if text.isascii():
+        points = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    top = int(points.max())
+    if alphabet is None:
+        present = np.zeros(top + 1, dtype=bool)
+        present[points] = True
+        alphabet = tuple(sorted(map(chr, np.flatnonzero(present).tolist()), key=text.find))
+    table = np.full(top + 1, len(alphabet), dtype=np.min_scalar_type(len(alphabet)))
+    for j, a in enumerate(alphabet):
+        if isinstance(a, str) and len(a) == 1 and ord(a) <= top:
+            table[ord(a)] = j
+    return table[points], alphabet
+
+
+def _encode_cells(
+    rows: list[Sequence[Symbol]], alphabet: tuple[Symbol, ...] | None
+) -> tuple[np.ndarray, tuple[Symbol, ...]]:
+    """Codes of every cell of `rows` by dict lookup (symbols of any length).
+
+    Same coding as ``_encode_text``: first-occurrence order when inferred,
+    len(alphabet) for a cell outside a declared alphabet.
+    """
+    if alphabet is None:
+        code: dict[Symbol, int] = {}
+        flat = [code.setdefault(a, len(code)) for row in rows for a in row]
+        alphabet = tuple(code)
+    else:
+        code = {a: j for j, a in enumerate(alphabet)}
+        flat = [code.get(a, len(alphabet)) for row in rows for a in row]
+    return np.array(flat, dtype=np.min_scalar_type(len(alphabet))), alphabet
 
 
 @dataclass(frozen=True)
@@ -179,56 +233,51 @@ def build_context(dataset: Dataset) -> MedianContext:
     deterministic. When an index is unanimous (count n), the second choice is
     fixed to the first other alphabet symbol; its weight n can never be picked
     up by any budgeted greedy, it just keeps the structure total.
+
+    Every quantity comes from one (d, |Σ|) count array, built with one pass
+    over the code matrix per symbol; only the public dicts and tuples are
+    assembled per index, in O(d·|Σ|).
     """
-    order = {a: j for j, a in enumerate(dataset.alphabet)}
-    counts: list[dict[Symbol, int]] = []
+    alpha = dataset.alphabet
+    if len(alpha) < 2:
+        raise ValidationError("alphabet needs at least 2 symbols to define a second choice")
+    counts = np.empty((dataset.d, len(alpha)), dtype=np.int64)
+    for j in range(len(alpha)):
+        counts[:, j] = (dataset.codes == j).sum(axis=0)
+
+    col_counts: list[dict[Symbol, int]] = []
     majority: list[tuple[Symbol, ...]] = []
     w: list[Symbol] = []
     w_hat: list[Symbol] = []
     weight: list[int] = []
     per_char: list[dict[Symbol, int]] = []
-    for i in range(dataset.d):
-        col: dict[Symbol, int] = {}
-        for word in dataset.strings:
-            col[word[i]] = col.get(word[i], 0) + 1
-        col = dict(sorted(col.items(), key=lambda kv: order[kv[0]]))
-        counts.append(col)
-        best = max(col.values())
-        gamma_i = tuple(a for a in col if col[a] == best)
-        majority.append(gamma_i)
-        wi = gamma_i[0]
-        w.append(wi)
+    for row in counts.tolist():
+        best = max(row)
+        wi = alpha[row.index(best)]  # first maximum: alphabet order breaks ties
         # Second choice: max count among the other symbols (count 0 allowed),
-        # ties again by alphabet order.
-        rest_best = 0
-        for a, c in col.items():
-            if a != wi and c > rest_best:
-                rest_best = c
-        if rest_best > 0:
-            hat = next(a for a, c in col.items() if a != wi and c == rest_best)
-        else:
-            if len(dataset.alphabet) < 2:
-                raise ValidationError(
-                    "alphabet needs at least 2 symbols to define a second choice"
-                )
-            hat = next(a for a in dataset.alphabet if a != wi)
-        w_hat.append(hat)
+        # ties again by alphabet order, so the first other symbol when unanimous.
+        rest = dict(zip(alpha, row))
+        del rest[wi]
+        rest_best = max(rest.values())
+        col_counts.append({a: c for a, c in zip(alpha, row) if c})
+        majority.append(tuple(a for a, c in zip(alpha, row) if c == best))
+        w.append(wi)
+        w_hat.append(next(a for a, c in rest.items() if c == rest_best))
         weight.append(best - rest_best)
-        per_char.append({a: best - col.get(a, 0) for a in dataset.alphabet if a != wi})
+        per_char.append({a: best - c for a, c in rest.items()})
     freq = FrequencyTable(
-        counts=tuple(counts),
+        counts=tuple(col_counts),
         majority_sets=tuple(majority),
         n=dataset.n,
         d=dataset.d,
-        alphabet=dataset.alphabet,
+        alphabet=alpha,
     )
-    opt = sum(dataset.n - counts[i][w[i]] for i in range(dataset.d))
     return MedianContext(
         dataset=dataset,
         freq=freq,
         w=tuple(w),
         w_hat=tuple(w_hat),
-        opt=opt,
+        opt=sum(dataset.n - c[a] for c, a in zip(col_counts, w)),
         weight=tuple(weight),
         per_char_cost=tuple(per_char),
     )

@@ -81,6 +81,14 @@ def test_ingest_lines(tmp_path):
     assert ds.alphabet_inferred
 
 
+def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.txt"
+    p.write_bytes("\ufeffACGT\nACGA\nACGT".encode("utf-8"))
+    ds = cli.ingest(str(p), "lines")
+    assert ds.n == 3 and ds.d == 4
+    assert ds.alphabet == ("A", "C", "G", "T")  # the BOM is not a symbol
+
+
 def test_ingest_lines_ragged_names_the_line(tmp_path):
     p = tmp_path / "rag.txt"
     p.write_text("ab\nabc\n")

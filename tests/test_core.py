@@ -1,6 +1,9 @@
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,3 +156,214 @@ def test_dataset_validation():
 def test_single_symbol_alphabet_has_no_second_choice():
     with pytest.raises(ValidationError):
         build_context(Dataset.from_strings(["aa", "aa"], alphabet="a"))
+
+
+# --- the code-matrix dataset against the loop-built reference -----------------
+
+
+def reference_from_strings(strings, alphabet=None):
+    """The loop-built ingest: (words, alphabet, inferred), or ValidationError."""
+    words = tuple(tuple(s) for s in strings)
+    if not words:
+        raise ValidationError("empty dataset: at least one string required")
+    d = len(words[0])
+    if d < 1:
+        raise ValidationError("strings must have length >= 1")
+    for idx, word in enumerate(words):
+        if len(word) != d:
+            raise ValidationError(
+                f"ragged dataset: string {idx + 1} has length {len(word)}, expected {d}"
+            )
+    if alphabet is not None:
+        alpha = tuple(alphabet)
+        if len(set(alpha)) != len(alpha):
+            raise ValidationError("alphabet contains duplicate symbols")
+        allowed = set(alpha)
+        for idx, word in enumerate(words):
+            for sym in word:
+                if sym not in allowed:
+                    raise ValidationError(
+                        f"string {idx + 1} uses symbol {sym!r} outside the declared alphabet"
+                    )
+        return words, alpha, False
+    seen = {}
+    for word in words:
+        for sym in word:
+            seen.setdefault(sym, None)
+    return words, tuple(seen), True
+
+
+def reference_context(words, alpha):
+    """The loop-built context: one dict of counts per column."""
+    order = {a: j for j, a in enumerate(alpha)}
+    n, d = len(words), len(words[0])
+    counts, majority, w, w_hat, weight, per_char = [], [], [], [], [], []
+    for i in range(d):
+        col = {}
+        for word in words:
+            col[word[i]] = col.get(word[i], 0) + 1
+        col = dict(sorted(col.items(), key=lambda kv: order[kv[0]]))
+        counts.append(col)
+        best = max(col.values())
+        gamma_i = tuple(a for a in col if col[a] == best)
+        majority.append(gamma_i)
+        wi = gamma_i[0]
+        w.append(wi)
+        rest_best = 0
+        for a, c in col.items():
+            if a != wi and c > rest_best:
+                rest_best = c
+        if rest_best > 0:
+            hat = next(a for a, c in col.items() if a != wi and c == rest_best)
+        else:
+            if len(alpha) < 2:
+                raise ValidationError(
+                    "alphabet needs at least 2 symbols to define a second choice"
+                )
+            hat = next(a for a in alpha if a != wi)
+        w_hat.append(hat)
+        weight.append(best - rest_best)
+        per_char.append({a: best - col.get(a, 0) for a in alpha if a != wi})
+    opt = sum(n - counts[i][w[i]] for i in range(d))
+    return dict(counts=counts, majority_sets=majority, w=tuple(w), w_hat=tuple(w_hat),
+                weight=tuple(weight), per_char_cost=per_char, opt=opt)
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+def coded_values(rows, alphabet):
+    ds = Dataset.from_strings(rows, alphabet)
+    assert ds.codes.shape == (ds.n, ds.d)
+    assert ds.codes.dtype == (np.uint8 if len(ds.alphabet) <= 255 else np.uint16)
+    values = dict(strings=ds.strings, alphabet=ds.alphabet, inferred=ds.alphabet_inferred)
+    status, ctx = outcome(lambda: build_context(ds))
+    if status == "error":
+        return values, ctx
+    return values, dict(
+        # list() keeps each dict's key order in the comparison
+        counts=[list(c.items()) for c in ctx.freq.counts],
+        majority_sets=list(ctx.freq.majority_sets), w=ctx.w, w_hat=ctx.w_hat,
+        weight=ctx.weight, per_char_cost=[list(c.items()) for c in ctx.per_char_cost],
+        opt=ctx.opt,
+    )
+
+
+def reference_values(rows, alphabet):
+    words, alpha, inferred = reference_from_strings(rows, alphabet)
+    values = dict(strings=words, alphabet=alpha, inferred=inferred)
+    status, ref = outcome(lambda: reference_context(words, alpha))
+    if status == "error":
+        return values, ref
+    ref["counts"] = [list(c.items()) for c in ref["counts"]]
+    ref["per_char_cost"] = [list(c.items()) for c in ref["per_char_cost"]]
+    return values, ref
+
+
+ALPHABETS = {
+    "binary": "ab",
+    "acgt": "ACGT",
+    "sigma20": "ABCDEFGHIJKLMNOPQRST",
+    "unicode": "aé∑\U0001F600",
+    "wide300": "".join(chr(0x4E00 + j) for j in range(300)),
+    "cells": ("AC", "GT", "A", "G", "é∑", "∑"),
+}
+
+
+@st.composite
+def datasets(draw):
+    """(rows, alphabet): rows as str or as tuples of cells, valid or not."""
+    symbols = list(ALPHABETS[draw(st.sampled_from(sorted(ALPHABETS)))])
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 5))
+    used = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=4, unique=True))
+    cols = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["random", "unanimous", "tied"]))
+        if kind == "unanimous":
+            cols.append([draw(st.sampled_from(used))] * n)
+        elif kind == "tied":
+            pair = draw(st.permutations(used))[:2]
+            cols.append([pair[r % len(pair)] for r in range(n)])
+        else:
+            cols.append(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)))
+    rows = [[cols[i][r] for i in range(d)] for r in range(n)]
+    if draw(st.integers(0, 9)) == 0:  # a ragged row
+        r = draw(st.integers(0, n - 1))
+        rows[r] = rows[r] + [used[0]] if draw(st.booleans()) else rows[r][:-1]
+    as_text = all(len(a) == 1 for a in used) and draw(st.booleans())
+    rows = ["".join(row) for row in rows] if as_text else [tuple(row) for row in rows]
+    mode = draw(st.sampled_from(["inferred", "declared", "subset", "duplicate", "one"]))
+    if mode == "inferred":
+        return rows, None
+    shuffled = draw(st.permutations(symbols))
+    if mode == "declared":
+        return rows, shuffled
+    if mode == "subset":  # may leave a used symbol out
+        return rows, shuffled[: draw(st.integers(0, len(shuffled)))]
+    if mode == "duplicate":
+        return rows, shuffled + [shuffled[0]]
+    return rows, [used[0]]  # one symbol: no second choice
+
+
+@settings(max_examples=300, deadline=None)
+@given(datasets())
+def test_coded_dataset_matches_loop_reference(case):
+    rows, alphabet = case
+    got = outcome(lambda: coded_values(rows, alphabet))
+    want = outcome(lambda: reference_values(rows, alphabet))
+    assert got == want
+
+
+@pytest.mark.parametrize("rows, alphabet", [
+    (["ab", "ba", "ab", "bb"], None),  # tied and a 3:1 column
+    (["aaa", "aaa"], "ab"),  # unanimous: second choice is the other symbol
+    (["é∑\U0001F600", "∑∑é"], None),  # non-ASCII, inferred order
+    ([("AC", "GT"), ("GT", "GT")], ("GT", "AC")),  # multi-character cells
+    (["AG", "GA", "AA"], ("A", "AC", "G")),  # text rows: no character is "AC"
+    (["".join(chr(0x4E00 + (r * 7 + i) % 300) for i in range(300)) for r in range(5)],
+     [chr(0x4E00 + j) for j in range(300)]),  # 300 symbols: uint16 codes
+    (["ab", "ab"], "ba"),  # declared order beats first occurrence
+])
+def test_coded_dataset_matches_loop_reference_examples(rows, alphabet):
+    assert outcome(lambda: coded_values(rows, alphabet)) == outcome(
+        lambda: reference_values(rows, alphabet))
+
+
+def test_foreign_symbol_error_names_the_first_in_row_major_order():
+    with pytest.raises(ValidationError, match=r"^string 2 uses symbol 'x' outside"):
+        Dataset.from_strings(["ab", "bx", "yb"], alphabet="ab")
+    with pytest.raises(ValidationError, match=r"^string 1 uses symbol 'CG' outside"):
+        Dataset.from_strings([("AC", "CG"), ("TT", "AC")], alphabet=("AC", "GT"))
+
+
+def test_dataset_compares_by_identity():
+    a = Dataset.from_strings(["ab", "ba"])
+    b = Dataset.from_strings(["ab", "ba"])
+    assert a == a and a != b
+
+
+def test_context_from_strings_memory_and_time_bound():
+    # 4000 x 1000 over ACGT: a tuple per string would alone need 32 MB, and
+    # so would an int64 index per cell; the code matrix needs 4 MB.
+    n, d = 4000, 1000
+    rng = np.random.default_rng(7)
+    text = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, n * d)]
+    text = text.tobytes().decode("ascii")
+    rows = [text[r * d:(r + 1) * d] for r in range(n)]
+    del text
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        ctx = context_from_strings(rows)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.n == n and ctx.d == d and ctx.opt > 0
+    assert peak < 6 * n * d, f"peak {peak / 1e6:.1f} MB"
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
