@@ -605,12 +605,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("hint: raise --max-candidates/--max-tuples/--max-states, or pick "
               "--strategy sample", file=sys.stderr)
         return 3
-    except InternalError as exc:
-        print(f"diverse-medians: {exc}", file=sys.stderr)
-        return 5
-    except (InfeasibleError, RuntimeError) as exc:
+    except InfeasibleError as exc:
         print(f"diverse-medians: {exc}", file=sys.stderr)
         return 4
+    except RuntimeError as exc:  # InternalError, or any other fault of this package
+        print(f"diverse-medians: {exc}", file=sys.stderr)
+        return 5
     elapsed = time.perf_counter() - started
     if config.timing:
         doc["wall_time_s"] = round(elapsed, 6)

@@ -38,6 +38,10 @@ class InfeasibleError(RuntimeError):
     """No feasible solution (e.g. every rounding trial filtered out)."""
 
 
+class SolverNotConverged(InfeasibleError):
+    """The LP solver stopped without an optimal solution."""
+
+
 class InternalError(RuntimeError):
     """A violated internal invariant: a bug in this package, not in the input."""
 

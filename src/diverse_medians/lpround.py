@@ -22,6 +22,7 @@ from .core import (
     CandidateSet,
     InfeasibleError,
     MedianContext,
+    SolverNotConverged,
     ValidationError,
     Word,
     median_cost,
@@ -207,7 +208,7 @@ def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
         # constraint, so infeasibility means the model was built wrong.
         raise InfeasibleError(f"LP reported infeasible: {res.message}")
     if res.status != 0:
-        raise RuntimeError(f"LP solver did not converge: {res.message}")
+        raise SolverNotConverged(f"LP solver did not converge: {res.message}")
     return res.x
 
 

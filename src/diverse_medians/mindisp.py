@@ -11,18 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
+    BLOCK_BYTES,
     Budget,
     CandidateSet,
     CapExceeded,
     FrequencyTable,
     InternalError,
     MedianContext,
+    Symbol,
     ValidationError,
     Word,
     _encode_pool,
@@ -112,35 +114,20 @@ def min_disp_dp_exact(
     State: the k(k-1)/2 pairwise distances accumulated column by column.
     Per-column assignments collapsing to the same distance-increment pattern
     are interchangeable for the remaining columns, so only one representative
-    per pattern transitions.
+    per pattern transitions. The precheck bounds every layer by
+    (d+1)^(k(k-1)/2) <= max_states/(d+1) states.
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
     d = freq.d
-    pairs = list(combinations(range(k), 2))
-    if (d + 1) ** (1 + len(pairs)) > limits.max_states:
+    pairs = k * (k - 1) // 2
+    if (d + 1) ** (1 + pairs) > limits.max_states:
         raise CapExceeded(
             f"state space (d+1)^(1+k(k-1)/2) exceeds max_states={limits.max_states}"
         )
-    layers: list[dict[tuple[int, ...], tuple | None]] = [{(0,) * len(pairs): None}]
-    for i in range(d):
-        patterns: dict[tuple[int, ...], tuple[str, ...]] = {}
-        for assign in product(freq.majority_sets[i], repeat=k):
-            inc = tuple(int(assign[r] != assign[s]) for r, s in pairs)
-            patterns.setdefault(inc, assign)
-        nxt: dict[tuple[int, ...], tuple | None] = {}
-        for key in layers[-1]:
-            for inc, assign in patterns.items():
-                nk = tuple(a + b for a, b in zip(key, inc))
-                if nk not in nxt:
-                    nxt[nk] = (key, assign)
-                    if len(nxt) > limits.max_states:
-                        raise CapExceeded(f"live states exceed max_states={limits.max_states}")
-        layers.append(nxt)
-    best_key = max(layers[-1], key=lambda s: (min(s), s))
-    _check_dp_state(best_key, None, d, None)
-    members = _walk_back(layers, best_key, k, d)
-    return min(best_key), CandidateSet.from_members(freq, members)
+    dist, _, members = _dp_kernel(freq.majority_sets, None, k, 0)
+    _check_dp_state(dist, None, d, None)
+    return min(dist), CandidateSet.from_members(freq, members)
 
 
 def min_disp_dp_approx(
@@ -153,54 +140,147 @@ def min_disp_dp_approx(
     """Exact max minDp over k-tuples of (1+eps)-approximate medians.
 
     Extends the exact DP state with each candidate's deviation weight, capped
-    at floor(eps * opt); every surviving final state is feasible by
-    construction.
+    at B = floor(eps * opt); every surviving final state is feasible by
+    construction. The precheck bounds every layer by
+    (d+1)^(k(k-1)/2) * (B+1)^k <= max_states/(d+1) states.
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
     d = ctx.d
     cap = budget.floor
-    pairs = list(combinations(range(k), 2))
-    if (d + 1) ** (1 + len(pairs)) * (cap + 1) ** k > limits.max_states:
+    pairs = k * (k - 1) // 2
+    if (d + 1) ** (1 + pairs) * (cap + 1) ** k > limits.max_states:
         raise CapExceeded(
             f"state space (d+1)^(1+k(k-1)/2)*(B+1)^k exceeds max_states={limits.max_states}"
         )
-    empty = ((0,) * len(pairs), (0,) * k)
-    layers: list[dict[tuple, tuple | None]] = [{empty: None}]
+    costs = [
+        [0 if a == ctx.w[i] else ctx.per_char_cost[i][a] for a in ctx.alphabet]
+        for i in range(d)
+    ]
+    dist, cost, members = _dp_kernel([ctx.alphabet] * d, costs, k, cap)
+    _check_dp_state(dist, cost, d, cap)
+    return min(dist), CandidateSet.from_members(ctx.freq, members)
+
+
+def _dp_kernel(
+    choices: Sequence[Sequence[Symbol]],
+    costs: Sequence[Sequence[int]] | None,
+    k: int,
+    cap: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], list[Word]]:
+    """The DP behind both min-dispersion engines, over int64 state keys.
+
+    Column i offers the symbols `choices[i]`, with deviation costs `costs[i]`
+    (aligned with them; None for no cost digits). A state is one int64 in
+    mixed radix: a digit of radix T+1 per pair distance, in
+    combinations(range(k), 2) order, most significant first, then a digit of
+    radix cap+1 per candidate cost, where T <= d counts the columns with at
+    least two admissible symbols. Numeric key order is then the order of the
+    (distances, costs) tuples.
+
+    Each layer lists its keys in order of first occurrence over (state,
+    pattern) row-major: the insertion order of a dict filled state by state,
+    pattern by pattern. Extra memory is the live layer plus one block of
+    candidate keys (core.BLOCK_BYTES), plus a parent index and a pattern id
+    per state for the walk back.
+
+    Returns the final state with the largest minimum distance (largest key on
+    ties) as (distances, costs), and the k members reaching it.
+    """
+    d = len(choices)
+    pairs = list(combinations(range(k), 2))
+    # a distance grows only at a column with two or more admissible symbols
+    top = sum(
+        (len(choices[i]) if costs is None else sum(c <= cap for c in costs[i])) >= 2
+        for i in range(d)
+    )
+    radices = [top + 1] * len(pairs) + [cap + 1] * (0 if costs is None else k)
+    weights = [1] * len(radices)
+    for j in range(len(radices) - 2, -1, -1):
+        weights[j] = weights[j + 1] * radices[j + 1]
+    # keys stay below the radix product R, and key + offset below 2R
+    if 2 * weights[0] * radices[0] > 2**63:
+        raise CapExceeded(
+            f"DP state keys would need more than 63 bits ({radices[0]}^{len(pairs)} "
+            f"distance digits); use a smaller max_states or another strategy"
+        )
+    weights = np.array(weights, dtype=np.int64)
+    w_dist, w_cost = weights[: len(pairs)], weights[len(pairs):]
+
+    keys = np.zeros(1, dtype=np.int64)
+    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for i in range(d):
-        patterns: dict[tuple, tuple[str, ...]] = {}
-        for assign in product(ctx.alphabet, repeat=k):
-            inc = tuple(int(assign[r] != assign[s]) for r, s in pairs)
-            add = tuple(ctx.per_char_cost[i].get(a, 0) if a != ctx.w[i] else 0 for a in assign)
-            patterns.setdefault((inc, add), assign)
-        nxt: dict[tuple, tuple | None] = {}
-        for key in layers[-1]:
-            dist, cost = key
-            for (inc, add), assign in patterns.items():
-                nc = tuple(a + b for a, b in zip(cost, add))
-                if any(c > cap for c in nc):
-                    continue
-                nk = (tuple(a + b for a, b in zip(dist, inc)), nc)
-                if nk not in nxt:
-                    nxt[nk] = (key, assign)
-                    if len(nxt) > limits.max_states:
-                        raise CapExceeded(f"live states exceed max_states={limits.max_states}")
-        layers.append(nxt)
-    best_key = max(layers[-1], key=lambda s: (min(s[0]), s))
-    _check_dp_state(best_key[0], best_key[1], d, cap)
-    members = _walk_back(layers, best_key, k, d)
-    return min(best_key[0]), CandidateSet.from_members(ctx.freq, members)
+        # every assignment of k symbols, in product(range(m), repeat=k) order
+        assign = np.indices((len(choices[i]),) * k).reshape(k, -1).T
+        offsets = sum((assign[:, r] != assign[:, s]) * w for (r, s), w in zip(pairs, w_dist))
+        add = None
+        if costs is not None:
+            add = np.asarray(costs[i], dtype=np.int64)[assign]
+            fits = (add <= cap).all(axis=1)
+            assign, add = assign[fits], add[fits]
+            offsets = offsets[fits] + add @ w_cost
+        # one pattern per distinct offset, represented by its first assignment
+        offsets, rep = np.unique(offsets, return_index=True)
+        order = np.argsort(rep)
+        offsets, rep = offsets[order], rep[order]
+        if add is not None:
+            add = add[rep] if add[rep].any() else None
+        live = len(keys)
+        keys, first = _next_layer(keys, offsets, add, w_cost, cap)
+        parent, pattern = np.divmod(first, len(offsets))
+        steps.append((
+            parent.astype(np.min_scalar_type(live)),
+            pattern.astype(np.min_scalar_type(len(offsets))),
+            assign[rep],
+        ))
+
+    mins = np.min([keys // w % (top + 1) for w in w_dist], axis=0)
+    best = int(np.lexsort((keys, mins))[-1])
+    key = int(keys[best])
+    digits = tuple(key // int(w) % r for w, r in zip(weights, radices))
+    rows = []
+    for parent, pattern, assign in reversed(steps):
+        rows.append(assign[pattern[best]])
+        best = int(parent[best])
+    rows.reverse()
+    members = [tuple(choices[i][int(rows[i][r])] for i in range(d)) for r in range(k)]
+    return digits[: len(pairs)], digits[len(pairs):], members
 
 
-def _walk_back(layers: list[dict], final_key, k: int, d: int) -> list[Word]:
-    columns: list[tuple[str, ...]] = []
-    key = final_key
-    for i in range(d, 0, -1):
-        prev_key, assign = layers[i][key]
-        columns.append(assign)
-        key = prev_key
-    columns.reverse()
-    return [tuple(col[r] for col in columns) for r in range(k)]
+def _next_layer(
+    keys: np.ndarray, offsets: np.ndarray, add: np.ndarray | None, w_cost: np.ndarray,
+    cap: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One DP layer: the distinct keys `keys[s] + offsets[p]` in order of first
+    occurrence over (s, p) row-major, with that flat index s * P + p.
+
+    `add` (P, k) holds each pattern's cost digits; a candidate whose cost digit
+    would pass `cap` is dropped (add is None when every pattern adds 0).
+    """
+    npat = len(offsets)
+    step = max(1, BLOCK_BYTES // (8 * npat))
+    new = first = None
+    for lo in range(0, len(keys), step):
+        block = keys[lo : lo + step]
+        cand = (block[:, None] + offsets).ravel()
+        pos = None
+        if add is not None:
+            fits = np.ones((len(block), npat), dtype=bool)
+            for r, wt in enumerate(w_cost):
+                fits &= (block // wt % (cap + 1))[:, None] <= cap - add[:, r]
+            pos = np.flatnonzero(fits)
+            cand = cand[pos]
+        cand, idx = np.unique(cand, return_index=True)
+        idx = (idx if pos is None else pos[idx]) + lo * npat
+        if new is None:
+            new, first = cand, idx
+        else:
+            # the keys so far come first, so a repeat keeps its earlier index;
+            # both runs are sorted, so the stable sort inside is one merge
+            new, keep = np.unique(np.concatenate((new, cand)), return_index=True)
+            first = np.concatenate((first, idx))[keep]
+    order = np.argsort(first)
+    return new[order], first[order]
 
 
 # ---------------------------------------------------------------------------

@@ -70,25 +70,34 @@ def enumerate_approx_medians(
         opts.sort(key=lambda ca: (ca[0], ctx.alphabet.index(ca[1])))
         choices.append(opts)
 
+    # depth-first with an explicit stack, so d is not bounded by the
+    # recursion limit: todo[i] iterates the choices left at index i, and
+    # spent[i] is the weight of prefix[:i]
     pool: list[Word] = []
     prefix: list[str] = []
-
-    def dfs(i: int, used: int) -> None:
-        if i == ctx.d:
-            pool.append(tuple(prefix))
+    spent, todo = [0], [iter(choices[0])]
+    last = ctx.d - 1
+    while todo:
+        i = len(prefix)
+        for cost, a in todo[i]:
+            used = spent[i] + cost
+            if used > cap:
+                break  # cost-ascending: nothing later fits either
+            if i < last:
+                prefix.append(a)
+                spent.append(used)
+                todo.append(iter(choices[i + 1]))
+                break
+            pool.append((*prefix, a))
             if len(pool) > limits.max_candidates:
                 raise CapExceeded(
                     f"approx-median pool exceeds max_candidates={limits.max_candidates}"
                 )
-            return
-        for cost, a in choices[i]:
-            if used + cost > cap:
-                break  # cost-ascending: nothing later fits either
-            prefix.append(a)
-            dfs(i + 1, used + cost)
-            prefix.pop()
-
-    dfs(0, 0)
+        if len(prefix) == i:  # no choice left at index i that fits: backtrack
+            todo.pop()
+            spent.pop()
+            if prefix:
+                prefix.pop()
     return pool
 
 
@@ -298,6 +307,12 @@ def _max_clique(adj: list[int], root_orbits: list[list[int]] | None = None) -> i
         return order, bound
 
     def expand(mask: int, size: int) -> None:
+        """Grow the clique of `size` vertices by each vertex of `mask` in turn.
+
+        Each call adds one vertex, so the recursion depth is the size of the
+        clique being grown: at most the maximum clique size, itself at most
+        the number of candidates.
+        """
         nonlocal best
         order, bound = color_order(mask)
         for idx in range(len(order) - 1, -1, -1):

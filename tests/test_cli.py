@@ -370,6 +370,60 @@ def test_main_cost_cap_violation_exits_5(ties_path, capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_main_stray_runtime_error_exits_5(ties_path, capsys, monkeypatch):
+    # only InfeasibleError means "no solution": any other RuntimeError from
+    # an engine is a fault of this package and exits 5 with its message
+    def broken(ctx, freq, k):
+        raise RuntimeError("stray fault")
+
+    monkeypatch.setattr(cli, "sum_dispersion_exact_k", broken)
+    code, _, err = run_main(
+        ["--objective", "sum-dispersion", "--strategy", "exact-construction",
+         "--input", ties_path, "--k", "2"],
+        capsys,
+    )
+    assert code == 5
+    assert "stray fault" in err
+
+
+@pytest.fixture
+def long_rows_path(tmp_path):
+    # d = 1500 is past the recursion limit of a one-call-per-index enumerator
+    p = tmp_path / "long.txt"
+    p.write_text("A" * 1500 + "\n" + "A" * 1500 + "\n" + "C" * 1500 + "\n")
+    return str(p)
+
+
+def test_main_enumerates_long_rows_with_defaults(long_rows_path, capsys):
+    code, out, err = run_main(
+        ["--objective", "sum-dispersion", "--input", long_rows_path], capsys
+    )
+    assert code == 0, err
+    assert json.loads(out)["strategy_tag"] == "enumeration"
+    code, out, err = run_main(
+        ["--objective", "min-dispersion", "--strategy", "greedy", "--epsilon", "1/100000",
+         "--input", long_rows_path],
+        capsys,
+    )
+    assert code == 0, err
+    assert json.loads(out)["strategy_tag"] == "greedy"
+
+
+def test_main_dp_key_past_63_bits_exits_3(long_rows_path, tmp_path, capsys):
+    argv = ["--objective", "min-dispersion", "--strategy", "dp", "--k", "4",
+            "--max-states", str(10**40), "--input"]
+    # 1500 tie columns: 1501^6 per key is past 63 bits
+    ties = tmp_path / "ties1500.txt"
+    ties.write_text("A" * 1500 + "\n" + "C" * 1500 + "\n")
+    code, _, err = run_main(argv + [str(ties)], capsys)
+    assert code == 3
+    assert "63 bits" in err
+    # no tie column: the distance digits have radix 1 and the keys fit
+    code, out, err = run_main(argv + [long_rows_path], capsys)
+    assert code == 0, err
+    assert json.loads(out)["strategy_tag"] == "dp"
+
+
 def test_main_rejects_oversized_seed(ties_path, capsys):
     code, _, _ = run_main(
         ["--objective", "median", "--input", ties_path, "--seed", str(2**64)],

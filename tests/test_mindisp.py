@@ -1,6 +1,11 @@
+import time
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverse_medians import (
     Budget,
@@ -68,6 +73,157 @@ def test_dp_state_invariant_violation_is_an_internal_error():
     with pytest.raises(InternalError):
         _check_dp_state((1,), (0, 5), column=2, cost_cap=4)
     _check_dp_state((0, 2), (0, 4), column=2, cost_cap=4)
+
+
+# The dict DPs the array kernel replaced, kept as references: each layer is a
+# dict from state tuple to (parent state, assignment), filled state by state
+# and pattern by pattern.
+
+
+def dict_dp_exact(freq, k):
+    pairs = list(combinations(range(k), 2))
+    layers = [{(0,) * len(pairs): None}]
+    for i in range(freq.d):
+        patterns = {}
+        for assign in product(freq.majority_sets[i], repeat=k):
+            inc = tuple(int(assign[r] != assign[s]) for r, s in pairs)
+            patterns.setdefault(inc, assign)
+        nxt = {}
+        for key in layers[-1]:
+            for inc, assign in patterns.items():
+                nk = tuple(a + b for a, b in zip(key, inc))
+                if nk not in nxt:
+                    nxt[nk] = (key, assign)
+        layers.append(nxt)
+    best_key = max(layers[-1], key=lambda s: (min(s), s))
+    return min(best_key), walk_back(layers, best_key, k, freq.d)
+
+
+def dict_dp_approx(ctx, budget, k):
+    cap = budget.floor
+    pairs = list(combinations(range(k), 2))
+    layers = [{((0,) * len(pairs), (0,) * k): None}]
+    for i in range(ctx.d):
+        patterns = {}
+        for assign in product(ctx.alphabet, repeat=k):
+            inc = tuple(int(assign[r] != assign[s]) for r, s in pairs)
+            add = tuple(ctx.per_char_cost[i].get(a, 0) if a != ctx.w[i] else 0 for a in assign)
+            patterns.setdefault((inc, add), assign)
+        nxt = {}
+        for key in layers[-1]:
+            dist, cost = key
+            for (inc, add), assign in patterns.items():
+                nc = tuple(a + b for a, b in zip(cost, add))
+                if any(c > cap for c in nc):
+                    continue
+                nk = (tuple(a + b for a, b in zip(dist, inc)), nc)
+                if nk not in nxt:
+                    nxt[nk] = (key, assign)
+        layers.append(nxt)
+    best_key = max(layers[-1], key=lambda s: (min(s[0]), s))
+    return min(best_key[0]), walk_back(layers, best_key, k, ctx.d)
+
+
+def walk_back(layers, key, k, d):
+    columns = []
+    for i in range(d, 0, -1):
+        key, assign = layers[i][key]
+        columns.append(assign)
+    columns.reverse()
+    return tuple(tuple(col[r] for col in columns) for r in range(k))
+
+
+@st.composite
+def dp_instances(draw, sigmas):
+    """Rows over the first |sigma| letters whose columns are unanimous, tied
+    between a few symbols, or uniform random."""
+    alphabet = "abcdefghijklmnopqrst"[: draw(st.sampled_from(sigmas))]
+    n = draw(st.integers(2, 6))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["unanimous", "tie", "random"]))
+        if kind == "unanimous":
+            col = [draw(st.sampled_from(alphabet))] * n
+        elif kind == "tie":
+            syms = draw(st.lists(st.sampled_from(alphabet), min_size=2,
+                                 max_size=min(n, len(alphabet)), unique=True))
+            col = draw(st.permutations([syms[r % len(syms)] for r in range(n)]))
+        else:
+            col = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+        cols.append(col)
+    rows = ["".join(col[r] for col in cols) for r in range(n)]
+    return context_from_strings(rows, alphabet=alphabet)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dp_instances((2, 4, 20)), st.sampled_from([2, 3, 4]))
+def test_dp_exact_matches_dict_reference(ctx, k):
+    val, cands = min_disp_dp_exact(ctx.freq, k)
+    assert (val, cands.members) == dict_dp_exact(ctx.freq, k)
+
+
+# the dict reference walks |alphabet|^k assignments per column, so k = 4
+# runs over the small alphabets only
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(dp_instances((2, 4, 20)), st.sampled_from([2, 3])),
+        st.tuples(dp_instances((2, 4)), st.just(4)),
+    ),
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+)
+def test_dp_approx_matches_dict_reference(case, eps):
+    ctx, k = case
+    b = Budget.make(eps, ctx.opt)
+    try:
+        val, cands = min_disp_dp_approx(ctx, b, k)
+    except CapExceeded:
+        # only the precheck refuses, before any layer is built
+        assert (ctx.d + 1) ** (1 + k * (k - 1) // 2) * (b.floor + 1) ** k > 10**7
+        return
+    assert (val, cands.members) == dict_dp_approx(ctx, b, k)
+
+
+def test_dp_blocks_keep_first_occurrence_order(monkeypatch):
+    # one-state blocks: the dedup across blocks must still keep the first
+    # (state, pattern) reaching each key
+    import diverse_medians.mindisp as mindisp
+
+    monkeypatch.setattr(mindisp, "BLOCK_BYTES", 1)
+    ctx = context_from_strings(["abcab", "bcaba", "cabbc", "abcca"], alphabet="abc")
+    b = Budget.make(Fraction(1, 2), ctx.opt)
+    for k in (2, 3):
+        val, cands = min_disp_dp_exact(ctx.freq, k)
+        assert (val, cands.members) == dict_dp_exact(ctx.freq, k)
+        val, cands = min_disp_dp_approx(ctx, b, k)
+        assert (val, cands.members) == dict_dp_approx(ctx, b, k)
+
+
+def test_dp_key_past_63_bits_is_cap_exceeded():
+    # (d+1)^6 pair digits at d = 1500 need more than 63 bits; a max_states
+    # this large lets the precheck pass, and the key check refuses
+    ctx = context_from_strings(["a" * 1500, "b" * 1500], alphabet="ab")
+    with pytest.raises(CapExceeded, match="63 bits"):
+        min_disp_dp_exact(ctx.freq, 4, limits=EnumerationLimits(max_states=10**40))
+
+
+def test_dp_approx_memory_and_time_bound():
+    # every column a 4-way tie at eps = 0: up to 36^3 live states per layer
+    d = 35
+    ctx = context_from_strings(["a" * d, "b" * d, "c" * d, "d" * d], alphabet="abcd")
+    b = Budget.make(0, ctx.opt)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        val, cands = min_disp_dp_approx(ctx, b, 3)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert val == cands.min_dispersion() == d  # three symbols per column differ
+    # the dict layers peaked at 59 MiB and took 3.5 s here; the arrays need 5 MiB
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_dp_state_cap():

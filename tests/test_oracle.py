@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverse_medians import (
     Budget,
@@ -81,6 +83,70 @@ def test_approx_pool_closed_under_direct_cost_refilter(rng):
         pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
         for s in pool:
             assert b.within(ctx.freq.direct_cost(s) - ctx.opt)
+
+
+def recursive_approx_medians(ctx, budget, limits):
+    """The recursive enumerator the stack version replaced, as its reference:
+    one call per index, so it fails past the recursion limit."""
+    cap = budget.floor
+    choices = []
+    for i in range(ctx.d):
+        opts = [(0, ctx.w[i])]
+        for a in ctx.alphabet:
+            if a != ctx.w[i]:
+                opts.append((ctx.per_char_cost[i][a], a))
+        opts.sort(key=lambda ca: (ca[0], ctx.alphabet.index(ca[1])))
+        choices.append(opts)
+    pool, prefix = [], []
+
+    def dfs(i, used):
+        if i == ctx.d:
+            pool.append(tuple(prefix))
+            if len(pool) > limits.max_candidates:
+                raise CapExceeded("pool over max_candidates")
+            return
+        for cost, a in choices[i]:
+            if used + cost > cap:
+                break
+            prefix.append(a)
+            dfs(i + 1, used + cost)
+            prefix.pop()
+
+    dfs(0, 0)
+    return pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["ab", "abcd", "abcdefghijklmnopqrst"]).flatmap(
+        lambda sigma: st.tuples(
+            st.just(sigma),
+            st.integers(1, 6).flatmap(
+                lambda d: st.lists(st.text(sigma, min_size=d, max_size=d),
+                                   min_size=2, max_size=6)
+            ),
+        )
+    ),
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+)
+def test_approx_enumeration_matches_recursive_reference(case, eps):
+    sigma, rows = case
+    ctx = context_from_strings(rows, alphabet=sigma)
+    b = Budget.make(eps, ctx.opt)
+    limits = EnumerationLimits(max_candidates=2000)
+    try:
+        want = recursive_approx_medians(ctx, b, limits)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            enumerate_approx_medians(ctx, b, limits)
+        return
+    assert enumerate_approx_medians(ctx, b, limits) == want  # contents and order
+
+
+def test_approx_enumeration_past_the_recursion_limit():
+    d = 3000
+    ctx = context_from_strings(["A" * d, "A" * d, "C" * d], alphabet="AC")
+    assert enumerate_approx_medians(ctx, Budget.make(0, ctx.opt)) == [("A",) * d]
 
 
 def test_enumeration_caps():
