@@ -27,6 +27,7 @@ from .core import (
     Dataset,
     InfeasibleError,
     InternalError,
+    KeyWidthExceeded,
     MedianContext,
     ValidationError,
     Word,
@@ -602,8 +603,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except CapExceeded as exc:
         print(f"diverse-medians: {exc}", file=sys.stderr)
-        print("hint: raise --max-candidates/--max-tuples/--max-states, or pick "
-              "--strategy sample", file=sys.stderr)
+        if isinstance(exc, KeyWidthExceeded):
+            print("hint: pick --strategy auto, greedy or sample, or a smaller --k",
+                  file=sys.stderr)
+        else:
+            print("hint: raise --max-candidates/--max-tuples/--max-states, or pick "
+                  "--strategy sample", file=sys.stderr)
         return 3
     except InfeasibleError as exc:
         print(f"diverse-medians: {exc}", file=sys.stderr)

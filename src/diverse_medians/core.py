@@ -34,6 +34,10 @@ class CapExceeded(RuntimeError):
     """An enumeration or DP would exceed its configured size cap."""
 
 
+class KeyWidthExceeded(CapExceeded):
+    """A DP's state keys would not fit in 63 bits: no size cap lets it run."""
+
+
 class InfeasibleError(RuntimeError):
     """No feasible solution (e.g. every rounding trial filtered out)."""
 

@@ -10,6 +10,8 @@ row sums exactly always.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -224,57 +226,43 @@ def solve_lp_relaxation(model: IlpModel) -> tuple[np.ndarray, float]:
     return u, 2.0 * float(x[model.t_index])
 
 
-def _fractional_walk(mask: np.ndarray) -> list[tuple[int, int]]:
+def _walk(rows: list[list[int]], cols: list[list[int]], top: int) -> list[tuple[int, int]]:
     """A cycle, or a maximal path, over the strictly fractional entries.
 
-    Vertices are rows (d side) and columns (k side); entries are edges. Rows
-    always carry 0 or >= 2 fractional entries (their sums are integral), so
-    degree-1 vertices — and hence path endpoints — live on the column side,
-    which has no sum to preserve.
+    Vertices are rows (d side) and columns (k side); entries are edges, and
+    rows[i] / cols[j] list the fractional entries of row i / column j in
+    ascending order. The walk starts at the first degree-1 column, else at row
+    `top`, the first row with a fractional entry. Rows always carry 0 or >= 2
+    fractional entries (their sums are integral), so degree-1 vertices — and
+    hence path endpoints — live on the column side, which has no sum to
+    preserve.
+
+    The walk stops when it comes back to a vertex, so the only used edge at the
+    vertex it stands on is the one it arrived by: it leaves by the first entry
+    of that vertex's list other than the one it came from.
     """
-    d, k = mask.shape
-    row_adj = [list(np.nonzero(mask[i])[0]) for i in range(d)]
-    col_adj = [list(np.nonzero(mask[:, j])[0]) for j in range(k)]
-
-    start = None  # prefer a degree-1 column: forces the maximal-path case
-    for j in range(k):
-        if len(col_adj[j]) == 1:
-            start = ("c", j)
-            break
-    if start is None:
-        for i in range(d):
-            if row_adj[i]:
-                start = ("r", i)
-                break
-    assert start is not None
-
-    used: set[tuple[int, int]] = set()
-    seen_at: dict[tuple[str, int], int] = {start: 0}
+    start = next((j for j, adj in enumerate(cols) if len(adj) == 1), None)
+    on_row = start is None
+    v = top if on_row else start
+    seen_rows: dict[int, int] = {}  # vertex -> walk length when reached
+    seen_cols: dict[int, int] = {}
+    (seen_rows if on_row else seen_cols)[v] = 0
     walk: list[tuple[int, int]] = []
-    vertex = start
+    prev = -1
     while True:
-        side, idx = vertex
-        nxt = None
-        if side == "r":
-            for j in row_adj[idx]:
-                if (idx, j) not in used:
-                    nxt = ("c", j)
-                    edge = (idx, j)
-                    break
-        else:
-            for i in col_adj[idx]:
-                if (i, idx) not in used:
-                    nxt = ("r", i)
-                    edge = (i, idx)
-                    break
-        if nxt is None:
-            return walk  # maximal path: stuck at a degree-exhausted vertex
-        used.add(edge)
-        walk.append(edge)
-        if nxt in seen_at:
-            return walk[seen_at[nxt]:]  # closed a cycle; drop the tail
-        seen_at[nxt] = len(walk)
-        vertex = nxt
+        adj = rows[v] if on_row else cols[v]
+        u = adj[0]
+        if u == prev:
+            if len(adj) == 1:
+                return walk  # maximal path: stuck at a degree-exhausted vertex
+            u = adj[1]
+        walk.append((v, u) if on_row else (u, v))
+        on_row = not on_row
+        seen = seen_rows if on_row else seen_cols
+        if u in seen:
+            return walk[seen[u]:]  # closed a cycle; drop the tail
+        seen[u] = len(walk)
+        prev, v = v, u
 
 
 def dependent_round(frac: Sequence[Sequence[float]] | np.ndarray, seed) -> np.ndarray:
@@ -285,6 +273,12 @@ def dependent_round(frac: Sequence[Sequence[float]] | np.ndarray, seed) -> np.nd
     other with the probabilities that keep every entry's expectation fixed.
     Each step lands at least one entry on 0 or 1. Row sums never move (paths
     end on the column side), so the output has exactly one 1 per row.
+
+    A step costs time linear in its walk. The matrix is snapped once; after
+    that only the entries on the walk move, so only they are snapped again,
+    and an entry that lands on 0 or 1 leaves the per-row and per-column lists
+    of fractional entries for good. The loop runs on Python floats, whose
+    arithmetic is the same IEEE float64 arithmetic as numpy's.
     """
     arr = np.array(frac, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 1:
@@ -294,39 +288,55 @@ def dependent_round(frac: Sequence[Sequence[float]] | np.ndarray, seed) -> np.nd
         raise ValidationError("matrix rows must each sum to 1")
     arr /= sums[:, None]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    arr[np.abs(arr) <= _SNAP] = 0.0
+    arr[np.abs(arr - 1.0) <= _SNAP] = 1.0
+    d, k = arr.shape
+    rows: list[list[int]] = [[] for _ in range(d)]  # fractional columns, ascending
+    cols: list[list[int]] = [[] for _ in range(k)]  # fractional rows, ascending
+    ii, jj = np.nonzero((arr > 0.0) & (arr < 1.0))
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        rows[i].append(j)
+        cols[j].append(i)
+    val = arr.tolist()
+    top = 0  # first row with a fractional entry; rows only lose entries
     while True:
-        arr[np.abs(arr) <= _SNAP] = 0.0
-        arr[np.abs(arr - 1.0) <= _SNAP] = 1.0
-        mask = (arr > 0.0) & (arr < 1.0)
-        if not mask.any():
+        while top < d and not rows[top]:
+            top += 1
+        if top == d:
             break
-        walk = _fractional_walk(mask)
+        walk = _walk(rows, cols, top)
         m1, m2 = walk[0::2], walk[1::2]
-        up1 = min(1.0 - arr[e] for e in m1)
-        down2 = min((arr[e] for e in m2), default=np.inf)
+        up1 = min(1.0 - val[i][j] for i, j in m1)
+        down2 = min((val[i][j] for i, j in m2), default=math.inf)
         alpha = min(up1, down2)
-        down1 = min(arr[e] for e in m1)
-        up2 = min((1.0 - arr[e] for e in m2), default=np.inf)
+        down1 = min(val[i][j] for i, j in m1)
+        up2 = min((1.0 - val[i][j] for i, j in m2), default=math.inf)
         beta = min(down1, up2)
         if rng.random() < beta / (alpha + beta):
-            for e in m1:
-                arr[e] += alpha
-            for e in m2:
-                arr[e] -= alpha
+            for i, j in m1:
+                val[i][j] += alpha
+            for i, j in m2:
+                val[i][j] -= alpha
         else:
-            for e in m1:
-                arr[e] -= beta
-            for e in m2:
-                arr[e] += beta
-    return arr.astype(np.int64)
+            for i, j in m1:
+                val[i][j] -= beta
+            for i, j in m2:
+                val[i][j] += beta
+        for i, j in walk:
+            x = val[i][j]
+            if abs(x) <= _SNAP:
+                x = val[i][j] = 0.0
+            elif abs(x - 1.0) <= _SNAP:
+                x = val[i][j] = 1.0
+            if not 0.0 < x < 1.0:
+                rows[i].remove(j)
+                del cols[j][bisect_left(cols[j], i)]
+    return np.array(val, dtype=float).reshape(d, k).astype(np.int64)
 
 
 def _decode(model: IlpModel, rounded: np.ndarray) -> Word:
-    word = []
-    for i in range(model.d):
-        j = int(np.nonzero(rounded[i])[0][0])
-        word.append(model.ranked_chars[i][j])
-    return tuple(word)
+    picks = rounded.argmax(axis=1).tolist()
+    return tuple(model.ranked_chars[i][j] for i, j in enumerate(picks))
 
 
 def z_from_rounded(u_r: np.ndarray, u_rhat: np.ndarray) -> int:

@@ -23,6 +23,7 @@ from .core import (
     CapExceeded,
     FrequencyTable,
     InternalError,
+    KeyWidthExceeded,
     MedianContext,
     Symbol,
     ValidationError,
@@ -114,19 +115,14 @@ def min_disp_dp_exact(
     State: the k(k-1)/2 pairwise distances accumulated column by column.
     Per-column assignments collapsing to the same distance-increment pattern
     are interchangeable for the remaining columns, so only one representative
-    per pattern transitions. The precheck bounds every layer by
-    (d+1)^(k(k-1)/2) <= max_states/(d+1) states.
+    per pattern transitions. With T the number of tie columns (majority sets
+    of two or more symbols), the precheck bounds every layer by
+    (T+1)^(k(k-1)/2) <= max_states/(d+1) states.
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
-    d = freq.d
-    pairs = k * (k - 1) // 2
-    if (d + 1) ** (1 + pairs) > limits.max_states:
-        raise CapExceeded(
-            f"state space (d+1)^(1+k(k-1)/2) exceeds max_states={limits.max_states}"
-        )
-    dist, _, members = _dp_kernel(freq.majority_sets, None, k, 0)
-    _check_dp_state(dist, None, d, None)
+    dist, _, members = _dp_kernel(freq.majority_sets, None, k, 0, limits.max_states)
+    _check_dp_state(dist, None, freq.d, None)
     return min(dist), CandidateSet.from_members(freq, members)
 
 
@@ -141,23 +137,19 @@ def min_disp_dp_approx(
 
     Extends the exact DP state with each candidate's deviation weight, capped
     at B = floor(eps * opt); every surviving final state is feasible by
-    construction. The precheck bounds every layer by
-    (d+1)^(k(k-1)/2) * (B+1)^k <= max_states/(d+1) states.
+    construction. With T the number of columns holding a second symbol of
+    cost <= B, the precheck bounds every layer by
+    (T+1)^(k(k-1)/2) * (B+1)^k <= max_states/(d+1) states.
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
     d = ctx.d
     cap = budget.floor
-    pairs = k * (k - 1) // 2
-    if (d + 1) ** (1 + pairs) * (cap + 1) ** k > limits.max_states:
-        raise CapExceeded(
-            f"state space (d+1)^(1+k(k-1)/2)*(B+1)^k exceeds max_states={limits.max_states}"
-        )
     costs = [
         [0 if a == ctx.w[i] else ctx.per_char_cost[i][a] for a in ctx.alphabet]
         for i in range(d)
     ]
-    dist, cost, members = _dp_kernel([ctx.alphabet] * d, costs, k, cap)
+    dist, cost, members = _dp_kernel([ctx.alphabet] * d, costs, k, cap, limits.max_states)
     _check_dp_state(dist, cost, d, cap)
     return min(dist), CandidateSet.from_members(ctx.freq, members)
 
@@ -167,16 +159,22 @@ def _dp_kernel(
     costs: Sequence[Sequence[int]] | None,
     k: int,
     cap: int,
+    max_states: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[Word]]:
     """The DP behind both min-dispersion engines, over int64 state keys.
 
     Column i offers the symbols `choices[i]`, with deviation costs `costs[i]`
-    (aligned with them; None for no cost digits). A state is one int64 in
-    mixed radix: a digit of radix T+1 per pair distance, in
-    combinations(range(k), 2) order, most significant first, then a digit of
-    radix cap+1 per candidate cost, where T <= d counts the columns with at
-    least two admissible symbols. Numeric key order is then the order of the
-    (distances, costs) tuples.
+    (aligned with them; None for no cost digits); a symbol is admissible when
+    its cost is at most `cap`. Only the T columns with two or more admissible
+    symbols can grow a distance: on any other column every candidate takes
+    the one admissible symbol and the layer is unchanged, so the DP skips it.
+    The precheck refuses (d+1) * (T+1)^(k(k-1)/2) * (cap+1)^k > max_states
+    in exact integers before any allocation.
+
+    A state is one int64 in mixed radix: a digit of radix T+1 per pair
+    distance, in combinations(range(k), 2) order, most significant first,
+    then a digit of radix cap+1 per candidate cost. Numeric key order is then
+    the order of the (distances, costs) tuples.
 
     Each layer lists its keys in order of first occurrence over (state,
     pattern) row-major: the insertion order of a dict filled state by state,
@@ -189,27 +187,38 @@ def _dp_kernel(
     """
     d = len(choices)
     pairs = list(combinations(range(k), 2))
-    # a distance grows only at a column with two or more admissible symbols
-    top = sum(
-        (len(choices[i]) if costs is None else sum(c <= cap for c in costs[i])) >= 2
+    admissible = [
+        list(range(len(choices[i]))) if costs is None
+        else [a for a, c in enumerate(costs[i]) if c <= cap]
         for i in range(d)
-    )
+    ]
+    top = sum(len(adm) >= 2 for adm in admissible)
+    if (d + 1) * (top + 1) ** len(pairs) * (cap + 1) ** k > max_states:
+        raise CapExceeded(
+            f"state space (d+1)*(T+1)^(k(k-1)/2)*(B+1)^k with T={top} tie columns "
+            f"exceeds max_states={max_states}"
+        )
     radices = [top + 1] * len(pairs) + [cap + 1] * (0 if costs is None else k)
     weights = [1] * len(radices)
     for j in range(len(radices) - 2, -1, -1):
         weights[j] = weights[j + 1] * radices[j + 1]
     # keys stay below the radix product R, and key + offset below 2R
     if 2 * weights[0] * radices[0] > 2**63:
-        raise CapExceeded(
+        raise KeyWidthExceeded(
             f"DP state keys would need more than 63 bits ({radices[0]}^{len(pairs)} "
-            f"distance digits); use a smaller max_states or another strategy"
+            f"distance digits); no max_states lets this DP run on this input"
         )
     weights = np.array(weights, dtype=np.int64)
     w_dist, w_cost = weights[: len(pairs)], weights[len(pairs):]
 
+    # per column, the symbol position each candidate takes: fixed on a column
+    # with one admissible symbol, read back from the DP steps on the others
+    rows: list = [[adm[0]] * k if len(adm) == 1 else None for adm in admissible]
     keys = np.zeros(1, dtype=np.int64)
-    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    steps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
     for i in range(d):
+        if rows[i] is not None:
+            continue
         # every assignment of k symbols, in product(range(m), repeat=k) order
         assign = np.indices((len(choices[i]),) * k).reshape(k, -1).T
         offsets = sum((assign[:, r] != assign[:, s]) * w for (r, s), w in zip(pairs, w_dist))
@@ -229,6 +238,7 @@ def _dp_kernel(
         keys, first = _next_layer(keys, offsets, add, w_cost, cap)
         parent, pattern = np.divmod(first, len(offsets))
         steps.append((
+            i,
             parent.astype(np.min_scalar_type(live)),
             pattern.astype(np.min_scalar_type(len(offsets))),
             assign[rep],
@@ -238,11 +248,9 @@ def _dp_kernel(
     best = int(np.lexsort((keys, mins))[-1])
     key = int(keys[best])
     digits = tuple(key // int(w) % r for w, r in zip(weights, radices))
-    rows = []
-    for parent, pattern, assign in reversed(steps):
-        rows.append(assign[pattern[best]])
+    for i, parent, pattern, assign in reversed(steps):
+        rows[i] = assign[pattern[best]]
         best = int(parent[best])
-    rows.reverse()
     members = [tuple(choices[i][int(rows[i][r])] for i in range(d)) for r in range(k)]
     return digits[: len(pairs)], digits[len(pairs):], members
 

@@ -418,8 +418,23 @@ def test_main_dp_key_past_63_bits_exits_3(long_rows_path, tmp_path, capsys):
     code, _, err = run_main(argv + [str(ties)], capsys)
     assert code == 3
     assert "63 bits" in err
+    # no --max-states lets this DP run, so the hint does not offer one
+    hint = err[err.index("hint:"):]
+    assert "--max-states" not in hint and "--strategy" in hint
     # no tie column: the distance digits have radix 1 and the keys fit
     code, out, err = run_main(argv + [long_rows_path], capsys)
+    assert code == 0, err
+    assert json.loads(out)["strategy_tag"] == "dp"
+
+
+def test_main_dp_precheck_counts_tie_columns_only(long_rows_path, capsys):
+    # no tie column in 1500: every layer holds one state, within the default
+    # max_states, whatever d is
+    code, out, err = run_main(
+        ["--objective", "min-dispersion", "--strategy", "dp", "--k", "4",
+         "--input", long_rows_path],
+        capsys,
+    )
     assert code == 0, err
     assert json.loads(out)["strategy_tag"] == "dp"
 

@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverse_medians import (
     Budget,
@@ -18,7 +21,7 @@ from diverse_medians import (
     median_cost,
     solve_lp_relaxation,
 )
-from diverse_medians.lpround import z_from_rounded
+from diverse_medians.lpround import _SNAP, _ROW_TOL, z_from_rounded
 
 from conftest import random_rows
 
@@ -216,6 +219,159 @@ def test_exhaustive_model_space_solve_matches_oracle(rng):
 
 
 # --- rounding --------------------------------------------------------------------
+
+
+def _fractional_walk(mask):
+    """Reference walk: a cycle, or a maximal path, over the True entries of
+    mask, with the adjacency rebuilt from the whole mask."""
+    d, k = mask.shape
+    row_adj = [list(np.nonzero(mask[i])[0]) for i in range(d)]
+    col_adj = [list(np.nonzero(mask[:, j])[0]) for j in range(k)]
+
+    start = None  # prefer a degree-1 column: forces the maximal-path case
+    for j in range(k):
+        if len(col_adj[j]) == 1:
+            start = ("c", j)
+            break
+    if start is None:
+        for i in range(d):
+            if row_adj[i]:
+                start = ("r", i)
+                break
+    assert start is not None
+
+    used = set()
+    seen_at = {start: 0}
+    walk = []
+    vertex = start
+    while True:
+        side, idx = vertex
+        nxt = None
+        if side == "r":
+            for j in row_adj[idx]:
+                if (idx, j) not in used:
+                    nxt = ("c", j)
+                    edge = (idx, j)
+                    break
+        else:
+            for i in col_adj[idx]:
+                if (i, idx) not in used:
+                    nxt = ("r", i)
+                    edge = (i, idx)
+                    break
+        if nxt is None:
+            return walk
+        used.add(edge)
+        walk.append(edge)
+        if nxt in seen_at:
+            return walk[seen_at[nxt]:]
+        seen_at[nxt] = len(walk)
+        vertex = nxt
+
+
+def dependent_round_reference(frac, seed):
+    """Reference rounding: snaps the whole matrix and rebuilds the adjacency
+    at every step, O(d*k) numpy work per step."""
+    arr = np.array(frac, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ValidationError("expected a 2-D matrix")
+    sums = arr.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > _ROW_TOL):
+        raise ValidationError("matrix rows must each sum to 1")
+    arr /= sums[:, None]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    while True:
+        arr[np.abs(arr) <= _SNAP] = 0.0
+        arr[np.abs(arr - 1.0) <= _SNAP] = 1.0
+        mask = (arr > 0.0) & (arr < 1.0)
+        if not mask.any():
+            break
+        walk = _fractional_walk(mask)
+        m1, m2 = walk[0::2], walk[1::2]
+        up1 = min(1.0 - arr[e] for e in m1)
+        down2 = min((arr[e] for e in m2), default=np.inf)
+        alpha = min(up1, down2)
+        down1 = min(arr[e] for e in m1)
+        up2 = min((1.0 - arr[e] for e in m2), default=np.inf)
+        beta = min(down1, up2)
+        if rng.random() < beta / (alpha + beta):
+            for e in m1:
+                arr[e] += alpha
+            for e in m2:
+                arr[e] -= alpha
+        else:
+            for e in m1:
+                arr[e] -= beta
+            for e in m2:
+                arr[e] += beta
+    return arr.astype(np.int64)
+
+
+# row shapes of LP optima: spread mass, one 1, a two-way tie, and entries
+# within _SNAP of 0 or of 1 that the first snap settles
+ROW_KINDS = ("spread", "integral", "tie", "near0", "near1")
+
+
+def _stochastic_row(gen, k, kind):
+    row = np.zeros(k)
+    a, b = gen.choice(k, size=2, replace=False)
+    if kind == "spread":
+        row = gen.random(k) * (gen.random(k) < 0.7)  # some exact zeros
+        row[a] += 1e-3
+    elif kind == "integral":
+        row[a] = 1.0
+    elif kind == "tie":
+        row[a] = row[b] = 0.5
+    elif kind == "near0":
+        row = gen.random(k)
+        row[a] = 1e-12
+    else:
+        row[:] = 1e-12 / (k - 1)
+        row[a] = 1.0 - 1e-12
+    return row / row.sum()
+
+
+@st.composite
+def stochastic_matrices(draw):
+    d, k = draw(st.integers(1, 300)), draw(st.integers(2, 6))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=d, max_size=d))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array([_stochastic_row(gen, k, kind) for kind in kinds])
+
+
+seeds = st.one_of(st.integers(0, 2**64 - 1),
+                  st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stochastic_matrices(), seeds)
+def test_rounding_matches_reference_bit_for_bit(mat, seed):
+    out = dependent_round(mat, seed=seed)
+    ref = dependent_round_reference(mat, seed=seed)
+    assert out.dtype == ref.dtype == np.int64
+    assert out.shape == ref.shape and np.array_equal(out, ref)
+
+
+def test_rounding_matches_reference_on_lp_like_rows(rng):
+    # wide rows at the upper end of the hypothesis range, every row kind mixed
+    for trial in range(6):
+        d, k = int(rng.integers(150, 301)), int(rng.integers(2, 7))
+        mat = np.array([_stochastic_row(rng, k, ROW_KINDS[int(c)])
+                        for c in rng.integers(0, len(ROW_KINDS), size=d)])
+        seed = [trial, 7] if trial % 2 else trial
+        assert np.array_equal(dependent_round(mat, seed=seed),
+                              dependent_round_reference(mat, seed=seed))
+
+
+def test_rounding_time_is_linear_in_the_walks():
+    # the reference rebuilds a d-by-k adjacency per step: about 6 s here
+    mat = np.random.default_rng(800).random((800, 4))
+    mat /= mat.sum(axis=1, keepdims=True)
+    t0 = time.perf_counter()
+    out = dependent_round(mat, seed=1)
+    elapsed = time.perf_counter() - t0
+    assert (out.sum(axis=1) == 1).all()
+    assert elapsed < 0.5, f"d=800, k=4 rounding took {elapsed:.2f}s"
 
 
 def test_rounding_rows_always_sum_to_one(rng):

@@ -207,6 +207,18 @@ def test_dp_key_past_63_bits_is_cap_exceeded():
         min_disp_dp_exact(ctx.freq, 4, limits=EnumerationLimits(max_states=10**40))
 
 
+def test_dp_skips_columns_with_one_admissible_symbol():
+    # one tie column in 20000: the other columns leave the layer as it is, so
+    # the DP does no array work on them (1.5 s when it did)
+    d = 20000
+    ctx = context_from_strings(["A" * d, "C" + "A" * (d - 1)], alphabet="AC")
+    t0 = time.perf_counter()
+    val, cands = min_disp_dp_exact(ctx.freq, 4, limits=EnumerationLimits(max_states=10**40))
+    elapsed = time.perf_counter() - t0
+    assert (val, cands.members) == dict_dp_exact(ctx.freq, 4)
+    assert elapsed < 0.3, f"{elapsed:.2f} s"
+
+
 def test_dp_approx_memory_and_time_bound():
     # every column a 4-way tie at eps = 0: up to 36^3 live states per layer
     d = 35
