@@ -17,6 +17,14 @@ echo '== three strings, maximize the smallest pairwise distance =='
 diverse-medians --objective min-dispersion --input "$tmp/rows.txt" \
     --epsilon 1/2 --k 3 --seed 7
 
+echo '== every string within a 1/2 budget, decoded from the pool =='
+diverse-medians --objective oracle --oracle-op approx-medians --input "$tmp/rows.txt" \
+    --epsilon 1/2
+
+echo '== three strings picked from that pool, maximize the total spread =='
+diverse-medians --objective sum-dispersion --strategy greedy --input "$tmp/rows.txt" \
+    --epsilon 1/2 --k 3
+
 echo '== standalone combinatorial bound, no dataset needed =='
 diverse-medians --objective bound --sizes 2,2,2,2 --t 3
 

@@ -14,9 +14,9 @@ import numpy as np
 from diverse_medians import (
     Budget,
     approx_diameter_pair,
+    approx_median_pool,
     brute_diameter,
     context_from_strings,
-    enumerate_approx_medians,
     exact_diameter_pair,
     word_str,
 )
@@ -36,9 +36,9 @@ ctx = context_from_strings(rows, alphabet="ab")
 budget = Budget.make(Fraction(1, 2), ctx.opt)
 
 res = approx_diameter_pair(ctx, budget)
-pool = enumerate_approx_medians(ctx, budget)
+pool = approx_median_pool(ctx, budget)  # a code matrix, one row per candidate
 oracle = brute_diameter(pool)
 print(f"budgeted diameter = {res.diameter} via {res.branch}; "
-      f"oracle over {len(pool)} candidates = {oracle}")
+      f"oracle over {pool.n} candidates = {oracle}")
 assert res.diameter == oracle
 assert res.costs[0] <= (1 + budget.epsilon) * ctx.opt

@@ -15,7 +15,7 @@ from diverse_medians import (
     bound_certificate,
     brute_mindp_k,
     context_from_strings,
-    enumerate_exact_medians,
+    exact_median_pool,
     min_disp_dp_exact,
     min_dispersion_dispatch_exact,
     plotkin_bound,
@@ -26,7 +26,7 @@ from diverse_medians.cli import STRATEGY_TABLE
 
 ctx = context_from_strings(["abb", "bab", "bba", "aaa"], alphabet="ab")
 value, cs = min_disp_dp_exact(ctx.freq, 2)
-pool = enumerate_exact_medians(ctx.freq)
+pool = exact_median_pool(ctx.freq)
 print("DP minDp =", value, "| brute =", brute_mindp_k(pool, 2),
       "| picks:", [word_str(s) for s in cs.members])
 

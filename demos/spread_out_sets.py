@@ -12,7 +12,7 @@ from diverse_medians import (
     Budget,
     brute_sumdp_k,
     context_from_strings,
-    enumerate_exact_medians,
+    exact_median_pool,
     sum_dispersion,
     sum_dispersion_approx_k,
     sum_dispersion_dispatch,
@@ -26,7 +26,7 @@ ctx = context_from_strings(["ax", "bx", "cx"], alphabet="abcx")
 cs = sum_dispersion_exact_k(ctx, ctx.freq, 5)
 print("exact k=5 layout:", [word_str(s) for s in cs.members])
 print("  sumDp =", sum_dispersion(cs.members),
-      " oracle =", brute_sumdp_k(enumerate_exact_medians(ctx.freq), 5))
+      " oracle =", brute_sumdp_k(exact_median_pool(ctx.freq), 5))
 
 # Budgeted version: spend the eps budget where the dispersion gained per
 # unit of cost (the density) is highest.

@@ -53,12 +53,12 @@ from .mindisp import (
 from .oracle import (
     DEFAULT_LIMITS,
     EnumerationLimits,
+    approx_median_pool,
     brute_diameter,
     brute_max_code_size,
     brute_mindp_k,
     brute_sumdp_k,
-    enumerate_approx_medians,
-    enumerate_exact_medians,
+    exact_median_pool,
 )
 from .sumdisp import (
     sum_dispersion_dispatch,
@@ -311,8 +311,8 @@ def _sum_exact_construction(ctx, budget, c, doc):
 
 
 def _sum_greedy(ctx, budget, c, doc):
-    pool = enumerate_approx_medians(ctx, budget, c.limits)
-    return sum_dispersion_small_dstar(ctx, budget, c.k, pool), "greedy"
+    pool = approx_median_pool(ctx, budget, c.limits)
+    return sum_dispersion_small_dstar(ctx, c.k, pool), "greedy"
 
 
 def _min_auto(ctx, budget, c, doc):
@@ -333,9 +333,9 @@ def _min_dp(ctx, budget, c, doc):
 
 def _min_greedy(ctx, budget, c, doc):
     if c.epsilon == 0:
-        pool = enumerate_exact_medians(ctx.freq, c.limits)
+        pool = exact_median_pool(ctx.freq, c.limits)
     else:
-        pool = enumerate_approx_medians(ctx, budget, c.limits)
+        pool = approx_median_pool(ctx, budget, c.limits)
     return greedy_dispersion(pool, c.k, ctx.freq), "greedy"
 
 
@@ -493,16 +493,14 @@ def run(config: RunConfig) -> dict:
     if config.oracle_op not in ORACLE_OPS:
         raise ValidationError(f"unknown oracle op {config.oracle_op!r}")
     if config.oracle_op == "exact-medians":
-        pool = enumerate_exact_medians(ctx.freq, config.limits)
-        doc["strings"] = [_render_word(s, joined) for s in pool]
-        doc["objective_value"] = len(pool)
-    elif config.oracle_op == "approx-medians":
-        pool = enumerate_approx_medians(ctx, budget, config.limits)
-        doc["strings"] = [_render_word(s, joined) for s in pool]
-        doc["objective_value"] = len(pool)
+        pool = exact_median_pool(ctx.freq, config.limits)
     else:
-        pool = enumerate_approx_medians(ctx, budget, config.limits)
-        doc["pool_size"] = len(pool)
+        pool = approx_median_pool(ctx, budget, config.limits)
+    if config.oracle_op in ("exact-medians", "approx-medians"):
+        doc["strings"] = [_render_word(s, joined) for s in pool.strings]
+        doc["objective_value"] = pool.n
+    else:
+        doc["pool_size"] = pool.n
         if config.oracle_op == "diameter":
             doc["objective_value"] = brute_diameter(pool, config.limits)
         elif config.oracle_op == "sumdp":

@@ -9,9 +9,11 @@ candidate sets with cached costs and per-index character counts.
 All budget comparisons are exact integer comparisons (cross-multiplied
 rationals); no float ever decides feasibility.
 
-The pool kernels at the end (``farthest_pair``, ``distances_to``) give the
-greedy engines Hamming distances over an integer-coded pool without ever
-holding a pool-by-pool matrix.
+An enumerated pool of candidate strings is a ``Dataset`` too: its (p, d)
+code matrix over the context's alphabet, decoded only for the strings an
+engine returns. The pool kernels at the end (``farthest_pair``,
+``distances_to``) give the greedy engines Hamming distances over that matrix
+without ever holding a pool-by-pool matrix.
 """
 
 from __future__ import annotations
@@ -87,8 +89,13 @@ class Dataset:
     @property
     def strings(self) -> tuple[Word, ...]:
         """The strings as tuples of symbols, decoded on each access."""
+        return self.decode(slice(None))
+
+    def decode(self, rows: slice | Sequence[int]) -> tuple[Word, ...]:
+        """The strings at `rows` (a slice or a sequence of indices, repeats
+        allowed) as tuples of symbols."""
         symbols = np.array(self.alphabet, dtype=object)
-        return tuple(map(tuple, symbols[self.codes].tolist()))
+        return tuple(map(tuple, symbols[self.codes[rows]].tolist()))
 
     @classmethod
     def from_strings(
@@ -448,15 +455,6 @@ class CandidateSet:
 BLOCK_BYTES = 2**22
 
 
-def _encode_pool(pool: Sequence[Word | str]) -> np.ndarray:
-    """The pool as a (p, d) integer matrix; equal symbols get equal codes."""
-    words = [as_word(p) for p in pool]
-    symbols = sorted({a for w in words for a in w})
-    code = {a: j for j, a in enumerate(symbols)}
-    dtype = np.min_scalar_type(max(0, len(symbols) - 1))
-    return np.array([[code[a] for a in w] for w in words], dtype=dtype)
-
-
 def farthest_pair(codes: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
     """Farthest pair among the pool strings `rows` (ascending indices).
 
@@ -464,19 +462,24 @@ def farthest_pair(codes: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
     rows x rows, diagonal included: what argmax over that matrix picks, so a
     pool of copies gives (rows[0], rows[0]). Distances are built one block of
     rows at a time, at most BLOCK_BYTES each, summing the per-column
-    mismatches in the smallest unsigned type that holds d.
+    mismatches in the smallest unsigned type that holds their count.
 
-    A block of rows [lo, hi) only needs the columns from lo on: the matrix is
-    symmetric, so a maximum left of the diagonal at (i, j) also sits at
-    (j, i), which comes first in row-major order and is in this block or an
-    earlier one.
+    Only the columns on which the rows differ are read: a column where all
+    rows agree adds 0 to every distance. They are picked from a copy, for
+    `rows`, of the columns on which the pool's strings differ, never from a
+    copy of whole rows. A block of rows [lo, hi) only needs its distances to
+    the rows from lo on: the matrix is symmetric, so a maximum left of the
+    diagonal at (i, j) also sits at (j, i), which comes first in row-major
+    order and is in this block or an earlier one.
     """
-    cols = np.ascontiguousarray(codes[rows].T)  # (d, m): one pass per column
+    varying = np.flatnonzero(codes.min(axis=0) != codes.max(axis=0))
+    cols = codes[np.ix_(rows, varying)].T
+    cols = np.ascontiguousarray(cols[(cols != cols[:, :1]).any(axis=1)])  # (v, m)
     m = cols.shape[1]
-    dtype = np.min_scalar_type(cols.shape[0])
-    # no pair differs on a column where all rows agree; reaching that bound
-    # means no later block can hold a strictly larger distance
-    bound = int((cols != cols[:, :1]).any(axis=1).sum())
+    # no distance exceeds the number of columns left; reaching it means no
+    # later block can hold a strictly larger distance
+    bound = cols.shape[0]
+    dtype = np.min_scalar_type(bound)
     step = max(1, BLOCK_BYTES // (m * dtype.itemsize))
     best, first = -1, (0, 0)
     for lo in range(0, m, step):
@@ -494,5 +497,10 @@ def farthest_pair(codes: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
 
 
 def distances_to(codes: np.ndarray, r: int) -> np.ndarray:
-    """Hamming distances from pool string r to every pool string, as one vector."""
-    return (codes != codes[r]).sum(axis=1, dtype=np.min_scalar_type(codes.shape[1]))
+    """Hamming distances from pool string r to every pool string, as one
+    vector, comparing one block of rows (at most BLOCK_BYTES) at a time."""
+    out = np.empty(len(codes), dtype=np.min_scalar_type(codes.shape[1]))
+    step = max(1, BLOCK_BYTES // codes.shape[1])
+    for lo in range(0, len(codes), step):
+        (codes[lo : lo + step] != codes[r]).sum(axis=1, dtype=out.dtype, out=out[lo : lo + step])
+    return out

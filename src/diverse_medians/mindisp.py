@@ -21,6 +21,7 @@ from .core import (
     Budget,
     CandidateSet,
     CapExceeded,
+    Dataset,
     FrequencyTable,
     InternalError,
     KeyWidthExceeded,
@@ -28,7 +29,6 @@ from .core import (
     Symbol,
     ValidationError,
     Word,
-    _encode_pool,
     distances_to,
     farthest_pair,
     min_dispersion,
@@ -37,8 +37,8 @@ from .diameter import DiameterResult, approx_diameter_pair
 from .oracle import (
     DEFAULT_LIMITS,
     EnumerationLimits,
-    enumerate_approx_medians,
-    enumerate_exact_medians,
+    approx_median_pool,
+    exact_median_pool,
 )
 
 
@@ -348,27 +348,28 @@ def sample_approx_medians(
 # greedy over an enumerated pool
 
 
-def greedy_dispersion(pool: Sequence[Word], k: int, freq: FrequencyTable) -> CandidateSet:
+def greedy_dispersion(pool: Dataset, k: int, freq: FrequencyTable) -> CandidateSet:
     """Farthest pair, then repeated farthest-point insertion (max-min greedy).
 
     Half the pool-restricted optimum. A pool smaller than k gets filled with
     duplicates (their min distance is 0, consistent with the multiset
-    definition). Memory is O(p*d) plus one distance block: a running vector
-    holds each string's distance to its nearest chosen member.
+    definition). Memory is the pool's p*d code bytes plus one distance block:
+    a running vector holds each string's distance to its nearest chosen
+    member. Only the k chosen rows are decoded.
     """
-    if not pool:
+    if pool.n == 0:
         raise ValidationError("candidate pool is empty")
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if len(pool) == 1 or k == 1:
-        return CandidateSet.from_members(freq, [pool[0]] * k)
-    codes = _encode_pool(pool)
-    chosen = sorted(farthest_pair(codes, np.arange(len(pool))))
+    if pool.n == 1 or k == 1:
+        return CandidateSet.from_members(freq, pool.decode([0] * k))
+    codes = pool.codes
+    chosen = sorted(farthest_pair(codes, np.arange(pool.n)))
     mins = np.minimum(distances_to(codes, chosen[0]), distances_to(codes, chosen[1]))
     while len(chosen) < k:
         chosen.append(int(np.argmax(mins)))  # ties: lowest pool index
         np.minimum(mins, distances_to(codes, chosen[-1]), out=mins)
-    return CandidateSet.from_members(freq, [pool[i] for i in chosen])
+    return CandidateSet.from_members(freq, pool.decode(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +467,7 @@ def min_dispersion_dispatch_exact(
         cands, _ = sample_exact_medians(freq, cfg)
         return cands, "sample"
     try:
-        pool = enumerate_exact_medians(freq, limits)
+        pool = exact_median_pool(freq, limits)
     except CapExceeded:
         cands, _ = sample_exact_medians(freq, cfg)
         return cands, "sample_fallback"
@@ -504,7 +505,7 @@ def min_dispersion_dispatch_approx(
     cfg = SampleConfig(k=k, delta=delta, eta=eta, seed=seed)
     if Fraction(diameter.diameter) * delta**2 <= 4:
         try:
-            pool = enumerate_approx_medians(ctx, budget, limits)
+            pool = approx_median_pool(ctx, budget, limits)
             return greedy_dispersion(pool, k, freq=ctx.freq), "greedy"
         except CapExceeded:
             pass

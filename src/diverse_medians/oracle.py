@@ -1,8 +1,11 @@
-"""Independent brute-force reference implementations.
+"""Candidate pools and independent brute-force reference implementations.
 
 Everything here is ground truth at desk scale: full enumerations and
 exhaustive searches that the fast algorithms are tested against. Nothing in
-this module calls the algorithms under test.
+this module calls the algorithms under test. The pools are (p, d) code
+matrices (``Dataset``), built by ``exact_median_pool`` and
+``approx_median_pool``; the greedy engines pick from the same pools the
+brute-force searches scan.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import numpy as np
 from .core import (
     Budget,
     CapExceeded,
+    Dataset,
     FrequencyTable,
     MedianContext,
     Word,
-    _encode_pool,
 )
 
 
@@ -36,10 +39,15 @@ class EnumerationLimits:
 DEFAULT_LIMITS = EnumerationLimits()
 
 
-def enumerate_exact_medians(
+def exact_median_pool(
     freq: FrequencyTable, limits: EnumerationLimits = DEFAULT_LIMITS
-) -> list[Word]:
-    """All exact medians: the Cartesian product of the per-index majority sets."""
+) -> Dataset:
+    """All exact medians as one (p, d) code matrix over ``freq.alphabet``.
+
+    The rows are the Cartesian product of the per-index majority sets, last
+    index fastest: a mixed-radix count over the tie columns, written into a
+    broadcast of the codes of w.
+    """
     size = 1
     for gamma in freq.majority_sets:
         size *= len(gamma)
@@ -47,7 +55,91 @@ def enumerate_exact_medians(
             raise CapExceeded(
                 f"exact-median pool exceeds max_candidates={limits.max_candidates}"
             )
-    return [tuple(p) for p in product(*freq.majority_sets)]
+    code = {a: j for j, a in enumerate(freq.alphabet)}
+    codes = np.empty((size, freq.d), dtype=np.min_scalar_type(len(freq.alphabet)))
+    codes[:] = [code[gamma[0]] for gamma in freq.majority_sets]  # gamma[0] is w_i
+    inner = size  # rows per digit of the tie column being written
+    for i, gamma in enumerate(freq.majority_sets):
+        if len(gamma) >= 2:
+            inner //= len(gamma)
+            digits = codes.reshape(-1, len(gamma), inner, freq.d)
+            digits[:, :, :, i] = [[code[a]] for a in gamma]
+    return Dataset(codes=codes, alphabet=freq.alphabet)
+
+
+def approx_median_pool(
+    ctx: MedianContext,
+    budget: Budget,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+) -> Dataset:
+    """All strings with cost <= (1+eps)*opt as one (p, d) code matrix over the
+    context's alphabet.
+
+    Rows come in the order of a budget-pruned depth-first walk that takes the
+    symbols of each index cost-ascending (alphabet order on ties). A column
+    whose second-cheapest symbol costs more than B = floor(eps*opt) can only
+    hold w_i, so every row starts as a copy of w and only the other columns
+    are walked (see _walk_layers). Then each row's prefix is traced back up
+    the layers, writing one column per layer. Besides the p*d code bytes this
+    holds O(p) integers.
+    """
+    # no string deviates by more than n*d, so the clamp keeps the pool as it is
+    cap = min(budget.floor, ctx.n * ctx.d)
+    cost = np.array([[ctx.char_cost(i, a) for a in ctx.alphabet] for i in range(ctx.d)])
+    dtype = np.min_scalar_type(len(ctx.alphabet))
+    order = np.argsort(cost, axis=1, kind="stable").astype(dtype)  # alphabet order on ties
+    ranked = np.take_along_axis(cost, order, axis=1)
+    cols = np.flatnonzero(ranked[:, 1] <= cap)
+    size, layers = _walk_layers(ranked[cols], cap, limits.max_candidates)
+    codes = np.empty((size, ctx.d), dtype=dtype)
+    codes[:] = order[:, 0]  # w
+    node = np.arange(size)  # each row's prefix in the layer being traced
+    for i, (width, branch, fans) in zip(cols[::-1], layers[::-1]):
+        fan = np.ones(width, dtype=np.int64)
+        fan[branch] = fans
+        firsts = np.cumsum(fan)
+        parent = np.searchsorted(firsts, node, side="right")
+        firsts -= fan  # each prefix's first child in the layer below
+        node -= firsts[parent]  # each row's rank among column i's symbols
+        codes[:, i] = order[i][node]
+        node = parent
+    return Dataset(codes=codes, alphabet=ctx.alphabet)
+
+
+def _walk_layers(
+    ranked: np.ndarray, cap: int, max_candidates: int
+) -> tuple[int, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Breadth-first walk over the columns whose cost-ascending symbol costs
+    are the rows of `ranked`, within total weight `cap`.
+
+    Layer j lists the feasible prefixes over the first j columns in
+    depth-first order. A prefix takes the first `fan` symbols of the next
+    column, the ones that still fit (at least one: w_i costs 0). The walk is
+    refused as soon as a layer holds more than max_candidates prefixes: no
+    layer is larger than the last, which is the pool. Returns the pool size
+    and, per column, the width of the layer before it, the prefixes there
+    that take more than one symbol, and their fans. At most p - 1 prefixes
+    branch in all, since each adds a prefix to the next layer.
+    """
+    spent = np.zeros(1, dtype=np.int64)  # weight of each prefix of the layer
+    layers = []
+    for costs in ranked:
+        fan = np.searchsorted(costs, cap - spent, side="right")
+        size = int(fan.sum())
+        if size > max_candidates:
+            raise CapExceeded(f"approx-median pool exceeds max_candidates={max_candidates}")
+        branch = np.flatnonzero(fan > 1)
+        layers.append((len(fan), branch, fan[branch]))
+        parent = np.repeat(np.arange(len(fan)), fan)
+        spent = spent[parent] + costs[np.arange(size) - (np.cumsum(fan) - fan)[parent]]
+    return len(spent), layers
+
+
+def enumerate_exact_medians(
+    freq: FrequencyTable, limits: EnumerationLimits = DEFAULT_LIMITS
+) -> list[Word]:
+    """All exact medians as tuples of symbols: exact_median_pool, decoded."""
+    return list(exact_median_pool(freq, limits).strings)
 
 
 def enumerate_approx_medians(
@@ -55,59 +147,20 @@ def enumerate_approx_medians(
     budget: Budget,
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> list[Word]:
-    """All strings with cost <= (1+eps)*opt, by budget-pruned DFS over indices.
-
-    Per index the symbol choices are sorted cost-ascending (alphabet order on
-    ties) so pruning cuts early and the output order is deterministic.
-    """
-    cap = budget.floor  # largest admissible total deviation weight
-    choices: list[list[tuple[int, str]]] = []
-    for i in range(ctx.d):
-        opts = [(0, ctx.w[i])]
-        for a in ctx.alphabet:
-            if a != ctx.w[i]:
-                opts.append((ctx.per_char_cost[i][a], a))
-        opts.sort(key=lambda ca: (ca[0], ctx.alphabet.index(ca[1])))
-        choices.append(opts)
-
-    # depth-first with an explicit stack, so d is not bounded by the
-    # recursion limit: todo[i] iterates the choices left at index i, and
-    # spent[i] is the weight of prefix[:i]
-    pool: list[Word] = []
-    prefix: list[str] = []
-    spent, todo = [0], [iter(choices[0])]
-    last = ctx.d - 1
-    while todo:
-        i = len(prefix)
-        for cost, a in todo[i]:
-            used = spent[i] + cost
-            if used > cap:
-                break  # cost-ascending: nothing later fits either
-            if i < last:
-                prefix.append(a)
-                spent.append(used)
-                todo.append(iter(choices[i + 1]))
-                break
-            pool.append((*prefix, a))
-            if len(pool) > limits.max_candidates:
-                raise CapExceeded(
-                    f"approx-median pool exceeds max_candidates={limits.max_candidates}"
-                )
-        if len(prefix) == i:  # no choice left at index i that fits: backtrack
-            todo.pop()
-            spent.pop()
-            if prefix:
-                prefix.pop()
-    return pool
+    """All (1+eps)-approximate medians as tuples of symbols: approx_median_pool,
+    decoded."""
+    return list(approx_median_pool(ctx, budget, limits).strings)
 
 
-def pairwise_hamming_matrix(pool: Sequence[Word | str]) -> np.ndarray:
-    """Full p x p distance matrix, for the brute-force oracles and tests only.
+def pairwise_hamming_matrix(pool: Dataset) -> np.ndarray:
+    """Full p x p distance matrix of a pool, for the brute-force oracles and
+    tests only.
 
+    Reads the pool's code matrix in row blocks of about 4 MiB of mismatches.
     The greedy engines stream their distances (core.farthest_pair and
     core.distances_to) and never call this.
     """
-    arr = _encode_pool(pool)
+    arr = pool.codes
     p = arr.shape[0]
     out = np.zeros((p, p), dtype=np.int32)
     step = max(1, 2**22 // max(1, p * arr.shape[1]))
@@ -117,18 +170,16 @@ def pairwise_hamming_matrix(pool: Sequence[Word | str]) -> np.ndarray:
     return out
 
 
-def brute_diameter(
-    pool: Sequence[Word | str], limits: EnumerationLimits = DEFAULT_LIMITS
-) -> int:
+def brute_diameter(pool: Dataset, limits: EnumerationLimits = DEFAULT_LIMITS) -> int:
     """Maximum pairwise Hamming distance over the pool."""
-    p = len(pool)
+    p = pool.n
     if p == 0:
         raise ValueError("empty pool")
     if p == 1:
         return 0
     if math.comb(p, 2) > limits.max_tuples:
         raise CapExceeded(f"{math.comb(p, 2)} pairs exceed max_tuples={limits.max_tuples}")
-    arr = _encode_pool(pool)
+    arr = pool.codes
     best = 0
     step = max(1, 2**22 // max(1, p * arr.shape[1]))
     for lo in range(0, p, step):
@@ -138,10 +189,10 @@ def brute_diameter(
 
 
 def brute_sumdp_k(
-    pool: Sequence[Word | str], k: int, limits: EnumerationLimits = DEFAULT_LIMITS
+    pool: Dataset, k: int, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> int:
     """Exact max sum dispersion over k-multisets drawn from the pool."""
-    p = len(pool)
+    p = pool.n
     if p == 0:
         raise ValueError("empty pool")
     if k < 1:
@@ -172,14 +223,14 @@ def brute_sumdp_k(
 
 
 def brute_mindp_k(
-    pool: Sequence[Word | str], k: int, limits: EnumerationLimits = DEFAULT_LIMITS
+    pool: Dataset, k: int, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> int:
     """Exact max min dispersion over k-subsets; 0 when the pool is too small.
 
     A pool smaller than k forces duplicates, and any duplicate pair has
     distance 0, so the degenerate value is 0 by definition.
     """
-    p = len(pool)
+    p = pool.n
     if p == 0:
         raise ValueError("empty pool")
     if k < 2:

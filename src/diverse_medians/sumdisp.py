@@ -19,16 +19,15 @@ from .core import (
     Budget,
     CandidateSet,
     CapExceeded,
+    Dataset,
     FrequencyTable,
     MedianContext,
     ValidationError,
-    Word,
-    _encode_pool,
     distances_to,
     farthest_pair,
 )
 from .diameter import approx_diameter_pair
-from .oracle import DEFAULT_LIMITS, EnumerationLimits, enumerate_approx_medians
+from .oracle import DEFAULT_LIMITS, EnumerationLimits, approx_median_pool
 
 
 @dataclass(frozen=True)
@@ -168,14 +167,12 @@ def cost_greedy_assign(
 
 
 def sum_dispersion_approx_k(
-    ctx: MedianContext, budget: Budget, k: int, *, linear_scan: bool = False
+    ctx: MedianContext, budget: Budget, k: int
 ) -> tuple[CandidateSet, int]:
     """k approximate medians with (near-)maximum sum dispersion.
 
     Binary-searches the longest feasible prefix of the op list (the empty
-    prefix is always feasible). linear_scan=True instead walks prefixes from
-    longest to shortest, for instances where the feasibility monotonicity the
-    binary search relies on is in doubt.
+    prefix is always feasible).
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -185,45 +182,37 @@ def sum_dispersion_approx_k(
     def probe(j: int) -> tuple[CandidateSet, bool]:
         return cost_greedy_assign(ctx, budget, k, oplist[:j])
 
-    if linear_scan:
-        for j in range(m, -1, -1):
-            cands, ok = probe(j)
-            if ok:
-                break
-    else:
-        lo, hi = 0, m
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if probe(mid)[1]:
-                lo = mid
-            else:
-                hi = mid - 1
-        cands, _ = probe(lo)
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if probe(mid)[1]:
+            lo = mid
+        else:
+            hi = mid - 1
+    cands, _ = probe(lo)
     return cands, cands.sum_dispersion()
 
 
-def sum_dispersion_small_dstar(
-    ctx: MedianContext, budget: Budget, k: int, candidates: Sequence[Word]
-) -> CandidateSet:
+def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> CandidateSet:
     """Greedy pairwise-sum pick of k pool members (duplicates fill shortfalls).
 
     Farthest-pair matching while two or more seats remain, then single
     insertions maximizing the summed distance to the chosen set. Half the
     optimum on every pool small enough to check exhaustively; no stronger
-    claim is made. Memory is O(p*d) plus one distance block: each matching
-    round streams farthest_pair over the available strings, and a running
-    vector holds the summed distances for the insertions.
+    claim is made. Memory is the pool's p*d code bytes plus one distance
+    block: each matching round streams farthest_pair over the available
+    strings, and a running vector holds the summed distances for the
+    insertions. Only the k chosen rows are decoded.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    pool = list(candidates)
-    if not pool:
+    if pool.n == 0:
         raise ValidationError("candidate pool is empty")
-    if len(pool) == 1 or k == 1:
-        return CandidateSet.from_members(ctx.freq, [pool[0]] * k)
+    if pool.n == 1 or k == 1:
+        return CandidateSet.from_members(ctx.freq, pool.decode([0] * k))
 
-    codes = _encode_pool(pool)
-    avail = np.ones(len(pool), dtype=bool)
+    codes = pool.codes
+    avail = np.ones(pool.n, dtype=bool)
     chosen: list[int] = []
     while k - len(chosen) >= 2 and avail.sum() >= 2:
         i, j = farthest_pair(codes, np.flatnonzero(avail))
@@ -231,13 +220,13 @@ def sum_dispersion_small_dstar(
             break
         chosen.extend(sorted((i, j)))
         avail[i] = avail[j] = False
-    gains = np.zeros(len(pool), dtype=np.int64)  # summed distance to the chosen
+    gains = np.zeros(pool.n, dtype=np.int64)  # summed distance to the chosen
     for c in chosen:
         gains += distances_to(codes, c)
     while len(chosen) < k:
         chosen.append(int(np.argmax(gains)))  # duplicates allowed: argmax over all
         gains += distances_to(codes, chosen[-1])
-    return CandidateSet.from_members(ctx.freq, [pool[i] for i in chosen])
+    return CandidateSet.from_members(ctx.freq, pool.decode(chosen))
 
 
 def sum_dispersion_dispatch(
@@ -261,11 +250,11 @@ def sum_dispersion_dispatch(
         cands, _ = sum_dispersion_approx_k(ctx, budget, k)
         return cands, "density"
     try:
-        pool = enumerate_approx_medians(ctx, budget, limits)
+        pool = approx_median_pool(ctx, budget, limits)
     except CapExceeded:
         cands, _ = sum_dispersion_approx_k(ctx, budget, k)
         return cands, "density_fallback"
-    return sum_dispersion_small_dstar(ctx, budget, k, pool), "enumeration"
+    return sum_dispersion_small_dstar(ctx, k, pool), "enumeration"
 
 
 def make_distinct(ctx: MedianContext, cands: CandidateSet) -> tuple[CandidateSet, bool]:

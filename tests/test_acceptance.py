@@ -91,7 +91,7 @@ def test_criterion_03_approx_diameter_matches_brute():
         eps = rng.choice([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
         budget = dm.Budget.make(eps, ctx.opt)
         try:
-            pool = dm.enumerate_approx_medians(ctx, budget, limits)
+            pool = dm.approx_median_pool(ctx, budget, limits)
         except dm.CapExceeded:
             continue
         res = dm.approx_diameter_pair(ctx, budget)
@@ -103,8 +103,8 @@ def test_criterion_03_approx_diameter_matches_brute():
     for symbols, d in ((("a", "b", "c"), 8), (("a", "b"), 13)):
         ctx = dm.context_from_strings(tie_block(symbols, d))
         budget = dm.Budget.make(0, ctx.opt)
-        pool = dm.enumerate_approx_medians(ctx, budget, limits)
-        assert len(pool) <= 10**4
+        pool = dm.approx_median_pool(ctx, budget, limits)
+        assert pool.n <= 10**4
         res = dm.approx_diameter_pair(ctx, budget)
         assert res.diameter == dm.brute_diameter(pool, limits)
     elapsed = time.perf_counter() - t0
@@ -154,8 +154,8 @@ def test_criterion_05_sum_dispersion_exact_construction():
                 row[col] = sigma[r % gamma]
             rows.append("".join(row))
         ctx = dm.context_from_strings(rows, alphabet=sigma)
-        pool = dm.enumerate_exact_medians(ctx.freq)
-        assert len(pool) <= 4
+        pool = dm.exact_median_pool(ctx.freq)
+        assert pool.n <= 4
         for k in range(2, 5):
             cs = dm.sum_dispersion_exact_k(ctx, ctx.freq, k)
             assert dm.sum_dispersion(cs.members) == dm.brute_sumdp_k(pool, k)
@@ -187,7 +187,7 @@ def test_criterion_06_density_guarantees():
         eps = rng.choice([Fraction(0), Fraction(1, 3), Fraction(1, 2)])
         budget = dm.Budget.make(eps, ctx.opt)
         try:
-            pool = dm.enumerate_approx_medians(ctx, budget, limits)
+            pool = dm.approx_median_pool(ctx, budget, limits)
         except dm.CapExceeded:
             continue
         dstar = dm.brute_diameter(pool)
@@ -218,7 +218,7 @@ def test_criterion_07_min_dispersion_dps_match_brute():
         rows = accept_rows(rng, n, d, sigma)
         ctx = dm.context_from_strings(rows, alphabet=sigma)
         try:
-            pool = dm.enumerate_exact_medians(ctx.freq, limits)
+            pool = dm.exact_median_pool(ctx.freq, limits)
         except dm.CapExceeded:
             continue
         k = int(rng.integers(2, 4))
@@ -239,7 +239,7 @@ def test_criterion_07_min_dispersion_dps_match_brute():
         eps = rng.choice([Fraction(1, 3), Fraction(1, 2)])
         budget = dm.Budget.make(eps, ctx.opt)
         try:
-            pool = dm.enumerate_approx_medians(ctx, budget, limits)
+            pool = dm.approx_median_pool(ctx, budget, limits)
         except dm.CapExceeded:
             continue
         k = int(rng.integers(2, 4))
@@ -341,15 +341,15 @@ def test_criterion_10_tstar_upper_bound():
         eps = rng.choice([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
         budget = dm.Budget.make(eps, ctx.opt)
         try:
-            pool = dm.enumerate_approx_medians(
+            pool = dm.approx_median_pool(
                 ctx, budget, dm.EnumerationLimits(2000, 10**7, 10**7)
             )
         except dm.CapExceeded:
             continue
         upper = dm.tstar_upper_bound(ctx, budget)
-        if len(pool) >= 2:
+        if pool.n >= 2:
             assert Fraction(dm.brute_mindp_k(pool, 2)) <= upper
-        if 3 <= len(pool) <= 300:  # keep the k=3 brute force affordable
+        if 3 <= pool.n <= 300:  # keep the k=3 brute force affordable
             assert Fraction(dm.brute_mindp_k(pool, 3)) <= upper
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -397,8 +397,8 @@ def test_criterion_12_lp_pipeline():
         ctx = dm.context_from_strings(rows, alphabet="abc")
         eps = rng.choice([Fraction(0), Fraction(1, 2), Fraction(1)])
         budget = dm.Budget.make(eps, ctx.opt)
-        pool = dm.enumerate_approx_medians(ctx, budget, dm.DEFAULT_LIMITS)
-        if len(pool) < 2:
+        pool = dm.approx_median_pool(ctx, budget, dm.DEFAULT_LIMITS)
+        if pool.n < 2:
             continue
         tstar = dm.brute_mindp_k(pool, 2, dm.DEFAULT_LIMITS)
         model = dm.build_ilp(ctx, budget, 2)
@@ -419,7 +419,7 @@ def test_criterion_12_lp_pipeline():
     for rows, k in families:
         ctx = dm.context_from_strings(rows)
         budget = dm.Budget.make(0, ctx.opt)
-        pool = dm.enumerate_approx_medians(ctx, budget, dm.DEFAULT_LIMITS)
+        pool = dm.approx_median_pool(ctx, budget, dm.DEFAULT_LIMITS)
         tstar = dm.brute_mindp_k(pool, k, dm.DEFAULT_LIMITS)
         cap = (1 + budget.epsilon + delta) * ctx.opt
         for seed in range(10):

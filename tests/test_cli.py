@@ -1,13 +1,17 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from diverse_medians import CandidateSet, DEFAULT_LIMITS, ValidationError, cli
+
+from conftest import tie_columns_rows
 
 
 def make_config(**kw):
@@ -479,3 +483,26 @@ def test_scipy_loads_only_when_the_lp_runs(ties_path):
     assert proc.returncode == 0, proc.stderr
     # import, cli import and the median run stay scipy-free; the LP run loads it
     assert proc.stdout.strip() == "[False, False, False, True]"
+
+
+@pytest.mark.parametrize("objective, seconds, digest", [
+    ("min-dispersion", 4.0, "d1f04939235e0c1fac338997a63e3c53ec348e3609a81df0ebe0894743cf2bb4"),
+    ("sum-dispersion", 8.0, "e26305dd306263ca3cb08e711ef46534072c5990f2dad2311bde7bfdc403d711"),
+], ids=["min-dispersion", "sum-dispersion"])
+def test_main_greedy_over_a_65536_string_pool(objective, seconds, digest, tmp_path,
+                                              monkeypatch, capsys):
+    # 16 binary tie columns in 1000: the greedy picks k = 4 of 2^16 exact
+    # medians, under the default max_candidates. The digests are those of the
+    # documents from list-of-tuples pools (10.1 s and 14.6 s on the machine
+    # that recorded them); the config records the input path, hence the chdir.
+    monkeypatch.chdir(tmp_path)
+    Path("rows.txt").write_text("\n".join(tie_columns_rows()) + "\n")
+    t0 = time.perf_counter()
+    code, _, err = run_main(
+        ["--objective", objective, "--strategy", "greedy", "--k", "4",
+         "--input", "rows.txt", "--output", "doc.json"], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 0, err
+    assert json.loads(Path("doc.json").read_text())["strategy_tag"] == "greedy"
+    assert hashlib.sha256(Path("doc.json").read_bytes()).hexdigest() == digest
+    assert elapsed < seconds, f"{objective}: {elapsed:.2f} s"

@@ -9,9 +9,9 @@ from diverse_medians import (
     Budget,
     DEFAULT_LIMITS,
     approx_diameter_pair,
+    approx_median_pool,
     brute_diameter,
     context_from_strings,
-    enumerate_approx_medians,
     exact_diameter_pair,
     hamming,
     is_approx_median,
@@ -80,7 +80,7 @@ def test_approx_equals_brute_on_enumerable_pools(rng):
         ctx = context_from_strings(rows, alphabet=sigma)
         eps = Fraction(int(rng.integers(0, 5)), 4)
         b = Budget.make(eps, ctx.opt)
-        pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
+        pool = approx_median_pool(ctx, b, DEFAULT_LIMITS)
         res = approx_diameter_pair(ctx, b)
         assert res.diameter == brute_diameter(pool)
         assert hamming(*res.pair) == res.diameter
@@ -108,7 +108,7 @@ def test_partition_branch_instance():
     b = Budget.make(Fraction(5, ctx.opt), ctx.opt)
     assert b.floor == 5
     res = approx_diameter_pair(ctx, b)
-    pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
+    pool = approx_median_pool(ctx, b, DEFAULT_LIMITS)
     assert res.branch == "partitioned_T1T2"
     assert res.diameter == brute_diameter(pool) == 4
 

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from diverse_medians import (
     Budget,
     DEFAULT_LIMITS,
+    Dataset,
     InfeasibleError,
     ValidationError,
+    approx_median_pool,
     build_ilp,
     brute_mindp_k,
     context_from_strings,
     dependent_round,
-    enumerate_approx_medians,
     lp_min_dispersion,
     median_cost,
     solve_lp_relaxation,
@@ -187,8 +188,8 @@ def test_lp_value_dominates_brute_tstar(rng):
         ctx = context_from_strings(rows, alphabet="abc")
         eps = Fraction(int(rng.integers(0, 3)), 2)
         b = Budget.make(eps, ctx.opt)
-        pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
-        if len(pool) < 2:
+        pool = approx_median_pool(ctx, b, DEFAULT_LIMITS)
+        if pool.n < 2:
             continue
         tstar = brute_mindp_k(pool, 2, DEFAULT_LIMITS)
         m = build_ilp(ctx, b, 2)
@@ -212,7 +213,8 @@ def test_exhaustive_model_space_solve_matches_oracle(rng):
             s for s in product(*m.ranked_chars)
             if ctx.opt <= median_cost(ctx, s) and Fraction(median_cost(ctx, s)) <= cap
         ]
-        pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
+        pool = approx_median_pool(ctx, b, DEFAULT_LIMITS)
+        space = Dataset.from_strings(space, alphabet=ctx.alphabet)
         assert brute_mindp_k(space, k, DEFAULT_LIMITS) == brute_mindp_k(
             pool, k, DEFAULT_LIMITS
         )
@@ -431,7 +433,7 @@ def test_pipeline_on_tie_rich_instance():
     ctx = context_from_strings(["aaaa", "bbbb", "cccc"], alphabet="abc")
     b = Budget.make(0, ctx.opt)
     delta, eta = Fraction(1, 4), Fraction(1, 8)
-    pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
+    pool = approx_median_pool(ctx, b, DEFAULT_LIMITS)
     tstar = brute_mindp_k(pool, 3, DEFAULT_LIMITS)
     hits = 0
     for seed in range(10):

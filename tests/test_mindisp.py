@@ -18,9 +18,9 @@ from diverse_medians import (
     approx_diameter_pair,
     bound_certificate,
     brute_mindp_k,
+    approx_median_pool,
     context_from_strings,
-    enumerate_approx_medians,
-    enumerate_exact_medians,
+    exact_median_pool,
     greedy_dispersion,
     hamming,
     is_approx_median,
@@ -48,7 +48,7 @@ def test_dp_exact_matches_brute(rng):
         ctx = context_from_strings(rows, alphabet="ab")
         for k in (2, 3):
             val, cands = min_disp_dp_exact(ctx.freq, k)
-            pool = enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS)
+            pool = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
             assert val == brute_mindp_k(pool, k, DEFAULT_LIMITS)
             assert cands.min_dispersion() == val
             assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
@@ -62,7 +62,7 @@ def test_dp_approx_matches_brute(rng):
         b = Budget.make(eps, ctx.opt)
         for k in (2, 3):
             val, cands = min_disp_dp_approx(ctx, b, k)
-            pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
+            pool = approx_median_pool(ctx, b, DEFAULT_LIMITS)
             assert val == brute_mindp_k(pool, k, DEFAULT_LIMITS)
             assert all(is_approx_median(ctx, b, s) for s in cands.members)
 
@@ -162,24 +162,39 @@ def test_dp_exact_matches_dict_reference(ctx, k):
     assert (val, cands.members) == dict_dp_exact(ctx.freq, k)
 
 
-# the dict reference walks |alphabet|^k assignments per column, so k = 4
-# runs over the small alphabets only
+EPSILONS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+
+
+def small_budget_case(ctx):
+    """(ctx, 4, eps) with an eps whose budget B = floor(eps * opt) is at most 1."""
+    fits = [eps for eps in EPSILONS if Budget.make(eps, ctx.opt).floor <= 1]
+    return st.tuples(st.just(ctx), st.just(4), st.sampled_from(fits))
+
+
+# the dict reference walks |alphabet|^k assignments per column and carries
+# (B+1)^k cost digits per state, so k = 4 runs over two symbols at every
+# eps, and over four symbols only at B <= 1 (eps = 0 always qualifies)
 @settings(max_examples=120, deadline=None)
 @given(
     st.one_of(
-        st.tuples(dp_instances((2, 4, 20)), st.sampled_from([2, 3])),
-        st.tuples(dp_instances((2, 4)), st.just(4)),
-    ),
-    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+        st.tuples(dp_instances((2, 4, 20)), st.sampled_from([2, 3]), st.sampled_from(EPSILONS)),
+        st.tuples(dp_instances((2,)), st.just(4), st.sampled_from(EPSILONS)),
+        dp_instances((4,)).flatmap(small_budget_case),
+    )
 )
-def test_dp_approx_matches_dict_reference(case, eps):
-    ctx, k = case
+def test_dp_approx_matches_dict_reference(case):
+    ctx, k, eps = case
     b = Budget.make(eps, ctx.opt)
     try:
         val, cands = min_disp_dp_approx(ctx, b, k)
     except CapExceeded:
-        # only the precheck refuses, before any layer is built
-        assert (ctx.d + 1) ** (1 + k * (k - 1) // 2) * (b.floor + 1) ** k > 10**7
+        # only the precheck refuses, before any layer is built: T counts the
+        # columns with two or more symbols of cost <= B
+        top = sum(
+            sum(ctx.char_cost(i, a) <= b.floor for a in ctx.alphabet) >= 2
+            for i in range(ctx.d)
+        )
+        assert (ctx.d + 1) * (top + 1) ** (k * (k - 1) // 2) * (b.floor + 1) ** k > 10**7
         return
     assert (val, cands.members) == dict_dp_approx(ctx, b, k)
 
@@ -305,10 +320,11 @@ def test_greedy_k2_returns_farthest_pair(rng):
     for _ in range(20):
         rows = random_rows(rng, sigma="ab")
         ctx = context_from_strings(rows, alphabet="ab")
-        pool = enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS)
+        pool = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
         cs = greedy_dispersion(pool, 2, ctx.freq)
+        words = pool.strings
         best = max(
-            hamming(a, b) for i, a in enumerate(pool) for b in pool[i:]
+            hamming(a, b) for i, a in enumerate(words) for b in words[i:]
         )
         assert cs.min_dispersion() == best
 
@@ -317,7 +333,7 @@ def test_greedy_half_guarantee(rng):
     for _ in range(25):
         rows = random_rows(rng, sigma="ab", d=int(rng.integers(2, 6)))
         ctx = context_from_strings(rows, alphabet="ab")
-        pool = enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS)
+        pool = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
         k = 3
         cs = greedy_dispersion(pool, k, ctx.freq)
         tstar = brute_mindp_k(pool, k, DEFAULT_LIMITS)

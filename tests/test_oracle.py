@@ -1,6 +1,9 @@
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,9 @@ from hypothesis import strategies as st
 from diverse_medians import (
     Budget,
     CapExceeded,
+    Dataset,
     EnumerationLimits,
+    approx_median_pool,
     brute_diameter,
     brute_max_code_size,
     brute_mindp_k,
@@ -16,11 +21,12 @@ from diverse_medians import (
     context_from_strings,
     enumerate_approx_medians,
     enumerate_exact_medians,
+    exact_median_pool,
     median_cost,
 )
 from diverse_medians.oracle import DEFAULT_LIMITS, pairwise_hamming_matrix
 
-from conftest import random_rows
+from conftest import pool_contexts, random_rows, tie_columns_rows
 
 
 def words(strs):
@@ -83,6 +89,125 @@ def test_approx_pool_closed_under_direct_cost_refilter(rng):
         pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
         for s in pool:
             assert b.within(ctx.freq.direct_cost(s) - ctx.opt)
+
+
+# The tuple-emitting enumerators the code-matrix pools replaced, kept as
+# their references: a product over the majority sets, and a depth-first walk
+# over every index with an explicit stack.
+
+
+def product_exact_medians(freq, limits):
+    size = 1
+    for gamma in freq.majority_sets:
+        size *= len(gamma)
+        if size > limits.max_candidates:
+            raise CapExceeded("pool over max_candidates")
+    return [tuple(p) for p in product(*freq.majority_sets)]
+
+
+def stack_approx_medians(ctx, budget, limits):
+    cap = budget.floor
+    choices = []
+    for i in range(ctx.d):
+        opts = [(0, ctx.w[i])]
+        for a in ctx.alphabet:
+            if a != ctx.w[i]:
+                opts.append((ctx.per_char_cost[i][a], a))
+        opts.sort(key=lambda ca: (ca[0], ctx.alphabet.index(ca[1])))
+        choices.append(opts)
+    pool, prefix = [], []
+    spent, todo = [0], [iter(choices[0])]
+    last = ctx.d - 1
+    while todo:
+        i = len(prefix)
+        for cost, a in todo[i]:
+            used = spent[i] + cost
+            if used > cap:
+                break
+            if i < last:
+                prefix.append(a)
+                spent.append(used)
+                todo.append(iter(choices[i + 1]))
+                break
+            pool.append((*prefix, a))
+            if len(pool) > limits.max_candidates:
+                raise CapExceeded("pool over max_candidates")
+        if len(prefix) == i:
+            todo.pop()
+            spent.pop()
+            if prefix:
+                prefix.pop()
+    return pool
+
+
+def decoded_or_cap(build, *args):
+    try:
+        pool = build(*args)
+    except CapExceeded:
+        return "CapExceeded"
+    return list(pool.strings) if isinstance(pool, Dataset) else pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool_contexts(),
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+    st.integers(1, 3000),
+)
+def test_pools_match_the_tuple_references(ctx, eps, max_candidates):
+    limits = EnumerationLimits(max_candidates=max_candidates)
+    b = Budget.make(eps, ctx.opt)
+    for pool, reference, args in (
+        (exact_median_pool, product_exact_medians, (ctx.freq, limits)),
+        (approx_median_pool, stack_approx_medians, (ctx, b, limits)),
+    ):
+        want = decoded_or_cap(reference, *args)
+        assert decoded_or_cap(pool, *args) == want  # contents and order, or the cap
+        if want != "CapExceeded":
+            built = pool(*args)
+            assert built.alphabet == ctx.alphabet
+            assert built.codes.dtype == np.min_scalar_type(len(ctx.alphabet))
+    assert decoded_or_cap(enumerate_exact_medians, ctx.freq, limits) == decoded_or_cap(
+        product_exact_medians, ctx.freq, limits)
+    assert decoded_or_cap(enumerate_approx_medians, ctx, b, limits) == decoded_or_cap(
+        stack_approx_medians, ctx, b, limits)
+
+
+def pool_cases():
+    """(name, build, cells, seconds): the pools of the memory test."""
+    ties = context_from_strings(tie_columns_rows())
+    zero = Budget.make(0, ties.opt)
+    # a...a, a...a, b...b at d = 120: each b costs 1, B = 2 admits every
+    # string with at most two b's, 1 + 120 + 7140 = 7261 rows
+    d = 120
+    few = context_from_strings(["a" * d, "a" * d, "b" * d])
+    two = Budget.make(Fraction(2, few.opt), few.opt)
+    assert two.floor == 2
+    return [
+        ("exact, 16 tie columns", lambda: exact_median_pool(ties.freq), 2**16 * 1000, 1.0),
+        ("approx at eps=0, 16 tie columns", lambda: approx_median_pool(ties, zero),
+         2**16 * 1000, 2.0),
+        ("approx at B=2, d=120", lambda: approx_median_pool(few, two), 7261 * d, None),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["exact", "approx-eps0", "approx-B2"])
+def test_pools_stay_within_two_bytes_per_cell(case):
+    # a pool is its code matrix, one byte per cell here, plus O(p) integers:
+    # no list of tuples of str (8.05 bytes per cell for the exact pool)
+    name, build, cells, seconds = pool_cases()[case]
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        pool = build()
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pool.n * pool.d == cells
+    assert peak < 2 * cells, f"{name}: {peak / cells:.2f} bytes per cell"
+    if seconds is not None:
+        assert elapsed < seconds, f"{name}: {elapsed:.2f} s"
 
 
 def recursive_approx_medians(ctx, budget, limits):
@@ -159,16 +284,16 @@ def test_enumeration_caps():
 
 
 def test_brute_trio_examples():
-    pool = [tuple("aa"), tuple("ab"), tuple("bb")]
+    pool = Dataset.from_strings(["aa", "ab", "bb"])
     assert brute_diameter(pool) == 2
     assert brute_sumdp_k(pool, 2) == 2
     assert brute_mindp_k(pool, 2) == 2
 
     ctx = context_from_strings(["aa", "ab", "ba", "bb"], alphabet="ab")
-    four = enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS)
+    four = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
     assert brute_diameter(four) == 2
 
-    single = [tuple("ab")]
+    single = Dataset.from_strings(["ab"])
     assert brute_diameter(single) == 0
     assert brute_sumdp_k(single, 2) == 0
     assert brute_mindp_k(single, 2) == 0
@@ -176,7 +301,7 @@ def test_brute_trio_examples():
 
 def test_brute_sumdp_allows_repetition():
     # k=3 from a 2-string pool: best multiset repeats one string -> 2 pairs apart
-    pool = [tuple("aa"), tuple("bb")]
+    pool = Dataset.from_strings(["aa", "bb"])
     assert brute_sumdp_k(pool, 3) == 4
     # minDp over subsets is degenerate at 0 for pool < k
     assert brute_mindp_k(pool, 3) == 0
@@ -185,23 +310,23 @@ def test_brute_sumdp_allows_repetition():
 def test_brute_generic_k_matches_pairwise_reasoning(rng):
     for _ in range(10):
         rows = random_rows(rng, n=4, d=4, sigma="ab")
-        pool = list({tuple(r) for r in rows})
+        pool = Dataset.from_strings(sorted(set(rows)))
         dmat = pairwise_hamming_matrix(pool)
-        k = min(3, len(pool))
+        k = min(3, pool.n)
         got = brute_mindp_k(pool, k, DEFAULT_LIMITS)
-        if k < 2 or len(pool) < k:
+        if k < 2 or pool.n < k:
             continue
         from itertools import combinations
 
         want = max(
             min(dmat[i, j] for i, j in combinations(sub, 2))
-            for sub in combinations(range(len(pool)), k)
+            for sub in combinations(range(pool.n), k)
         )
         assert got == want
 
 
 def test_brute_tuple_caps():
-    pool = [tuple(f"{i:04b}") for i in range(16)]
+    pool = Dataset.from_strings([f"{i:04b}" for i in range(16)])
     with pytest.raises(CapExceeded):
         brute_diameter(pool, EnumerationLimits(10**5, 5, 10**5))
     with pytest.raises(CapExceeded):

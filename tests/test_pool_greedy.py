@@ -1,10 +1,11 @@
 """Streaming pool engines against their matrix-based references.
 
 `greedy_dispersion` and `sum_dispersion_small_dstar` stream their distances
-(core.farthest_pair / core.distances_to). The references below are the
-engines as they were when they built the full p x p matrix with
-`pairwise_hamming_matrix`; the streaming engines must pick the same members
-in the same order, ties included, and stay memory-bounded.
+(core.farthest_pair / core.distances_to) over a pool's code matrix. The
+references below are the engines as they were when they built the full
+p x p matrix with `pairwise_hamming_matrix` over a list of strings; the
+streaming engines must pick the same members in the same order, ties
+included, and stay memory-bounded.
 """
 
 import time
@@ -13,22 +14,29 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverse_medians import (
     Budget,
+    CapExceeded,
+    Dataset,
+    approx_median_pool,
     context_from_strings,
     greedy_dispersion,
     sum_dispersion_small_dstar,
 )
-from diverse_medians.core import distances_to, farthest_pair, _encode_pool
+from diverse_medians.core import distances_to, farthest_pair
 from diverse_medians.oracle import pairwise_hamming_matrix
+
+from conftest import pool_contexts
 
 
 def greedy_reference(pool, k):
     """Max-min greedy on the full distance matrix: member indices."""
     if len(pool) == 1 or k == 1:
         return [0] * k
-    dmat = pairwise_hamming_matrix(pool)
+    dmat = pairwise_hamming_matrix(Dataset.from_strings(pool))
     i, j = divmod(int(np.argmax(dmat)), len(pool))  # row-major first maximum
     chosen = [min(i, j), max(i, j)]
     while len(chosen) < k:
@@ -40,7 +48,7 @@ def sum_reference(pool, k):
     """Farthest-pair matching, then max-sum insertion on the full matrix."""
     if len(pool) == 1 or k == 1:
         return [0] * k
-    dmat = pairwise_hamming_matrix(pool).astype(np.int64)
+    dmat = pairwise_hamming_matrix(Dataset.from_strings(pool)).astype(np.int64)
     p = len(pool)
     avail = np.ones(p, dtype=bool)
     chosen = []
@@ -90,18 +98,20 @@ def pools(rng):
                 yield random_pool(rng, sigma, d, p, distinct=bool(rng.integers(0, 2))), sigma
     for d in (4, 5, 6):
         yield sparse_pool(rng, d, 30), "acgt"
+    # constant columns 0, 2 and 5 around three random ones
+    yield ["c" + s[0] + "g" + s[1:] + "a" for s in random_pool(rng, "acgt", 3, 25, False)], "acgt"
 
 
 def check_pool(pool, alphabet):
     ctx = context_from_strings(pool, alphabet=alphabet)
-    budget = Budget.make(0, ctx.opt)
+    codes = Dataset.from_strings(pool, alphabet=alphabet)
     p = len(pool)
     for k in sorted({1, 2, 3, p, p + 3}):
         want = [pool[i] for i in greedy_reference(pool, k)]
-        got = greedy_dispersion([tuple(s) for s in pool], k, ctx.freq).members
+        got = greedy_dispersion(codes, k, ctx.freq).members
         assert list(got) == [tuple(s) for s in want], (pool, k, "min")
         want = [pool[i] for i in sum_reference(pool, k)]
-        got = sum_dispersion_small_dstar(ctx, budget, k, [tuple(s) for s in pool]).members
+        got = sum_dispersion_small_dstar(ctx, k, codes).members
         assert list(got) == [tuple(s) for s in want], (pool, k, "sum")
 
 
@@ -111,7 +121,29 @@ def test_streaming_engines_match_matrix_references():
     for pool, alphabet in pools(rng):
         check_pool(pool, alphabet)
         checked += 1
-    assert checked == 5 + 2 * 6 * 4 + 3
+    assert checked == 5 + 2 * 6 * 4 + 3 + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pool_contexts(),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.integers(1, 6),
+)
+def test_engines_pick_from_enumerated_pools_as_the_references_do(ctx, eps, k):
+    # the pool as a code matrix straight from enumeration, against the
+    # references on the same pool decoded to strings
+    try:
+        pool = approx_median_pool(ctx, Budget.make(eps, ctx.opt))
+    except CapExceeded:
+        return
+    if pool.n > 400:
+        return  # keep the p x p references cheap
+    words = list(pool.strings)
+    want = [words[i] for i in greedy_reference(words, k)]
+    assert list(greedy_dispersion(pool, k, ctx.freq).members) == want
+    want = [words[i] for i in sum_reference(words, k)]
+    assert list(sum_dispersion_small_dstar(ctx, k, pool).members) == want
 
 
 def test_farthest_pair_blocks_keep_the_first_maximum(monkeypatch):
@@ -123,8 +155,8 @@ def test_farthest_pair_blocks_keep_the_first_maximum(monkeypatch):
             pool = random_pool(rng, "acgt", 5, 30, distinct=False)
         else:
             pool = sparse_pool(rng, 6, 30)
-        codes = _encode_pool(pool)
-        dmat = pairwise_hamming_matrix(pool)
+        codes = Dataset.from_strings(pool).codes
+        dmat = pairwise_hamming_matrix(Dataset.from_strings(pool))
         rows = np.arange(30) if trial % 2 else np.flatnonzero(rng.integers(0, 2, size=30))
         sub = dmat[np.ix_(rows, rows)]
         r, c = divmod(int(np.argmax(sub)), len(rows))
@@ -145,10 +177,9 @@ def test_pool_engines_stay_memory_bounded(engine):
     rng = np.random.default_rng(11)
     ints = np.sort(rng.choice(4**16, size=6000, replace=False))
     digits = (ints[:, None] // 4 ** np.arange(15, -1, -1)) % 4
-    pool = ["".join("ACGT"[c] for c in row) for row in digits]
-    pool = [tuple(s) for s in sorted(pool)]
+    pool = sorted("".join("ACGT"[c] for c in row) for row in digits)
     ctx = context_from_strings(pool[:50] + pool[-50:], alphabet="ACGT")
-    budget = Budget.make(Fraction(0), ctx.opt)
+    pool = Dataset.from_strings(pool, alphabet="ACGT")
     k = 8
     tracemalloc.start()
     t0 = time.perf_counter()
@@ -156,7 +187,7 @@ def test_pool_engines_stay_memory_bounded(engine):
         if engine == "greedy_dispersion":
             cands = greedy_dispersion(pool, k, ctx.freq)
         else:
-            cands = sum_dispersion_small_dstar(ctx, budget, k, pool)
+            cands = sum_dispersion_small_dstar(ctx, k, pool)
         elapsed = time.perf_counter() - t0
         _, peak = tracemalloc.get_traced_memory()
     finally:

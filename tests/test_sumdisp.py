@@ -6,12 +6,13 @@ import pytest
 from diverse_medians import (
     Budget,
     DEFAULT_LIMITS,
+    Dataset,
     EnumerationLimits,
+    approx_median_pool,
     brute_sumdp_k,
     build_oplist,
     context_from_strings,
     cost_greedy_assign,
-    enumerate_approx_medians,
     is_approx_median,
     make_distinct,
     median_cost,
@@ -42,13 +43,13 @@ def test_exact_layout_counts():
 def test_exact_matches_brute_on_tie_instances(rng):
     import itertools
 
-    from diverse_medians import enumerate_exact_medians
+    from diverse_medians import exact_median_pool
 
     for _ in range(30):
         rows = random_rows(rng, sigma="ab", d=int(rng.integers(1, 5)))
         ctx = context_from_strings(rows, alphabet="ab")
-        pool = enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS)
-        if len(pool) > 4:
+        pool = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
+        if pool.n > 4:
             continue
         for k in (2, 3, 4):
             cs = sum_dispersion_exact_k(ctx, ctx.freq, k)
@@ -127,6 +128,17 @@ def test_cost_greedy_empty_prefix_is_k_copies_of_w():
 # --- approximate engine --------------------------------------------------------
 
 
+def linear_scan_reference(ctx, budget, k):
+    """The longest feasible op-list prefix found by walking prefixes from
+    longest to shortest: no reliance on feasibility being monotone in the
+    prefix length, which the binary search assumes."""
+    oplist = build_oplist(ctx, k)
+    for j in range(len(oplist), -1, -1):
+        cands, ok = cost_greedy_assign(ctx, budget, k, oplist[:j])
+        if ok:
+            return cands, cands.sum_dispersion()
+
+
 def test_binary_search_agrees_with_linear_scan(rng):
     for _ in range(40):
         rows = random_rows(rng, sigma="abc")
@@ -135,7 +147,7 @@ def test_binary_search_agrees_with_linear_scan(rng):
         b = Budget.make(eps, ctx.opt)
         k = int(rng.integers(2, 5))
         fast = sum_dispersion_approx_k(ctx, b, k)
-        slow = sum_dispersion_approx_k(ctx, b, k, linear_scan=True)
+        slow = linear_scan_reference(ctx, b, k)
         assert fast[1] == slow[1]
 
 
@@ -156,19 +168,19 @@ def test_small_dstar_half_guarantee(rng):
         rows = random_rows(rng, sigma="ab", d=int(rng.integers(2, 6)))
         ctx = context_from_strings(rows, alphabet="ab")
         b = Budget.make(Fraction(1, 2), ctx.opt)
-        pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
-        if len(pool) > 40:
+        pool = approx_median_pool(ctx, b, DEFAULT_LIMITS)
+        if pool.n > 40:
             continue
         k = 3
-        cs = sum_dispersion_small_dstar(ctx, b, k, pool)
+        cs = sum_dispersion_small_dstar(ctx, k, pool)
         best = brute_sumdp_k(pool, k, DEFAULT_LIMITS)
         assert 2 * cs.sum_dispersion() >= best
 
 
 def test_small_dstar_duplicates_fill_small_pools():
     ctx = context_from_strings(["aa", "aa"], alphabet="ab")
-    b = Budget.make(0, ctx.opt)
-    cs = sum_dispersion_small_dstar(ctx, b, 3, [ctx.w])
+    pool = Dataset.from_strings([ctx.w], alphabet=ctx.alphabet)
+    cs = sum_dispersion_small_dstar(ctx, 3, pool)
     assert cs.members == (ctx.w,) * 3
 
 
