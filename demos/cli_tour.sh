@@ -25,6 +25,12 @@ echo '== three strings picked from that pool, maximize the total spread =='
 diverse-medians --objective sum-dispersion --strategy greedy --input "$tmp/rows.txt" \
     --epsilon 1/2 --k 3
 
+printf 'AC,GT,AC\nGT,GT,AC\nAC,AC,GT\nAC,GT,GT\n' > "$tmp/cells.csv"
+
+echo '== CSV cells as symbols: strings render as lists of cells =='
+diverse-medians --objective sum-dispersion --format csv --input "$tmp/cells.csv" \
+    --epsilon 1/2 --k 3
+
 echo '== standalone combinatorial bound, no dataset needed =='
 diverse-medians --objective bound --sizes 2,2,2,2 --t 3
 

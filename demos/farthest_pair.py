@@ -24,8 +24,8 @@ from diverse_medians import (
 # Exact route: with zero budget the answer is just the number of tied
 # columns, realized by two complementary tie picks.
 ctx = context_from_strings(["acac", "caca", "aacc", "ccaa"])
-res = exact_diameter_pair(ctx, ctx.freq)
-print("tie columns:", len(ctx.freq.tie_set), "-> exact diameter", res.diameter)
+res = exact_diameter_pair(ctx)
+print("tie columns:", int((ctx.majority_sizes >= 2).sum()), "-> exact diameter", res.diameter)
 print("  pair:", word_str(res.pair[0]), word_str(res.pair[1]))
 
 # Budgeted route: the pair splits its deviations over disjoint index sets,

@@ -42,4 +42,4 @@ for eps in (Fraction(0), Fraction(1, 6), Fraction(1, 3)):
 # With ties, even eps = 0 gives more than one exact median.
 tied = context_from_strings(["ab", "ba"])
 print("tied instance medians:",
-      [word_str(s) for s in enumerate_exact_medians(tied.freq)])
+      [word_str(s) for s in enumerate_exact_medians(tied)])

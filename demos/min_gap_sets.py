@@ -25,8 +25,8 @@ from diverse_medians import (
 from diverse_medians.cli import STRATEGY_TABLE
 
 ctx = context_from_strings(["abb", "bab", "bba", "aaa"], alphabet="ab")
-value, cs = min_disp_dp_exact(ctx.freq, 2)
-pool = exact_median_pool(ctx.freq)
+value, cs = min_disp_dp_exact(ctx, 2)
+pool = exact_median_pool(ctx)
 print("DP minDp =", value, "| brute =", brute_mindp_k(pool, 2),
       "| picks:", [word_str(s) for s in cs.members])
 
@@ -34,7 +34,7 @@ print("DP minDp =", value, "| brute =", brute_mindp_k(pool, 2),
 # sampling gets within (1-delta) of the tie mass with failure prob eta.
 wide = context_from_strings(["0" * 40, "1" * 40], alphabet="01")
 cfg = SampleConfig(k=4, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=0)
-cs, mindp = sample_exact_medians(wide.freq, cfg)
+cs, mindp = sample_exact_medians(wide, cfg)
 print("sampled k=4 on 40 tie columns: minDp =", mindp, "(floor 10)")
 
 # The generalized Plotkin bound certifies impossibility: no 4 words over
@@ -47,7 +47,7 @@ print("binary sanity:", plotkin_bound((2,) * 8, 5), "== 5")
 # The dispatcher returns the candidate set and the tag of the strategy it
 # ran; the CLI's strategy table holds each tag's guarantee and cost class.
 result, strategy = min_dispersion_dispatch_exact(
-    wide.freq, 4, Fraction(1, 2), Fraction(1, 8), seed=1
+    wide, 4, Fraction(1, 2), Fraction(1, 8), seed=1
 )
 print("dispatcher chose:", strategy, "-> minDp", result.min_dispersion())
 guarantee, cost_class = STRATEGY_TABLE["min-dispersion", "exact", strategy]

@@ -23,10 +23,10 @@ from diverse_medians import (
 # On tied columns the optimum splits the k picks as evenly as possible over
 # each tie set -- that per-column layout is provably the global maximum.
 ctx = context_from_strings(["ax", "bx", "cx"], alphabet="abcx")
-cs = sum_dispersion_exact_k(ctx, ctx.freq, 5)
+cs = sum_dispersion_exact_k(ctx, 5)
 print("exact k=5 layout:", [word_str(s) for s in cs.members])
 print("  sumDp =", sum_dispersion(cs.members),
-      " oracle =", brute_sumdp_k(exact_median_pool(ctx.freq), 5))
+      " oracle =", brute_sumdp_k(exact_median_pool(ctx), 5))
 
 # Budgeted version: spend the eps budget where the dispersion gained per
 # unit of cost (the density) is highest.

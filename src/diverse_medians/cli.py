@@ -20,7 +20,10 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
+    BLOCK_BYTES,
     Budget,
     CandidateSet,
     CapExceeded,
@@ -263,6 +266,25 @@ def _render_word(word: Word, joined: bool):
     return word_str(word) if joined else list(word)
 
 
+def _render_pool(pool: Dataset, joined: bool) -> list:
+    """Every pool string rendered as _render_word would, decoded one block of
+    at most BLOCK_BYTES of rows at a time: never the whole pool as symbols."""
+    step = max(1, BLOCK_BYTES // (8 * pool.d))
+    if joined:
+        points = np.array([ord(a) for a in pool.alphabet], dtype=np.uint32)
+    else:
+        symbols = np.array(pool.alphabet, dtype=object)
+    out: list = []
+    for lo in range(0, pool.n, step):
+        block = pool.codes[lo : lo + step]
+        if joined:  # one text of the block's rows, cut into rows
+            text = points[block].tobytes().decode("utf-32-le", "surrogatepass")
+            out.extend(text[j : j + pool.d] for j in range(0, len(text), pool.d))
+        else:
+            out.extend(symbols[block].tolist())
+    return out
+
+
 def _fraction_str(x: Fraction) -> str:
     return str(Fraction(x))
 
@@ -307,7 +329,7 @@ def _sum_auto(ctx, budget, c, doc):
 
 
 def _sum_exact_construction(ctx, budget, c, doc):
-    return sum_dispersion_exact_k(ctx, ctx.freq, c.k), "exact-construction"
+    return sum_dispersion_exact_k(ctx, c.k), "exact-construction"
 
 
 def _sum_greedy(ctx, budget, c, doc):
@@ -317,7 +339,7 @@ def _sum_greedy(ctx, budget, c, doc):
 
 def _min_auto(ctx, budget, c, doc):
     if c.epsilon == 0:
-        return min_dispersion_dispatch_exact(ctx.freq, c.k, c.delta, c.eta, c.seed,
+        return min_dispersion_dispatch_exact(ctx, c.k, c.delta, c.eta, c.seed,
                                              limits=c.limits)
     return min_dispersion_dispatch_approx(ctx, budget, c.k, c.delta, c.eta, c.seed,
                                           limits=c.limits)
@@ -325,7 +347,7 @@ def _min_auto(ctx, budget, c, doc):
 
 def _min_dp(ctx, budget, c, doc):
     if c.epsilon == 0:
-        _, cands = min_disp_dp_exact(ctx.freq, c.k, limits=c.limits)
+        _, cands = min_disp_dp_exact(ctx, c.k, limits=c.limits)
     else:
         _, cands = min_disp_dp_approx(ctx, budget, c.k, limits=c.limits)
     return cands, "dp"
@@ -333,16 +355,16 @@ def _min_dp(ctx, budget, c, doc):
 
 def _min_greedy(ctx, budget, c, doc):
     if c.epsilon == 0:
-        pool = exact_median_pool(ctx.freq, c.limits)
+        pool = exact_median_pool(ctx, c.limits)
     else:
         pool = approx_median_pool(ctx, budget, c.limits)
-    return greedy_dispersion(pool, c.k, ctx.freq), "greedy"
+    return greedy_dispersion(pool, c.k, ctx), "greedy"
 
 
 def _min_sample(ctx, budget, c, doc):
     cfg = SampleConfig(k=c.k, delta=c.delta, eta=c.eta, seed=c.seed)
     if c.epsilon == 0:
-        cands, _ = sample_exact_medians(ctx.freq, cfg)
+        cands, _ = sample_exact_medians(ctx, cfg)
     else:
         cands, _ = sample_approx_medians(ctx, approx_diameter_pair(ctx, budget), cfg)
     return cands, "sample"
@@ -443,7 +465,7 @@ def run(config: RunConfig) -> dict:
 
     if config.objective == "diameter":
         if config.epsilon == 0:
-            res = exact_diameter_pair(ctx, ctx.freq)
+            res = exact_diameter_pair(ctx)
             cap, cls = _class_cap("exact", config, ctx.opt)
             doc["guarantee"] = f"exact diameter over exact medians; {cls}"
         else:
@@ -475,7 +497,7 @@ def run(config: RunConfig) -> dict:
         else:
             doc["objective_value"] = cands.min_dispersion()
             doc["certificates"] = _certificates(
-                bound_certificate(ctx, budget, t=cands.min_dispersion()))
+                bound_certificate(ctx, budget, t=doc["objective_value"]))
         return doc
 
     if config.objective == "bound":
@@ -493,11 +515,11 @@ def run(config: RunConfig) -> dict:
     if config.oracle_op not in ORACLE_OPS:
         raise ValidationError(f"unknown oracle op {config.oracle_op!r}")
     if config.oracle_op == "exact-medians":
-        pool = exact_median_pool(ctx.freq, config.limits)
+        pool = exact_median_pool(ctx, config.limits)
     else:
         pool = approx_median_pool(ctx, budget, config.limits)
     if config.oracle_op in ("exact-medians", "approx-medians"):
-        doc["strings"] = [_render_word(s, joined) for s in pool.strings]
+        doc["strings"] = _render_pool(pool, joined)
         doc["objective_value"] = pool.n
     else:
         doc["pool_size"] = pool.n

@@ -1,17 +1,18 @@
 """Foundational types and exact arithmetic for string datasets and medians.
 
 Everything downstream (diameter pairs, dispersion maximizers, LP rounding,
-oracles) builds on the objects here: the dataset, per-index frequency tables,
-the most-frequent-character string ``w`` and its second-choice companion,
-the optimal objective value ``opt``, exact rational deviation budgets, and
-candidate sets with cached costs and per-index character counts.
+oracles) builds on the objects here: the integer-coded dataset, the median
+context (one (d, |Σ|) table of symbol counts, with the deviation costs and
+the per-index symbol ranks that give ``w``, its second-choice companion and
+``opt``), exact rational deviation budgets, and candidate sets.
 
 All budget comparisons are exact integer comparisons (cross-multiplied
 rationals); no float ever decides feasibility.
 
-An enumerated pool of candidate strings is a ``Dataset`` too: its (p, d)
-code matrix over the context's alphabet, decoded only for the strings an
-engine returns. The pool kernels at the end (``farthest_pair``,
+Strings stay symbol codes from ingest to the k picks: an enumerated pool of
+candidate strings is a ``Dataset`` (its (p, d) code matrix over the
+context's alphabet), and so are the members of a candidate set, decoded only
+when read as symbols. The pool kernels at the end (``farthest_pair``,
 ``distances_to``) give the greedy engines Hamming distances over that matrix
 without ever holding a pool-by-pool matrix.
 """
@@ -19,6 +20,7 @@ without ever holding a pool-by-pool matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -52,13 +54,6 @@ class InternalError(RuntimeError):
     """A violated internal invariant: a bug in this package, not in the input."""
 
 
-def as_word(s: Sequence[Symbol] | str) -> Word:
-    """Normalize a plain string or symbol sequence to a tuple of symbols."""
-    if isinstance(s, tuple):
-        return s
-    return tuple(s)
-
-
 def word_str(word: Word) -> str:
     """Join a word for display when all symbols are single characters."""
     return "".join(word)
@@ -89,13 +84,8 @@ class Dataset:
     @property
     def strings(self) -> tuple[Word, ...]:
         """The strings as tuples of symbols, decoded on each access."""
-        return self.decode(slice(None))
-
-    def decode(self, rows: slice | Sequence[int]) -> tuple[Word, ...]:
-        """The strings at `rows` (a slice or a sequence of indices, repeats
-        allowed) as tuples of symbols."""
         symbols = np.array(self.alphabet, dtype=object)
-        return tuple(map(tuple, symbols[self.codes[rows]].tolist()))
+        return tuple(map(tuple, symbols[self.codes].tolist()))
 
     @classmethod
     def from_strings(
@@ -126,7 +116,7 @@ class Dataset:
         if alpha is not None and codes.max() == len(alpha):
             r, i = divmod(int((codes == len(alpha)).argmax()), d)
             raise ValidationError(
-                f"string {r + 1} uses symbol {as_word(rows[r])[i]!r} outside the declared alphabet"
+                f"string {r + 1} uses symbol {rows[r][i]!r} outside the declared alphabet"
             )
         return cls(codes=codes, alphabet=symbols, alphabet_inferred=alpha is None)
 
@@ -175,52 +165,27 @@ def _encode_cells(
     return np.array(flat, dtype=np.min_scalar_type(len(alphabet))), alphabet
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Per-index symbol counts and majority sets.
+@dataclass(frozen=True, eq=False)
+class MedianContext:
+    """A dataset's (d, |Σ|) symbol-count table and everything the median space
+    derives from it, all indexed by symbol code.
 
-    ``majority_sets[i]`` lists every symbol attaining the maximum count at
-    index i, in global symbol order; ties there are what make multiple exact
-    medians possible.
+    ``counts[i, a]`` is how many strings hold symbol a at index i, and
+    ``cost[i, a] = max(counts[i]) - counts[i, a]`` is the objective increase
+    from placing a at index i instead of w_i: 0 exactly on the majority set.
+    ``rank[i]`` lists the symbols at index i by ascending cost, alphabet order
+    on ties, so ``rank[i, 0]`` is w_i, the most frequent symbol, and
+    ``rank[i, 1]`` the second choice w_hat_i; the majority set at i is
+    ``rank[i, :g_i]`` with g_i = ``majority_sizes[i]``, in alphabet order.
+    Tie-breaks everywhere use the dataset's alphabet order, so all of it is
+    deterministic. Contexts compare by identity.
     """
 
-    counts: tuple[dict[Symbol, int], ...]
-    majority_sets: tuple[tuple[Symbol, ...], ...]
-    n: int
-    d: int
-    alphabet: tuple[Symbol, ...]
-
-    def count(self, i: int, a: Symbol) -> int:
-        return self.counts[i].get(a, 0)
-
-    def direct_cost(self, word: Word) -> int:
-        """Median objective of `word` straight from the definition.
-
-        Sum over indices of (n - count of word's symbol there); this is the
-        double-sum Sum_x H(x, word) folded by columns and is deliberately
-        independent of the offset formula in median_cost.
-        """
-        return sum(self.n - self.counts[i].get(word[i], 0) for i in range(self.d))
-
-    @property
-    def tie_set(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.d) if len(self.majority_sets[i]) >= 2)
-
-
-@dataclass(frozen=True)
-class MedianContext:
-    """The mfc string w, its second-choice companion, opt, and deviation costs."""
-
     dataset: Dataset
-    freq: FrequencyTable
-    w: Word
-    w_hat: Word
+    counts: np.ndarray
+    cost: np.ndarray
+    rank: np.ndarray
     opt: int
-    # weight[i] = count(w_i) - count(w_hat_i), the cheapest nonzero deviation at i
-    # (0 exactly on tie indices).
-    weight: tuple[int, ...]
-    # per_char_cost[i][a] = count(w_i) - count(a) for every alphabet symbol a != w_i.
-    per_char_cost: tuple[dict[Symbol, int], ...]
 
     @property
     def n(self) -> int:
@@ -234,68 +199,63 @@ class MedianContext:
     def alphabet(self) -> tuple[Symbol, ...]:
         return self.dataset.alphabet
 
-    def char_cost(self, i: int, a: Symbol) -> int:
-        """Objective increase from placing symbol a at index i instead of w_i."""
-        if a == self.w[i]:
-            return 0
-        return self.per_char_cost[i][a]
+    @property
+    def majority_sizes(self) -> np.ndarray:
+        """Size of the majority set at every index (2 or more on tie indices)."""
+        return (self.cost == 0).sum(axis=1)
+
+    @cached_property
+    def w(self) -> Word:
+        """The most-frequent-symbol string, an exact median."""
+        return self._decode(self.rank[:, 0])
+
+    @cached_property
+    def w_hat(self) -> Word:
+        """The second-choice string."""
+        return self._decode(self.rank[:, 1])
+
+    @cached_property
+    def weight(self) -> tuple[int, ...]:
+        """weight[i] = count(w_i) - count(w_hat_i), the cheapest nonzero
+        deviation at i (0 exactly on tie indices)."""
+        return tuple(self.cost[np.arange(self.d), self.rank[:, 1]].tolist())
+
+    def _decode(self, codes: np.ndarray) -> Word:
+        return tuple(self.alphabet[a] for a in codes.tolist())
+
+    def encode(self, s: Sequence[Symbol] | str) -> np.ndarray:
+        """The codes of a string of length d over the context's alphabet."""
+        if len(s) != self.d:
+            raise ValidationError(f"length mismatch: {len(s)} vs d={self.d}")
+        return Dataset.from_strings([s], self.alphabet).codes[0]
+
+    def direct_cost(self, s: Sequence[Symbol] | str) -> int:
+        """Median objective of s straight from the definition: the sum over
+        indices of n minus the count of s's symbol there. This is the double
+        sum Sum_x H(x, s) folded by columns, deliberately independent of the
+        offset formula in median_cost."""
+        codes = self.encode(s)
+        return self.n * self.d - int(self.counts[np.arange(self.d), codes].sum())
 
 
 def build_context(dataset: Dataset) -> MedianContext:
-    """Build frequency tables, w, the second-choice string, opt, and costs.
+    """Count every symbol at every index, in one pass over the code matrix per
+    symbol, and derive costs, ranks and opt from that table.
 
-    Tie-breaks everywhere use the dataset's alphabet order, so the result is
-    deterministic. When an index is unanimous (count n), the second choice is
-    fixed to the first other alphabet symbol; its weight n can never be picked
-    up by any budgeted greedy, it just keeps the structure total.
-
-    Every quantity comes from one (d, |Σ|) count array, built with one pass
-    over the code matrix per symbol; only the public dicts and tuples are
-    assembled per index, in O(d·|Σ|).
+    When an index is unanimous (count n), the second choice is the first
+    other alphabet symbol; its weight n can never be picked up by any
+    budgeted greedy, it just keeps the structure total.
     """
-    alpha = dataset.alphabet
-    if len(alpha) < 2:
+    if len(dataset.alphabet) < 2:
         raise ValidationError("alphabet needs at least 2 symbols to define a second choice")
-    counts = np.empty((dataset.d, len(alpha)), dtype=np.int64)
-    for j in range(len(alpha)):
+    counts = np.empty((dataset.d, len(dataset.alphabet)), dtype=np.int64)
+    for j in range(len(dataset.alphabet)):
         counts[:, j] = (dataset.codes == j).sum(axis=0)
-
-    col_counts: list[dict[Symbol, int]] = []
-    majority: list[tuple[Symbol, ...]] = []
-    w: list[Symbol] = []
-    w_hat: list[Symbol] = []
-    weight: list[int] = []
-    per_char: list[dict[Symbol, int]] = []
-    for row in counts.tolist():
-        best = max(row)
-        wi = alpha[row.index(best)]  # first maximum: alphabet order breaks ties
-        # Second choice: max count among the other symbols (count 0 allowed),
-        # ties again by alphabet order, so the first other symbol when unanimous.
-        rest = dict(zip(alpha, row))
-        del rest[wi]
-        rest_best = max(rest.values())
-        col_counts.append({a: c for a, c in zip(alpha, row) if c})
-        majority.append(tuple(a for a, c in zip(alpha, row) if c == best))
-        w.append(wi)
-        w_hat.append(next(a for a, c in rest.items() if c == rest_best))
-        weight.append(best - rest_best)
-        per_char.append({a: best - c for a, c in rest.items()})
-    freq = FrequencyTable(
-        counts=tuple(col_counts),
-        majority_sets=tuple(majority),
-        n=dataset.n,
-        d=dataset.d,
-        alphabet=alpha,
-    )
-    return MedianContext(
-        dataset=dataset,
-        freq=freq,
-        w=tuple(w),
-        w_hat=tuple(w_hat),
-        opt=sum(dataset.n - c[a] for c, a in zip(col_counts, w)),
-        weight=tuple(weight),
-        per_char_cost=tuple(per_char),
-    )
+    best = counts.max(axis=1)
+    cost = best[:, None] - counts
+    rank = np.argsort(cost, axis=1, kind="stable").astype(dataset.codes.dtype)
+    return MedianContext(dataset=dataset, counts=counts, cost=cost, rank=rank,
+                         opt=int((dataset.n - best).sum()))
 
 
 def context_from_strings(
@@ -342,32 +302,29 @@ class Budget:
         return self.threshold_num // self.threshold_den
 
 
-def hamming(s: Word | str, t: Word | str) -> int:
-    s, t = as_word(s), as_word(t)
+def hamming(s: Sequence[Symbol] | str, t: Sequence[Symbol] | str) -> int:
     if len(s) != len(t):
         raise ValidationError(f"length mismatch: {len(s)} vs {len(t)}")
     return sum(1 for a, b in zip(s, t) if a != b)
 
 
-def sum_dispersion(members: Sequence[Word | str]) -> int:
+def sum_dispersion(members: Sequence[Sequence[Symbol] | str]) -> int:
     """Sum of pairwise Hamming distances over an (ordered) multiset."""
-    words = [as_word(m) for m in members]
     total = 0
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            total += hamming(words[i], words[j])
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            total += hamming(members[i], members[j])
     return total
 
 
-def min_dispersion(members: Sequence[Word | str]) -> int:
+def min_dispersion(members: Sequence[Sequence[Symbol] | str]) -> int:
     """Minimum pairwise Hamming distance; duplicates yield 0."""
-    words = [as_word(m) for m in members]
-    if len(words) < 2:
+    if len(members) < 2:
         raise ValidationError("min_dispersion needs at least 2 members")
     best = None
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            h = hamming(words[i], words[j])
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            h = hamming(members[i], members[j])
             if best is None or h < best:
                 best = h
                 if best == 0:
@@ -375,77 +332,74 @@ def min_dispersion(members: Sequence[Word | str]) -> int:
     return best
 
 
-def median_cost(ctx: MedianContext, s: Word | str) -> int:
+def median_cost(ctx: MedianContext, s: Sequence[Symbol] | str) -> int:
     """Objective of s via the offset formula: opt plus per-deviation costs."""
-    word = as_word(s)
-    if len(word) != ctx.d:
-        raise ValidationError(f"length mismatch: {len(word)} vs d={ctx.d}")
-    total = ctx.opt
-    for i, a in enumerate(word):
-        if a != ctx.w[i]:
-            try:
-                total += ctx.per_char_cost[i][a]
-            except KeyError:
-                raise ValidationError(f"symbol {a!r} at index {i} not in alphabet") from None
-    return total
+    return ctx.opt + int(ctx.cost[np.arange(ctx.d), ctx.encode(s)].sum())
 
 
-def is_approx_median(ctx: MedianContext, budget: Budget, s: Word | str) -> bool:
+def is_approx_median(ctx: MedianContext, budget: Budget, s: Sequence[Symbol] | str) -> bool:
     return budget.within(median_cost(ctx, s) - ctx.opt)
 
 
-def is_exact_median(ctx: MedianContext, s: Word | str) -> bool:
-    word = as_word(s)
-    return len(word) == ctx.d and all(
-        word[i] in ctx.freq.majority_sets[i] for i in range(ctx.d)
-    )
+def is_exact_median(ctx: MedianContext, s: Sequence[Symbol] | str) -> bool:
+    """True when s has length d and a majority symbol at every index."""
+    try:
+        return median_cost(ctx, s) == ctx.opt
+    except ValidationError:
+        return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Ordered multiset of k candidate strings with cached costs and counts.
+    """Ordered multiset of k candidate strings with cached costs.
 
-    char_counts[i] maps each symbol appearing at index i to the number of
-    members carrying it; per index the values sum to k. Duplicate members are
+    The members are a (k, d) code matrix over the context's alphabet, held as
+    a ``Dataset`` like a pool; ``members`` decodes them. Duplicate members are
     legal (several constructions use them on purpose).
     """
 
-    members: tuple[Word, ...]
+    dataset: Dataset
     costs: tuple[int, ...]
-    char_counts: tuple[dict[Symbol, int], ...]
 
     @classmethod
-    def from_members(cls, freq: FrequencyTable, members: Sequence[Word | str]) -> "CandidateSet":
-        words = tuple(as_word(m) for m in members)
-        if not words:
+    def from_members(
+        cls, ctx: MedianContext, codes: np.ndarray | Sequence[Sequence[int]]
+    ) -> "CandidateSet":
+        """The candidate set whose member r has the symbol codes ``codes[r]``
+        (a (k, d) matrix over the context's alphabet); costs are gathered
+        from ``ctx.cost``."""
+        codes = np.asarray(codes, dtype=ctx.dataset.codes.dtype)
+        if codes.ndim != 2 or len(codes) == 0:
             raise ValidationError("candidate set needs at least one member")
-        for word in words:
-            if len(word) != freq.d:
-                raise ValidationError("candidate length mismatch")
-        counts: list[dict[Symbol, int]] = []
-        for i in range(freq.d):
-            col: dict[Symbol, int] = {}
-            for word in words:
-                col[word[i]] = col.get(word[i], 0) + 1
-            counts.append(col)
-        costs = tuple(freq.direct_cost(word) for word in words)
-        return cls(members=words, costs=costs, char_counts=tuple(counts))
+        if codes.shape[1] != ctx.d:
+            raise ValidationError("candidate length mismatch")
+        costs = ctx.opt + ctx.cost[np.arange(ctx.d), codes].sum(axis=1)
+        return cls(dataset=Dataset(codes=codes, alphabet=ctx.alphabet), costs=tuple(costs.tolist()))
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self.dataset.codes
+
+    @property
+    def members(self) -> tuple[Word, ...]:
+        return self.dataset.strings
 
     @property
     def k(self) -> int:
-        return len(self.members)
+        return self.dataset.n
 
     def sum_dispersion(self) -> int:
-        # Column identity: pairs differing at i = (k^2 - sum of squared counts)/2;
-        # always an integer since sum of counts = k and l^2 = l (mod 2).
-        k = self.k
-        total = 0
-        for col in self.char_counts:
-            total += (k * k - sum(c * c for c in col.values())) // 2
-        return total
+        # Column identity: pairs differing at i = (k^2 - sum of squared counts)/2,
+        # where the counts are how many members carry each symbol at i; always
+        # an integer since the counts sum to k and l^2 = l (mod 2).
+        k, d = self.codes.shape
+        sigma = len(self.dataset.alphabet)
+        flat = (self.codes + np.arange(d) * sigma).ravel()
+        counts = np.bincount(flat, minlength=d * sigma).astype(np.int64)
+        return (k * k * d - int((counts * counts).sum())) // 2
 
     def min_dispersion(self) -> int:
-        return min_dispersion(self.members)
+        return min_distance(self.codes)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +448,14 @@ def farthest_pair(codes: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
             if best == bound:
                 break
     return int(rows[first[0]]), int(rows[first[1]])
+
+
+def min_distance(codes: np.ndarray) -> int:
+    """Minimum Hamming distance between two rows of a code matrix (two rows
+    or more; a repeated row gives 0), one distances_to vector per row."""
+    if len(codes) < 2:
+        raise ValidationError("min_dispersion needs at least 2 members")
+    return min(int(distances_to(codes[r:], 0)[1:].min()) for r in range(len(codes) - 1))
 
 
 def distances_to(codes: np.ndarray, r: int) -> np.ndarray:

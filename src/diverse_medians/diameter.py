@@ -9,17 +9,26 @@ join the pair's combined deviation set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import Budget, FrequencyTable, MedianContext, Word
+import numpy as np
+
+from .core import Budget, Dataset, MedianContext, Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiameterResult:
-    pair: tuple[Word, Word]
+    """The two strings as a (2, d) code matrix over the context's alphabet,
+    their distance, their costs and the branch that found them."""
+
+    dataset: Dataset
     diameter: int
     costs: tuple[int, int]
     branch: str  # "exact" | "greedy_SR" | "partitioned_T1T2"
+
+    @property
+    def pair(self) -> tuple[Word, Word]:
+        return self.dataset.strings
 
 
 @dataclass(frozen=True)
@@ -32,21 +41,16 @@ class PartitionResult:
         return abs(self.sums[0] - self.sums[1])
 
 
-def exact_diameter_pair(ctx: MedianContext, freq: FrequencyTable) -> DiameterResult:
+def exact_diameter_pair(ctx: MedianContext) -> DiameterResult:
     """Most distant pair of exact medians: w vs. w flipped on every tie index.
 
     Flipping any subset of tie indices to alternative majority symbols stays
     an exact median, so the diameter is simply the number of tie indices.
     """
-    z = list(ctx.w)
-    ties = 0
-    for i, gamma in enumerate(freq.majority_sets):
-        if len(gamma) >= 2:
-            ties += 1
-            z[i] = next(a for a in gamma if a != ctx.w[i])  # alphabet order
+    ties = np.flatnonzero(ctx.majority_sizes >= 2)
     return DiameterResult(
-        pair=(ctx.w, tuple(z)),
-        diameter=ties,
+        dataset=_deviate(ctx, ties[:0], ties),  # on a tie index, rank[i, 1] is majority too
+        diameter=len(ties),
         costs=(ctx.opt, ctx.opt),
         branch="exact",
     )
@@ -85,11 +89,13 @@ def min_diff_partition(T: Sequence[int], weights: Sequence[int]) -> PartitionRes
     return PartitionResult(parts=(tuple(part1), tuple(part2)), sums=(best, total - best))
 
 
-def _deviate(ctx: MedianContext, indices: Iterable[int]) -> Word:
-    word = list(ctx.w)
-    for i in indices:
-        word[i] = ctx.w_hat[i]
-    return tuple(word)
+def _deviate(ctx: MedianContext, first: Sequence[int], second: Sequence[int]) -> Dataset:
+    """Two copies of w, the first switched to the second choice at the indices
+    `first`, the second at the indices `second`."""
+    codes = np.tile(ctx.rank[:, 0], (2, 1))
+    codes[0, first] = ctx.rank[first, 1]
+    codes[1, second] = ctx.rank[second, 1]
+    return Dataset(codes=codes, alphabet=ctx.alphabet)
 
 
 def approx_diameter_pair(ctx: MedianContext, budget: Budget) -> DiameterResult:
@@ -100,45 +106,36 @@ def approx_diameter_pair(ctx: MedianContext, budget: Budget) -> DiameterResult:
     the two deviation sets are disjoint, so the diameter is |S| + |R| — or
     |S| + |R| + 1 when the next index can be folded in by re-partitioning
     S + R + next into two budget-respecting halves.
+
+    A weight sum fits the budget iff it is at most B = floor(eps * opt), so
+    both prefixes are read off the prefix sums of the sorted weights.
     """
     d = ctx.d
-    order = sorted(range(d), key=lambda i: (ctx.weight[i], i))
-
-    def greedy_prefix(start: int) -> tuple[list[int], int]:
-        chosen: list[int] = []
-        acc = 0
-        for pos in range(start, d):
-            i = order[pos]
-            if not budget.within(acc + ctx.weight[i]):
-                break
-            chosen.append(i)
-            acc += ctx.weight[i]
-        return chosen, acc
-
-    S, sum_s = greedy_prefix(0)
-    R, sum_r = greedy_prefix(len(S))
-    taken = len(S) + len(R)
+    weight = ctx.cost[np.arange(d), ctx.rank[:, 1]]
+    order = np.argsort(weight, kind="stable")
+    acc = np.concatenate(([0], np.cumsum(weight[order])))
+    # no prefix weighs more than n*d, so the clamp changes no comparison
+    cap = min(budget.floor, ctx.n * d)
+    s = int(np.searchsorted(acc, cap, side="right")) - 1
+    taken = int(np.searchsorted(acc, acc[s] + cap, side="right")) - 1
+    S, R = order[:s].tolist(), order[s:taken].tolist()
+    sum_s, sum_r = int(acc[s]), int(acc[taken] - acc[s])
 
     if taken < d:
-        nxt = order[taken]
-        T = S + R + [nxt]
-        total = sum_s + sum_r + ctx.weight[nxt]
+        T = S + R + [int(order[taken])]
+        total = int(acc[taken + 1])
         if budget.within(total, mult=2):
-            part = min_diff_partition(T, [ctx.weight[i] for i in T])
+            part = min_diff_partition(T, weight[T].tolist())
             if budget.within(part.sums[0]) and budget.within(part.sums[1]):
-                y = _deviate(ctx, part.parts[0])
-                z = _deviate(ctx, part.parts[1])
                 return DiameterResult(
-                    pair=(y, z),
+                    dataset=_deviate(ctx, list(part.parts[0]), list(part.parts[1])),
                     diameter=len(T),
                     costs=(ctx.opt + part.sums[0], ctx.opt + part.sums[1]),
                     branch="partitioned_T1T2",
                 )
 
-    y = _deviate(ctx, S)
-    z = _deviate(ctx, R)
     return DiameterResult(
-        pair=(y, z),
+        dataset=_deviate(ctx, S, R),
         diameter=taken,
         costs=(ctx.opt + sum_s, ctx.opt + sum_r),
         branch="greedy_SR",

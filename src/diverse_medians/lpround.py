@@ -26,8 +26,6 @@ from .core import (
     MedianContext,
     SolverNotConverged,
     ValidationError,
-    Word,
-    median_cost,
 )
 from .mindisp import SampleConfig, tstar_upper_bound
 
@@ -42,21 +40,22 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IlpModel:
     """The assignment program: variables u_{rij}, z_{(r,rhat)ij}, objective t.
 
-    ranked_chars[i][j] is the (j+1)-th most frequent character at index i
-    (ties by alphabet order, j=0 is the column majority); costs[i][j] is its
-    deviation weight, zero at j=0 and nondecreasing in j.
+    ranked[i, j] is the code of the (j+1)-th most frequent character at index
+    i (ties by alphabet order, j=0 is the column majority): the first k
+    columns of the context's rank table. costs[i, j] is its deviation weight,
+    zero at j=0 and nondecreasing in j. Both are (d, k) arrays.
     """
 
     k: int
     d: int
     opt: int
     epsilon: Fraction
-    ranked_chars: tuple[tuple[str, ...], ...]
-    costs: tuple[tuple[int, ...], ...]
+    ranked: np.ndarray
+    costs: np.ndarray
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -98,7 +97,7 @@ class IlpModel:
         triplets list exactly the nonzeros of the dense matrices.
         """
         k, dk, npairs = self.k, self.d * self.k, len(self.pairs)
-        costs = np.array(self.costs, dtype=float).ravel()  # indexed i*k + j
+        costs = self.costs.astype(float).ravel()  # indexed i*k + j
         nz = np.flatnonzero(costs)
 
         # deviation window per r: row 2r is sum u*c <= eps*opt, row 2r+1 is
@@ -184,20 +183,10 @@ def build_ilp(ctx: MedianContext, budget: Budget, k: int) -> IlpModel:
             f"k={k} exceeds the alphabet size {len(ctx.alphabet)}; "
             "per-index character ranks would be undefined"
         )
-    alpha_pos = {a: j for j, a in enumerate(ctx.alphabet)}
-    ranked: list[tuple[str, ...]] = []
-    costs: list[tuple[int, ...]] = []
-    for i in range(ctx.d):
-        others = sorted(
-            (a for a in ctx.alphabet if a != ctx.w[i]),
-            key=lambda a: (-ctx.freq.count(i, a), alpha_pos[a]),
-        )
-        chars = (ctx.w[i],) + tuple(others[: k - 1])
-        ranked.append(chars)
-        costs.append(tuple(ctx.freq.count(i, ctx.w[i]) - ctx.freq.count(i, a) for a in chars))
+    ranked = ctx.rank[:, :k]
     return IlpModel(
         k=k, d=ctx.d, opt=ctx.opt, epsilon=budget.epsilon,
-        ranked_chars=tuple(ranked), costs=tuple(costs),
+        ranked=ranked, costs=np.take_along_axis(ctx.cost, ranked, axis=1),
     )
 
 
@@ -334,11 +323,6 @@ def dependent_round(frac: Sequence[Sequence[float]] | np.ndarray, seed) -> np.nd
     return np.array(val, dtype=float).reshape(d, k).astype(np.int64)
 
 
-def _decode(model: IlpModel, rounded: np.ndarray) -> Word:
-    picks = rounded.argmax(axis=1).tolist()
-    return tuple(model.ranked_chars[i][j] for i, j in enumerate(picks))
-
-
 def z_from_rounded(u_r: np.ndarray, u_rhat: np.ndarray) -> int:
     """Sum of the z values the linearization constraints force for integral u.
 
@@ -393,12 +377,13 @@ def lp_min_dispersion(
     frac, lp_value = solve_lp_relaxation(model)
 
     cap = (1 + budget.epsilon + delta) * ctx.opt  # exact rational threshold
-    kept: list[tuple[int, list[Word], int]] = []
+    kept: list[tuple[int, np.ndarray, int]] = []
     for trial in range(cfg.trials):
         picks = [dependent_round(frac[r], seed=[seed, trial, r])
                  for r in range(k)]
-        members = [_decode(model, u) for u in picks]
-        if all(Fraction(median_cost(ctx, s)) <= cap for s in members):
+        members = model.ranked[np.arange(ctx.d), np.argmax(picks, axis=2)]  # (k, d) codes
+        costs = ctx.opt + ctx.cost[np.arange(ctx.d), members].sum(axis=1)
+        if all(Fraction(c) <= cap for c in costs.tolist()):
             # min dispersion read off the recomputed z values (sum z = 2 * dist)
             val = min(z_from_rounded(a, b) for a, b in combinations(picks, 2)) // 2
             kept.append((trial, members, val))
@@ -418,4 +403,4 @@ def lp_min_dispersion(
         kept=len(kept),
         chosen_trial=best_trial,
     )
-    return CandidateSet.from_members(ctx.freq, best_members), report
+    return CandidateSet.from_members(ctx, best_members), report

@@ -22,16 +22,13 @@ from .core import (
     CandidateSet,
     CapExceeded,
     Dataset,
-    FrequencyTable,
     InternalError,
     KeyWidthExceeded,
     MedianContext,
-    Symbol,
     ValidationError,
-    Word,
     distances_to,
     farthest_pair,
-    min_dispersion,
+    min_distance,
 )
 from .diameter import DiameterResult, approx_diameter_pair
 from .oracle import (
@@ -93,11 +90,11 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
 
 
-def _best_by_mindp(trials: list[list[Word]]) -> tuple[int, list[Word]]:
-    """Max minDp, ties to the earliest trial."""
+def _best_by_mindp(trials: list[np.ndarray]) -> tuple[int, np.ndarray]:
+    """Max minDp over the trials' (k, d) code matrices, ties to the earliest."""
     best_val, best_members = -1, trials[0]
     for members in trials:
-        val = min_dispersion(members)
+        val = min_distance(members)
         if val > best_val:
             best_val, best_members = val, members
     return best_val, best_members
@@ -108,7 +105,7 @@ def _best_by_mindp(trials: list[list[Word]]) -> tuple[int, list[Word]]:
 
 
 def min_disp_dp_exact(
-    freq: FrequencyTable, k: int, *, limits: EnumerationLimits = DEFAULT_LIMITS
+    ctx: MedianContext, k: int, *, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> tuple[int, CandidateSet]:
     """Exact max minDp over k-tuples from the exact-median product space.
 
@@ -121,9 +118,9 @@ def min_disp_dp_exact(
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
-    dist, _, members = _dp_kernel(freq.majority_sets, None, k, 0, limits.max_states)
-    _check_dp_state(dist, None, freq.d, None)
-    return min(dist), CandidateSet.from_members(freq, members)
+    dist, _, codes = _dp_kernel(ctx, 0, k, limits.max_states)
+    _check_dp_state(dist, None, ctx.d, None)
+    return min(dist), CandidateSet.from_members(ctx, codes)
 
 
 def min_disp_dp_approx(
@@ -143,33 +140,26 @@ def min_disp_dp_approx(
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
-    d = ctx.d
     cap = budget.floor
-    costs = [
-        [0 if a == ctx.w[i] else ctx.per_char_cost[i][a] for a in ctx.alphabet]
-        for i in range(d)
-    ]
-    dist, cost, members = _dp_kernel([ctx.alphabet] * d, costs, k, cap, limits.max_states)
-    _check_dp_state(dist, cost, d, cap)
-    return min(dist), CandidateSet.from_members(ctx.freq, members)
+    dist, cost, codes = _dp_kernel(ctx, cap, k, limits.max_states)
+    _check_dp_state(dist, cost, ctx.d, cap)
+    return min(dist), CandidateSet.from_members(ctx, codes)
 
 
 def _dp_kernel(
-    choices: Sequence[Sequence[Symbol]],
-    costs: Sequence[Sequence[int]] | None,
-    k: int,
-    cap: int,
-    max_states: int,
-) -> tuple[tuple[int, ...], tuple[int, ...], list[Word]]:
+    ctx: MedianContext, cap: int, k: int, max_states: int
+) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     """The DP behind both min-dispersion engines, over int64 state keys.
 
-    Column i offers the symbols `choices[i]`, with deviation costs `costs[i]`
-    (aligned with them; None for no cost digits); a symbol is admissible when
-    its cost is at most `cap`. Only the T columns with two or more admissible
-    symbols can grow a distance: on any other column every candidate takes
-    the one admissible symbol and the layer is unchanged, so the DP skips it.
-    The precheck refuses (d+1) * (T+1)^(k(k-1)/2) * (cap+1)^k > max_states
-    in exact integers before any allocation.
+    Column i offers its admissible symbols, those whose ``ctx.cost`` is at
+    most `cap`: the first ones of ``ctx.rank[i]``. Each candidate carries a
+    cost digit, the summed cost of its symbols, which may not pass `cap`. At
+    cap 0 the admissible symbols are the majority set and every cost digit
+    stays 0: the exact-median DP. Only the T columns with two or more
+    admissible symbols can grow a distance: on any other column every
+    candidate takes w_i and the layer is unchanged, so the DP skips it. The
+    precheck refuses (d+1) * (T+1)^(k(k-1)/2) * (cap+1)^k > max_states in
+    exact integers before any allocation.
 
     A state is one int64 in mixed radix: a digit of radix T+1 per pair
     distance, in combinations(range(k), 2) order, most significant first,
@@ -177,28 +167,27 @@ def _dp_kernel(
     the order of the (distances, costs) tuples.
 
     Each layer lists its keys in order of first occurrence over (state,
-    pattern) row-major: the insertion order of a dict filled state by state,
-    pattern by pattern. Extra memory is the live layer plus one block of
-    candidate keys (core.BLOCK_BYTES), plus a parent index and a pattern id
-    per state for the walk back.
+    pattern) row-major, with each column's assignments in product order over
+    its admissible symbols in alphabet order: the insertion order of a dict
+    filled state by state, pattern by pattern. Extra memory is the live layer
+    plus one block of candidate keys (core.BLOCK_BYTES), plus a parent index
+    and a pattern id per state for the walk back.
 
     Returns the final state with the largest minimum distance (largest key on
-    ties) as (distances, costs), and the k members reaching it.
+    ties) as (distances, costs), and the (k, d) codes of the members reaching
+    it.
     """
-    d = len(choices)
+    d = ctx.d
     pairs = list(combinations(range(k), 2))
-    admissible = [
-        list(range(len(choices[i]))) if costs is None
-        else [a for a, c in enumerate(costs[i]) if c <= cap]
-        for i in range(d)
-    ]
-    top = sum(len(adm) >= 2 for adm in admissible)
+    admissible = (ctx.cost <= min(cap, ctx.n)).sum(axis=1)  # no cost exceeds n
+    ties = np.flatnonzero(admissible >= 2)
+    top = len(ties)
     if (d + 1) * (top + 1) ** len(pairs) * (cap + 1) ** k > max_states:
         raise CapExceeded(
             f"state space (d+1)*(T+1)^(k(k-1)/2)*(B+1)^k with T={top} tie columns "
             f"exceeds max_states={max_states}"
         )
-    radices = [top + 1] * len(pairs) + [cap + 1] * (0 if costs is None else k)
+    radices = [top + 1] * len(pairs) + [cap + 1] * k
     weights = [1] * len(radices)
     for j in range(len(radices) - 2, -1, -1):
         weights[j] = weights[j + 1] * radices[j + 1]
@@ -211,29 +200,23 @@ def _dp_kernel(
     weights = np.array(weights, dtype=np.int64)
     w_dist, w_cost = weights[: len(pairs)], weights[len(pairs):]
 
-    # per column, the symbol position each candidate takes: fixed on a column
-    # with one admissible symbol, read back from the DP steps on the others
-    rows: list = [[adm[0]] * k if len(adm) == 1 else None for adm in admissible]
+    # every candidate takes w_i on a column with one admissible symbol; the
+    # others are read back from the DP steps
+    codes = np.tile(ctx.rank[:, 0], (k, 1))
     keys = np.zeros(1, dtype=np.int64)
     steps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    for i in range(d):
-        if rows[i] is not None:
-            continue
-        # every assignment of k symbols, in product(range(m), repeat=k) order
-        assign = np.indices((len(choices[i]),) * k).reshape(k, -1).T
+    for i in ties.tolist():
+        symbols = np.sort(ctx.rank[i, : admissible[i]])  # alphabet order
+        # every assignment of k symbols, in product(symbols, repeat=k) order
+        assign = symbols[np.indices((len(symbols),) * k).reshape(k, -1).T]
         offsets = sum((assign[:, r] != assign[:, s]) * w for (r, s), w in zip(pairs, w_dist))
-        add = None
-        if costs is not None:
-            add = np.asarray(costs[i], dtype=np.int64)[assign]
-            fits = (add <= cap).all(axis=1)
-            assign, add = assign[fits], add[fits]
-            offsets = offsets[fits] + add @ w_cost
+        add = ctx.cost[i][assign]
+        offsets = offsets + add @ w_cost
         # one pattern per distinct offset, represented by its first assignment
         offsets, rep = np.unique(offsets, return_index=True)
         order = np.argsort(rep)
         offsets, rep = offsets[order], rep[order]
-        if add is not None:
-            add = add[rep] if add[rep].any() else None
+        add = add[rep] if add[rep].any() else None
         live = len(keys)
         keys, first = _next_layer(keys, offsets, add, w_cost, cap)
         parent, pattern = np.divmod(first, len(offsets))
@@ -249,10 +232,9 @@ def _dp_kernel(
     key = int(keys[best])
     digits = tuple(key // int(w) % r for w, r in zip(weights, radices))
     for i, parent, pattern, assign in reversed(steps):
-        rows[i] = assign[pattern[best]]
+        codes[:, i] = assign[pattern[best]]
         best = int(parent[best])
-    members = [tuple(choices[i][int(rows[i][r])] for i in range(d)) for r in range(k)]
-    return digits[: len(pairs)], digits[len(pairs):], members
+    return digits[: len(pairs)], digits[len(pairs):], codes
 
 
 def _next_layer(
@@ -295,23 +277,21 @@ def _next_layer(
 # samplers
 
 
-def sample_exact_medians(freq: FrequencyTable, cfg: SampleConfig) -> tuple[CandidateSet, int]:
+def sample_exact_medians(ctx: MedianContext, cfg: SampleConfig) -> tuple[CandidateSet, int]:
     """Best of N trials of k uniform picks from each index's majority set.
 
     Every draw is an exact median by construction; only the dispersion is
     random. Target: (1 - delta) * sum_i (|Gamma_i| - 1)/|Gamma_i| whp.
     """
-    trials: list[list[Word]] = []
+    sizes = ctx.majority_sizes.tolist()
+    trials: list[np.ndarray] = []
     for t in range(cfg.trials):
         rng = _trial_rng(cfg.seed, t)
-        rows = [["" for _ in range(freq.d)] for _ in range(cfg.k)]
-        for i, gamma in enumerate(freq.majority_sets):
-            picks = rng.integers(0, len(gamma), size=cfg.k)
-            for r in range(cfg.k):
-                rows[r][i] = gamma[int(picks[r])]
-        trials.append([tuple(row) for row in rows])
-    val, members = _best_by_mindp(trials)
-    return CandidateSet.from_members(freq, members), val
+        # picks[i, r]: candidate r's position in the majority set at index i
+        picks = np.array([rng.integers(0, g, size=cfg.k) for g in sizes])
+        trials.append(ctx.rank[np.arange(ctx.d)[:, None], picks].T)
+    val, codes = _best_by_mindp(trials)
+    return CandidateSet.from_members(ctx, codes), val
 
 
 def sample_approx_medians(
@@ -325,51 +305,47 @@ def sample_approx_medians(
     The two halves of the deviation set each fit one eps-budget, so every
     output is a (1+2eps)-approximate median deterministically.
     """
-    y, z = diameter.pair
-    devs = [i for i in range(ctx.d) if y[i] != z[i]]
-    dev_sym = {i: (y[i] if y[i] != ctx.w[i] else z[i]) for i in devs}
-    trials: list[list[Word]] = []
+    y, z = diameter.dataset.codes
+    w = ctx.rank[:, 0]
+    devs = np.flatnonzero(y != z)
+    dev_sym = np.where(y[devs] != w[devs], y[devs], z[devs])
+    trials: list[np.ndarray] = []
     for t in range(cfg.trials):
         rng = _trial_rng(cfg.seed, t)
         coins = rng.integers(0, 2, size=(cfg.k, len(devs)))
-        members = []
-        for r in range(cfg.k):
-            word = list(ctx.w)
-            for j, i in enumerate(devs):
-                if coins[r, j]:
-                    word[i] = dev_sym[i]
-            members.append(tuple(word))
-        trials.append(members)
-    val, members = _best_by_mindp(trials)
-    return CandidateSet.from_members(ctx.freq, members), val
+        codes = np.tile(w, (cfg.k, 1))
+        codes[:, devs] = np.where(coins != 0, dev_sym, w[devs])
+        trials.append(codes)
+    val, codes = _best_by_mindp(trials)
+    return CandidateSet.from_members(ctx, codes), val
 
 
 # ---------------------------------------------------------------------------
 # greedy over an enumerated pool
 
 
-def greedy_dispersion(pool: Dataset, k: int, freq: FrequencyTable) -> CandidateSet:
+def greedy_dispersion(pool: Dataset, k: int, ctx: MedianContext) -> CandidateSet:
     """Farthest pair, then repeated farthest-point insertion (max-min greedy).
 
     Half the pool-restricted optimum. A pool smaller than k gets filled with
     duplicates (their min distance is 0, consistent with the multiset
     definition). Memory is the pool's p*d code bytes plus one distance block:
     a running vector holds each string's distance to its nearest chosen
-    member. Only the k chosen rows are decoded.
+    member. The k chosen rows are passed on as codes.
     """
     if pool.n == 0:
         raise ValidationError("candidate pool is empty")
     if k < 1:
         raise ValidationError("k must be >= 1")
     if pool.n == 1 or k == 1:
-        return CandidateSet.from_members(freq, pool.decode([0] * k))
+        return CandidateSet.from_members(ctx, pool.codes[[0] * k])
     codes = pool.codes
     chosen = sorted(farthest_pair(codes, np.arange(pool.n)))
     mins = np.minimum(distances_to(codes, chosen[0]), distances_to(codes, chosen[1]))
     while len(chosen) < k:
         chosen.append(int(np.argmax(mins)))  # ties: lowest pool index
         np.minimum(mins, distances_to(codes, chosen[-1]), out=mins)
-    return CandidateSet.from_members(freq, pool.decode(chosen))
+    return CandidateSet.from_members(ctx, codes[chosen])
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +378,7 @@ def tstar_upper_bound(ctx: MedianContext, budget: Budget) -> Fraction:
 
 
 def bound_certificate(ctx: MedianContext, budget: Budget, t: int) -> BoundCertificate:
-    sizes = tuple(len(g) for g in ctx.freq.majority_sets)
+    sizes = tuple(ctx.majority_sizes.tolist())
     return BoundCertificate(
         alphabet_sizes=sizes,
         plotkin_sum=sum(Fraction(g - 1, g) for g in sizes),
@@ -438,7 +414,7 @@ def _diameter_at_least(dstar: int, delta: Fraction, k: int, add: int) -> bool:
 
 
 def min_dispersion_dispatch_exact(
-    freq: FrequencyTable,
+    ctx: MedianContext,
     k: int,
     delta: Fraction,
     eta: Fraction,
@@ -457,21 +433,21 @@ def min_dispersion_dispatch_exact(
     delta, eta = Fraction(delta), Fraction(eta)
     if k * delta <= 1:
         try:
-            _, cands = min_disp_dp_exact(freq, k, limits=limits)
+            _, cands = min_disp_dp_exact(ctx, k, limits=limits)
             return cands, "dp"
         except CapExceeded:
             pass  # fall through to the large-k regimes
-    dstar = sum(1 for g in freq.majority_sets if len(g) >= 2)
+    dstar = int((ctx.majority_sizes >= 2).sum())
     cfg = SampleConfig(k=k, delta=delta, eta=eta, seed=seed)
     if _diameter_at_least(dstar, delta, k, add=1):
-        cands, _ = sample_exact_medians(freq, cfg)
+        cands, _ = sample_exact_medians(ctx, cfg)
         return cands, "sample"
     try:
-        pool = exact_median_pool(freq, limits)
+        pool = exact_median_pool(ctx, limits)
     except CapExceeded:
-        cands, _ = sample_exact_medians(freq, cfg)
+        cands, _ = sample_exact_medians(ctx, cfg)
         return cands, "sample_fallback"
-    return greedy_dispersion(pool, k, freq), "greedy"
+    return greedy_dispersion(pool, k, ctx), "greedy"
 
 
 def min_dispersion_dispatch_approx(
@@ -506,7 +482,7 @@ def min_dispersion_dispatch_approx(
     if Fraction(diameter.diameter) * delta**2 <= 4:
         try:
             pool = approx_median_pool(ctx, budget, limits)
-            return greedy_dispersion(pool, k, freq=ctx.freq), "greedy"
+            return greedy_dispersion(pool, k, ctx), "greedy"
         except CapExceeded:
             pass
     cands, _ = sample_approx_medians(ctx, diameter, cfg)

@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    BLOCK_BYTES,
     Budget,
     CapExceeded,
     Dataset,
-    FrequencyTable,
     MedianContext,
     Word,
 )
@@ -40,31 +40,31 @@ DEFAULT_LIMITS = EnumerationLimits()
 
 
 def exact_median_pool(
-    freq: FrequencyTable, limits: EnumerationLimits = DEFAULT_LIMITS
+    ctx: MedianContext, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> Dataset:
-    """All exact medians as one (p, d) code matrix over ``freq.alphabet``.
+    """All exact medians as one (p, d) code matrix over the context's alphabet.
 
     The rows are the Cartesian product of the per-index majority sets, last
     index fastest: a mixed-radix count over the tie columns, written into a
     broadcast of the codes of w.
     """
+    sizes = ctx.majority_sizes.tolist()
     size = 1
-    for gamma in freq.majority_sets:
-        size *= len(gamma)
+    for g in sizes:
+        size *= g
         if size > limits.max_candidates:
             raise CapExceeded(
                 f"exact-median pool exceeds max_candidates={limits.max_candidates}"
             )
-    code = {a: j for j, a in enumerate(freq.alphabet)}
-    codes = np.empty((size, freq.d), dtype=np.min_scalar_type(len(freq.alphabet)))
-    codes[:] = [code[gamma[0]] for gamma in freq.majority_sets]  # gamma[0] is w_i
+    codes = np.empty((size, ctx.d), dtype=ctx.rank.dtype)
+    codes[:] = ctx.rank[:, 0]
     inner = size  # rows per digit of the tie column being written
-    for i, gamma in enumerate(freq.majority_sets):
-        if len(gamma) >= 2:
-            inner //= len(gamma)
-            digits = codes.reshape(-1, len(gamma), inner, freq.d)
-            digits[:, :, :, i] = [[code[a]] for a in gamma]
-    return Dataset(codes=codes, alphabet=freq.alphabet)
+    for i, g in enumerate(sizes):
+        if g >= 2:
+            inner //= g
+            digits = codes.reshape(-1, g, inner, ctx.d)
+            digits[:, :, :, i] = ctx.rank[i, :g, None]  # the majority set, alphabet order
+    return Dataset(codes=codes, alphabet=ctx.alphabet)
 
 
 def approx_median_pool(
@@ -76,23 +76,20 @@ def approx_median_pool(
     context's alphabet.
 
     Rows come in the order of a budget-pruned depth-first walk that takes the
-    symbols of each index cost-ascending (alphabet order on ties). A column
-    whose second-cheapest symbol costs more than B = floor(eps*opt) can only
-    hold w_i, so every row starts as a copy of w and only the other columns
-    are walked (see _walk_layers). Then each row's prefix is traced back up
-    the layers, writing one column per layer. Besides the p*d code bytes this
-    holds O(p) integers.
+    symbols of each index in ``ctx.rank`` order (cost-ascending, alphabet
+    order on ties). A column whose second-cheapest symbol costs more than
+    B = floor(eps*opt) can only hold w_i, so every row starts as a copy of w
+    and only the other columns are walked (see _walk_layers). Then each row's
+    prefix is traced back up the layers, writing one column per layer.
+    Besides the p*d code bytes this holds O(p) integers.
     """
     # no string deviates by more than n*d, so the clamp keeps the pool as it is
     cap = min(budget.floor, ctx.n * ctx.d)
-    cost = np.array([[ctx.char_cost(i, a) for a in ctx.alphabet] for i in range(ctx.d)])
-    dtype = np.min_scalar_type(len(ctx.alphabet))
-    order = np.argsort(cost, axis=1, kind="stable").astype(dtype)  # alphabet order on ties
-    ranked = np.take_along_axis(cost, order, axis=1)
+    ranked = np.take_along_axis(ctx.cost, ctx.rank, axis=1)
     cols = np.flatnonzero(ranked[:, 1] <= cap)
     size, layers = _walk_layers(ranked[cols], cap, limits.max_candidates)
-    codes = np.empty((size, ctx.d), dtype=dtype)
-    codes[:] = order[:, 0]  # w
+    codes = np.empty((size, ctx.d), dtype=ctx.rank.dtype)
+    codes[:] = ctx.rank[:, 0]  # w
     node = np.arange(size)  # each row's prefix in the layer being traced
     for i, (width, branch, fans) in zip(cols[::-1], layers[::-1]):
         fan = np.ones(width, dtype=np.int64)
@@ -101,7 +98,7 @@ def approx_median_pool(
         parent = np.searchsorted(firsts, node, side="right")
         firsts -= fan  # each prefix's first child in the layer below
         node -= firsts[parent]  # each row's rank among column i's symbols
-        codes[:, i] = order[i][node]
+        codes[:, i] = ctx.rank[i][node]
         node = parent
     return Dataset(codes=codes, alphabet=ctx.alphabet)
 
@@ -136,10 +133,10 @@ def _walk_layers(
 
 
 def enumerate_exact_medians(
-    freq: FrequencyTable, limits: EnumerationLimits = DEFAULT_LIMITS
+    ctx: MedianContext, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> list[Word]:
     """All exact medians as tuples of symbols: exact_median_pool, decoded."""
-    return list(exact_median_pool(freq, limits).strings)
+    return list(exact_median_pool(ctx, limits).strings)
 
 
 def enumerate_approx_medians(
@@ -156,14 +153,15 @@ def pairwise_hamming_matrix(pool: Dataset) -> np.ndarray:
     """Full p x p distance matrix of a pool, for the brute-force oracles and
     tests only.
 
-    Reads the pool's code matrix in row blocks of about 4 MiB of mismatches.
+    Reads the pool's code matrix in row blocks of at most BLOCK_BYTES
+    mismatches.
     The greedy engines stream their distances (core.farthest_pair and
     core.distances_to) and never call this.
     """
     arr = pool.codes
     p = arr.shape[0]
     out = np.zeros((p, p), dtype=np.int32)
-    step = max(1, 2**22 // max(1, p * arr.shape[1]))
+    step = max(1, BLOCK_BYTES // max(1, p * arr.shape[1]))
     for lo in range(0, p, step):
         hi = min(p, lo + step)
         out[lo:hi] = (arr[lo:hi, None, :] != arr[None, :, :]).sum(axis=2)
@@ -181,7 +179,7 @@ def brute_diameter(pool: Dataset, limits: EnumerationLimits = DEFAULT_LIMITS) ->
         raise CapExceeded(f"{math.comb(p, 2)} pairs exceed max_tuples={limits.max_tuples}")
     arr = pool.codes
     best = 0
-    step = max(1, 2**22 // max(1, p * arr.shape[1]))
+    step = max(1, BLOCK_BYTES // max(1, p * arr.shape[1]))
     for lo in range(0, p, step):
         hi = min(p, lo + step)
         best = max(best, int((arr[lo:hi, None, :] != arr[None, :, :]).sum(axis=2).max()))

@@ -20,7 +20,6 @@ from .core import (
     CandidateSet,
     CapExceeded,
     Dataset,
-    FrequencyTable,
     MedianContext,
     ValidationError,
     distances_to,
@@ -32,7 +31,8 @@ from .oracle import DEFAULT_LIMITS, EnumerationLimits, approx_median_pool
 
 @dataclass(frozen=True)
 class ModOp:
-    """One modification step: set candidate #target_count's symbol at index to symbol.
+    """One modification step: set candidate #target_count's symbol at index to
+    symbol (a code over the context's alphabet).
 
     majority_count is how many candidates still hold the column majority
     symbol just before this op runs; the op's sum-dispersion gain is
@@ -41,7 +41,7 @@ class ModOp:
     """
 
     index: int
-    symbol: str
+    symbol: int
     target_count: int
     majority_count: int
     cost: int
@@ -58,7 +58,7 @@ class ModOp:
         return Fraction(self.gain, self.cost)
 
 
-def sum_dispersion_exact_k(ctx: MedianContext, freq: FrequencyTable, k: int) -> CandidateSet:
+def sum_dispersion_exact_k(ctx: MedianContext, k: int) -> CandidateSet:
     """k exact medians with maximum sum dispersion, by balanced tie layout.
 
     Per tie index the k symbols are spread as evenly as possible over the
@@ -67,16 +67,13 @@ def sum_dispersion_exact_k(ctx: MedianContext, freq: FrequencyTable, k: int) -> 
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    columns: list[list[str]] = []
-    for gamma in freq.majority_sets:
-        g = len(gamma)
-        base, q = divmod(k, g)
-        col: list[str] = []
-        for pos, a in enumerate(gamma):  # alphabet order; first q get the extra
-            col.extend([a] * (base + 1 if pos < q else base))
-        columns.append(col)
-    members = [tuple(col[j] for col in columns) for j in range(k)]
-    return CandidateSet.from_members(freq, members)
+    base, q = np.divmod(k, ctx.majority_sizes)
+    # member j takes the symbol at position pos[j] of the majority set (alphabet
+    # order): the first q positions hold base+1 members each, the rest base
+    j = np.arange(k)[:, None]
+    wide = q * (base + 1)
+    pos = np.where(j < wide, j // (base + 1), q + (j - wide) // np.maximum(base, 1))
+    return CandidateSet.from_members(ctx, ctx.rank[np.arange(ctx.d), pos])
 
 
 def build_oplist(ctx: MedianContext, k: int) -> tuple[ModOp, ...]:
@@ -89,32 +86,32 @@ def build_oplist(ctx: MedianContext, k: int) -> tuple[ModOp, ...]:
     (index, majority_count) pairs — each keeps only its max-density op.
 
     The global order is density descending, then cost ascending, then index,
-    symbol, target_count. Within one index the recorded finite densities
+    symbol code, target_count. Within one index the recorded finite densities
     strictly decrease, so the global sort never reorders a per-index chain.
     """
-    alpha_pos = {a: j for j, a in enumerate(ctx.alphabet)}
+    sigma = len(ctx.alphabet)
     ops: list[ModOp] = []
-    for i in range(ctx.d):
-        others = [a for a in ctx.alphabet if a != ctx.w[i]]
-        counts = {a: 0 for a in others}
+    for i, (wi, costs) in enumerate(zip(ctx.rank[:, 0].tolist(), ctx.cost.tolist())):
+        others = [a for a in range(sigma) if a != wi]
+        counts = [0] * sigma
         for ell in range(k, 0, -1):
             best: tuple | None = None
             for a in others:
                 gain = ell - (counts[a] + 1)
                 if gain < 1:
                     continue
-                c = ctx.per_char_cost[i][a]
+                c = costs[a]
                 # rank: zero-cost tier first; inside a tier larger density wins,
                 # then smaller cost, then alphabet order
                 if c == 0:
-                    key = (0, -gain, 0, alpha_pos[a])
+                    key = (0, -gain, 0, a)
                 else:
-                    key = (1, -Fraction(gain, c), c, alpha_pos[a])
+                    key = (1, -Fraction(gain, c), c, a)
                 if best is None or key < best[0]:
-                    best = (key, a, c, gain)
+                    best = (key, a, c)
             if best is None:
                 break  # gains only shrink from here
-            _, a, c, _ = best
+            _, a, c = best
             counts[a] += 1
             ops.append(
                 ModOp(index=i, symbol=a, target_count=counts[a], majority_count=ell, cost=c)
@@ -125,7 +122,7 @@ def build_oplist(ctx: MedianContext, k: int) -> tuple[ModOp, ...]:
             dens_rank: tuple = (0, Fraction(0))
         else:
             dens_rank = (1, -op.density)
-        return (*dens_rank, op.cost, op.index, alpha_pos[op.symbol], op.target_count)
+        return (*dens_rank, op.cost, op.index, op.symbol, op.target_count)
 
     ops.sort(key=sort_key)
     return tuple(ops)
@@ -136,34 +133,36 @@ def cost_greedy_assign(
 ) -> tuple[CandidateSet, bool]:
     """Realize an op-list prefix on k candidate strings, cheapest seats first.
 
-    h[(a,i)] counts how many candidates the prefix wants carrying symbol a at
-    index i. Pairs are processed by ascending per-symbol cost; each assigns
-    its h cheapest still-unmodified-at-i candidates whose budget survives the
-    surcharge. Falling short on any pair flags the prefix infeasible.
+    h[(c, i, a)] counts how many candidates the prefix wants carrying symbol a
+    at index i, at cost c. Pairs are processed by ascending cost, then index,
+    then symbol string (not alphabet position); each assigns its h cheapest
+    candidates still holding w_i at i whose budget survives the surcharge.
+    Falling short on any pair flags the prefix infeasible.
     """
-    h: dict[tuple[str, int], int] = {}
+    h: dict[tuple[int, int, int], int] = {}
     for op in prefix:
-        key = (op.symbol, op.index)
+        key = (op.cost, op.index, op.symbol)
         h[key] = h.get(key, 0) + 1
 
-    members = [list(ctx.w) for _ in range(k)]
+    alpha = ctx.alphabet
+    w = ctx.rank[:, 0].tolist()
+    members = [w[:] for _ in range(k)]  # codes, one list per candidate
     weights = [0] * k  # deviation above opt, per candidate
     feasible = True
-    order = sorted(h, key=lambda ai: (ctx.per_char_cost[ai[1]][ai[0]], ai[1], ai[0]))
-    for a, i in order:
-        c = ctx.per_char_cost[i][a]
+    for key in sorted(h, key=lambda cia: (cia[0], cia[1], alpha[cia[2]])):
+        c, i, a = key
+        wi = w[i]
         ranked = sorted(
-            (y for y in range(k) if members[y][i] == ctx.w[i] and budget.within(weights[y] + c)),
+            (y for y in range(k) if members[y][i] == wi and budget.within(weights[y] + c)),
             key=lambda y: (weights[y], y),
         )
-        take = ranked[: h[(a, i)]]
-        if len(take) < h[(a, i)]:
+        take = ranked[: h[key]]
+        if len(take) < h[key]:
             feasible = False
         for y in take:
             members[y][i] = a
             weights[y] += c
-    cands = CandidateSet.from_members(ctx.freq, [tuple(m) for m in members])
-    return cands, feasible
+    return CandidateSet.from_members(ctx, members), feasible
 
 
 def sum_dispersion_approx_k(
@@ -202,14 +201,14 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
     claim is made. Memory is the pool's p*d code bytes plus one distance
     block: each matching round streams farthest_pair over the available
     strings, and a running vector holds the summed distances for the
-    insertions. Only the k chosen rows are decoded.
+    insertions. The k chosen rows are passed on as codes.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     if pool.n == 0:
         raise ValidationError("candidate pool is empty")
     if pool.n == 1 or k == 1:
-        return CandidateSet.from_members(ctx.freq, pool.decode([0] * k))
+        return CandidateSet.from_members(ctx, pool.codes[[0] * k])
 
     codes = pool.codes
     avail = np.ones(pool.n, dtype=bool)
@@ -226,7 +225,7 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
     while len(chosen) < k:
         chosen.append(int(np.argmax(gains)))  # duplicates allowed: argmax over all
         gains += distances_to(codes, chosen[-1])
-    return CandidateSet.from_members(ctx.freq, pool.decode(chosen))
+    return CandidateSet.from_members(ctx, pool.codes[chosen])
 
 
 def sum_dispersion_dispatch(
@@ -267,16 +266,10 @@ def make_distinct(ctx: MedianContext, cands: CandidateSet) -> tuple[CandidateSet
     """
     k = cands.k
     need = max(0, (k - 1).bit_length())
-    ties = [i for i, gamma in enumerate(ctx.freq.majority_sets) if len(gamma) >= 2]
+    ties = np.flatnonzero(ctx.majority_sizes >= 2)
     if len(ties) < need:
         return cands, False
-    stamp = ties[:need]
-    members = []
-    for j, member in enumerate(cands.members):
-        word = list(member)
-        for b, i in enumerate(stamp):
-            gamma = ctx.freq.majority_sets[i]
-            alt = next(a for a in gamma if a != ctx.w[i])
-            word[i] = alt if (j >> b) & 1 else ctx.w[i]
-        members.append(tuple(word))
-    return CandidateSet.from_members(ctx.freq, members), True
+    codes = cands.codes.copy()
+    for b, i in enumerate(ties[:need].tolist()):
+        codes[:, i] = np.where(np.arange(k) >> b & 1, ctx.rank[i, 1], ctx.rank[i, 0])
+    return CandidateSet.from_members(ctx, codes), True

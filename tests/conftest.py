@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from diverse_medians import context_from_strings
+from diverse_medians import ValidationError, context_from_strings
 
 
 def random_rows(rng, n=None, d=None, sigma="abc"):
@@ -56,3 +56,39 @@ def pool_contexts(draw):
     row = st.lists(st.sampled_from(used), min_size=d, max_size=d)
     rows = draw(st.lists(row, min_size=2, max_size=6))
     return context_from_strings(rows, alphabet=alphabet)
+
+
+def reference_context(words, alpha):
+    """The loop-built context: one dict of counts per column."""
+    order = {a: j for j, a in enumerate(alpha)}
+    n, d = len(words), len(words[0])
+    counts, majority, w, w_hat, weight, per_char = [], [], [], [], [], []
+    for i in range(d):
+        col = {}
+        for word in words:
+            col[word[i]] = col.get(word[i], 0) + 1
+        col = dict(sorted(col.items(), key=lambda kv: order[kv[0]]))
+        counts.append(col)
+        best = max(col.values())
+        gamma_i = tuple(a for a in col if col[a] == best)
+        majority.append(gamma_i)
+        wi = gamma_i[0]
+        w.append(wi)
+        rest_best = 0
+        for a, c in col.items():
+            if a != wi and c > rest_best:
+                rest_best = c
+        if rest_best > 0:
+            hat = next(a for a, c in col.items() if a != wi and c == rest_best)
+        else:
+            if len(alpha) < 2:
+                raise ValidationError(
+                    "alphabet needs at least 2 symbols to define a second choice"
+                )
+            hat = next(a for a in alpha if a != wi)
+        w_hat.append(hat)
+        weight.append(best - rest_best)
+        per_char.append({a: best - col.get(a, 0) for a in alpha if a != wi})
+    opt = sum(n - counts[i][w[i]] for i in range(d))
+    return dict(counts=counts, majority_sets=majority, w=tuple(w), w_hat=tuple(w_hat),
+                weight=tuple(weight), per_char_cost=per_char, opt=opt)

@@ -65,7 +65,7 @@ def test_criterion_02_offset_identity():
             s = "".join(rng.choice(list(sigma), size=d))
             direct = int((mat != np.array([enc[c] for c in s])).sum())
             offset = ctx.opt + sum(
-                ctx.freq.count(i, ctx.w[i]) - ctx.freq.count(i, s[i])
+                int(ctx.counts[i, enc[ctx.w[i]]] - ctx.counts[i, enc[s[i]]])
                 for i in range(d)
                 if s[i] != ctx.w[i]
             )
@@ -154,13 +154,15 @@ def test_criterion_05_sum_dispersion_exact_construction():
                 row[col] = sigma[r % gamma]
             rows.append("".join(row))
         ctx = dm.context_from_strings(rows, alphabet=sigma)
-        pool = dm.exact_median_pool(ctx.freq)
+        pool = dm.exact_median_pool(ctx)
         assert pool.n <= 4
         for k in range(2, 5):
-            cs = dm.sum_dispersion_exact_k(ctx, ctx.freq, k)
+            cs = dm.sum_dispersion_exact_k(ctx, k)
             assert dm.sum_dispersion(cs.members) == dm.brute_sumdp_k(pool, k)
             for i in range(d):
-                gamma = sorted(ctx.freq.majority_sets[i])
+                col = [row[i] for row in rows]
+                top = max(col.count(a) for a in sigma)
+                gamma = sorted(a for a in sigma if col.count(a) == top)
                 used = sorted(
                     [sum(1 for s in cs.members if s[i] == a) for a in gamma],
                     reverse=True,
@@ -218,13 +220,13 @@ def test_criterion_07_min_dispersion_dps_match_brute():
         rows = accept_rows(rng, n, d, sigma)
         ctx = dm.context_from_strings(rows, alphabet=sigma)
         try:
-            pool = dm.exact_median_pool(ctx.freq, limits)
+            pool = dm.exact_median_pool(ctx, limits)
         except dm.CapExceeded:
             continue
         k = int(rng.integers(2, 4))
         try:
             value, cs = dm.min_disp_dp_exact(
-                ctx.freq, k, limits=dm.EnumerationLimits(max_states=10**6))
+                ctx, k, limits=dm.EnumerationLimits(max_states=10**6))
         except dm.CapExceeded:
             continue
         assert value == dm.brute_mindp_k(pool, k, limits)
@@ -269,7 +271,7 @@ def test_criterion_08_sampler_bounds():
     exact_hits = approx_hits = 0
     for seed in range(100):
         cfg = dm.SampleConfig(k=4, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=seed)
-        cs, mindp = dm.sample_exact_medians(exact_ctx.freq, cfg)
+        cs, mindp = dm.sample_exact_medians(exact_ctx, cfg)
         assert all(dm.is_exact_median(exact_ctx, s) for s in cs.members)  # 100%
         if mindp >= 10:  # (1 - delta) * 40 * (1/2)
             exact_hits += 1

@@ -4,12 +4,22 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from diverse_medians import CandidateSet, DEFAULT_LIMITS, ValidationError, cli
+from diverse_medians import (
+    CandidateSet,
+    DEFAULT_LIMITS,
+    Dataset,
+    ValidationError,
+    cli,
+    context_from_strings,
+    exact_median_pool,
+)
 
 from conftest import tie_columns_rows
 
@@ -358,11 +368,11 @@ def test_main_cost_cap_violation_exits_5(ties_path, capsys, monkeypatch):
     # infeasible instance: exit 5, not 4
     real = cli.sum_dispersion_exact_k
 
-    def broken(ctx, freq, k):
-        cands = real(ctx, freq, k)
+    def broken(ctx, k):
+        cands = real(ctx, k)
         members = list(cands.members)
         members[0] = tuple("z" if a == "a" else "a" for a in members[0])
-        return CandidateSet.from_members(freq, members)
+        return CandidateSet.from_members(ctx, Dataset.from_strings(members, ctx.alphabet).codes)
 
     monkeypatch.setattr(cli, "sum_dispersion_exact_k", broken)
     code, _, err = run_main(
@@ -377,7 +387,7 @@ def test_main_cost_cap_violation_exits_5(ties_path, capsys, monkeypatch):
 def test_main_stray_runtime_error_exits_5(ties_path, capsys, monkeypatch):
     # only InfeasibleError means "no solution": any other RuntimeError from
     # an engine is a fault of this package and exits 5 with its message
-    def broken(ctx, freq, k):
+    def broken(ctx, k):
         raise RuntimeError("stray fault")
 
     monkeypatch.setattr(cli, "sum_dispersion_exact_k", broken)
@@ -506,3 +516,42 @@ def test_main_greedy_over_a_65536_string_pool(objective, seconds, digest, tmp_pa
     assert json.loads(Path("doc.json").read_text())["strategy_tag"] == "greedy"
     assert hashlib.sha256(Path("doc.json").read_bytes()).hexdigest() == digest
     assert elapsed < seconds, f"{objective}: {elapsed:.2f} s"
+
+
+def test_oracle_pool_renders_block_by_block(tmp_path):
+    # 2^16 exact medians of length 1000, a 65.5 MB code matrix: decoding the
+    # whole pool into tuples of symbols before rendering peaked at 1,007 MB
+    path = tmp_path / "rows.txt"
+    path.write_text("\n".join(tie_columns_rows()) + "\n")
+    config = make_config(input=str(path), objective="oracle", oracle_op="exact-medians")
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        doc = cli.run(config)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
+    assert elapsed < 3.0, f"{elapsed:.2f} s"
+    pool = exact_median_pool(context_from_strings(tie_columns_rows()))
+    assert doc["objective_value"] == pool.n == 2**16
+    symbols = np.array(pool.alphabet)  # decoded by a fixed-width string view per block
+    for lo in range(0, pool.n, 4096):
+        rows = symbols[pool.codes[lo : lo + 4096]].view(f"<U{pool.d}").ravel()
+        assert doc["strings"][lo : lo + 4096] == rows.tolist()
+
+
+@pytest.mark.parametrize("alphabet", [
+    ("a", "b", "c"),
+    ("\x00", "é", "\U0001F600"),  # a trailing NUL, a two-byte and an astral symbol
+    ("AC", "GT", "T"),  # multi-character symbols render as lists
+])
+def test_render_pool_matches_render_word_across_blocks(alphabet, monkeypatch):
+    rng = np.random.default_rng(3)
+    pool = Dataset(codes=rng.integers(0, 3, size=(50, 7)).astype(np.uint8),
+                   alphabet=alphabet)
+    joined = all(len(a) == 1 for a in alphabet)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 8 * 7 * 3)  # blocks of 3 rows
+    assert cli._render_pool(pool, joined) == [
+        cli._render_word(s, joined) for s in pool.strings]

@@ -23,7 +23,7 @@ from diverse_medians import (
     sum_dispersion,
 )
 
-from conftest import random_rows
+from conftest import random_rows, reference_context
 
 
 def brute_min_cost(rows, sigma):
@@ -72,7 +72,7 @@ def test_offset_identity(data):
     ctx = context_from_strings(rows, alphabet=sigma)
     direct = sum(hamming(s, row) for row in rows)
     offset = ctx.opt + sum(
-        ctx.char_cost(i, a) for i, a in enumerate(s) if a != ctx.w[i]
+        int(ctx.cost[i, sigma.index(a)]) for i, a in enumerate(s) if a != ctx.w[i]
     )
     assert direct == offset == median_cost(ctx, s)
 
@@ -120,7 +120,7 @@ def test_candidate_set_column_identity(rng):
             tuple(random_rows(rng, n=1, d=ctx.d, sigma="abc")[0])
             for _ in range(int(rng.integers(2, 6)))
         ]
-        cs = CandidateSet.from_members(ctx.freq, members)
+        cs = CandidateSet.from_members(ctx, Dataset.from_strings(members, "abc").codes)
         assert cs.sum_dispersion() == sum_dispersion(members)
         assert cs.min_dispersion() == min_dispersion(members)
 
@@ -193,42 +193,6 @@ def reference_from_strings(strings, alphabet=None):
     return words, tuple(seen), True
 
 
-def reference_context(words, alpha):
-    """The loop-built context: one dict of counts per column."""
-    order = {a: j for j, a in enumerate(alpha)}
-    n, d = len(words), len(words[0])
-    counts, majority, w, w_hat, weight, per_char = [], [], [], [], [], []
-    for i in range(d):
-        col = {}
-        for word in words:
-            col[word[i]] = col.get(word[i], 0) + 1
-        col = dict(sorted(col.items(), key=lambda kv: order[kv[0]]))
-        counts.append(col)
-        best = max(col.values())
-        gamma_i = tuple(a for a in col if col[a] == best)
-        majority.append(gamma_i)
-        wi = gamma_i[0]
-        w.append(wi)
-        rest_best = 0
-        for a, c in col.items():
-            if a != wi and c > rest_best:
-                rest_best = c
-        if rest_best > 0:
-            hat = next(a for a, c in col.items() if a != wi and c == rest_best)
-        else:
-            if len(alpha) < 2:
-                raise ValidationError(
-                    "alphabet needs at least 2 symbols to define a second choice"
-                )
-            hat = next(a for a in alpha if a != wi)
-        w_hat.append(hat)
-        weight.append(best - rest_best)
-        per_char.append({a: best - col.get(a, 0) for a in alpha if a != wi})
-    opt = sum(n - counts[i][w[i]] for i in range(d))
-    return dict(counts=counts, majority_sets=majority, w=tuple(w), w_hat=tuple(w_hat),
-                weight=tuple(weight), per_char_cost=per_char, opt=opt)
-
-
 def outcome(fn):
     try:
         return "ok", fn()
@@ -244,11 +208,20 @@ def coded_values(rows, alphabet):
     status, ctx = outcome(lambda: build_context(ds))
     if status == "error":
         return values, ctx
+    # the reference's dicts, read off the arrays: nonzero counts and the costs
+    # of the symbols other than w_i, in alphabet order; majority sets from rank
+    alpha = ds.alphabet
+    counts = ctx.counts.tolist()
+    cost = ctx.cost.tolist()
+    rank = ctx.rank.tolist()
+    sizes = ctx.majority_sizes.tolist()
+    assert ctx.counts.shape == ctx.cost.shape == ctx.rank.shape == (ds.d, len(alpha))
     return values, dict(
-        # list() keeps each dict's key order in the comparison
-        counts=[list(c.items()) for c in ctx.freq.counts],
-        majority_sets=list(ctx.freq.majority_sets), w=ctx.w, w_hat=ctx.w_hat,
-        weight=ctx.weight, per_char_cost=[list(c.items()) for c in ctx.per_char_cost],
+        counts=[[(a, c) for a, c in zip(alpha, row) if c] for row in counts],
+        majority_sets=[tuple(alpha[a] for a in row[:g]) for row, g in zip(rank, sizes)],
+        w=ctx.w, w_hat=ctx.w_hat, weight=ctx.weight,
+        per_char_cost=[[(a, c) for j, (a, c) in enumerate(zip(alpha, row)) if j != ranks[0]]
+                       for row, ranks in zip(cost, rank)],
         opt=ctx.opt,
     )
 

@@ -19,15 +19,16 @@ from diverse_medians import (
     min_diff_partition,
 )
 
-from conftest import random_rows
+from conftest import random_rows, reference_context
 
 
 def test_exact_diameter_is_tie_count():
-    # two tie columns, one decided column
+    # every column a 2-2 tie
     ctx = context_from_strings(["aba", "bab", "aab", "bba"], alphabet="ab")
-    res = exact_diameter_pair(ctx, ctx.freq)
+    res = exact_diameter_pair(ctx)
     assert res.branch == "exact"
-    assert res.diameter == sum(1 for g in ctx.freq.majority_sets if len(g) >= 2)
+    majority_sets = reference_context(ctx.dataset.strings, ctx.alphabet)["majority_sets"]
+    assert res.diameter == sum(1 for g in majority_sets if len(g) >= 2)
     assert hamming(*res.pair) == res.diameter
     for s in res.pair:
         assert median_cost(ctx, s) == ctx.opt
@@ -35,13 +36,13 @@ def test_exact_diameter_is_tie_count():
 
 def test_exact_diameter_four_median_instance():
     ctx = context_from_strings(["aa", "ab", "ba", "bb"], alphabet="ab")
-    res = exact_diameter_pair(ctx, ctx.freq)
+    res = exact_diameter_pair(ctx)
     assert res.diameter == 2
 
 
 def test_exact_diameter_unique_median():
     ctx = context_from_strings(["ab", "ab", "ab"], alphabet="ab")
-    res = exact_diameter_pair(ctx, ctx.freq)
+    res = exact_diameter_pair(ctx)
     assert res.diameter == 0
     assert res.pair[0] == res.pair[1] == ctx.w
 
@@ -117,7 +118,7 @@ def test_zero_budget_reduces_to_exact():
     ctx = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
     b = Budget.make(0, ctx.opt)
     res = approx_diameter_pair(ctx, b)
-    exact = exact_diameter_pair(ctx, ctx.freq)
+    exact = exact_diameter_pair(ctx)
     assert res.diameter == exact.diameter
 
 

@@ -23,6 +23,11 @@ ROWS = {
     "ab40": "a" * 40 + "\n" + "b" * 40 + "\n",
     "ab90": "a" * 90 + "\n" + "b" * 90 + "\n",
     "csv": "AC,GT,AC\nGT,GT,AC\nAC,AC,GT\n",
+    # symbol order TT < GT < AC by string, GT < AC < TT by first occurrence
+    "csv6": ("GT,AC,GT,AC,AC,AC\nAC,GT,AC,AC,GT,AC\nAC,GT,AC,GT,GT,AC\n"
+             "AC,GT,TT,GT,GT,AC\nTT,GT,AC,AC,GT,GT\n"),
+    "flat": "aaaaaaaa\n" * 3 + "bbbbbbbb\ncccccccc\n",
+    "greek": "αααααααα\n" * 3 + "ββββββββ\nγγγγγγγγ\n",
     "none": None,
 }
 
@@ -79,6 +84,22 @@ CASES = [
     ("oracle-mindp", "ties", ORACLE + ["mindp", "--epsilon", "1/2", "--k", "2"], None),
     ("oracle-max-code-size", "none", ORACLE + ["max-code-size", "--sizes", "2,2", "--t", "1"],
      None),
+    # equal-cost ops at one index are assigned in symbol-string order (b before
+    # c), not in the order of the declared alphabet
+    ("sum-density-string-order", "flat",
+     SUM + ["--k", "4", "--epsilon", "1", "--delta", "1", "--alphabet", "cba"], "density"),
+    ("sum-density-greek", "greek",
+     SUM + ["--k", "4", "--epsilon", "1", "--delta", "1", "--alphabet", "γβα"], "density"),
+    ("oracle-approx-medians-greek", "greek",
+     ORACLE + ["approx-medians", "--epsilon", "1/4", "--alphabet", "γβα"], None),
+    ("sum-density-csv", "csv6",
+     SUM + ["--format", "csv", "--k", "3", "--epsilon", "1", "--delta", "1"], "density"),
+    ("sum-enumeration-csv", "csv6", SUM + ["--format", "csv", "--k", "3", "--epsilon", "1/4"],
+     "enumeration"),
+    ("min-approx-strategy-dp-csv", "csv6",
+     MIN + ["--format", "csv", "--k", "3", "--strategy", "dp", "--epsilon", "1/4"], "dp"),
+    ("oracle-approx-medians-csv", "csv6",
+     ORACLE + ["approx-medians", "--format", "csv", "--epsilon", "1/4"], None),
 ]
 
 DIGESTS = {
@@ -147,6 +168,20 @@ DIGESTS = {
         "ac6d6cc7fe8d0c77000c91f857486e04b5c792f4df6359ad34d7e3d7ec59cb6e",
     "oracle-max-code-size":
         "1e7f1eaf5c1eac022efb9e43ab2f060315bb8d3627b8b1927f2ff72f06d011da",
+    "sum-density-string-order":
+        "c25ffdd8109a4818ce59de9a44ed690ae7ff558c98a8d8857cdb16189e15d1da",
+    "sum-density-greek":
+        "fa16af9bde1840684ae834fa8e004495de3c7a43b1c0b098dfecd5b67489268b",
+    "oracle-approx-medians-greek":
+        "10bd76d6a5752b06b36ec9e5f72bdc803ddeb58d6c4b70a9c6a773cfde1d4570",
+    "sum-density-csv":
+        "a6ae0535aab49f8d83a3318e6e0d237ef9541d386214e2253575f7ac060a2c32",
+    "sum-enumeration-csv":
+        "bc3106f5ef933a929f0489de886acae8af991cb0200a7da743b079f902885558",
+    "min-approx-strategy-dp-csv":
+        "db29b47f8bc8127e6e251e3dc50d5d7db30b427d60f67b49d8ba9a08eb85a5ad",
+    "oracle-approx-medians-csv":
+        "2574b63674615b4049eb2c1bf15f1c579f1f202eec65158a150d5d1de26fc7a4",
 }
 
 
@@ -155,7 +190,7 @@ def run_case(rows_key, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rows = ROWS[rows_key]
     if rows is not None:
-        (tmp_path / "rows.txt").write_text(rows)
+        (tmp_path / "rows.txt").write_text(rows, encoding="utf-8")
         argv = argv + ["--input", "rows.txt"]
     code = cli.main(argv)
     out = capsys.readouterr().out

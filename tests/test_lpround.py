@@ -73,8 +73,8 @@ def test_cost_vector_example():
     # single column, counts a:3 b:1 -> ranked (a, b), costs (0, 2)
     ctx = context_from_strings(["a", "a", "a", "b"], alphabet="ab")
     m = build_ilp(ctx, Budget.make(0, ctx.opt), 2)
-    assert m.ranked_chars == (("a", "b"),)
-    assert m.costs == ((0, 2),)
+    assert m.ranked.tolist() == [[0, 1]]  # codes of a, b
+    assert m.costs.tolist() == [[0, 2]]
 
 
 def test_costs_start_zero_and_never_decrease(rng):
@@ -90,7 +90,7 @@ def test_costs_start_zero_and_never_decrease(rng):
 def test_unanimous_column_costs_full_n():
     ctx = context_from_strings(["ab", "ab", "ab"], alphabet="ab")
     m = build_ilp(ctx, Budget.make(1, ctx.opt), 2)
-    assert m.costs == ((0, 3), (0, 3))
+    assert m.costs.tolist() == [[0, 3], [0, 3]]
 
 
 def test_constraint_count_formula_matches_built_model(rng):
@@ -210,7 +210,7 @@ def test_exhaustive_model_space_solve_matches_oracle(rng):
         m = build_ilp(ctx, b, k)
         cap = (1 + eps) * ctx.opt
         space = [
-            s for s in product(*m.ranked_chars)
+            s for s in product(*np.array(ctx.alphabet)[m.ranked].tolist())
             if ctx.opt <= median_cost(ctx, s) and Fraction(median_cost(ctx, s)) <= cap
         ]
         pool = approx_median_pool(ctx, b, DEFAULT_LIMITS)

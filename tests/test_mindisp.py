@@ -36,7 +36,7 @@ from diverse_medians import (
 )
 from diverse_medians.mindisp import _check_dp_state, _diameter_at_least
 
-from conftest import random_rows
+from conftest import random_rows, reference_context
 
 
 # --- DP engines ---------------------------------------------------------------
@@ -47,8 +47,8 @@ def test_dp_exact_matches_brute(rng):
         rows = random_rows(rng, sigma="ab")
         ctx = context_from_strings(rows, alphabet="ab")
         for k in (2, 3):
-            val, cands = min_disp_dp_exact(ctx.freq, k)
-            pool = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
+            val, cands = min_disp_dp_exact(ctx, k)
+            pool = exact_median_pool(ctx, DEFAULT_LIMITS)
             assert val == brute_mindp_k(pool, k, DEFAULT_LIMITS)
             assert cands.min_dispersion() == val
             assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
@@ -80,12 +80,13 @@ def test_dp_state_invariant_violation_is_an_internal_error():
 # and pattern by pattern.
 
 
-def dict_dp_exact(freq, k):
+def dict_dp_exact(ctx, k):
+    majority_sets = reference_context(ctx.dataset.strings, ctx.alphabet)["majority_sets"]
     pairs = list(combinations(range(k), 2))
     layers = [{(0,) * len(pairs): None}]
-    for i in range(freq.d):
+    for i in range(ctx.d):
         patterns = {}
-        for assign in product(freq.majority_sets[i], repeat=k):
+        for assign in product(majority_sets[i], repeat=k):
             inc = tuple(int(assign[r] != assign[s]) for r, s in pairs)
             patterns.setdefault(inc, assign)
         nxt = {}
@@ -96,10 +97,11 @@ def dict_dp_exact(freq, k):
                     nxt[nk] = (key, assign)
         layers.append(nxt)
     best_key = max(layers[-1], key=lambda s: (min(s), s))
-    return min(best_key), walk_back(layers, best_key, k, freq.d)
+    return min(best_key), walk_back(layers, best_key, k, ctx.d)
 
 
 def dict_dp_approx(ctx, budget, k):
+    ref = reference_context(ctx.dataset.strings, ctx.alphabet)
     cap = budget.floor
     pairs = list(combinations(range(k), 2))
     layers = [{((0,) * len(pairs), (0,) * k): None}]
@@ -107,7 +109,7 @@ def dict_dp_approx(ctx, budget, k):
         patterns = {}
         for assign in product(ctx.alphabet, repeat=k):
             inc = tuple(int(assign[r] != assign[s]) for r, s in pairs)
-            add = tuple(ctx.per_char_cost[i].get(a, 0) if a != ctx.w[i] else 0 for a in assign)
+            add = tuple(ref["per_char_cost"][i].get(a, 0) for a in assign)
             patterns.setdefault((inc, add), assign)
         nxt = {}
         for key in layers[-1]:
@@ -158,8 +160,8 @@ def dp_instances(draw, sigmas):
 @settings(max_examples=120, deadline=None)
 @given(dp_instances((2, 4, 20)), st.sampled_from([2, 3, 4]))
 def test_dp_exact_matches_dict_reference(ctx, k):
-    val, cands = min_disp_dp_exact(ctx.freq, k)
-    assert (val, cands.members) == dict_dp_exact(ctx.freq, k)
+    val, cands = min_disp_dp_exact(ctx, k)
+    assert (val, cands.members) == dict_dp_exact(ctx, k)
 
 
 EPSILONS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
@@ -190,10 +192,8 @@ def test_dp_approx_matches_dict_reference(case):
     except CapExceeded:
         # only the precheck refuses, before any layer is built: T counts the
         # columns with two or more symbols of cost <= B
-        top = sum(
-            sum(ctx.char_cost(i, a) <= b.floor for a in ctx.alphabet) >= 2
-            for i in range(ctx.d)
-        )
+        per_char = reference_context(ctx.dataset.strings, ctx.alphabet)["per_char_cost"]
+        top = sum(sum(c <= b.floor for c in costs.values()) >= 1 for costs in per_char)
         assert (ctx.d + 1) * (top + 1) ** (k * (k - 1) // 2) * (b.floor + 1) ** k > 10**7
         return
     assert (val, cands.members) == dict_dp_approx(ctx, b, k)
@@ -208,8 +208,8 @@ def test_dp_blocks_keep_first_occurrence_order(monkeypatch):
     ctx = context_from_strings(["abcab", "bcaba", "cabbc", "abcca"], alphabet="abc")
     b = Budget.make(Fraction(1, 2), ctx.opt)
     for k in (2, 3):
-        val, cands = min_disp_dp_exact(ctx.freq, k)
-        assert (val, cands.members) == dict_dp_exact(ctx.freq, k)
+        val, cands = min_disp_dp_exact(ctx, k)
+        assert (val, cands.members) == dict_dp_exact(ctx, k)
         val, cands = min_disp_dp_approx(ctx, b, k)
         assert (val, cands.members) == dict_dp_approx(ctx, b, k)
 
@@ -219,7 +219,7 @@ def test_dp_key_past_63_bits_is_cap_exceeded():
     # this large lets the precheck pass, and the key check refuses
     ctx = context_from_strings(["a" * 1500, "b" * 1500], alphabet="ab")
     with pytest.raises(CapExceeded, match="63 bits"):
-        min_disp_dp_exact(ctx.freq, 4, limits=EnumerationLimits(max_states=10**40))
+        min_disp_dp_exact(ctx, 4, limits=EnumerationLimits(max_states=10**40))
 
 
 def test_dp_skips_columns_with_one_admissible_symbol():
@@ -228,9 +228,9 @@ def test_dp_skips_columns_with_one_admissible_symbol():
     d = 20000
     ctx = context_from_strings(["A" * d, "C" + "A" * (d - 1)], alphabet="AC")
     t0 = time.perf_counter()
-    val, cands = min_disp_dp_exact(ctx.freq, 4, limits=EnumerationLimits(max_states=10**40))
+    val, cands = min_disp_dp_exact(ctx, 4, limits=EnumerationLimits(max_states=10**40))
     elapsed = time.perf_counter() - t0
-    assert (val, cands.members) == dict_dp_exact(ctx.freq, 4)
+    assert (val, cands.members) == dict_dp_exact(ctx, 4)
     assert elapsed < 0.3, f"{elapsed:.2f} s"
 
 
@@ -257,7 +257,7 @@ def test_dp_state_cap():
     rows = ["a" * 20, "b" * 20]  # 2^20 exact medians, k=3 pair vectors blow up
     ctx = context_from_strings(rows, alphabet="ab")
     with pytest.raises(CapExceeded):
-        min_disp_dp_exact(ctx.freq, 3, limits=EnumerationLimits(max_states=100))
+        min_disp_dp_exact(ctx, 3, limits=EnumerationLimits(max_states=100))
 
 
 # --- samplers -------------------------------------------------------------------
@@ -286,7 +286,7 @@ def test_exact_sampler_members_are_exact_medians(rng):
         rows = random_rows(rng, sigma="ab")
         ctx = context_from_strings(rows, alphabet="ab")
         cfg = SampleConfig(k=3, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=seed)
-        cands, val = sample_exact_medians(ctx.freq, cfg)
+        cands, val = sample_exact_medians(ctx, cfg)
         assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
         assert cands.min_dispersion() == val
 
@@ -305,11 +305,11 @@ def test_approx_sampler_cost_class(rng):
 def test_samplers_are_seed_deterministic():
     ctx = context_from_strings(["ab" * 5, "ba" * 5], alphabet="ab")
     cfg = SampleConfig(k=4, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=7)
-    a = sample_exact_medians(ctx.freq, cfg)
-    b = sample_exact_medians(ctx.freq, cfg)
+    a = sample_exact_medians(ctx, cfg)
+    b = sample_exact_medians(ctx, cfg)
     assert a[0].members == b[0].members and a[1] == b[1]
     other = SampleConfig(k=4, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=8)
-    c = sample_exact_medians(ctx.freq, other)
+    c = sample_exact_medians(ctx, other)
     assert a[0].members != c[0].members or a[1] != c[1]
 
 
@@ -320,8 +320,8 @@ def test_greedy_k2_returns_farthest_pair(rng):
     for _ in range(20):
         rows = random_rows(rng, sigma="ab")
         ctx = context_from_strings(rows, alphabet="ab")
-        pool = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
-        cs = greedy_dispersion(pool, 2, ctx.freq)
+        pool = exact_median_pool(ctx, DEFAULT_LIMITS)
+        cs = greedy_dispersion(pool, 2, ctx)
         words = pool.strings
         best = max(
             hamming(a, b) for i, a in enumerate(words) for b in words[i:]
@@ -333,9 +333,9 @@ def test_greedy_half_guarantee(rng):
     for _ in range(25):
         rows = random_rows(rng, sigma="ab", d=int(rng.integers(2, 6)))
         ctx = context_from_strings(rows, alphabet="ab")
-        pool = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
+        pool = exact_median_pool(ctx, DEFAULT_LIMITS)
         k = 3
-        cs = greedy_dispersion(pool, k, ctx.freq)
+        cs = greedy_dispersion(pool, k, ctx)
         tstar = brute_mindp_k(pool, k, DEFAULT_LIMITS)
         assert 2 * cs.min_dispersion() >= tstar
 
@@ -389,7 +389,7 @@ def test_diameter_threshold_is_boundary_exact():
 def test_exact_dispatch_dp_branch():
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")
     cands, tag = min_dispersion_dispatch_exact(
-        ctx.freq, 2, Fraction(1, 2), Fraction(1, 8), seed=0
+        ctx, 2, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "dp"
     assert cands.min_dispersion() == 2
@@ -401,7 +401,7 @@ def test_dispatchers_read_max_states_from_limits():
     one = EnumerationLimits(max_states=1)
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")
     _, tag = min_dispersion_dispatch_exact(
-        ctx.freq, 2, Fraction(1, 2), Fraction(1, 8), seed=0, limits=one
+        ctx, 2, Fraction(1, 2), Fraction(1, 8), seed=0, limits=one
     )
     assert tag == "greedy"
     ctx = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
@@ -418,7 +418,7 @@ def test_exact_dispatch_sample_branch():
     rows = ["a" * 90, "b" * 90]  # 90 ties >= threshold for delta=1/2, k=4
     ctx = context_from_strings(rows, alphabet="ab")
     cands, tag = min_dispersion_dispatch_exact(
-        ctx.freq, 4, Fraction(1, 2), Fraction(1, 8), seed=0
+        ctx, 4, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "sample"
     assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
@@ -428,7 +428,7 @@ def test_exact_dispatch_greedy_branch():
     rows = ["ab", "ba", "aa", "bb"]  # 2 tie columns, small diameter
     ctx = context_from_strings(rows, alphabet="ab")
     cands, tag = min_dispersion_dispatch_exact(
-        ctx.freq, 3, Fraction(1, 2), Fraction(1, 8), seed=0
+        ctx, 3, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "greedy"
 
@@ -439,7 +439,7 @@ def test_exact_dispatch_sample_fallback_branch():
     rows = ["a" * 40, "b" * 40]
     ctx = context_from_strings(rows, alphabet="ab")
     cands, tag = min_dispersion_dispatch_exact(
-        ctx.freq, 3, Fraction(1, 2), Fraction(1, 8), seed=0,
+        ctx, 3, Fraction(1, 2), Fraction(1, 8), seed=0,
         limits=EnumerationLimits(10**4, 10**7, 10**7),
     )
     assert tag == "sample_fallback"

@@ -26,7 +26,7 @@ from diverse_medians import (
 )
 from diverse_medians.oracle import DEFAULT_LIMITS, pairwise_hamming_matrix
 
-from conftest import pool_contexts, random_rows, tie_columns_rows
+from conftest import pool_contexts, random_rows, reference_context, tie_columns_rows
 
 
 def words(strs):
@@ -35,21 +35,21 @@ def words(strs):
 
 def test_exact_enumeration_examples():
     ctx = context_from_strings(["aa", "ab", "ba", "bb"], alphabet="ab")
-    pool = enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS)
+    pool = enumerate_exact_medians(ctx, DEFAULT_LIMITS)
     assert words(["aa", "ab", "ba", "bb"]) == set(pool)
 
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")
-    assert len(enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS)) == 4
+    assert len(enumerate_exact_medians(ctx, DEFAULT_LIMITS)) == 4
 
     ctx = context_from_strings(["abc", "abc", "abd"], alphabet="abcd")
-    assert set(enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS)) == {ctx.w}
+    assert set(enumerate_exact_medians(ctx, DEFAULT_LIMITS)) == {ctx.w}
 
 
 def test_exact_pool_members_are_medians(rng):
     for _ in range(25):
         rows = random_rows(rng, sigma="ab")
         ctx = context_from_strings(rows, alphabet="ab")
-        for s in enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS):
+        for s in enumerate_exact_medians(ctx, DEFAULT_LIMITS):
             assert median_cost(ctx, s) == ctx.opt
 
 
@@ -59,7 +59,7 @@ def test_approx_matches_exact_at_zero_budget(rng):
         ctx = context_from_strings(rows, alphabet="abc")
         b = Budget.make(0, ctx.opt)
         assert set(enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)) == set(
-            enumerate_exact_medians(ctx.freq, DEFAULT_LIMITS)
+            enumerate_exact_medians(ctx, DEFAULT_LIMITS)
         )
 
 
@@ -88,7 +88,7 @@ def test_approx_pool_closed_under_direct_cost_refilter(rng):
         b = Budget.make(Fraction(1, 2), ctx.opt)
         pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
         for s in pool:
-            assert b.within(ctx.freq.direct_cost(s) - ctx.opt)
+            assert b.within(ctx.direct_cost(s) - ctx.opt)
 
 
 # The tuple-emitting enumerators the code-matrix pools replaced, kept as
@@ -96,23 +96,22 @@ def test_approx_pool_closed_under_direct_cost_refilter(rng):
 # over every index with an explicit stack.
 
 
-def product_exact_medians(freq, limits):
+def product_exact_medians(ctx, limits):
+    majority_sets = reference_context(ctx.dataset.strings, ctx.alphabet)["majority_sets"]
     size = 1
-    for gamma in freq.majority_sets:
+    for gamma in majority_sets:
         size *= len(gamma)
         if size > limits.max_candidates:
             raise CapExceeded("pool over max_candidates")
-    return [tuple(p) for p in product(*freq.majority_sets)]
+    return [tuple(p) for p in product(*majority_sets)]
 
 
 def stack_approx_medians(ctx, budget, limits):
+    ref = reference_context(ctx.dataset.strings, ctx.alphabet)
     cap = budget.floor
     choices = []
     for i in range(ctx.d):
-        opts = [(0, ctx.w[i])]
-        for a in ctx.alphabet:
-            if a != ctx.w[i]:
-                opts.append((ctx.per_char_cost[i][a], a))
+        opts = [(0, ref["w"][i])] + [(c, a) for a, c in ref["per_char_cost"][i].items()]
         opts.sort(key=lambda ca: (ca[0], ctx.alphabet.index(ca[1])))
         choices.append(opts)
     pool, prefix = [], []
@@ -158,7 +157,7 @@ def test_pools_match_the_tuple_references(ctx, eps, max_candidates):
     limits = EnumerationLimits(max_candidates=max_candidates)
     b = Budget.make(eps, ctx.opt)
     for pool, reference, args in (
-        (exact_median_pool, product_exact_medians, (ctx.freq, limits)),
+        (exact_median_pool, product_exact_medians, (ctx, limits)),
         (approx_median_pool, stack_approx_medians, (ctx, b, limits)),
     ):
         want = decoded_or_cap(reference, *args)
@@ -167,8 +166,8 @@ def test_pools_match_the_tuple_references(ctx, eps, max_candidates):
             built = pool(*args)
             assert built.alphabet == ctx.alphabet
             assert built.codes.dtype == np.min_scalar_type(len(ctx.alphabet))
-    assert decoded_or_cap(enumerate_exact_medians, ctx.freq, limits) == decoded_or_cap(
-        product_exact_medians, ctx.freq, limits)
+    assert decoded_or_cap(enumerate_exact_medians, ctx, limits) == decoded_or_cap(
+        product_exact_medians, ctx, limits)
     assert decoded_or_cap(enumerate_approx_medians, ctx, b, limits) == decoded_or_cap(
         stack_approx_medians, ctx, b, limits)
 
@@ -184,7 +183,7 @@ def pool_cases():
     two = Budget.make(Fraction(2, few.opt), few.opt)
     assert two.floor == 2
     return [
-        ("exact, 16 tie columns", lambda: exact_median_pool(ties.freq), 2**16 * 1000, 1.0),
+        ("exact, 16 tie columns", lambda: exact_median_pool(ties), 2**16 * 1000, 1.0),
         ("approx at eps=0, 16 tie columns", lambda: approx_median_pool(ties, zero),
          2**16 * 1000, 2.0),
         ("approx at B=2, d=120", lambda: approx_median_pool(few, two), 7261 * d, None),
@@ -213,13 +212,11 @@ def test_pools_stay_within_two_bytes_per_cell(case):
 def recursive_approx_medians(ctx, budget, limits):
     """The recursive enumerator the stack version replaced, as its reference:
     one call per index, so it fails past the recursion limit."""
+    ref = reference_context(ctx.dataset.strings, ctx.alphabet)
     cap = budget.floor
     choices = []
     for i in range(ctx.d):
-        opts = [(0, ctx.w[i])]
-        for a in ctx.alphabet:
-            if a != ctx.w[i]:
-                opts.append((ctx.per_char_cost[i][a], a))
+        opts = [(0, ref["w"][i])] + [(c, a) for a, c in ref["per_char_cost"][i].items()]
         opts.sort(key=lambda ca: (ca[0], ctx.alphabet.index(ca[1])))
         choices.append(opts)
     pool, prefix = [], []
@@ -278,7 +275,7 @@ def test_enumeration_caps():
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")
     tiny = EnumerationLimits(max_candidates=3, max_tuples=10, max_states=10)
     with pytest.raises(CapExceeded):
-        enumerate_exact_medians(ctx.freq, tiny)
+        enumerate_exact_medians(ctx, tiny)
     with pytest.raises(CapExceeded):
         enumerate_approx_medians(ctx, Budget.make(0, ctx.opt), tiny)
 
@@ -290,7 +287,7 @@ def test_brute_trio_examples():
     assert brute_mindp_k(pool, 2) == 2
 
     ctx = context_from_strings(["aa", "ab", "ba", "bb"], alphabet="ab")
-    four = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
+    four = exact_median_pool(ctx, DEFAULT_LIMITS)
     assert brute_diameter(four) == 2
 
     single = Dataset.from_strings(["ab"])

@@ -108,7 +108,7 @@ def check_pool(pool, alphabet):
     p = len(pool)
     for k in sorted({1, 2, 3, p, p + 3}):
         want = [pool[i] for i in greedy_reference(pool, k)]
-        got = greedy_dispersion(codes, k, ctx.freq).members
+        got = greedy_dispersion(codes, k, ctx).members
         assert list(got) == [tuple(s) for s in want], (pool, k, "min")
         want = [pool[i] for i in sum_reference(pool, k)]
         got = sum_dispersion_small_dstar(ctx, k, codes).members
@@ -141,7 +141,7 @@ def test_engines_pick_from_enumerated_pools_as_the_references_do(ctx, eps, k):
         return  # keep the p x p references cheap
     words = list(pool.strings)
     want = [words[i] for i in greedy_reference(words, k)]
-    assert list(greedy_dispersion(pool, k, ctx.freq).members) == want
+    assert list(greedy_dispersion(pool, k, ctx).members) == want
     want = [words[i] for i in sum_reference(words, k)]
     assert list(sum_dispersion_small_dstar(ctx, k, pool).members) == want
 
@@ -185,7 +185,7 @@ def test_pool_engines_stay_memory_bounded(engine):
     t0 = time.perf_counter()
     try:
         if engine == "greedy_dispersion":
-            cands = greedy_dispersion(pool, k, ctx.freq)
+            cands = greedy_dispersion(pool, k, ctx)
         else:
             cands = sum_dispersion_small_dstar(ctx, k, pool)
         elapsed = time.perf_counter() - t0

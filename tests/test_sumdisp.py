@@ -32,7 +32,7 @@ from conftest import random_rows
 def test_exact_layout_counts():
     # one 3-way tie column, one decided column
     ctx = context_from_strings(["ax", "bx", "cx"], alphabet="abcx")
-    cs = sum_dispersion_exact_k(ctx, ctx.freq, 5)
+    cs = sum_dispersion_exact_k(ctx, 5)
     col0 = Counter(s[0] for s in cs.members)
     # 5 = 1*3 + 2: two symbols get 2 copies, one gets 1, in alphabet order
     assert col0 == {"a": 2, "b": 2, "c": 1}
@@ -48,17 +48,17 @@ def test_exact_matches_brute_on_tie_instances(rng):
     for _ in range(30):
         rows = random_rows(rng, sigma="ab", d=int(rng.integers(1, 5)))
         ctx = context_from_strings(rows, alphabet="ab")
-        pool = exact_median_pool(ctx.freq, DEFAULT_LIMITS)
+        pool = exact_median_pool(ctx, DEFAULT_LIMITS)
         if pool.n > 4:
             continue
         for k in (2, 3, 4):
-            cs = sum_dispersion_exact_k(ctx, ctx.freq, k)
+            cs = sum_dispersion_exact_k(ctx, k)
             assert cs.sum_dispersion() == brute_sumdp_k(pool, k, DEFAULT_LIMITS)
 
 
 def test_exact_k1_is_w():
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")
-    cs = sum_dispersion_exact_k(ctx, ctx.freq, 1)
+    cs = sum_dispersion_exact_k(ctx, 1)
     assert cs.members == (ctx.w,)
     assert cs.sum_dispersion() == 0
 
@@ -231,7 +231,7 @@ def test_make_distinct_stamps_tie_indices():
     ctx = context_from_strings(rows, alphabet="ab")
     from diverse_medians import CandidateSet
 
-    cands = CandidateSet.from_members(ctx.freq, [ctx.w] * 4)
+    cands = CandidateSet.from_members(ctx, Dataset.from_strings([ctx.w] * 4, ctx.alphabet).codes)
     out, changed = make_distinct(ctx, cands)
     assert changed
     assert len(set(out.members)) == 4
@@ -245,7 +245,7 @@ def test_make_distinct_reports_when_ties_run_out():
     ctx = context_from_strings(["ab", "ab"], alphabet="ab")  # no ties at all
     from diverse_medians import CandidateSet
 
-    cands = CandidateSet.from_members(ctx.freq, [ctx.w] * 3)
+    cands = CandidateSet.from_members(ctx, Dataset.from_strings([ctx.w] * 3, ctx.alphabet).codes)
     out, changed = make_distinct(ctx, cands)
     assert not changed
     assert out.members == cands.members
