@@ -25,6 +25,19 @@ echo '== three strings picked from that pool, maximize the total spread =='
 diverse-medians --objective sum-dispersion --strategy greedy --input "$tmp/rows.txt" \
     --epsilon 1/2 --k 3
 
+echo '== at eps = 0: farthest-point greedy over every exact median =='
+diverse-medians --objective min-dispersion --strategy greedy --input "$tmp/rows.txt" \
+    --k 3
+
+echo '== every exact median, decoded from the pool =='
+diverse-medians --objective oracle --oracle-op exact-medians --input "$tmp/rows.txt"
+
+echo '== delta outside (0, 1) is a validation error: exit code 2 =='
+rc=0
+diverse-medians --objective min-dispersion --input "$tmp/rows.txt" --delta 0 || rc=$?
+[ "$rc" = 2 ]
+echo "exit code $rc"
+
 printf 'AC,GT,AC\nGT,GT,AC\nAC,AC,GT\nAC,GT,GT\n' > "$tmp/cells.csv"
 
 echo '== CSV cells as symbols: strings render as lists of cells =='

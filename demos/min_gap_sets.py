@@ -17,12 +17,11 @@ from diverse_medians import (
     context_from_strings,
     exact_median_pool,
     min_disp_dp_exact,
-    min_dispersion_dispatch_exact,
     plotkin_bound,
     sample_exact_medians,
     word_str,
 )
-from diverse_medians.cli import STRATEGY_TABLE
+from diverse_medians.cli import STRATEGY_TABLE, dispatch
 
 ctx = context_from_strings(["abb", "bab", "bba", "aaa"], alphabet="ab")
 value, cs = min_disp_dp_exact(ctx, 2)
@@ -44,11 +43,13 @@ print("certificate: plotkin_sum =", cert.plotkin_sum,
       "-> max code size at t=25:", cert.max_code_size)
 print("binary sanity:", plotkin_bound((2,) * 8, 5), "== 5")
 
-# The dispatcher returns the candidate set and the tag of the strategy it
-# ran; the CLI's strategy table holds each tag's guarantee and cost class.
-result, strategy = min_dispersion_dispatch_exact(
-    wide, 4, Fraction(1, 2), Fraction(1, 8), seed=1
+# The CLI's "auto" walk returns the candidate set and the tag of the
+# strategy it ran; the strategy table holds each tag's guarantee, cost class
+# and engine. At eps = 0 (B = 0) the exact-median rows apply.
+result, strategy = dispatch(
+    wide, Budget.make(0, wide.opt), "min-dispersion", 4, Fraction(1, 2), Fraction(1, 8),
+    seed=1,
 )
 print("dispatcher chose:", strategy, "-> minDp", result.min_dispersion())
-guarantee, cost_class = STRATEGY_TABLE["min-dispersion", "exact", strategy]
-print("  guarantee:", guarantee, "| cost class:", cost_class)
+row = STRATEGY_TABLE["min-dispersion", "exact", strategy]
+print("  guarantee:", row.guarantee, "| cost class:", row.cost_class)

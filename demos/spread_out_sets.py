@@ -15,10 +15,10 @@ from diverse_medians import (
     exact_median_pool,
     sum_dispersion,
     sum_dispersion_approx_k,
-    sum_dispersion_dispatch,
     sum_dispersion_exact_k,
     word_str,
 )
+from diverse_medians.cli import dispatch
 
 # On tied columns the optimum splits the k picks as evenly as possible over
 # each tie set -- that per-column layout is provably the global maximum.
@@ -36,6 +36,6 @@ budget = Budget.make(Fraction(1, 2), ctx.opt)
 cs, value = sum_dispersion_approx_k(ctx, budget, 3)
 print("density greedy k=3:", [word_str(s) for s in cs.members], "-> sumDp", value)
 
-# The dispatcher reports which regime it used.
-cs, tag = sum_dispersion_dispatch(ctx, budget, 3, Fraction(1, 4))
+# The CLI's "auto" walk reports which regime it used.
+cs, tag = dispatch(ctx, budget, "sum-dispersion", 3, Fraction(1, 4))
 print("dispatch picked:", tag, "-> sumDp", sum_dispersion(cs.members))

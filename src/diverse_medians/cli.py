@@ -18,7 +18,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,20 +39,18 @@ from .core import (
     median_cost,
     word_str,
 )
-from .diameter import approx_diameter_pair, exact_diameter_pair
+from .diameter import DiameterResult, approx_diameter_pair, exact_diameter_pair
 from .lpround import lp_min_dispersion
 from .mindisp import (
     BoundCertificate,
+    SampleConfig,
+    _diameter_at_least,
     bound_certificate,
     greedy_dispersion,
     min_disp_dp_approx,
-    min_disp_dp_exact,
-    min_dispersion_dispatch_approx,
-    min_dispersion_dispatch_exact,
     plotkin_bound,
     sample_approx_medians,
     sample_exact_medians,
-    SampleConfig,
 )
 from .oracle import (
     DEFAULT_LIMITS,
@@ -64,7 +63,7 @@ from .oracle import (
     exact_median_pool,
 )
 from .sumdisp import (
-    sum_dispersion_dispatch,
+    sum_dispersion_approx_k,
     sum_dispersion_exact_k,
     sum_dispersion_small_dstar,
 )
@@ -86,34 +85,167 @@ COST_CLASSES = {
     "lp": ("cost <= (1+eps+delta)*opt", 1, 1),
 }
 
-# (objective, regime, strategy tag) -> (guarantee, cost class). The regime is
-# "exact" at eps == 0 and "approx" above it; an "any" row holds in both.
+
+class Strategy(NamedTuple):
+    """A STRATEGY_TABLE row; the engine maps the run's _Job to a CandidateSet."""
+
+    guarantee: str
+    cost_class: str
+    engine: Callable[["_Job"], CandidateSet]
+
+
+def _lp(j: "_Job") -> CandidateSet:
+    cands, report = lp_min_dispersion(j.ctx, j.budget, j.k, j.delta, j.eta, j.seed)
+    j.doc["lp_report"] = asdict(report)
+    return cands
+
+
+# (objective, regime, strategy tag) -> Strategy. The regime is "exact" at
+# eps == 0 and "approx" above it; an "any" row holds in both. The engines call
+# the approximate entry points, whose pools at eps == 0 (B = 0) are the exact
+# medians, and look them up by module-global name when they run, so patching
+# cli.<name> reaches them.
 STRATEGY_TABLE = {
-    ("sum-dispersion", "any", "exact-construction"):
-        ("exact optimum sumDp over exact medians", "exact"),
-    ("sum-dispersion", "any", "greedy"):
-        ("farthest-pair + max-gain insertion; value >= optimum / 2", "approx"),
-    ("sum-dispersion", "any", "density"): ("value >= (1 - delta) * optimum", "approx"),
-    ("sum-dispersion", "any", "enumeration"): ("value >= optimum / 2", "approx"),
-    ("sum-dispersion", "any", "density_fallback"):
-        ("pool enumeration over cap; density value >= (1 - 4/D*) * optimum", "approx"),
-    ("min-dispersion", "exact", "dp"): ("exact optimum minDp over exact medians", "exact"),
-    ("min-dispersion", "exact", "greedy"): ("minDp >= t_star/2", "exact"),
-    ("min-dispersion", "exact", "sample"):
-        ("minDp >= (1-2*delta)*t_star with probability >= 1-eta", "exact"),
-    ("min-dispersion", "exact", "sample_fallback"):
-        ("enumeration over cap; sampler lower bound (1-delta)*plotkin_sum only", "exact"),
-    ("min-dispersion", "approx", "dp"):
-        ("exact optimum minDp over (1+eps)-approximate medians", "approx"),
-    ("min-dispersion", "approx", "greedy"):
-        ("minDp >= t_star/2; members are (1+eps)-approximate", "approx"),
-    ("min-dispersion", "approx", "sample"):
-        ("minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
-         "members are (1+2*eps)-approximate", "mix"),
-    ("min-dispersion", "any", "lpround"):
-        ("minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
-         "members are (1+eps+delta)-approximate", "lp"),
+    ("sum-dispersion", "any", "exact-construction"): Strategy(
+        "exact optimum sumDp over exact medians", "exact",
+        lambda j: sum_dispersion_exact_k(j.ctx, j.k)),
+    ("sum-dispersion", "any", "greedy"): Strategy(
+        "farthest-pair + max-gain insertion; value >= optimum / 2", "approx",
+        lambda j: sum_dispersion_small_dstar(j.ctx, j.k, j.pool())),
+    ("sum-dispersion", "any", "density"): Strategy(
+        "value >= (1 - delta) * optimum", "approx",
+        lambda j: sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0]),
+    ("sum-dispersion", "any", "enumeration"): Strategy(
+        "value >= optimum / 2", "approx",
+        lambda j: sum_dispersion_small_dstar(j.ctx, j.k, j.pool())),
+    ("sum-dispersion", "any", "density_fallback"): Strategy(
+        "pool enumeration over cap; density value >= (1 - 4/D*) * optimum", "approx",
+        lambda j: sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0]),
+    ("min-dispersion", "exact", "dp"): Strategy(
+        "exact optimum minDp over exact medians", "exact",
+        lambda j: min_disp_dp_approx(j.ctx, j.budget, j.k, limits=j.limits)[1]),
+    ("min-dispersion", "exact", "greedy"): Strategy(
+        "minDp >= t_star/2", "exact",
+        lambda j: greedy_dispersion(j.pool(), j.k, j.ctx)),
+    ("min-dispersion", "exact", "sample"): Strategy(
+        "minDp >= (1-2*delta)*t_star with probability >= 1-eta", "exact",
+        lambda j: sample_exact_medians(j.ctx, j.cfg)[0]),
+    ("min-dispersion", "exact", "sample_fallback"): Strategy(
+        "enumeration over cap; sampler lower bound (1-delta)*plotkin_sum only", "exact",
+        lambda j: sample_exact_medians(j.ctx, j.cfg)[0]),
+    ("min-dispersion", "approx", "dp"): Strategy(
+        "exact optimum minDp over (1+eps)-approximate medians", "approx",
+        lambda j: min_disp_dp_approx(j.ctx, j.budget, j.k, limits=j.limits)[1]),
+    ("min-dispersion", "approx", "greedy"): Strategy(
+        "minDp >= t_star/2; members are (1+eps)-approximate", "approx",
+        lambda j: greedy_dispersion(j.pool(), j.k, j.ctx)),
+    ("min-dispersion", "approx", "sample"): Strategy(
+        "minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
+        "members are (1+2*eps)-approximate", "mix",
+        lambda j: sample_approx_medians(j.ctx, j.diameter, j.cfg)[0]),
+    ("min-dispersion", "any", "lpround"): Strategy(
+        "minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
+        "members are (1+eps+delta)-approximate", "lp", _lp),
 }
+
+# --strategy names each objective takes besides "auto", and the tag each runs
+NAMED_STRATEGIES = {
+    "sum-dispersion": {"exact-construction": "exact-construction", "greedy": "greedy"},
+    "min-dispersion": {"dp": "dp", "greedy": "greedy", "sample": "sample", "lp": "lpround"},
+}
+
+# (objective, regime) -> the ordered rules "auto" walks: (applies, tag). The
+# first rule that applies and whose engine raises no CapExceeded wins; the
+# last rule always applies. The LP pipeline runs only when named.
+RULES = {
+    ("sum-dispersion", "any"): (
+        (lambda j: j.diameter.diameter >= 4 / j.delta, "density"),
+        (lambda j: True, "enumeration"),
+        (lambda j: True, "density_fallback"),
+    ),
+    ("min-dispersion", "exact"): (
+        (lambda j: j.k * j.delta <= 1, "dp"),
+        # the exact-median diameter is the number of tie columns
+        (lambda j: _diameter_at_least(int((j.ctx.majority_sizes >= 2).sum()),
+                                      j.delta, j.k, add=1), "sample"),
+        (lambda j: True, "greedy"),
+        (lambda j: True, "sample_fallback"),
+    ),
+    ("min-dispersion", "approx"): (
+        (lambda j: j.k * j.delta <= 1, "dp"),
+        (lambda j: j.diameter.diameter * j.delta**2 <= 4, "greedy"),
+        (lambda j: True, "sample"),
+    ),
+}
+
+
+def _regime(epsilon: Fraction) -> str:
+    """"exact" at eps == 0, "approx" above it."""
+    return "exact" if epsilon == 0 else "approx"
+
+
+def _lookup(table: dict, objective: str, epsilon: Fraction, *rest: str):
+    key = (objective, _regime(epsilon), *rest)
+    return table[key] if key in table else table[(objective, "any", *rest)]
+
+
+class _Job:
+    """What the rules and engines of one dispersion run read. The diameter
+    pair, the pool and the sampler's config are built on first use, so a run
+    computes approx_diameter_pair at most once."""
+
+    def __init__(self, ctx, budget, k, delta, eta, seed, limits, doc):
+        self.ctx, self.budget, self.k, self.limits, self.doc = ctx, budget, k, limits, doc
+        self.delta, self.eta, self.seed = Fraction(delta), Fraction(eta), seed
+
+    @cached_property
+    def diameter(self) -> DiameterResult:
+        return approx_diameter_pair(self.ctx, self.budget)
+
+    @cached_property
+    def cfg(self) -> SampleConfig:
+        return SampleConfig(k=self.k, delta=self.delta, eta=self.eta, seed=self.seed)
+
+    def pool(self) -> Dataset:
+        return approx_median_pool(self.ctx, self.budget, self.limits)
+
+
+def dispatch(
+    ctx: MedianContext,
+    budget: Budget,
+    objective: str,
+    k: int,
+    delta: Fraction = Fraction(1, 4),
+    eta: Fraction = Fraction(1, 8),
+    seed: int = 0,
+    *,
+    strategy: str = "auto",
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+    doc: dict | None = None,
+) -> tuple[CandidateSet, str]:
+    """k strings for a "sum-dispersion" or "min-dispersion" objective, and the
+    tag of the STRATEGY_TABLE row that made them.
+
+    A named strategy runs its tag's row. "auto" walks RULES for the objective
+    and regime. Engines add their reports (the LP's "lp_report") to `doc`.
+    """
+    job = _Job(ctx, budget, k, delta, eta, seed, limits, {} if doc is None else doc)
+    if strategy != "auto":
+        tag = NAMED_STRATEGIES[objective][strategy]
+        return _lookup(STRATEGY_TABLE, objective, budget.epsilon, tag).engine(job), tag
+    if objective == "sum-dispersion" and not job.delta > 0:
+        raise ValidationError("delta must be positive")
+    if objective == "min-dispersion":
+        if k < 2:
+            raise ValidationError("k must be >= 2")
+        job.cfg  # checks delta and eta before any rule runs
+    for applies, tag in _lookup(RULES, objective, budget.epsilon):
+        if applies(job):
+            try:
+                return _lookup(STRATEGY_TABLE, objective, budget.epsilon, tag).engine(job), tag
+            except CapExceeded as exc:
+                refused = exc
+    raise refused
 
 
 @dataclass(frozen=True)
@@ -318,81 +450,11 @@ def _certificates(cert: BoundCertificate) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# engines: (objective, strategy) -> call returning (CandidateSet, tag). Each
-# looks its engine up by module-global name when it runs, so patching
-# cli.<engine> reaches it.
-
-
-def _sum_auto(ctx, budget, c, doc):
-    return sum_dispersion_dispatch(ctx, budget, c.k, c.delta, limits=c.limits)
-
-
-def _sum_exact_construction(ctx, budget, c, doc):
-    return sum_dispersion_exact_k(ctx, c.k), "exact-construction"
-
-
-def _sum_greedy(ctx, budget, c, doc):
-    pool = approx_median_pool(ctx, budget, c.limits)
-    return sum_dispersion_small_dstar(ctx, c.k, pool), "greedy"
-
-
-def _min_auto(ctx, budget, c, doc):
-    if c.epsilon == 0:
-        return min_dispersion_dispatch_exact(ctx, c.k, c.delta, c.eta, c.seed,
-                                             limits=c.limits)
-    return min_dispersion_dispatch_approx(ctx, budget, c.k, c.delta, c.eta, c.seed,
-                                          limits=c.limits)
-
-
-def _min_dp(ctx, budget, c, doc):
-    if c.epsilon == 0:
-        _, cands = min_disp_dp_exact(ctx, c.k, limits=c.limits)
-    else:
-        _, cands = min_disp_dp_approx(ctx, budget, c.k, limits=c.limits)
-    return cands, "dp"
-
-
-def _min_greedy(ctx, budget, c, doc):
-    if c.epsilon == 0:
-        pool = exact_median_pool(ctx, c.limits)
-    else:
-        pool = approx_median_pool(ctx, budget, c.limits)
-    return greedy_dispersion(pool, c.k, ctx), "greedy"
-
-
-def _min_sample(ctx, budget, c, doc):
-    cfg = SampleConfig(k=c.k, delta=c.delta, eta=c.eta, seed=c.seed)
-    if c.epsilon == 0:
-        cands, _ = sample_exact_medians(ctx, cfg)
-    else:
-        cands, _ = sample_approx_medians(ctx, approx_diameter_pair(ctx, budget), cfg)
-    return cands, "sample"
-
-
-def _min_lp(ctx, budget, c, doc):
-    cands, report = lp_min_dispersion(ctx, budget, c.k, c.delta, c.eta, c.seed)
-    doc["lp_report"] = asdict(report)
-    return cands, "lpround"
-
-
-ENGINES = {
-    ("sum-dispersion", "auto"): _sum_auto,
-    ("sum-dispersion", "exact-construction"): _sum_exact_construction,
-    ("sum-dispersion", "greedy"): _sum_greedy,
-    ("min-dispersion", "auto"): _min_auto,
-    ("min-dispersion", "dp"): _min_dp,
-    ("min-dispersion", "greedy"): _min_greedy,
-    ("min-dispersion", "sample"): _min_sample,
-    ("min-dispersion", "lp"): _min_lp,
-}
-
-
 def run(config: RunConfig) -> dict:
     """Execute one configured run and return the result document as a dict."""
     if config.objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {config.objective!r}")
-    allowed = [s for o, s in ENGINES if o == config.objective] or ["auto"]
+    allowed = ["auto", *NAMED_STRATEGIES.get(config.objective, ())]
     if config.strategy not in allowed:
         raise ValidationError(
             f"strategy {config.strategy!r} does not apply to objective "
@@ -464,13 +526,13 @@ def run(config: RunConfig) -> dict:
         return doc
 
     if config.objective == "diameter":
-        if config.epsilon == 0:
+        regime = _regime(config.epsilon)  # each regime names a cost class too
+        cap, cls = _class_cap(regime, config, ctx.opt)
+        if regime == "exact":
             res = exact_diameter_pair(ctx)
-            cap, cls = _class_cap("exact", config, ctx.opt)
             doc["guarantee"] = f"exact diameter over exact medians; {cls}"
         else:
             res = approx_diameter_pair(ctx, budget)
-            cap, cls = _class_cap("approx", config, ctx.opt)
             doc["guarantee"] = (
                 f"exact diameter over (1+eps)-approximate medians "
                 f"(branch: {res.branch}); {cls}"
@@ -482,16 +544,16 @@ def run(config: RunConfig) -> dict:
         doc["branch"] = res.branch
         return doc
 
-    if (config.objective, config.strategy) in ENGINES:
-        cands, tag = ENGINES[config.objective, config.strategy](ctx, budget, config, doc)
-        regime = "exact" if config.epsilon == 0 else "approx"
-        guarantee, cls = (STRATEGY_TABLE.get((config.objective, regime, tag))
-                          or STRATEGY_TABLE[config.objective, "any", tag])
-        cap, label = _class_cap(cls, config, ctx.opt)
+    if config.objective in NAMED_STRATEGIES:
+        cands, tag = dispatch(ctx, budget, config.objective, config.k, config.delta,
+                              config.eta, config.seed, strategy=config.strategy,
+                              limits=config.limits, doc=doc)
+        row = _lookup(STRATEGY_TABLE, config.objective, config.epsilon, tag)
+        cap, label = _class_cap(row.cost_class, config, ctx.opt)
         doc["strings"] = [_render_word(s, joined) for s in cands.members]
         doc["costs"] = _revalidate(ctx, cands.members, cap)
         doc["strategy_tag"] = tag
-        doc["guarantee"] = f"{guarantee}; {label}"
+        doc["guarantee"] = f"{row.guarantee}; {label}"
         if config.objective == "sum-dispersion":
             doc["objective_value"] = cands.sum_dispersion()
         else:
@@ -554,7 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="1/8", metavar="P/Q",
                    help="failure probability for sampled strategies (default 1/8)")
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2^64) (default 0)")
     p.add_argument("--alphabet",
                    help="explicit symbols: one per character, or comma-separated")
     p.add_argument("--output", "-o", help="write the document here instead of stdout")
@@ -583,8 +645,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValidationError(f"bad --sizes: {args.sizes!r}") from exc
         if not sizes:
             raise ValidationError("empty --sizes")
-    if not -(2 ** 63) <= args.seed < 2 ** 64:
-        raise ValidationError("seed does not fit in 64 bits")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValidationError("seed must lie in [0, 2^64)")
     if args.k < 1:
         raise ValidationError("k must be >= 1")
     limits = EnumerationLimits(

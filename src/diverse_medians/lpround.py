@@ -26,6 +26,7 @@ from .core import (
     MedianContext,
     SolverNotConverged,
     ValidationError,
+    min_distance,
 )
 from .mindisp import SampleConfig, tstar_upper_bound
 
@@ -323,17 +324,6 @@ def dependent_round(frac: Sequence[Sequence[float]] | np.ndarray, seed) -> np.nd
     return np.array(val, dtype=float).reshape(d, k).astype(np.int64)
 
 
-def z_from_rounded(u_r: np.ndarray, u_rhat: np.ndarray) -> int:
-    """Sum of the z values the linearization constraints force for integral u.
-
-    For 0/1 picks the four inequalities pin z_{ij} = u_{rij} XOR u_{r̂ij}, so
-    the sum is twice the number of indices where the two candidates pick
-    different ranks (= twice their Hamming distance, ranks naming distinct
-    characters).
-    """
-    return int(np.abs(u_r - u_rhat).sum())
-
-
 @dataclass(frozen=True)
 class LpReport:
     lp_value: float
@@ -367,9 +357,9 @@ def lp_min_dispersion(
     """Solve the relaxation once, round N = ceil(log2(1/eta)) times, keep the
     best trial whose members all cost at most (1+eps+delta)*opt (exact check).
 
-    Raises InfeasibleError when no trial passes the cost filter; the caller
-    (dispatcher) falls back to the sampler. The report says whether the
-    guarantee's t* precondition was even plausible on this instance.
+    Raises InfeasibleError when no trial passes the cost filter. The report
+    says whether the guarantee's t* precondition was even plausible on this
+    instance.
     """
     delta, eta = Fraction(delta), Fraction(eta)
     cfg = SampleConfig(k=k, delta=delta, eta=eta, seed=seed)  # validates ranges
@@ -377,30 +367,26 @@ def lp_min_dispersion(
     frac, lp_value = solve_lp_relaxation(model)
 
     cap = (1 + budget.epsilon + delta) * ctx.opt  # exact rational threshold
-    kept: list[tuple[int, np.ndarray, int]] = []
+    kept, best_trial, best_members, best_val = 0, -1, None, -1
     for trial in range(cfg.trials):
         picks = [dependent_round(frac[r], seed=[seed, trial, r])
                  for r in range(k)]
         members = model.ranked[np.arange(ctx.d), np.argmax(picks, axis=2)]  # (k, d) codes
         costs = ctx.opt + ctx.cost[np.arange(ctx.d), members].sum(axis=1)
         if all(Fraction(c) <= cap for c in costs.tolist()):
-            # min dispersion read off the recomputed z values (sum z = 2 * dist)
-            val = min(z_from_rounded(a, b) for a, b in combinations(picks, 2)) // 2
-            kept.append((trial, members, val))
-    plausible = _lp_plausible(tstar_upper_bound(ctx, budget), delta, k, ctx.d)
+            kept += 1
+            val = min_distance(members)  # ties keep the earliest trial
+            if val > best_val:
+                best_trial, best_members, best_val = trial, members, val
     if not kept:
         raise InfeasibleError(
             f"none of {cfg.trials} rounding trials met the (1+eps+delta) cost cap"
         )
-    best_trial, best_members, best_val = -1, None, -1
-    for trial, members, val in kept:
-        if val > best_val:
-            best_trial, best_members, best_val = trial, members, val
     report = LpReport(
         lp_value=lp_value,
-        regime_plausible=plausible,
+        regime_plausible=_lp_plausible(tstar_upper_bound(ctx, budget), delta, k, ctx.d),
         trials=cfg.trials,
-        kept=len(kept),
+        kept=kept,
         chosen_trial=best_trial,
     )
     return CandidateSet.from_members(ctx, best_members), report

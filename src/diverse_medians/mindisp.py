@@ -3,8 +3,8 @@
 Engines: exact dynamic programs over pairwise-distance states (with and
 without a cost budget), best-of-N uniform samplers, farthest-point greedy
 over an enumerated pool, and Plotkin-style certificates bounding what any
-algorithm could achieve. Two dispatchers pick an engine from (k, delta) and
-the instance's diameter, mirroring the regime split the guarantees need.
+algorithm could achieve. The regime split that picks an engine from (k,
+delta) and the instance's diameter lives in cli.RULES.
 """
 
 from __future__ import annotations
@@ -30,26 +30,19 @@ from .core import (
     farthest_pair,
     min_distance,
 )
-from .diameter import DiameterResult, approx_diameter_pair
-from .oracle import (
-    DEFAULT_LIMITS,
-    EnumerationLimits,
-    approx_median_pool,
-    exact_median_pool,
-)
+from .diameter import DiameterResult
+from .oracle import DEFAULT_LIMITS, EnumerationLimits
 
 
 def _check_dp_state(
-    distances: tuple[int, ...], costs: tuple[int, ...] | None, column: int,
-    cost_cap: int | None,
+    distances: tuple[int, ...], costs: tuple[int, ...], column: int, cost_cap: int
 ) -> None:
     """A DP state after the first `column` indices: all pairwise distances so
-    far, plus (approx variant only) each candidate's deviation cost."""
+    far, plus each candidate's deviation cost."""
     if any(not 0 <= x <= column for x in distances):
         raise InternalError("DP state: distance outside [0, column]")
-    if costs is not None:
-        if cost_cap is None or any(not 0 <= c <= cost_cap for c in costs):
-            raise InternalError("DP state: cost outside budget window")
+    if any(not 0 <= c <= cost_cap for c in costs):
+        raise InternalError("DP state: cost outside budget window")
 
 
 @dataclass(frozen=True)
@@ -101,26 +94,14 @@ def _best_by_mindp(trials: list[np.ndarray]) -> tuple[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# exact DPs
+# DPs
 
 
 def min_disp_dp_exact(
     ctx: MedianContext, k: int, *, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> tuple[int, CandidateSet]:
-    """Exact max minDp over k-tuples from the exact-median product space.
-
-    State: the k(k-1)/2 pairwise distances accumulated column by column.
-    Per-column assignments collapsing to the same distance-increment pattern
-    are interchangeable for the remaining columns, so only one representative
-    per pattern transitions. With T the number of tie columns (majority sets
-    of two or more symbols), the precheck bounds every layer by
-    (T+1)^(k(k-1)/2) <= max_states/(d+1) states.
-    """
-    if k < 2:
-        raise ValidationError("k must be >= 2")
-    dist, _, codes = _dp_kernel(ctx, 0, k, limits.max_states)
-    _check_dp_state(dist, None, ctx.d, None)
-    return min(dist), CandidateSet.from_members(ctx, codes)
+    """Exact max minDp over k-tuples of exact medians: min_disp_dp_approx at B = 0."""
+    return min_disp_dp_approx(ctx, Budget.make(0, ctx.opt), k, limits=limits)
 
 
 def min_disp_dp_approx(
@@ -132,11 +113,15 @@ def min_disp_dp_approx(
 ) -> tuple[int, CandidateSet]:
     """Exact max minDp over k-tuples of (1+eps)-approximate medians.
 
-    Extends the exact DP state with each candidate's deviation weight, capped
-    at B = floor(eps * opt); every surviving final state is feasible by
-    construction. With T the number of columns holding a second symbol of
+    State: the k(k-1)/2 pairwise distances accumulated column by column, and
+    each candidate's deviation weight, capped at B = floor(eps * opt); every
+    surviving final state is feasible by construction. Per-column
+    assignments collapsing to the same increment pattern are interchangeable
+    for the remaining columns, so only one representative per pattern
+    transitions. With T the number of columns holding a second symbol of
     cost <= B, the precheck bounds every layer by
-    (T+1)^(k(k-1)/2) * (B+1)^k <= max_states/(d+1) states.
+    (T+1)^(k(k-1)/2) * (B+1)^k <= max_states/(d+1) states. At B = 0 this is
+    the exact-median DP.
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
@@ -149,7 +134,7 @@ def min_disp_dp_approx(
 def _dp_kernel(
     ctx: MedianContext, cap: int, k: int, max_states: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """The DP behind both min-dispersion engines, over int64 state keys.
+    """The DP behind min_disp_dp_approx, over int64 state keys.
 
     Column i offers its admissible symbols, those whose ``ctx.cost`` is at
     most `cap`: the first ones of ``ctx.rank[i]``. Each candidate carries a
@@ -389,7 +374,7 @@ def bound_certificate(ctx: MedianContext, budget: Budget, t: int) -> BoundCertif
 
 
 # ---------------------------------------------------------------------------
-# dispatchers
+# regime tests
 
 
 def _diameter_at_least(dstar: int, delta: Fraction, k: int, add: int) -> bool:
@@ -411,79 +396,3 @@ def _diameter_at_least(dstar: int, delta: Fraction, k: int, add: int) -> bool:
     if a < c * (bits - 1):
         return False  # log2 k >= bit_length - 1
     return 2**a >= k**c
-
-
-def min_dispersion_dispatch_exact(
-    ctx: MedianContext,
-    k: int,
-    delta: Fraction,
-    eta: Fraction,
-    seed: int,
-    *,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> tuple[CandidateSet, str]:
-    """Exact-median dispersion: DP when k <= 1/delta, else sample or greedy.
-
-    The diameter scale deciding sample-vs-greedy is the tie-set size (the
-    exact-median diameter). Returns the candidate set and the strategy tag:
-    dp, sample, greedy, or sample_fallback when the pool is over the cap.
-    """
-    if k < 2:
-        raise ValidationError("k must be >= 2")
-    delta, eta = Fraction(delta), Fraction(eta)
-    if k * delta <= 1:
-        try:
-            _, cands = min_disp_dp_exact(ctx, k, limits=limits)
-            return cands, "dp"
-        except CapExceeded:
-            pass  # fall through to the large-k regimes
-    dstar = int((ctx.majority_sizes >= 2).sum())
-    cfg = SampleConfig(k=k, delta=delta, eta=eta, seed=seed)
-    if _diameter_at_least(dstar, delta, k, add=1):
-        cands, _ = sample_exact_medians(ctx, cfg)
-        return cands, "sample"
-    try:
-        pool = exact_median_pool(ctx, limits)
-    except CapExceeded:
-        cands, _ = sample_exact_medians(ctx, cfg)
-        return cands, "sample_fallback"
-    return greedy_dispersion(pool, k, ctx), "greedy"
-
-
-def min_dispersion_dispatch_approx(
-    ctx: MedianContext,
-    budget: Budget,
-    k: int,
-    delta: Fraction,
-    eta: Fraction,
-    seed: int,
-    *,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> tuple[CandidateSet, str]:
-    """Approximate-median dispersion dispatcher.
-
-    Resolution order across the guarantee regimes (which overlap and leave
-    gaps): DP for small k; greedy over the enumerable pool when D* <= 4/delta^2;
-    else the mixing sampler. Returns the candidate set and the strategy tag:
-    dp, greedy or sample. The LP pipeline runs only when asked for by name
-    (lpround.lp_min_dispersion).
-    """
-    if k < 2:
-        raise ValidationError("k must be >= 2")
-    delta, eta = Fraction(delta), Fraction(eta)
-    if k * delta <= 1:
-        try:
-            _, cands = min_disp_dp_approx(ctx, budget, k, limits=limits)
-            return cands, "dp"
-        except CapExceeded:
-            pass
-    diameter = approx_diameter_pair(ctx, budget)
-    cfg = SampleConfig(k=k, delta=delta, eta=eta, seed=seed)
-    if Fraction(diameter.diameter) * delta**2 <= 4:
-        try:
-            pool = approx_median_pool(ctx, budget, limits)
-            return greedy_dispersion(pool, k, ctx), "greedy"
-        except CapExceeded:
-            pass
-    cands, _ = sample_approx_medians(ctx, diameter, cfg)
-    return cands, "sample"

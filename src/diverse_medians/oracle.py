@@ -3,8 +3,8 @@
 Everything here is ground truth at desk scale: full enumerations and
 exhaustive searches that the fast algorithms are tested against. Nothing in
 this module calls the algorithms under test. The pools are (p, d) code
-matrices (``Dataset``), built by ``exact_median_pool`` and
-``approx_median_pool``; the greedy engines pick from the same pools the
+matrices (``Dataset``), built by ``approx_median_pool`` (the exact medians
+are its pool at B = 0); the greedy engines pick from the same pools the
 brute-force searches scan.
 """
 
@@ -23,6 +23,7 @@ from .core import (
     CapExceeded,
     Dataset,
     MedianContext,
+    ValidationError,
     Word,
 )
 
@@ -42,29 +43,8 @@ DEFAULT_LIMITS = EnumerationLimits()
 def exact_median_pool(
     ctx: MedianContext, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> Dataset:
-    """All exact medians as one (p, d) code matrix over the context's alphabet.
-
-    The rows are the Cartesian product of the per-index majority sets, last
-    index fastest: a mixed-radix count over the tie columns, written into a
-    broadcast of the codes of w.
-    """
-    sizes = ctx.majority_sizes.tolist()
-    size = 1
-    for g in sizes:
-        size *= g
-        if size > limits.max_candidates:
-            raise CapExceeded(
-                f"exact-median pool exceeds max_candidates={limits.max_candidates}"
-            )
-    codes = np.empty((size, ctx.d), dtype=ctx.rank.dtype)
-    codes[:] = ctx.rank[:, 0]
-    inner = size  # rows per digit of the tie column being written
-    for i, g in enumerate(sizes):
-        if g >= 2:
-            inner //= g
-            digits = codes.reshape(-1, g, inner, ctx.d)
-            digits[:, :, :, i] = ctx.rank[i, :g, None]  # the majority set, alphabet order
-    return Dataset(codes=codes, alphabet=ctx.alphabet)
+    """All exact medians as one (p, d) code matrix: approx_median_pool at B = 0."""
+    return approx_median_pool(ctx, Budget.make(0, ctx.opt), limits)
 
 
 def approx_median_pool(
@@ -135,8 +115,8 @@ def _walk_layers(
 def enumerate_exact_medians(
     ctx: MedianContext, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> list[Word]:
-    """All exact medians as tuples of symbols: exact_median_pool, decoded."""
-    return list(exact_median_pool(ctx, limits).strings)
+    """All exact medians as tuples of symbols: enumerate_approx_medians at B = 0."""
+    return enumerate_approx_medians(ctx, Budget.make(0, ctx.opt), limits)
 
 
 def enumerate_approx_medians(
@@ -172,7 +152,7 @@ def brute_diameter(pool: Dataset, limits: EnumerationLimits = DEFAULT_LIMITS) ->
     """Maximum pairwise Hamming distance over the pool."""
     p = pool.n
     if p == 0:
-        raise ValueError("empty pool")
+        raise ValidationError("empty pool")
     if p == 1:
         return 0
     if math.comb(p, 2) > limits.max_tuples:
@@ -192,9 +172,9 @@ def brute_sumdp_k(
     """Exact max sum dispersion over k-multisets drawn from the pool."""
     p = pool.n
     if p == 0:
-        raise ValueError("empty pool")
+        raise ValidationError("empty pool")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValidationError("k must be >= 1")
     if k == 1:
         return 0
     if math.comb(p + k - 1, k) > limits.max_tuples:
@@ -230,9 +210,9 @@ def brute_mindp_k(
     """
     p = pool.n
     if p == 0:
-        raise ValueError("empty pool")
+        raise ValidationError("empty pool")
     if k < 2:
-        raise ValueError("k must be >= 2 for min dispersion")
+        raise ValidationError("k must be >= 2 for min dispersion")
     if p < k:
         return 0
     if math.comb(p, k) > limits.max_tuples:
@@ -272,7 +252,7 @@ def brute_max_code_size(
     """
     sizes = [int(g) for g in alphabet_sizes]
     if any(g < 1 for g in sizes):
-        raise ValueError("alphabet sizes must be >= 1")
+        raise ValidationError("alphabet sizes must be >= 1")
     space = 1
     for g in sizes:
         space *= g

@@ -18,15 +18,12 @@ import numpy as np
 from .core import (
     Budget,
     CandidateSet,
-    CapExceeded,
     Dataset,
     MedianContext,
     ValidationError,
     distances_to,
     farthest_pair,
 )
-from .diameter import approx_diameter_pair
-from .oracle import DEFAULT_LIMITS, EnumerationLimits, approx_median_pool
 
 
 @dataclass(frozen=True)
@@ -226,34 +223,6 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
         chosen.append(int(np.argmax(gains)))  # duplicates allowed: argmax over all
         gains += distances_to(codes, chosen[-1])
     return CandidateSet.from_members(ctx, pool.codes[chosen])
-
-
-def sum_dispersion_dispatch(
-    ctx: MedianContext,
-    budget: Budget,
-    k: int,
-    delta: Fraction,
-    *,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> tuple[CandidateSet, str]:
-    """Pick the right engine from the pool diameter: density when D* >= 4/delta.
-
-    Returns the candidate set and the strategy tag: density, enumeration, or
-    density_fallback when enumeration blows the candidate cap and the density
-    engine runs anyway, with its unconditional (1 - 4/D*) bound.
-    """
-    if not 0 < delta:
-        raise ValidationError("delta must be positive")
-    dstar = approx_diameter_pair(ctx, budget).diameter
-    if Fraction(dstar) >= Fraction(4) / Fraction(delta):
-        cands, _ = sum_dispersion_approx_k(ctx, budget, k)
-        return cands, "density"
-    try:
-        pool = approx_median_pool(ctx, budget, limits)
-    except CapExceeded:
-        cands, _ = sum_dispersion_approx_k(ctx, budget, k)
-        return cands, "density_fallback"
-    return sum_dispersion_small_dstar(ctx, k, pool), "enumeration"
 
 
 def make_distinct(ctx: MedianContext, cands: CandidateSet) -> tuple[CandidateSet, bool]:

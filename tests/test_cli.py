@@ -461,6 +461,41 @@ def test_main_rejects_oversized_seed(ties_path, capsys):
     assert code == 2
 
 
+def test_main_rejects_negative_seed_before_any_rng(ties_path, capsys):
+    # numpy's SeedSequence takes no negative entropy; the sampler and the LP
+    # used to end in a traceback with exit 1
+    for strategy in ("sample", "lp"):
+        code, _, err = run_main(
+            ["--objective", "min-dispersion", "--input", ties_path, "--k", "2",
+             "--strategy", strategy, "--seed", "-1"],
+            capsys,
+        )
+        assert code == 2 and "seed" in err
+
+
+def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
+    for argv in (
+        ["--objective", "oracle", "--oracle-op", "mindp", "--input", ties_path, "--k", "1"],
+        ["--objective", "oracle", "--oracle-op", "max-code-size", "--sizes", "0,2",
+         "--t", "1"],
+    ):
+        code, _, err = run_main(argv, capsys)
+        assert code == 2, err
+        assert "Traceback" not in err
+
+
+def test_main_min_dispersion_auto_checks_delta_and_eta_before_the_dp(tmp_path, capsys):
+    # k * delta <= 1 fires the DP rule, which needs neither; the checks still run
+    rows = tmp_path / "rows.txt"
+    rows.write_text("ab\nba\n")
+    base = ["--objective", "min-dispersion", "--input", str(rows), "--k", "2"]
+    assert json.loads(run_main(base, capsys)[1])["strategy_tag"] == "dp"
+    for extra, message in ((["--delta", "0"], "delta"), (["--delta", "-1"], "delta"),
+                           (["--eta", "0"], "eta"), (["--eta", "5"], "eta")):
+        code, _, err = run_main(base + extra, capsys)
+        assert code == 2 and f"{message} must lie in (0, 1)" in err, (extra, err)
+
+
 def test_console_script_help_exits_zero():
     proc = subprocess.run(
         [sys.executable, "-m", "diverse_medians.cli", "--help"],

@@ -230,4 +230,12 @@ def test_every_tag_has_exactly_one_table_row():
         assert len(rows) == 1, (objective, regime, tag, rows)
         reached.add(rows[0])
     assert reached == set(cli.STRATEGY_TABLE)
-    assert {cls for _, cls in cli.STRATEGY_TABLE.values()} == set(cli.COST_CLASSES)
+    assert {row.cost_class for row in cli.STRATEGY_TABLE.values()} == set(cli.COST_CLASSES)
+    # every --strategy name an objective accepts runs one row in both regimes
+    assert set(cli.STRATEGIES) == {"auto"}.union(*cli.NAMED_STRATEGIES.values())
+    for objective, names in cli.NAMED_STRATEGIES.items():
+        for regime in ("exact", "approx"):
+            for tag in names.values():
+                rows = [key for key in ((objective, regime, tag), (objective, "any", tag))
+                        if key in cli.STRATEGY_TABLE]
+                assert len(rows) == 1, (objective, regime, tag, rows)

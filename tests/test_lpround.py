@@ -22,7 +22,7 @@ from diverse_medians import (
     median_cost,
     solve_lp_relaxation,
 )
-from diverse_medians.lpround import _SNAP, _ROW_TOL, z_from_rounded
+from diverse_medians.lpround import _SNAP, _ROW_TOL
 
 from conftest import random_rows
 
@@ -418,12 +418,6 @@ def test_rounding_deterministic_per_seed():
     mat = np.array([[0.5, 0.5], [0.25, 0.75]])
     a = dependent_round(mat, seed=42)
     assert (a == dependent_round(mat, seed=42)).all()
-
-
-def test_z_identity_counts_twice_the_hamming_distance():
-    u1 = np.array([[1, 0], [0, 1], [1, 0]])
-    u2 = np.array([[1, 0], [1, 0], [0, 1]])
-    assert z_from_rounded(u1, u2) == 4  # differs at 2 indices -> sum z = 4
 
 
 # --- full pipeline -----------------------------------------------------------------

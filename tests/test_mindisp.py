@@ -27,13 +27,12 @@ from diverse_medians import (
     median_cost,
     min_disp_dp_approx,
     min_disp_dp_exact,
-    min_dispersion_dispatch_approx,
-    min_dispersion_dispatch_exact,
     plotkin_bound,
     sample_approx_medians,
     sample_exact_medians,
     tstar_upper_bound,
 )
+from diverse_medians import cli
 from diverse_medians.mindisp import _check_dp_state, _diameter_at_least
 
 from conftest import random_rows, reference_context
@@ -69,7 +68,7 @@ def test_dp_approx_matches_brute(rng):
 
 def test_dp_state_invariant_violation_is_an_internal_error():
     with pytest.raises(InternalError):
-        _check_dp_state((0, 3), None, column=2, cost_cap=None)
+        _check_dp_state((0, 3), (0, 0), column=2, cost_cap=0)
     with pytest.raises(InternalError):
         _check_dp_state((1,), (0, 5), column=2, cost_cap=4)
     _check_dp_state((0, 2), (0, 4), column=2, cost_cap=4)
@@ -388,8 +387,9 @@ def test_diameter_threshold_is_boundary_exact():
 
 def test_exact_dispatch_dp_branch():
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")
-    cands, tag = min_dispersion_dispatch_exact(
-        ctx, 2, Fraction(1, 2), Fraction(1, 8), seed=0
+    cands, tag = cli.dispatch(
+        ctx, Budget.make(0, ctx.opt), "min-dispersion",
+        2, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "dp"
     assert cands.min_dispersion() == 2
@@ -400,14 +400,15 @@ def test_dispatchers_read_max_states_from_limits():
     # cap of 1 rules the DP out, so both dispatchers fall through to greedy
     one = EnumerationLimits(max_states=1)
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")
-    _, tag = min_dispersion_dispatch_exact(
-        ctx, 2, Fraction(1, 2), Fraction(1, 8), seed=0, limits=one
+    _, tag = cli.dispatch(
+        ctx, Budget.make(0, ctx.opt), "min-dispersion",
+        2, Fraction(1, 2), Fraction(1, 8), seed=0, limits=one
     )
     assert tag == "greedy"
     ctx = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
     b = Budget.make(Fraction(1, 2), ctx.opt)
-    _, tag = min_dispersion_dispatch_approx(
-        ctx, b, 2, Fraction(1, 2), Fraction(1, 8), seed=0, limits=one
+    _, tag = cli.dispatch(
+        ctx, b, "min-dispersion", 2, Fraction(1, 2), Fraction(1, 8), seed=0, limits=one
     )
     assert tag == "greedy"
     with pytest.raises(CapExceeded):
@@ -417,8 +418,9 @@ def test_dispatchers_read_max_states_from_limits():
 def test_exact_dispatch_sample_branch():
     rows = ["a" * 90, "b" * 90]  # 90 ties >= threshold for delta=1/2, k=4
     ctx = context_from_strings(rows, alphabet="ab")
-    cands, tag = min_dispersion_dispatch_exact(
-        ctx, 4, Fraction(1, 2), Fraction(1, 8), seed=0
+    cands, tag = cli.dispatch(
+        ctx, Budget.make(0, ctx.opt), "min-dispersion",
+        4, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "sample"
     assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
@@ -427,8 +429,9 @@ def test_exact_dispatch_sample_branch():
 def test_exact_dispatch_greedy_branch():
     rows = ["ab", "ba", "aa", "bb"]  # 2 tie columns, small diameter
     ctx = context_from_strings(rows, alphabet="ab")
-    cands, tag = min_dispersion_dispatch_exact(
-        ctx, 3, Fraction(1, 2), Fraction(1, 8), seed=0
+    cands, tag = cli.dispatch(
+        ctx, Budget.make(0, ctx.opt), "min-dispersion",
+        3, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "greedy"
 
@@ -438,8 +441,9 @@ def test_exact_dispatch_sample_fallback_branch():
     # (~67 for delta=1/2, k=3); 2^40 medians blow the enumeration cap.
     rows = ["a" * 40, "b" * 40]
     ctx = context_from_strings(rows, alphabet="ab")
-    cands, tag = min_dispersion_dispatch_exact(
-        ctx, 3, Fraction(1, 2), Fraction(1, 8), seed=0,
+    cands, tag = cli.dispatch(
+        ctx, Budget.make(0, ctx.opt), "min-dispersion",
+        3, Fraction(1, 2), Fraction(1, 8), seed=0,
         limits=EnumerationLimits(10**4, 10**7, 10**7),
     )
     assert tag == "sample_fallback"
@@ -449,8 +453,8 @@ def test_exact_dispatch_sample_fallback_branch():
 def test_approx_dispatch_dp_branch():
     ctx = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
     b = Budget.make(Fraction(1, 2), ctx.opt)
-    cands, tag = min_dispersion_dispatch_approx(
-        ctx, b, 2, Fraction(1, 2), Fraction(1, 8), seed=0
+    cands, tag = cli.dispatch(
+        ctx, b, "min-dispersion", 2, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "dp"
 
@@ -459,8 +463,8 @@ def test_approx_dispatch_sample_branch():
     rows = ["1" * 60] * 6 + ["0" * 60] * 4
     ctx = context_from_strings(rows, alphabet="01")
     b = Budget.make(Fraction(1, 2), ctx.opt)
-    cands, tag = min_dispersion_dispatch_approx(
-        ctx, b, 5, Fraction(1, 2), Fraction(1, 8), seed=0
+    cands, tag = cli.dispatch(
+        ctx, b, "min-dispersion", 5, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     # D* = 60 > 4/delta^2 = 16 -> mixing sampler
     assert tag == "sample"
@@ -469,19 +473,17 @@ def test_approx_dispatch_sample_branch():
 
 
 def test_approx_dispatch_sample_branch_computes_the_diameter_once(monkeypatch):
-    import diverse_medians.mindisp as mindisp
-
     calls = []
 
     def counting(ctx, budget):
         calls.append(1)
         return approx_diameter_pair(ctx, budget)
 
-    monkeypatch.setattr(mindisp, "approx_diameter_pair", counting)
+    monkeypatch.setattr(cli, "approx_diameter_pair", counting)
     ctx = context_from_strings(["1" * 60] * 6 + ["0" * 60] * 4, alphabet="01")
     b = Budget.make(Fraction(1, 2), ctx.opt)
-    _, tag = min_dispersion_dispatch_approx(
-        ctx, b, 5, Fraction(1, 2), Fraction(1, 8), seed=0
+    _, tag = cli.dispatch(
+        ctx, b, "min-dispersion", 5, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "sample"
     assert len(calls) == 1
@@ -491,25 +493,25 @@ def test_approx_dispatch_greedy_branch(rng):
     rows = ["ab", "ba", "aa"]
     ctx = context_from_strings(rows, alphabet="ab")
     b = Budget.make(Fraction(1, 2), ctx.opt)
-    cands, tag = min_dispersion_dispatch_approx(
-        ctx, b, 3, Fraction(1, 2), Fraction(1, 8), seed=0
+    cands, tag = cli.dispatch(
+        ctx, b, "min-dispersion", 3, Fraction(1, 2), Fraction(1, 8), seed=0
     )
     assert tag == "greedy"
 
 
 def test_approx_dispatch_never_returns_lpround(rng):
-    # the LP pipeline runs only under its own name (lpround.lp_min_dispersion);
-    # past DP and greedy the dispatcher always ends at the mixing sampler
+    # the LP pipeline runs only under its own name (--strategy lp); past DP
+    # and greedy the walk always ends at a sampler
     rows = ["aaaa", "bbbb", "cccc"]
     ctx = context_from_strings(rows, alphabet="abc")
     b = Budget.make(0, ctx.opt)
-    # k * delta > 1 and D* * delta^2 > 4 push past DP and greedy
-    _, tag = min_dispersion_dispatch_approx(ctx, b, 3, Fraction(3, 4), Fraction(1, 8), seed=0)
-    assert tag in ("sample", "greedy")
+    # k * delta > 1 skips the DP; at eps = 0 the exact-median rules apply
+    _, tag = cli.dispatch(ctx, b, "min-dispersion", 3, Fraction(3, 4), Fraction(1, 8), seed=0)
+    assert tag in ("sample", "greedy", "sample_fallback")
     for _ in range(10):
         rows = random_rows(rng, sigma="abc", d=int(rng.integers(2, 6)))
         ctx = context_from_strings(rows, alphabet="abc")
         b = Budget.make(Fraction(int(rng.integers(1, 3)), 2), ctx.opt)
         for k, delta in ((2, Fraction(1, 2)), (3, Fraction(3, 4)), (4, Fraction(1, 2))):
-            _, tag = min_dispersion_dispatch_approx(ctx, b, k, delta, Fraction(1, 8), seed=0)
+            _, tag = cli.dispatch(ctx, b, "min-dispersion", k, delta, Fraction(1, 8), seed=0)
             assert tag in ("dp", "greedy", "sample")

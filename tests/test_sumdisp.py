@@ -17,11 +17,10 @@ from diverse_medians import (
     make_distinct,
     median_cost,
     sum_dispersion_approx_k,
-    sum_dispersion_dispatch,
     sum_dispersion_exact_k,
     sum_dispersion_small_dstar,
 )
-from diverse_medians.cli import STRATEGY_TABLE
+from diverse_medians import cli
 
 from conftest import random_rows
 
@@ -190,9 +189,9 @@ def test_small_dstar_duplicates_fill_small_pools():
 def test_dispatch_enumeration_on_small_diameter():
     ctx = context_from_strings(["ab", "ab", "ba"], alphabet="ab")
     b = Budget.make(0, ctx.opt)
-    cands, tag = sum_dispersion_dispatch(ctx, b, 2, Fraction(1, 4))
+    cands, tag = cli.dispatch(ctx, b, "sum-dispersion", 2, Fraction(1, 4))
     assert tag == "enumeration"
-    assert ("sum-dispersion", "any", tag) in STRATEGY_TABLE
+    assert ("sum-dispersion", "any", tag) in cli.STRATEGY_TABLE
 
 
 def test_dispatch_density_on_large_diameter():
@@ -200,7 +199,7 @@ def test_dispatch_density_on_large_diameter():
     rows = ["a" * 40, "b" * 40]
     ctx = context_from_strings(rows, alphabet="ab")
     b = Budget.make(0, ctx.opt)
-    cands, tag = sum_dispersion_dispatch(ctx, b, 3, Fraction(1, 4))
+    cands, tag = cli.dispatch(ctx, b, "sum-dispersion", 3, Fraction(1, 4))
     assert tag == "density"
     assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
 
@@ -211,7 +210,7 @@ def test_dispatch_fallback_when_pool_explodes():
     ctx = context_from_strings(rows, alphabet="ab")
     b = Budget.make(0, ctx.opt)
     tiny = EnumerationLimits(max_candidates=3, max_tuples=10**7, max_states=10**7)
-    cands, tag = sum_dispersion_dispatch(ctx, b, 2, Fraction(1, 4), limits=tiny)
+    cands, tag = cli.dispatch(ctx, b, "sum-dispersion", 2, Fraction(1, 4), limits=tiny)
     assert tag == "density_fallback"
 
 
@@ -220,7 +219,7 @@ def test_dispatch_rejects_bad_delta():
     from diverse_medians import ValidationError
 
     with pytest.raises(ValidationError):
-        sum_dispersion_dispatch(ctx, Budget.make(0, ctx.opt), 2, Fraction(0))
+        cli.dispatch(ctx, Budget.make(0, ctx.opt), "sum-dispersion", 2, Fraction(0))
 
 
 # --- distinctness post-pass -------------------------------------------------------
