@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -184,6 +185,16 @@ def _regime(epsilon: Fraction) -> str:
     return "exact" if epsilon == 0 else "approx"
 
 
+def _check_strategy(objective: str, strategy: str) -> None:
+    """Refuse a strategy the objective does not take, naming the ones it does."""
+    allowed = ["auto", *NAMED_STRATEGIES.get(objective, ())]
+    if strategy not in allowed:
+        raise ValidationError(
+            f"strategy {strategy!r} does not apply to objective "
+            f"{objective!r}; allowed: {', '.join(allowed)}"
+        )
+
+
 def _lookup(table: dict, objective: str, epsilon: Fraction, *rest: str):
     key = (objective, _regime(epsilon), *rest)
     return table[key] if key in table else table[(objective, "any", *rest)]
@@ -229,6 +240,9 @@ def dispatch(
     A named strategy runs its tag's row. "auto" walks RULES for the objective
     and regime. Engines add their reports (the LP's "lp_report") to `doc`.
     """
+    _check_strategy(objective, strategy)
+    if objective == "min-dispersion" and k < 2:
+        raise ValidationError("k must be >= 2")
     job = _Job(ctx, budget, k, delta, eta, seed, limits, {} if doc is None else doc)
     if strategy != "auto":
         tag = NAMED_STRATEGIES[objective][strategy]
@@ -236,8 +250,6 @@ def dispatch(
     if objective == "sum-dispersion" and not job.delta > 0:
         raise ValidationError("delta must be positive")
     if objective == "min-dispersion":
-        if k < 2:
-            raise ValidationError("k must be >= 2")
         job.cfg  # checks delta and eta before any rule runs
     for applies, tag in _lookup(RULES, objective, budget.epsilon):
         if applies(job):
@@ -454,12 +466,7 @@ def run(config: RunConfig) -> dict:
     """Execute one configured run and return the result document as a dict."""
     if config.objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {config.objective!r}")
-    allowed = ["auto", *NAMED_STRATEGIES.get(config.objective, ())]
-    if config.strategy not in allowed:
-        raise ValidationError(
-            f"strategy {config.strategy!r} does not apply to objective "
-            f"{config.objective!r}; allowed: {', '.join(allowed)}"
-        )
+    _check_strategy(config.objective, config.strategy)
 
     doc: dict = {
         "schema": SCHEMA,
@@ -688,6 +695,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(exc, KeyWidthExceeded):
             print("hint: pick --strategy auto, greedy or sample, or a smaller --k",
                   file=sys.stderr)
+        elif config.objective == "oracle" and config.oracle_op == "max-code-size":
+            # --max-candidates caps the product space; --max-tuples, the search
+            over = math.prod(config.sizes) > config.limits.max_candidates
+            knob = "--max-candidates" if over else "--max-tuples"
+            print(f"hint: raise {knob}", file=sys.stderr)
         else:
             print("hint: raise --max-candidates/--max-tuples/--max-states, or pick "
                   "--strategy sample", file=sys.stderr)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
-from typing import Sequence
+from itertools import combinations, combinations_with_replacement
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -248,7 +248,10 @@ def brute_max_code_size(
     Exhaustive in principle; in practice a branch-and-bound max-clique over
     the "distance >= t" graph, after normalizing so the all-first-symbol word
     is in the code (per-coordinate symbol relabeling preserves distances, so
-    some maximum code contains it).
+    some maximum code contains it). max_candidates caps the product space.
+    max_tuples caps both the C(m, 2) pairs of the m candidate words, checked
+    in exact arithmetic before their m-bit adjacency rows (m^2/8 bytes in
+    all) are built, and the nodes of the search.
     """
     sizes = [int(g) for g in alphabet_sizes]
     if any(g < 1 for g in sizes):
@@ -260,79 +263,135 @@ def brute_max_code_size(
             raise CapExceeded(
                 f"product space exceeds max_candidates={limits.max_candidates}"
             )
-    sizes = [g for g in sizes if g > 1]  # constant coordinates never separate
+    # constant coordinates never separate; the order of the others does not
+    # change the code size, so every permutation of the sizes runs one search
+    sizes = sorted(g for g in sizes if g > 1)
     d = len(sizes)
     if t <= 1:
         return space  # distinct tuples already differ somewhere
     if t > d:
         return 1
-    points = np.array(list(product(*(range(g) for g in sizes))), dtype=np.int16)
-    zero_dist = (points != 0).sum(axis=1)
-    cand = points[zero_dist >= t]
+    points = np.indices(sizes, dtype=np.int16).reshape(d, -1).T  # product order
+    cand = points[(points != 0).sum(axis=1) >= t]
     m = cand.shape[0]
     if m == 0:
         return 1
-    adj = []
-    for v in range(m):
-        ok = ((cand != cand[v]).sum(axis=1) >= t)
-        ok[v] = False
-        # bit u of the row is ok[u]: little-endian bits and bytes
-        adj.append(int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little"))
+    pairs = math.comb(m, 2)
+    if pairs > limits.max_tuples:
+        raise CapExceeded(f"{pairs} candidate pairs exceed max_tuples={limits.max_tuples}")
+    adj = _adjacency(cand, t)
 
-    # Root symmetry reduction: relabeling symbols within a coordinate (fixing
-    # symbol 0) and permuting coordinates of equal alphabet size both preserve
-    # distances and the pinned zero word, and they permute the candidate set.
-    # A candidate's orbit under that group is exactly "same support weight per
-    # alphabet-size class", so the root loop needs one branch per weight
-    # pattern; after a representative's branch closes, its whole orbit is
-    # retired (any clique meeting the orbit maps to one through the rep).
-    classes = sorted(set(sizes))
-    class_cols = {g: [i for i, gi in enumerate(sizes) if gi == g] for g in classes}
-    support = cand != 0
-    keys = np.stack([support[:, class_cols[g]].sum(axis=1) for g in classes], axis=1)
-    orbits: dict[tuple[int, ...], list[int]] = {}
-    for v, key in enumerate(keys.tolist()):
-        orbits.setdefault(tuple(key), []).append(v)
-    root_orbits = sorted(
-        orbits.values(), key=lambda o: -bin(adj[o[0]]).count("1")
-    )
-    return 1 + _max_clique(adj, root_orbits)
+    # Symmetry: relabeling symbols within a coordinate (fixing symbol 0) and
+    # permuting coordinates of equal alphabet size preserve distances and the
+    # pinned zero word, so they permute the candidates and the graph. A
+    # candidate's orbit is its support weight per alphabet-size class.
+    # `classes` is the (d, c) 0/1 indicator of each coordinate's class, so
+    # `bools @ classes` counts each row's true entries per class.
+    classes = (np.array(sizes)[:, None] == np.unique(sizes)).astype(np.int64)
+    nonzero = cand != 0
+
+    def stabiliser_orbits(r: int) -> list[int]:
+        # Orbits under the maps that also fix candidate r: per class, count
+        # the coordinates of supp(r) holding r's symbol, those of supp(r)
+        # holding another nonzero symbol, and the nonzero ones outside supp(r).
+        supp = nonzero[r]
+        same = cand == cand[r]
+        keys = np.hstack([
+            (same & supp) @ classes,
+            (nonzero & ~same & supp) @ classes,
+            (nonzero & ~supp) @ classes,
+        ])
+        return _orbit_masks(keys)
+
+    return 1 + _max_clique(adj, _orbit_masks(nonzero @ classes), stabiliser_orbits,
+                           limits.max_tuples)
 
 
-def _max_clique(adj: list[int], root_orbits: list[list[int]] | None = None) -> int:
-    """Max clique size via greedy-coloring branch and bound on bitsets."""
-    n = len(adj)
-    if n == 0:
-        return 0
-    full = (1 << n) - 1
+def _adjacency(cand: np.ndarray, t: int) -> list[int]:
+    """Row v of the "distance >= t" graph as an int whose bit u is set when
+    candidates u and v differ in t coordinates or more. Distances are summed
+    column by column into int16 row blocks of at most BLOCK_BYTES, then each
+    block is packed into little-endian bits."""
+    m = cand.shape[0]
+    step = max(1, BLOCK_BYTES // (2 * m))
+    width = (m + 7) // 8
+    adj: list[int] = []
+    for lo in range(0, m, step):
+        block = np.zeros((min(step, m - lo), m), dtype=np.int16)
+        for col in cand.T:
+            block += col[lo : lo + step, None] != col
+        packed = np.packbits(block >= t, axis=1, bitorder="little").tobytes()
+        adj.extend(int.from_bytes(packed[i : i + width], "little")
+                   for i in range(0, len(packed), width))
+    return adj
 
-    # Warm start: greedy clique from each of a few densest vertices.
-    best = 0
-    by_degree = sorted(range(n), key=lambda v: -bin(adj[v]).count("1"))
-    for start in by_degree[: min(8, n)]:
-        size, cand = 1, adj[start]
+
+def _orbit_masks(keys: np.ndarray) -> list[int]:
+    """One bitmask per distinct row of `keys`: the vertices sharing it."""
+    order = np.lexsort(keys.T)
+    starts = np.flatnonzero(np.r_[True, (np.diff(keys[order], axis=0) != 0).any(axis=1)])
+    bits = np.zeros(len(keys), dtype=bool)
+    masks = []
+    for members in np.split(order, starts[1:]):
+        bits[members] = True
+        masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+        bits[members] = False
+    return masks
+
+
+def _max_clique(
+    adj: list[int],
+    root_orbits: list[int],
+    stabiliser_orbits: Callable[[int], list[int]],
+    max_nodes: int,
+) -> int:
+    """Max clique size via greedy-coloring branch and bound on bitsets.
+
+    `root_orbits` are the orbits (as bitmasks) of a group of graph
+    automorphisms, and `stabiliser_orbits(r)` those of the stabiliser of
+    vertex r in it. The root branches on one representative r per orbit, in
+    ascending degree order (Carraghan-Pardalos: small subproblems first),
+    then retires the whole orbit: a clique meeting the orbit maps to one of
+    the same size through r. Below r, the candidates P = adj[r] & remaining
+    are a union of stabiliser orbits: adj[r] is invariant under the maps that
+    fix r, and `remaining` under the whole group, being all vertices less
+    whole root orbits. So a clique through r and some vertex of an orbit O
+    of P maps, by a map fixing r, to one of the same size through r and O's
+    representative, inside P. Branching on one representative per orbit and
+    then retiring O from P loses no clique size, and P stays a union of
+    orbits. The loop stops once 1 + colors(P) <= best.
+
+    Each call of `expand` is one node; more than max_nodes of them raise
+    CapExceeded.
+    """
+    roots = sorted(root_orbits, key=lambda o: adj[_first(o)].bit_count())
+    best = 1
+    for orbit in roots:  # warm start: a greedy clique from each representative
+        size, cand = 1, adj[_first(orbit)]
         while cand:
-            v = (cand & -cand).bit_length() - 1
             size += 1
-            cand &= adj[v]
+            cand &= adj[_first(cand)]
         best = max(best, size)
+    nodes = 0
 
-    def color_order(mask: int) -> tuple[list[int], list[int]]:
+    def color_order(mask: int, kmin: int) -> tuple[list[int], list[int]]:
+        """Greedy coloring of `mask`; the vertices of colors >= kmin, with
+        their colors. Vertices of lower colors would all be pruned."""
         order: list[int] = []
         bound: list[int] = []
         color = 0
-        rest = mask
-        while rest:
+        while mask:
             color += 1
-            q = rest
+            q = mask
             while q:
-                v = (q & -q).bit_length() - 1
-                bit = 1 << v
+                low = q & -q
+                v = low.bit_length() - 1
                 q &= ~adj[v]
-                q &= ~bit
-                rest &= ~bit
-                order.append(v)
-                bound.append(color)
+                q ^= low
+                mask ^= low
+                if color >= kmin:
+                    order.append(v)
+                    bound.append(color)
         return order, bound
 
     def expand(mask: int, size: int) -> None:
@@ -342,8 +401,11 @@ def _max_clique(adj: list[int], root_orbits: list[list[int]] | None = None) -> i
         clique being grown: at most the maximum clique size, itself at most
         the number of candidates.
         """
-        nonlocal best
-        order, bound = color_order(mask)
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapExceeded(f"code-size search exceeds max_tuples={max_nodes} nodes")
+        order, bound = color_order(mask, best - size + 1)
         for idx in range(len(order) - 1, -1, -1):
             if size + bound[idx] <= best:
                 return
@@ -355,20 +417,27 @@ def _max_clique(adj: list[int], root_orbits: list[list[int]] | None = None) -> i
                 best = size + 1
             mask &= ~(1 << v)
 
-    if root_orbits is None:
-        expand(full, 0)
-        return best
-
-    remaining = full
-    for orbit in root_orbits:
-        rep = orbit[0]
-        sub = adj[rep] & remaining
-        if sub:
-            expand(sub, 1)
-        elif best == 0:
-            best = 1
-        for v in orbit:
-            remaining &= ~(1 << v)
-        if not remaining:
-            break
+    remaining = (1 << len(adj)) - 1
+    for orbit in roots:
+        r = _first(orbit)
+        below = adj[r] & remaining
+        remaining &= ~orbit
+        # largest subproblems first: good cliques early tighten the bound;
+        # color_order(below, best) is empty once 1 + colors(below) <= best
+        subs = stabiliser_orbits(r) if color_order(below, best)[0] else []
+        for sub_orbit in sorted((o for o in subs if o & below),
+                                key=lambda o: -(below & adj[_first(o)]).bit_count()):
+            sub = below & adj[_first(sub_orbit)]
+            if sub:
+                expand(sub, 2)
+            elif best < 2:
+                best = 2
+            below &= ~sub_orbit
+            if not color_order(below, best)[0]:
+                break
     return best
+
+
+def _first(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from diverse_medians import (
+    Budget,
     CandidateSet,
     DEFAULT_LIMITS,
     Dataset,
@@ -482,6 +483,55 @@ def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
         code, _, err = run_main(argv, capsys)
         assert code == 2, err
         assert "Traceback" not in err
+
+
+def test_main_min_dispersion_checks_k_before_any_named_strategy(ties_path, monkeypatch,
+                                                               capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the pool was built before k was checked")
+
+    monkeypatch.setattr(cli, "approx_median_pool", no_pool)
+    for strategy in ("dp", "greedy", "sample", "lp"):
+        code, _, err = run_main(
+            ["--objective", "min-dispersion", "--input", ties_path, "--k", "1",
+             "--strategy", strategy],
+            capsys,
+        )
+        assert code == 2 and "k must be >= 2" in err, (strategy, err)
+
+
+def test_dispatch_rejects_a_strategy_the_objective_does_not_take():
+    ctx = context_from_strings(["aab", "abb"], alphabet="ab")
+    with pytest.raises(ValidationError, match="allowed: auto, exact-construction, greedy"):
+        cli.dispatch(ctx, Budget.make(0, ctx.opt), "sum-dispersion", 2, strategy="dp")
+
+
+def test_main_max_code_size_product_refusal_hints_max_candidates(capsys):
+    code, _, err = run_main(
+        ["--objective", "oracle", "--oracle-op", "max-code-size", "--sizes",
+         ",".join(["3"] * 11), "--t", "3"],
+        capsys,
+    )
+    assert code == 3
+    assert err.splitlines()[-1] == "hint: raise --max-candidates"
+
+
+@pytest.mark.parametrize("length, t, max_tuples, refusal", [
+    (10, 4, 10**5, "candidate pairs"),  # 359,128 pairs: refused before the search
+    (8, 3, 30_000, "nodes"),  # 23,871 pairs pass; proving A(8, 3) = 20 takes more nodes
+], ids=["pairs", "nodes"])
+def test_main_max_code_size_search_exits_3_under_max_tuples(length, t, max_tuples, refusal):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "diverse_medians.cli", "--objective", "oracle",
+         "--oracle-op", "max-code-size", "--sizes", ",".join(["2"] * length),
+         "--t", str(t), "--max-tuples", str(max_tuples)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert refusal in proc.stderr
+    # an oracle run takes no --strategy; only --max-tuples lifts these caps
+    assert proc.stderr.splitlines()[-1] == "hint: raise --max-tuples"
 
 
 def test_main_min_dispersion_auto_checks_delta_and_eta_before_the_dp(tmp_path, capsys):

@@ -351,3 +351,103 @@ def test_max_code_size_known_values():
 def test_max_code_size_cap():
     with pytest.raises(CapExceeded):
         brute_max_code_size((3,) * 10, 3, EnumerationLimits(100, 100, 100))
+
+
+def test_max_code_size_newly_reachable_values():
+    # MDS code of length 4 over 5 symbols: 5^(4-3+1)
+    assert brute_max_code_size((5,) * 4, 3, DEFAULT_LIMITS) == 25
+    assert brute_max_code_size((3,) * 7, 5, DEFAULT_LIMITS) == 10
+    assert brute_max_code_size((2,) * 10, 5, DEFAULT_LIMITS) == 12
+
+
+def _size_tuples(limit):
+    """Every non-decreasing tuple of alphabet sizes >= 2 with product <= limit."""
+    out = []
+
+    def rec(prefix, prod):
+        for g in range(prefix[-1] if prefix else 2, limit // prod + 1):
+            out.append(prefix + (g,))
+            rec(prefix + (g,), prod * g)
+
+    rec((), 1)
+    return out
+
+
+def _reference_max_code_size(sizes, t):
+    """The search before symmetry breaking below the root, kept as the
+    reference: root orbits (support weight per alphabet-size class) in
+    descending degree order, and greedy-coloring branch and bound on bitsets
+    below each root representative. The adjacency comes from the full
+    distance matrix, which is small at the sizes the tests use."""
+    sizes = [g for g in sizes if g > 1]
+    d = len(sizes)
+    if t <= 1:
+        return int(np.prod(sizes))
+    if t > d:
+        return 1
+    points = np.array(list(product(*(range(g) for g in sizes))), dtype=np.int16)
+    cand = points[(points != 0).sum(axis=1) >= t]
+    n = len(cand)
+    if n == 0:
+        return 1
+    far = (cand[:, None, :] != cand[None, :, :]).sum(axis=2) >= t
+    adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+           for row in far]
+    support = cand != 0
+    weights = np.stack([support[:, [i for i, g in enumerate(sizes) if g == c]].sum(axis=1)
+                        for c in sorted(set(sizes))], axis=1)
+    orbits = {}
+    for v, key in enumerate(map(tuple, weights.tolist())):
+        orbits.setdefault(key, []).append(v)
+    root_orbits = sorted(orbits.values(), key=lambda o: -adj[o[0]].bit_count())
+
+    best = 0
+    for start in sorted(range(n), key=lambda v: -adj[v].bit_count())[:8]:
+        size, rest = 1, adj[start]
+        while rest:
+            size += 1
+            rest &= adj[(rest & -rest).bit_length() - 1]
+        best = max(best, size)
+
+    def expand(mask, size):
+        nonlocal best
+        order, bound, color, rest = [], [], 0, mask
+        while rest:
+            color += 1
+            q = rest
+            while q:
+                v = (q & -q).bit_length() - 1
+                q &= ~adj[v] & ~(1 << v)
+                rest &= ~(1 << v)
+                order.append(v)
+                bound.append(color)
+        for idx in range(len(order) - 1, -1, -1):
+            if size + bound[idx] <= best:
+                return
+            v = order[idx]
+            if mask & adj[v]:
+                expand(mask & adj[v], size + 1)
+            best = max(best, size + 1)
+            mask &= ~(1 << v)
+
+    remaining = (1 << n) - 1
+    for orbit in root_orbits:
+        if adj[orbit[0]] & remaining:
+            expand(adj[orbit[0]] & remaining, 1)
+        best = max(best, 1)
+        for v in orbit:
+            remaining &= ~(1 << v)
+    return 1 + best
+
+
+def test_max_code_size_matches_the_reference_search():
+    cases = _size_tuples(3**5) + [(2, 3, 3, 4, 4)]
+    assert len(cases) > 100
+    for sizes in cases:
+        for t in range(len(sizes) + 2):
+            assert brute_max_code_size(sizes, t, DEFAULT_LIMITS) == \
+                _reference_max_code_size(sizes, t), (sizes, t)
+    # the order of the coordinates does not change the value
+    for t in range(1, 7):
+        assert brute_max_code_size((4, 1, 2, 3, 4, 3), t, DEFAULT_LIMITS) == \
+            _reference_max_code_size((2, 3, 3, 4, 4), t)
