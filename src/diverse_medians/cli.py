@@ -240,6 +240,11 @@ def dispatch(
     A named strategy runs its tag's row. "auto" walks RULES for the objective
     and regime. Engines add their reports (the LP's "lp_report") to `doc`.
     """
+    if objective not in NAMED_STRATEGIES:
+        raise ValidationError(
+            f"objective {objective!r} has no dispersion strategy; "
+            f"dispatch takes: {', '.join(NAMED_STRATEGIES)}"
+        )
     _check_strategy(objective, strategy)
     if objective == "min-dispersion" and k < 2:
         raise ValidationError("k must be >= 2")

@@ -9,9 +9,7 @@ instances whose diameter is too small for the density analysis to bite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -24,35 +22,6 @@ from .core import (
     distances_to,
     farthest_pair,
 )
-
-
-@dataclass(frozen=True)
-class ModOp:
-    """One modification step: set candidate #target_count's symbol at index to
-    symbol (a code over the context's alphabet).
-
-    majority_count is how many candidates still hold the column majority
-    symbol just before this op runs; the op's sum-dispersion gain is
-    majority_count - target_count, and its density is gain per unit cost
-    (zero-cost ops count as infinitely dense).
-    """
-
-    index: int
-    symbol: int
-    target_count: int
-    majority_count: int
-    cost: int
-
-    @property
-    def gain(self) -> int:
-        return self.majority_count - self.target_count
-
-    @property
-    def density(self) -> Fraction | None:
-        """Exact density, or None for the infinite (zero-cost) case."""
-        if self.cost == 0:
-            return None
-        return Fraction(self.gain, self.cost)
 
 
 def sum_dispersion_exact_k(ctx: MedianContext, k: int) -> CandidateSet:
@@ -73,93 +42,131 @@ def sum_dispersion_exact_k(ctx: MedianContext, k: int) -> CandidateSet:
     return CandidateSet.from_members(ctx, ctx.rank[np.arange(ctx.d), pos])
 
 
-def build_oplist(ctx: MedianContext, k: int) -> tuple[ModOp, ...]:
-    """All useful modification ops, densest first.
+def build_oplist(ctx: MedianContext, k: int) -> np.ndarray:
+    """All useful modification ops, densest first, as an (m, 6) int64 matrix
+    with the columns index, symbol, target_count, majority_count, cost, key.
 
-    Per index we walk the k slots: with majority_count copies of the column
-    majority left, the best conversion is the symbol with maximum density
-    (ties: cheaper cost, then alphabet order; zero-cost ops compare by gain).
-    Slots stop as soon as no conversion gains anything, which also dedupes
-    (index, majority_count) pairs — each keeps only its max-density op.
+    An op sets candidate #target_count's symbol at index to symbol (a code).
+    majority_count is how many candidates still hold the column majority
+    symbol just before it runs; its sum-dispersion gain is majority_count -
+    target_count, and its density is gain per unit cost (zero-cost ops count
+    as infinitely dense).
+
+    The k slots (majority_count = k..1) run as passes over the (d, |Σ|)
+    table, one symbol column at a time: each slot gives every index still
+    gaining the symbol of maximum density (ties: cheaper cost, then alphabet
+    order; zero-cost ops compare by gain). Densities compare by integer
+    cross-multiplication, g * c' against g' * c (each side at most k * n,
+    far inside int64). An index drops out as soon as no conversion gains
+    anything, which also keeps one op per (index, majority_count).
 
     The global order is density descending, then cost ascending, then index,
-    symbol code, target_count. Within one index the recorded finite densities
-    strictly decrease, so the global sort never reorders a per-index chain.
+    symbol code, target_count: the distinct densities are ranked once, in
+    exact arithmetic, and one lexsort orders the ops. Within one index the
+    recorded finite densities strictly decrease, so the order never reorders
+    a per-index chain. key numbers the distinct (cost, index, symbol) triples
+    in the order cost_greedy_assign walks them: ascending cost, then index,
+    then symbol *string* (not alphabet position).
     """
-    sigma = len(ctx.alphabet)
-    ops: list[ModOp] = []
-    for i, (wi, costs) in enumerate(zip(ctx.rank[:, 0].tolist(), ctx.cost.tolist())):
-        others = [a for a in range(sigma) if a != wi]
-        counts = [0] * sigma
-        for ell in range(k, 0, -1):
-            best: tuple | None = None
-            for a in others:
-                gain = ell - (counts[a] + 1)
-                if gain < 1:
-                    continue
-                c = costs[a]
-                # rank: zero-cost tier first; inside a tier larger density wins,
-                # then smaller cost, then alphabet order
-                if c == 0:
-                    key = (0, -gain, 0, a)
-                else:
-                    key = (1, -Fraction(gain, c), c, a)
-                if best is None or key < best[0]:
-                    best = (key, a, c)
-            if best is None:
-                break  # gains only shrink from here
-            _, a, c = best
-            counts[a] += 1
-            ops.append(
-                ModOp(index=i, symbol=a, target_count=counts[a], majority_count=ell, cost=c)
+    d, sigma = ctx.cost.shape
+    other = np.arange(sigma) != ctx.rank[:, :1]  # (d, sigma): every symbol but w_i
+    counts = np.zeros((d, sigma), dtype=np.int64)  # ops so far per (index, symbol)
+    live = np.arange(d)
+    slots = [np.zeros((5, 0), dtype=np.int64)]
+    for ell in range(k, 0, -1):
+        gain, costs = ell - 1 - counts[live], ctx.cost[live].astype(np.int64)
+        ok = other[live] & (gain >= 1)
+        # best op so far per live index; gain 0 at cost 1 loses to every op
+        bg = np.zeros(len(live), dtype=np.int64)
+        bc = np.ones(len(live), dtype=np.int64)
+        ba = np.full(len(live), -1, dtype=np.int64)
+        for a in range(sigma):
+            g, ca = gain[:, a], costs[:, a]
+            cross = g * bc - bg * ca
+            better = ok[:, a] & np.where(
+                ca == 0,
+                (bc > 0) | (g > bg),
+                (bc > 0) & ((cross > 0) | ((cross == 0) & (ca < bc))),
             )
+            bg[better], bc[better], ba[better] = g[better], ca[better], a
+        hit = ba >= 0
+        live, a, c = live[hit], ba[hit], bc[hit]
+        if not len(live):
+            break  # gains only shrink from here
+        counts[live, a] += 1
+        slots.append(np.stack([live, a, counts[live, a], np.full_like(live, ell), c]))
+    index, symbol, target, majority, cost = np.concatenate(slots, axis=1)
 
-    def sort_key(op: ModOp):
-        if op.cost == 0:
-            dens_rank: tuple = (0, Fraction(0))
-        else:
-            dens_rank = (1, -op.density)
-        return (*dens_rank, op.cost, op.index, op.symbol, op.target_count)
+    gain, paid = majority - target, cost > 0
+    stride = int(cost.max(initial=0)) + 1
+    pairs, pair_of = np.unique(gain[paid] * stride + cost[paid], return_inverse=True)
+    dens = [Fraction(p // stride, p % stride) for p in pairs.tolist()]
+    rank = {f: r for r, f in enumerate(sorted(set(dens), reverse=True))}
+    dens_rank = np.zeros(len(cost), dtype=np.int64)
+    dens_rank[paid] = np.array([rank[f] for f in dens], dtype=np.int64)[pair_of]
 
-    ops.sort(key=sort_key)
-    return tuple(ops)
+    by_string = np.empty(sigma, dtype=np.int64)
+    by_string[sorted(range(sigma), key=ctx.alphabet.__getitem__)] = np.arange(sigma)
+    walk = np.lexsort((by_string[symbol], index, cost))
+    # one cost per (index, symbol), so a new triple is a new (index, symbol)
+    step = np.ones(len(walk), dtype=np.int64)
+    step[1:] = (np.diff(index[walk]) != 0) | (np.diff(symbol[walk]) != 0)
+    key = np.empty(len(walk), dtype=np.int64)
+    key[walk] = np.cumsum(step) - 1
+
+    order = np.lexsort((target, symbol, index, cost, dens_rank, paid))
+    return np.stack([index, symbol, target, majority, cost, key], axis=1)[order]
 
 
 def cost_greedy_assign(
-    ctx: MedianContext, budget: Budget, k: int, prefix: Sequence[ModOp]
+    ctx: MedianContext, budget: Budget, k: int, prefix: np.ndarray
 ) -> tuple[CandidateSet, bool]:
     """Realize an op-list prefix on k candidate strings, cheapest seats first.
 
-    h[(c, i, a)] counts how many candidates the prefix wants carrying symbol a
-    at index i, at cost c. Pairs are processed by ascending cost, then index,
-    then symbol string (not alphabet position); each assigns its h cheapest
-    candidates still holding w_i at i whose budget survives the surcharge.
-    Falling short on any pair flags the prefix infeasible.
+    For each key (c, i, a) that it holds h times, the prefix wants h
+    candidates carrying symbol a at index i, at cost c. The keys are walked
+    in key order (ascending cost, then index, then symbol string); each
+    assigns its h cheapest candidates, by (weight, seat), that still hold w_i
+    at i and whose budget survives the surcharge. The walk stops at the first
+    key that falls short and flags the prefix infeasible; the candidates it
+    returns then carry only the keys seated before it.
     """
-    h: dict[tuple[int, int, int], int] = {}
-    for op in prefix:
-        key = (op.cost, op.index, op.symbol)
-        h[key] = h.get(key, 0) + 1
+    index, symbol, _, _, cost, key = prefix.T
+    need = np.bincount(key)
+    keys = np.flatnonzero(need)
+    row = np.empty(len(need), dtype=np.int64)
+    row[key] = np.arange(len(key))  # one op of each key
+    row = row[keys]
 
-    alpha = ctx.alphabet
+    # seat y sorts by weight * k + y, i.e. by (weight, seat), and its weight
+    # plus a surcharge c stays within budget iff that key + c * k < limit
+    limit = (budget.floor + 1) * k
+    seat_key = list(range(k))
+    seats = list(range(k))  # ascending seat_key
+    holding = [(1 << k) - 1] * ctx.d  # per index, bit y set while seat y holds w_i
     w = ctx.rank[:, 0].tolist()
     members = [w[:] for _ in range(k)]  # codes, one list per candidate
-    weights = [0] * k  # deviation above opt, per candidate
-    feasible = True
-    for key in sorted(h, key=lambda cia: (cia[0], cia[1], alpha[cia[2]])):
-        c, i, a = key
-        wi = w[i]
-        ranked = sorted(
-            (y for y in range(k) if members[y][i] == wi and budget.within(weights[y] + c)),
-            key=lambda y: (weights[y], y),
-        )
-        take = ranked[: h[key]]
-        if len(take) < h[key]:
-            feasible = False
+    for c, i, a, h in zip(cost[row].tolist(), index[row].tolist(),
+                          symbol[row].tolist(), need[keys].tolist()):
+        mask, step = holding[i], c * k
+        take = []
+        for y in seats:
+            if seat_key[y] + step >= limit:
+                break  # every later seat is at least as heavy
+            if mask >> y & 1:
+                take.append(y)
+                if len(take) == h:
+                    break
+        if len(take) < h:
+            return CandidateSet.from_members(ctx, members), False
         for y in take:
+            seat_key[y] += step
+            mask ^= 1 << y
             members[y][i] = a
-            weights[y] += c
-    return CandidateSet.from_members(ctx, members), feasible
+        holding[i] = mask
+        if step:
+            seats.sort(key=seat_key.__getitem__)
+    return CandidateSet.from_members(ctx, members), True
 
 
 def sum_dispersion_approx_k(
@@ -167,26 +174,25 @@ def sum_dispersion_approx_k(
 ) -> tuple[CandidateSet, int]:
     """k approximate medians with (near-)maximum sum dispersion.
 
-    Binary-searches the longest feasible prefix of the op list (the empty
-    prefix is always feasible).
+    Binary-searches the longest feasible prefix of the op list and keeps the
+    candidates of the last feasible probe (the empty prefix is always
+    feasible).
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     oplist = build_oplist(ctx, k)
-    m = len(oplist)
-
-    def probe(j: int) -> tuple[CandidateSet, bool]:
-        return cost_greedy_assign(ctx, budget, k, oplist[:j])
-
-    lo, hi = 0, m
+    lo, hi = 0, len(oplist)
+    best = None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if probe(mid)[1]:
-            lo = mid
+        cands, feasible = cost_greedy_assign(ctx, budget, k, oplist[:mid])
+        if feasible:
+            lo, best = mid, cands
         else:
             hi = mid - 1
-    cands, _ = probe(lo)
-    return cands, cands.sum_dispersion()
+    if best is None:
+        best, _ = cost_greedy_assign(ctx, budget, k, oplist[:0])
+    return best, best.sum_dispersion()
 
 
 def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> CandidateSet:
@@ -224,21 +230,3 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
         gains += distances_to(codes, chosen[-1])
     return CandidateSet.from_members(ctx, pool.codes[chosen])
 
-
-def make_distinct(ctx: MedianContext, cands: CandidateSet) -> tuple[CandidateSet, bool]:
-    """Optional post-pass: force pairwise-distinct members via tie indices.
-
-    Stamps each member with a distinct bit pattern over ceil(log2 k) tie
-    indices (majority symbol vs. first alternative — both cost 0, so every
-    cost class is preserved). Returns (cands, False) untouched when the tie
-    structure is too small to address k distinct patterns.
-    """
-    k = cands.k
-    need = max(0, (k - 1).bit_length())
-    ties = np.flatnonzero(ctx.majority_sizes >= 2)
-    if len(ties) < need:
-        return cands, False
-    codes = cands.codes.copy()
-    for b, i in enumerate(ties[:need].tolist()):
-        codes[:, i] = np.where(np.arange(k) >> b & 1, ctx.rank[i, 1], ctx.rank[i, 0])
-    return CandidateSet.from_members(ctx, codes), True

@@ -506,6 +506,13 @@ def test_dispatch_rejects_a_strategy_the_objective_does_not_take():
         cli.dispatch(ctx, Budget.make(0, ctx.opt), "sum-dispersion", 2, strategy="dp")
 
 
+def test_dispatch_rejects_an_objective_without_dispersion_strategies():
+    ctx = context_from_strings(["aab", "abb"], alphabet="ab")
+    for objective in ("diameter", "median", "bogus"):
+        with pytest.raises(ValidationError, match="dispatch takes: sum-dispersion, min-dispersion"):
+            cli.dispatch(ctx, Budget.make(0, ctx.opt), objective, 2)
+
+
 def test_main_max_code_size_product_refusal_hints_max_candidates(capsys):
     code, _, err = run_main(
         ["--objective", "oracle", "--oracle-op", "max-code-size", "--sizes",

@@ -1,10 +1,14 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverse_medians import (
     Budget,
+    CandidateSet,
     DEFAULT_LIMITS,
     Dataset,
     EnumerationLimits,
@@ -14,7 +18,6 @@ from diverse_medians import (
     context_from_strings,
     cost_greedy_assign,
     is_approx_median,
-    make_distinct,
     median_cost,
     sum_dispersion_approx_k,
     sum_dispersion_exact_k,
@@ -62,16 +65,160 @@ def test_exact_k1_is_w():
     assert cs.sum_dispersion() == 0
 
 
+# --- reference density engine ---------------------------------------------------
+#
+# The loop-built op list and assignment the array passes replaced: one
+# Fraction key per candidate op, and per probe a dict of (cost, index, symbol)
+# counts sorted by symbol string. They read only the context's tables.
+
+
+def reference_oplist(ctx, k):
+    """Ops as (index, symbol, target_count, majority_count, cost) tuples."""
+    sigma = len(ctx.alphabet)
+    ops = []
+    for i, (wi, costs) in enumerate(zip(ctx.rank[:, 0].tolist(), ctx.cost.tolist())):
+        others = [a for a in range(sigma) if a != wi]
+        counts = [0] * sigma
+        for ell in range(k, 0, -1):
+            best = None
+            for a in others:
+                gain = ell - (counts[a] + 1)
+                if gain < 1:
+                    continue
+                c = costs[a]
+                # zero-cost tier first; inside a tier larger density wins,
+                # then smaller cost, then alphabet order
+                if c == 0:
+                    key = (0, -gain, 0, a)
+                else:
+                    key = (1, -Fraction(gain, c), c, a)
+                if best is None or key < best[0]:
+                    best = (key, a, c)
+            if best is None:
+                break  # gains only shrink from here
+            _, a, c = best
+            counts[a] += 1
+            ops.append((i, a, counts[a], ell, c))
+
+    def sort_key(op):
+        i, a, target, ell, c = op
+        dens = (0, Fraction(0)) if c == 0 else (1, -Fraction(ell - target, c))
+        return (*dens, c, i, a, target)
+
+    return sorted(ops, key=sort_key)
+
+
+def reference_assign(ctx, budget, k, prefix):
+    """(members as lists of codes, feasible) for an op-tuple prefix."""
+    h = {}
+    for i, a, _, _, c in prefix:
+        h[(c, i, a)] = h.get((c, i, a), 0) + 1
+    alpha = ctx.alphabet
+    w = ctx.rank[:, 0].tolist()
+    members = [w[:] for _ in range(k)]
+    weights = [0] * k
+    feasible = True
+    for key in sorted(h, key=lambda cia: (cia[0], cia[1], alpha[cia[2]])):
+        c, i, a = key
+        ranked = sorted(
+            (y for y in range(k) if members[y][i] == w[i] and budget.within(weights[y] + c)),
+            key=lambda y: (weights[y], y),
+        )
+        take = ranked[: h[key]]
+        if len(take) < h[key]:
+            feasible = False
+        for y in take:
+            members[y][i] = a
+            weights[y] += c
+    return members, feasible
+
+
+def reference_engine(ctx, budget, k):
+    """Members of the longest feasible prefix, found by binary search."""
+    ops = reference_oplist(ctx, k)
+    lo, hi = 0, len(ops)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if reference_assign(ctx, budget, k, ops[:mid])[1]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return reference_assign(ctx, budget, k, ops[:lo])[0]
+
+
+# |Σ| in {2, 4, 20}, and alphabets whose symbol-string order differs from
+# their code order (one of them multi-character and non-ASCII)
+SUM_ALPHABETS = (
+    tuple("ab"),
+    tuple("tgca"),
+    tuple("abcdefghijklmnopqrst"),
+    ("γ", "ab", "α", "a", "ζζ"),
+)
+
+
+@st.composite
+def density_cases(draw):
+    """(ctx, budget, k): 2 to 8 rows of length <= 8 over one of
+    SUM_ALPHABETS; some columns alternate two symbols (2-way ties, so
+    zero-cost ops, when the row count is even), k reaches past |Σ| and eps
+    reaches 0."""
+    alphabet = draw(st.sampled_from(SUM_ALPHABETS))
+    used = draw(st.lists(st.sampled_from(alphabet), min_size=2, max_size=5, unique=True))
+    n = draw(st.integers(2, 8))
+    cols = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            x, y = draw(st.permutations(used))[:2]
+            cols.append([x, y] * (n // 2) + [x] * (n % 2))
+        else:
+            cols.append(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)))
+    ctx = context_from_strings([list(row) for row in zip(*cols)], alphabet=alphabet)
+    eps = draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1),
+                                Fraction(3)]))
+    return ctx, Budget.make(eps, ctx.opt), draw(st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_cases())
+def test_density_engine_matches_reference(case):
+    ctx, budget, k = case
+    ops = build_oplist(ctx, k)
+    ref = reference_oplist(ctx, k)
+    assert ops.dtype == np.int64 and ops.shape == (len(ref), 6)
+    assert ops[:, :5].tolist() == [list(op) for op in ref]
+    for j in range(len(ref) + 1):
+        cands, feasible = cost_greedy_assign(ctx, budget, k, ops[:j])
+        members, ref_feasible = reference_assign(ctx, budget, k, ref[:j])
+        assert feasible == ref_feasible
+        if feasible:
+            assert cands.codes.tolist() == members
+    cands, value = sum_dispersion_approx_k(ctx, budget, k)
+    ref_cands = CandidateSet.from_members(ctx, reference_engine(ctx, budget, k))
+    assert cands.codes.tolist() == ref_cands.codes.tolist()
+    assert cands.costs == ref_cands.costs
+    assert value == ref_cands.sum_dispersion()
+
+
+def test_oplist_keys_walk_cost_index_then_symbol_string():
+    # "cba" codes c=0, b=1, a=2: at one index and cost, b's key precedes c's
+    ctx = context_from_strings(["aaa", "bbb", "ccc", "aaa"], alphabet="cba")
+    index, symbol, _, _, cost, key = build_oplist(ctx, 4).T
+    walk = sorted(zip(key.tolist(), cost.tolist(), index.tolist(),
+                      [ctx.alphabet[a] for a in symbol.tolist()]))
+    triples = [t[1:] for t in walk]
+    assert triples == sorted(triples)
+    assert len({t[0] for t in walk}) == len(set(triples))  # one key per triple
+
+
 # --- op list -----------------------------------------------------------------
 
 
 def test_oplist_one_op_per_index_slot():
     ctx = context_from_strings(["aab", "abb", "bbb", "bab", "aab"], alphabet="ab")
-    ops = build_oplist(ctx, 4)
-    seen = {(op.index, op.target_count) for op in ops}
-    assert len(seen) == len(ops)
-    assert all(1 <= op.target_count <= 4 for op in ops)
-    assert all(op.gain > 0 for op in ops)
+    index, _, target, majority, _, _ = build_oplist(ctx, 4).T
+    assert len(set(zip(index.tolist(), target.tolist()))) == len(index)
+    assert ((1 <= target) & (target <= 4)).all()
+    assert (majority - target > 0).all()
 
 
 def test_oplist_global_order_contracts(rng):
@@ -80,27 +227,26 @@ def test_oplist_global_order_contracts(rng):
     for _ in range(20):
         rows = random_rows(rng, sigma="abc")
         ctx = context_from_strings(rows, alphabet="abc")
-        ops = build_oplist(ctx, int(rng.integers(2, 6)))
-        first_paid = next((p for p, op in enumerate(ops) if op.cost > 0), len(ops))
-        assert all(op.cost == 0 for op in ops[:first_paid])
-        assert all(op.cost > 0 for op in ops[first_paid:])
+        index, _, target, majority, cost, _ = build_oplist(ctx, int(rng.integers(2, 6))).T
+        first_paid = int(np.argmax(cost > 0)) if (cost > 0).any() else len(cost)
+        assert (cost[:first_paid] == 0).all()
+        assert (cost[first_paid:] > 0).all()
         per_index: dict[int, list] = {}
-        for op in ops:
-            if op.cost > 0:
-                per_index.setdefault(op.index, []).append(op.density)
+        for i, g, c in zip(index.tolist(), (majority - target).tolist(), cost.tolist()):
+            if c > 0:
+                per_index.setdefault(i, []).append(Fraction(g, c))
         for idx, densities in per_index.items():
             assert densities == sorted(densities, reverse=True), (
                 f"index {idx}: finite densities out of order {densities}"
             )
         # at most one op per (index, slot)
-        seen = {(op.index, op.majority_count) for op in ops}
-        assert len(seen) == len(ops)
+        assert len(set(zip(index.tolist(), majority.tolist()))) == len(index)
 
 
 def test_oplist_zero_cost_ops_lead():
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")  # all ties
     ops = build_oplist(ctx, 3)
-    assert ops and all(op.cost == 0 for op in ops)
+    assert len(ops) and (ops[:, 4] == 0).all()
 
 
 # --- cost-greedy assignment ---------------------------------------------------
@@ -119,7 +265,8 @@ def test_cost_greedy_respects_budget(rng):
 
 def test_cost_greedy_empty_prefix_is_k_copies_of_w():
     ctx = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
-    cands, feasible = cost_greedy_assign(ctx, Budget.make(0, ctx.opt), 3, ())
+    cands, feasible = cost_greedy_assign(ctx, Budget.make(0, ctx.opt), 3,
+                                         build_oplist(ctx, 3)[:0])
     assert feasible
     assert cands.members == (ctx.w,) * 3
 
@@ -220,31 +367,3 @@ def test_dispatch_rejects_bad_delta():
 
     with pytest.raises(ValidationError):
         cli.dispatch(ctx, Budget.make(0, ctx.opt), "sum-dispersion", 2, Fraction(0))
-
-
-# --- distinctness post-pass -------------------------------------------------------
-
-
-def test_make_distinct_stamps_tie_indices():
-    rows = ["a" * 6, "b" * 6]  # every column a tie
-    ctx = context_from_strings(rows, alphabet="ab")
-    from diverse_medians import CandidateSet
-
-    cands = CandidateSet.from_members(ctx, Dataset.from_strings([ctx.w] * 4, ctx.alphabet).codes)
-    out, changed = make_distinct(ctx, cands)
-    assert changed
-    assert len(set(out.members)) == 4
-    assert all(median_cost(ctx, s) == ctx.opt for s in out.members)
-    # stamps live on at most ceil(log2 4) = 2 indices
-    touched = {i for s in out.members for i in range(6) if s[i] != ctx.w[i]}
-    assert len(touched) <= 2
-
-
-def test_make_distinct_reports_when_ties_run_out():
-    ctx = context_from_strings(["ab", "ab"], alphabet="ab")  # no ties at all
-    from diverse_medians import CandidateSet
-
-    cands = CandidateSet.from_members(ctx, Dataset.from_strings([ctx.w] * 3, ctx.alphabet).codes)
-    out, changed = make_distinct(ctx, cands)
-    assert not changed
-    assert out.members == cands.members
