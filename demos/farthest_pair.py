@@ -18,7 +18,6 @@ from diverse_medians import (
     brute_diameter,
     context_from_strings,
     exact_diameter_pair,
-    word_str,
 )
 
 # Exact route: with zero budget the answer is just the number of tied
@@ -26,7 +25,7 @@ from diverse_medians import (
 ctx = context_from_strings(["acac", "caca", "aacc", "ccaa"])
 res = exact_diameter_pair(ctx)
 print("tie columns:", int((ctx.majority_sizes >= 2).sum()), "-> exact diameter", res.diameter)
-print("  pair:", word_str(res.pair[0]), word_str(res.pair[1]))
+print("  pair:", "".join(res.pair[0]), "".join(res.pair[1]))
 
 # Budgeted route: the pair splits its deviations over disjoint index sets,
 # chosen by a greedy sweep plus a subset-sum style repair step.

@@ -16,7 +16,6 @@ from diverse_medians import (
     enumerate_exact_medians,
     is_approx_median,
     median_cost,
-    word_str,
 )
 
 rows = ["banana", "bonobo", "banana", "gazebo"]  # duplicates are fine
@@ -26,7 +25,7 @@ print("inferred alphabet:", "".join(ctx.alphabet))
 
 # w picks the most frequent character per index (alphabet order breaks ties);
 # its cost is the best possible, by a term-by-term argument over columns.
-print("median w =", word_str(ctx.w), " cost =", ctx.opt)
+print("median w =", "".join(ctx.w), " cost =", ctx.opt)
 for s in rows:
     print(f"  H-sum({s}) = {median_cost(ctx, s)}")
 
@@ -42,4 +41,4 @@ for eps in (Fraction(0), Fraction(1, 6), Fraction(1, 3)):
 # With ties, even eps = 0 gives more than one exact median.
 tied = context_from_strings(["ab", "ba"])
 print("tied instance medians:",
-      [word_str(s) for s in enumerate_exact_medians(tied)])
+      ["".join(s) for s in enumerate_exact_medians(tied)])

@@ -19,7 +19,6 @@ from diverse_medians import (
     min_disp_dp_exact,
     plotkin_bound,
     sample_exact_medians,
-    word_str,
 )
 from diverse_medians.cli import STRATEGY_TABLE, dispatch
 
@@ -27,7 +26,7 @@ ctx = context_from_strings(["abb", "bab", "bba", "aaa"], alphabet="ab")
 value, cs = min_disp_dp_exact(ctx, 2)
 pool = exact_median_pool(ctx)
 print("DP minDp =", value, "| brute =", brute_mindp_k(pool, 2),
-      "| picks:", [word_str(s) for s in cs.members])
+      "| picks:", ["".join(s) for s in cs.members])
 
 # 40 tied binary columns: enumeration would visit 2^40 strings, uniform
 # sampling gets within (1-delta) of the tie mass with failure prob eta.

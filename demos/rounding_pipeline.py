@@ -18,7 +18,6 @@ from diverse_medians import (
     dependent_round,
     lp_min_dispersion,
     solve_lp_relaxation,
-    word_str,
 )
 
 ctx = context_from_strings(["aaaa", "bbbb", "cccc"])
@@ -38,6 +37,6 @@ for seed in range(3):
 
 cands, report = lp_min_dispersion(ctx, budget, k=3, delta=Fraction(1, 4),
                                   eta=Fraction(1, 8), seed=0)
-print("rounded picks:", [word_str(s) for s in cands.members],
+print("rounded picks:", ["".join(s) for s in cands.members],
       "minDp =", cands.min_dispersion())
 print("report:", report)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -32,13 +31,10 @@ from .core import (
     Dataset,
     InfeasibleError,
     InternalError,
-    KeyWidthExceeded,
     MedianContext,
     ValidationError,
-    Word,
     build_context,
     median_cost,
-    word_str,
 )
 from .diameter import DiameterResult, approx_diameter_pair, exact_diameter_pair
 from .lpround import lp_min_dispersion
@@ -248,6 +244,9 @@ def dispatch(
     _check_strategy(objective, strategy)
     if objective == "min-dispersion" and k < 2:
         raise ValidationError("k must be >= 2")
+    if k > limits.max_candidates:  # a result holds no more strings than a pool may
+        raise CapExceeded(f"k={k} exceeds max_candidates={limits.max_candidates}",
+                          "max_candidates")
     job = _Job(ctx, budget, k, delta, eta, seed, limits, {} if doc is None else doc)
     if strategy != "auto":
         tag = NAMED_STRATEGIES[objective][strategy]
@@ -305,16 +304,14 @@ def _parse_alphabet(text: str) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# ingestion
+# ingestion: each parser returns (label, row) pairs, and ingest names a bad
+# row by its label
 
 
-def _ingest_lines(text: str) -> list[tuple[int, str]]:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if line:
-            rows.append((lineno, line))
-    return rows
+def _ingest_lines(text: str) -> list[tuple[str, str]]:
+    return [(f"line {lineno}", line)
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.rstrip())]
 
 
 def _ingest_fasta(text: str) -> list[tuple[str, str]]:
@@ -329,14 +326,12 @@ def _ingest_fasta(text: str) -> list[tuple[str, str]]:
             if not records:
                 raise ValidationError("sequence data before the first '>' header")
             records[-1][1].append(line)
-    return [(name, "".join(chunks)) for name, chunks in records]
+    return [(f"record {name!r}", "".join(chunks)) for name, chunks in records]
 
 
-def _ingest_csv(text: str, alphabet: tuple[str, ...] | None) -> list[list[str]]:
+def _ingest_csv(text: str, alphabet: tuple[str, ...] | None) -> list[tuple[str, list[str]]]:
     rows = [[cell.strip() for cell in row] for row in csv.reader(text.splitlines())
             if any(cell.strip() for cell in row)]
-    if not rows:
-        return rows
     # Header heuristic: drop row 1 when it can't be data — either a cell falls
     # outside the explicit alphabet while later rows don't, or (inferred
     # alphabet) some first-row cell never appears again anywhere.
@@ -352,7 +347,7 @@ def _ingest_csv(text: str, alphabet: tuple[str, ...] | None) -> list[list[str]]:
             seen_later = {c for row in rest for c in row}
             if any(c not in seen_later for c in first):
                 rows = rest
-    return rows
+    return [(f"row {idx}", row) for idx, row in enumerate(rows, start=1)]
 
 
 def ingest(path: str, fmt: str, alphabet: tuple[str, ...] | None = None) -> Dataset:
@@ -368,67 +363,45 @@ def ingest(path: str, fmt: str, alphabet: tuple[str, ...] | None = None) -> Data
 
     if fmt == "lines":
         rows = _ingest_lines(text)
-        if not rows:
-            raise ValidationError(f"{path}: no data lines")
-        width = len(rows[0][1])
-        for lineno, line in rows:
-            if len(line) != width:
-                raise ValidationError(
-                    f"{path}: line {lineno} has length {len(line)}, expected {width}"
-                )
-        strings: Sequence = [line for _, line in rows]
     elif fmt == "fasta":
-        records = _ingest_fasta(text)
-        if not records:
-            raise ValidationError(f"{path}: no FASTA records")
-        width = len(records[0][1])
-        for name, seq in records:
-            if not seq:
-                raise ValidationError(f"{path}: record {name!r} is empty")
-            if len(seq) != width:
-                raise ValidationError(
-                    f"{path}: record {name!r} has length {len(seq)}, expected {width}"
-                )
-        strings = [seq for _, seq in records]
+        rows = _ingest_fasta(text)
     elif fmt == "csv":
-        rows2 = _ingest_csv(text, alphabet)
-        if not rows2:
-            raise ValidationError(f"{path}: no data rows")
-        width = len(rows2[0])
-        for idx, row in enumerate(rows2, start=1):
-            if len(row) != width:
-                raise ValidationError(
-                    f"{path}: row {idx} has {len(row)} cells, expected {width}"
-                )
-        strings = [tuple(row) for row in rows2]
+        rows = _ingest_csv(text, alphabet)
     else:
         raise ValidationError(f"unknown format {fmt!r}")
-
-    return Dataset.from_strings(strings, alphabet=alphabet)
+    if not rows:
+        raise ValidationError(f"{path}: no {fmt} data")
+    width = len(rows[0][1])
+    for label, row in rows:
+        if not row:  # only a FASTA record can be empty
+            raise ValidationError(f"{path}: {label} is empty")
+        if len(row) != width:
+            raise ValidationError(f"{path}: {label} has length {len(row)}, expected {width}")
+    return Dataset.from_strings([row for _, row in rows], alphabet=alphabet)
 
 
 # ---------------------------------------------------------------------------
 # document assembly
 
 
-def _render_word(word: Word, joined: bool):
-    return word_str(word) if joined else list(word)
-
-
-def _render_pool(pool: Dataset, joined: bool) -> list:
-    """Every pool string rendered as _render_word would, decoded one block of
-    at most BLOCK_BYTES of rows at a time: never the whole pool as symbols."""
-    step = max(1, BLOCK_BYTES // (8 * pool.d))
+def _render_word(codes: np.ndarray, alphabet: tuple[str, ...]) -> list:
+    """Every row of an (m, d) code matrix as the document shows it: a string
+    when every symbol is one character, else a list of symbols. Rows are
+    decoded one block of at most BLOCK_BYTES at a time: never the whole
+    matrix as symbols."""
+    m, d = codes.shape
+    step = max(1, BLOCK_BYTES // (8 * d))
+    joined = all(len(a) == 1 for a in alphabet)
     if joined:
-        points = np.array([ord(a) for a in pool.alphabet], dtype=np.uint32)
+        points = np.array([ord(a) for a in alphabet], dtype=np.uint32)
     else:
-        symbols = np.array(pool.alphabet, dtype=object)
+        symbols = np.array(alphabet, dtype=object)
     out: list = []
-    for lo in range(0, pool.n, step):
-        block = pool.codes[lo : lo + step]
+    for lo in range(0, m, step):
+        block = codes[lo : lo + step]
         if joined:  # one text of the block's rows, cut into rows
             text = points[block].tobytes().decode("utf-32-le", "surrogatepass")
-            out.extend(text[j : j + pool.d] for j in range(0, len(text), pool.d))
+            out.extend(text[j : j + d] for j in range(0, len(text), d))
         else:
             out.extend(symbols[block].tolist())
     return out
@@ -438,17 +411,25 @@ def _fraction_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _revalidate(ctx: MedianContext, members: Sequence[Word], cap: Fraction) -> list[int]:
-    """Recompute every member's cost from scratch and enforce its cost class."""
+def _revalidate(ctx: MedianContext, strings: list, cap: Fraction) -> list[int]:
+    """Re-encode every rendered string, recompute its cost from scratch and
+    enforce its cost class."""
     costs = []
-    for s in members:
+    for s in strings:
         c = median_cost(ctx, s)
-        if Fraction(c) > cap:
+        if c > cap:
             raise InternalError(
                 f"internal error: emitted string costs {c}, above its declared cap {cap}"
             )
         costs.append(c)
     return costs
+
+
+def _emit(doc: dict, ctx: MedianContext, codes: np.ndarray, cap: Fraction) -> None:
+    """Render the rows of `codes` as doc["strings"], and cost exactly that
+    text into doc["costs"]."""
+    doc["strings"] = _render_word(codes, ctx.alphabet)
+    doc["costs"] = _revalidate(ctx, doc["strings"], cap)
 
 
 def _class_cap(cls: str, config: RunConfig, opt: int) -> tuple[Fraction, str]:
@@ -519,7 +500,7 @@ def run(config: RunConfig) -> dict:
     dataset = ingest(config.input, config.format, config.alphabet)
     ctx = build_context(dataset)
     budget = Budget.make(config.epsilon, ctx.opt)
-    joined = all(len(a) == 1 for a in dataset.alphabet)
+    w = ctx.rank[None, :, 0]  # the (1, d) codes of w
 
     doc["dataset"] = {
         "n": dataset.n,
@@ -528,11 +509,10 @@ def run(config: RunConfig) -> dict:
         "alphabet_inferred": dataset.alphabet_inferred,
     }
     doc["opt"] = ctx.opt
-    doc["w"] = _render_word(ctx.w, joined)
+    doc["w"] = _render_word(w, ctx.alphabet)[0]
 
     if config.objective == "median":
-        doc["strings"] = [_render_word(ctx.w, joined)]
-        doc["costs"] = _revalidate(ctx, [ctx.w], Fraction(ctx.opt))
+        _emit(doc, ctx, w, Fraction(ctx.opt))
         doc["objective_value"] = ctx.opt
         doc["guarantee"] = "exact optimum: per-index majority minimizes the distance sum"
         return doc
@@ -549,8 +529,7 @@ def run(config: RunConfig) -> dict:
                 f"exact diameter over (1+eps)-approximate medians "
                 f"(branch: {res.branch}); {cls}"
             )
-        doc["strings"] = [_render_word(s, joined) for s in res.pair]
-        doc["costs"] = _revalidate(ctx, list(res.pair), cap)
+        _emit(doc, ctx, res.dataset.codes, cap)
         doc["dstar"] = res.diameter
         doc["objective_value"] = res.diameter
         doc["branch"] = res.branch
@@ -562,8 +541,7 @@ def run(config: RunConfig) -> dict:
                               limits=config.limits, doc=doc)
         row = _lookup(STRATEGY_TABLE, config.objective, config.epsilon, tag)
         cap, label = _class_cap(row.cost_class, config, ctx.opt)
-        doc["strings"] = [_render_word(s, joined) for s in cands.members]
-        doc["costs"] = _revalidate(ctx, cands.members, cap)
+        _emit(doc, ctx, cands.codes, cap)
         doc["strategy_tag"] = tag
         doc["guarantee"] = f"{row.guarantee}; {label}"
         if config.objective == "sum-dispersion":
@@ -593,7 +571,7 @@ def run(config: RunConfig) -> dict:
     else:
         pool = approx_median_pool(ctx, budget, config.limits)
     if config.oracle_op in ("exact-medians", "approx-medians"):
-        doc["strings"] = _render_pool(pool, joined)
+        doc["strings"] = _render_word(pool.codes, ctx.alphabet)
         doc["objective_value"] = pool.n
     else:
         doc["pool_size"] = pool.n
@@ -697,17 +675,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except CapExceeded as exc:
         print(f"diverse-medians: {exc}", file=sys.stderr)
-        if isinstance(exc, KeyWidthExceeded):
+        if exc.knob is None:  # KeyWidthExceeded: no cap lets the DP run
             print("hint: pick --strategy auto, greedy or sample, or a smaller --k",
                   file=sys.stderr)
-        elif config.objective == "oracle" and config.oracle_op == "max-code-size":
-            # --max-candidates caps the product space; --max-tuples, the search
-            over = math.prod(config.sizes) > config.limits.max_candidates
-            knob = "--max-candidates" if over else "--max-tuples"
-            print(f"hint: raise {knob}", file=sys.stderr)
         else:
-            print("hint: raise --max-candidates/--max-tuples/--max-states, or pick "
-                  "--strategy sample", file=sys.stderr)
+            print(f"hint: raise --{exc.knob.replace('_', '-')}", file=sys.stderr)
         return 3
     except InfeasibleError as exc:
         print(f"diverse-medians: {exc}", file=sys.stderr)

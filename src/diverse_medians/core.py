@@ -35,11 +35,19 @@ class ValidationError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration or DP would exceed its configured size cap."""
+    """An enumeration or DP would exceed its configured size cap; ``knob``
+    names the ``EnumerationLimits`` field that sets that cap."""
+
+    def __init__(self, message: str, knob: str | None):
+        super().__init__(message)
+        self.knob = knob
 
 
 class KeyWidthExceeded(CapExceeded):
     """A DP's state keys would not fit in 63 bits: no size cap lets it run."""
+
+    def __init__(self, message: str):
+        super().__init__(message, None)
 
 
 class InfeasibleError(RuntimeError):
@@ -52,11 +60,6 @@ class SolverNotConverged(InfeasibleError):
 
 class InternalError(RuntimeError):
     """A violated internal invariant: a bug in this package, not in the input."""
-
-
-def word_str(word: Word) -> str:
-    """Join a word for display when all symbols are single characters."""
-    return "".join(word)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,14 +231,6 @@ class MedianContext:
         if len(s) != self.d:
             raise ValidationError(f"length mismatch: {len(s)} vs d={self.d}")
         return Dataset.from_strings([s], self.alphabet).codes[0]
-
-    def direct_cost(self, s: Sequence[Symbol] | str) -> int:
-        """Median objective of s straight from the definition: the sum over
-        indices of n minus the count of s's symbol there. This is the double
-        sum Sum_x H(x, s) folded by columns, deliberately independent of the
-        offset formula in median_cost."""
-        codes = self.encode(s)
-        return self.n * self.d - int(self.counts[np.arange(self.d), codes].sum())
 
 
 def build_context(dataset: Dataset) -> MedianContext:

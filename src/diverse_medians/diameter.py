@@ -31,16 +31,6 @@ class DiameterResult:
         return self.dataset.strings
 
 
-@dataclass(frozen=True)
-class PartitionResult:
-    parts: tuple[tuple[int, ...], tuple[int, ...]]
-    sums: tuple[int, int]
-
-    @property
-    def diff(self) -> int:
-        return abs(self.sums[0] - self.sums[1])
-
-
 def exact_diameter_pair(ctx: MedianContext) -> DiameterResult:
     """Most distant pair of exact medians: w vs. w flipped on every tie index.
 
@@ -56,8 +46,11 @@ def exact_diameter_pair(ctx: MedianContext) -> DiameterResult:
     )
 
 
-def min_diff_partition(T: Sequence[int], weights: Sequence[int]) -> PartitionResult:
-    """Split T into two parts with minimum weight-sum difference.
+def min_diff_partition(
+    T: Sequence[int], weights: Sequence[int]
+) -> tuple[tuple[list[int], list[int]], tuple[int, int]]:
+    """Split T into two parts with minimum weight-sum difference: returns the
+    parts and their weight sums, the first sum at most the second.
 
     Classic subset-sum DP over target floor(total/2); one bitset row per item
     is kept so the achieving subset can be walked back. weights[j] belongs to
@@ -86,7 +79,7 @@ def min_diff_partition(T: Sequence[int], weights: Sequence[int]) -> PartitionRes
     part1.reverse()
     chosen = set(part1)
     part2 = [i for i in items if i not in chosen]
-    return PartitionResult(parts=(tuple(part1), tuple(part2)), sums=(best, total - best))
+    return (part1, part2), (best, total - best)
 
 
 def _deviate(ctx: MedianContext, first: Sequence[int], second: Sequence[int]) -> Dataset:
@@ -125,12 +118,12 @@ def approx_diameter_pair(ctx: MedianContext, budget: Budget) -> DiameterResult:
         T = S + R + [int(order[taken])]
         total = int(acc[taken + 1])
         if budget.within(total, mult=2):
-            part = min_diff_partition(T, weight[T].tolist())
-            if budget.within(part.sums[0]) and budget.within(part.sums[1]):
+            (part1, part2), (sum1, sum2) = min_diff_partition(T, weight[T].tolist())
+            if budget.within(sum1) and budget.within(sum2):
                 return DiameterResult(
-                    dataset=_deviate(ctx, list(part.parts[0]), list(part.parts[1])),
+                    dataset=_deviate(ctx, part1, part2),
                     diameter=len(T),
-                    costs=(ctx.opt + part.sums[0], ctx.opt + part.sums[1]),
+                    costs=(ctx.opt + sum1, ctx.opt + sum2),
                     branch="partitioned_T1T2",
                 )
 

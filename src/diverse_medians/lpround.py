@@ -52,6 +52,7 @@ class IlpModel:
     """
 
     k: int
+    n: int
     d: int
     opt: int
     epsilon: Fraction
@@ -134,7 +135,9 @@ class IlpModel:
               np.concatenate([cost_cols, lin_cols, disp_cols]),
               np.concatenate([cost_vals, lin_vals, disp_vals]))
         b_ub = np.zeros(disp_row0 + npairs)
-        b_ub[0:2 * k:2] = float(self.epsilon * self.opt)
+        # no assignment deviates by more than n*d, so the clamp keeps the
+        # feasible set, and the bound stays a finite float at any eps
+        b_ub[0:2 * k:2] = float(min(self.epsilon * self.opt, self.n * self.d))
         b_ub[2 * k + 3:disp_row0:4] = 2.0
         u = np.arange(self.n_u)  # simplex: each (r, i) picks one rank
         eq = (u // k, u, np.ones(self.n_u))
@@ -160,20 +163,6 @@ class IlpModel:
         c, a_ub, b_ub, a_eq, b_eq, bounds = self.matrices()
         return c, a_ub.toarray(), b_ub, a_eq.toarray(), b_eq, bounds
 
-    def dump(self) -> str:
-        """Sparse triplet text: one `section row col value` line per nonzero,
-        row-major, then `rhs_ub`/`rhs_eq`/`obj` entries. For debugging."""
-        ub, b_ub, eq = self._triplets()
-        n_eq = self.k * self.d
-        out = [f"# vars={self.n_vars} ub_rows={b_ub.size} eq_rows={n_eq}"]
-        for name, (rows, cols, vals) in (("ub", ub), ("eq", eq)):
-            out.extend(f"{name} {r} {col} {v:g}"
-                       for r, col, v in zip(rows.tolist(), cols.tolist(), vals.tolist()))
-        out.extend(f"rhs_ub {r} {v:g}" for r, v in enumerate(b_ub.tolist()))
-        out.extend(f"rhs_eq {r} 1" for r in range(n_eq))
-        out.append(f"obj {self.t_index} -1")
-        return "\n".join(out)
-
 
 def build_ilp(ctx: MedianContext, budget: Budget, k: int) -> IlpModel:
     """Rank the top-k characters per index and assemble the program."""
@@ -186,13 +175,20 @@ def build_ilp(ctx: MedianContext, budget: Budget, k: int) -> IlpModel:
         )
     ranked = ctx.rank[:, :k]
     return IlpModel(
-        k=k, d=ctx.d, opt=ctx.opt, epsilon=budget.epsilon,
+        k=k, n=ctx.n, d=ctx.d, opt=ctx.opt, epsilon=budget.epsilon,
         ranked=ranked, costs=np.take_along_axis(ctx.cost, ranked, axis=1),
     )
 
 
-def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
-    """Internal LP capability: model in, optimal primal out (1e-7 tol)."""
+def solve_lp_relaxation(model: IlpModel) -> tuple[np.ndarray, float]:
+    """Optimal fractional assignment and lp_value = 2 * t-tilde, from HiGHS
+    (1e-7 tolerance).
+
+    The assignment is a (k, d, k) array: u[r] is candidate r's d-by-k
+    row-stochastic matrix of relaxed u values. The all-majority assignment is
+    always feasible, so failure is a solver problem, not a model one.
+    """
+    c, a_ub, b_ub, a_eq, b_eq, bounds = model.matrices()
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
     if res.status == 2:
@@ -201,19 +197,9 @@ def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
         raise InfeasibleError(f"LP reported infeasible: {res.message}")
     if res.status != 0:
         raise SolverNotConverged(f"LP solver did not converge: {res.message}")
-    return res.x
-
-
-def solve_lp_relaxation(model: IlpModel) -> tuple[np.ndarray, float]:
-    """Optimal fractional assignment and lp_value = 2 * t-tilde.
-
-    The assignment is a (k, d, k) array: u[r] is candidate r's d-by-k
-    row-stochastic matrix of relaxed u values. The all-majority assignment is
-    always feasible, so failure is a solver problem, not a model one.
-    """
-    x = _solve_lp(*model.matrices())
-    u = x[:model.n_u].reshape(model.k, model.d, model.k)  # u[r, i, j] = x[u_index(r, i, j)]
-    return u, 2.0 * float(x[model.t_index])
+    # u[r, i, j] = res.x[u_index(r, i, j)]
+    u = res.x[:model.n_u].reshape(model.k, model.d, model.k)
+    return u, 2.0 * float(res.x[model.t_index])
 
 
 def _walk(rows: list[list[int]], cols: list[list[int]], top: int) -> list[tuple[int, int]]:

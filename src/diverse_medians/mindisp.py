@@ -170,7 +170,8 @@ def _dp_kernel(
     if (d + 1) * (top + 1) ** len(pairs) * (cap + 1) ** k > max_states:
         raise CapExceeded(
             f"state space (d+1)*(T+1)^(k(k-1)/2)*(B+1)^k with T={top} tie columns "
-            f"exceeds max_states={max_states}"
+            f"exceeds max_states={max_states}",
+            "max_states",
         )
     radices = [top + 1] * len(pairs) + [cap + 1] * k
     weights = [1] * len(radices)

@@ -11,7 +11,7 @@ brute-force searches scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
@@ -30,11 +30,17 @@ from .core import (
 
 @dataclass(frozen=True)
 class EnumerationLimits:
-    """Hard caps checked with exact arithmetic before any enumeration starts."""
+    """Hard caps checked with exact arithmetic before any enumeration starts.
+    Each is at least 1; a CapExceeded names the field it hit as its knob."""
 
     max_candidates: int = 10**5
     max_tuples: int = 10**7
     max_states: int = 10**7
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValidationError(f"{f.name} must be >= 1")
 
 
 DEFAULT_LIMITS = EnumerationLimits()
@@ -104,7 +110,8 @@ def _walk_layers(
         fan = np.searchsorted(costs, cap - spent, side="right")
         size = int(fan.sum())
         if size > max_candidates:
-            raise CapExceeded(f"approx-median pool exceeds max_candidates={max_candidates}")
+            raise CapExceeded(f"approx-median pool exceeds max_candidates={max_candidates}",
+                              "max_candidates")
         branch = np.flatnonzero(fan > 1)
         layers.append((len(fan), branch, fan[branch]))
         parent = np.repeat(np.arange(len(fan)), fan)
@@ -156,7 +163,8 @@ def brute_diameter(pool: Dataset, limits: EnumerationLimits = DEFAULT_LIMITS) ->
     if p == 1:
         return 0
     if math.comb(p, 2) > limits.max_tuples:
-        raise CapExceeded(f"{math.comb(p, 2)} pairs exceed max_tuples={limits.max_tuples}")
+        raise CapExceeded(f"{math.comb(p, 2)} pairs exceed max_tuples={limits.max_tuples}",
+                          "max_tuples")
     arr = pool.codes
     best = 0
     step = max(1, BLOCK_BYTES // max(1, p * arr.shape[1]))
@@ -179,7 +187,8 @@ def brute_sumdp_k(
         return 0
     if math.comb(p + k - 1, k) > limits.max_tuples:
         raise CapExceeded(
-            f"{math.comb(p + k - 1, k)} multisets exceed max_tuples={limits.max_tuples}"
+            f"{math.comb(p + k - 1, k)} multisets exceed max_tuples={limits.max_tuples}",
+            "max_tuples",
         )
     dmat = pairwise_hamming_matrix(pool)
     if k == 2:
@@ -216,7 +225,8 @@ def brute_mindp_k(
     if p < k:
         return 0
     if math.comb(p, k) > limits.max_tuples:
-        raise CapExceeded(f"{math.comb(p, k)} subsets exceed max_tuples={limits.max_tuples}")
+        raise CapExceeded(f"{math.comb(p, k)} subsets exceed max_tuples={limits.max_tuples}",
+                          "max_tuples")
     dmat = pairwise_hamming_matrix(pool)
     if k == 2:
         return int(dmat.max())
@@ -261,7 +271,8 @@ def brute_max_code_size(
         space *= g
         if space > limits.max_candidates:
             raise CapExceeded(
-                f"product space exceeds max_candidates={limits.max_candidates}"
+                f"product space exceeds max_candidates={limits.max_candidates}",
+                "max_candidates",
             )
     # constant coordinates never separate; the order of the others does not
     # change the code size, so every permutation of the sizes runs one search
@@ -278,7 +289,8 @@ def brute_max_code_size(
         return 1
     pairs = math.comb(m, 2)
     if pairs > limits.max_tuples:
-        raise CapExceeded(f"{pairs} candidate pairs exceed max_tuples={limits.max_tuples}")
+        raise CapExceeded(f"{pairs} candidate pairs exceed max_tuples={limits.max_tuples}",
+                          "max_tuples")
     adj = _adjacency(cand, t)
 
     # Symmetry: relabeling symbols within a coordinate (fixing symbol 0) and
@@ -404,7 +416,8 @@ def _max_clique(
         nonlocal best, nodes
         nodes += 1
         if nodes > max_nodes:
-            raise CapExceeded(f"code-size search exceeds max_tuples={max_nodes} nodes")
+            raise CapExceeded(f"code-size search exceeds max_tuples={max_nodes} nodes",
+                              "max_tuples")
         order, bound = color_order(mask, best - size + 1)
         for idx in range(len(order) - 1, -1, -1):
             if size + bound[idx] <= best:

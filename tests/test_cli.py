@@ -80,8 +80,9 @@ def test_parse_alphabet_modes():
 
 
 def test_render_word_joins_only_single_char_symbols():
-    assert cli._render_word(("a", "b"), True) == "ab"
-    assert cli._render_word(("AC", "GT"), False) == ["AC", "GT"]
+    codes = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    assert cli._render_word(codes, ("a", "b")) == ["ab", "bb"]
+    assert cli._render_word(codes, ("AC", "GT")) == [["AC", "GT"], ["GT", "GT"]]
 
 
 # --- ingestion ----------------------------------------------------------------
@@ -109,6 +110,19 @@ def test_ingest_lines_ragged_names_the_line(tmp_path):
     p.write_text("ab\nabc\n")
     with pytest.raises(ValidationError, match="line 2"):
         cli.ingest(str(p), "lines")
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    ("lines", "ab\nabc\n", "line 2 has length 3, expected 2"),
+    ("fasta", ">r1\nab\n>r2\nabc\n", "record 'r2' has length 3, expected 2"),
+    ("fasta", ">r1\nab\n>r2\n>r3\nab\n", "record 'r2' is empty"),
+    ("csv", "a,b\nb,a,a\n", "row 2 has length 3, expected 2"),
+])
+def test_ingest_names_the_bad_row_in_every_format(tmp_path, fmt, text, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(ValidationError, match=message):
+        cli.ingest(str(p), fmt)
 
 
 def test_ingest_empty_file_is_an_error(tmp_path):
@@ -541,6 +555,83 @@ def test_main_max_code_size_search_exits_3_under_max_tuples(length, t, max_tuple
     assert proc.stderr.splitlines()[-1] == "hint: raise --max-tuples"
 
 
+def test_main_refuses_k_above_max_candidates_before_any_engine(ties_path, capsys):
+    # a result holds no more strings than a pool may; these two used to die
+    # allocating k rows, with a traceback and exit 1
+    for argv in (["--objective", "sum-dispersion", "--strategy", "exact-construction"],
+                 ["--objective", "min-dispersion", "--strategy", "sample"]):
+        code, _, err = run_main(argv + ["--input", ties_path, "--k", str(10**13)], capsys)
+        assert code == 3, err
+        assert "max_candidates=100000" in err
+        assert err.splitlines()[-1] == "hint: raise --max-candidates"
+        capped = argv + ["--input", ties_path, "--max-candidates", "3"]
+        assert run_main(capped + ["--k", "3"], capsys)[0] == 0
+        assert run_main(capped + ["--k", "4"], capsys)[0] == 3
+
+
+def test_main_lp_at_a_huge_epsilon_runs_the_clamped_model(tmp_path, capsys):
+    # eps * opt past the float range used to overflow building the LP; the
+    # bound is clamped at n*d, where it already admits every assignment
+    p = tmp_path / "lumpy.txt"
+    p.write_text(LUMPY_ROWS)
+    base = ["--objective", "min-dispersion", "--strategy", "lp", "--k", "2",
+            "--input", str(p)]
+    code, out, err = run_main(base + ["--epsilon", "1e400"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    at_nd = Fraction(doc["dataset"]["n"] * doc["dataset"]["d"], doc["opt"])
+    code, out, err = run_main(base + ["--epsilon", str(at_nd)], capsys)
+    assert code == 0, err
+    same_model = json.loads(out)
+    assert same_model["strings"] == doc["strings"]
+    for key in ("lp_value", "kept", "chosen_trial"):  # regime_plausible reads eps
+        assert same_model["lp_report"][key] == doc["lp_report"][key]
+
+
+def test_main_refuses_caps_below_one(tmp_path, capsys):
+    # a tie-free input has a 1-row pool, which a cap of 0 used to let through
+    p = tmp_path / "rows.txt"
+    p.write_text("ab\nab\n")
+    for knob in ("max-candidates", "max-tuples", "max-states"):
+        for value in ("0", "-1"):
+            code, _, err = run_main(
+                ["--objective", "oracle", "--oracle-op", "exact-medians", "--input", str(p),
+                 f"--{knob}", value],
+                capsys,
+            )
+            assert code == 2 and f"{knob.replace('-', '_')} must be >= 1" in err, err
+
+
+def test_main_named_dp_over_max_states_hints_max_states(ties_path, capsys):
+    code, _, err = run_main(
+        ["--objective", "min-dispersion", "--strategy", "dp", "--input", ties_path,
+         "--k", "2", "--delta", "1/2", "--max-states", "10"],
+        capsys,
+    )
+    assert code == 3 and "max_states=10" in err
+    assert err.splitlines()[-1] == "hint: raise --max-states"
+
+
+def test_main_costs_the_emitted_text(tmp_path, capsys, monkeypatch):
+    # the cost check re-encodes the strings the document carries: a renderer
+    # that corrupts one symbol is caught (exit 5) even though the codes the
+    # engine returned are fine
+    p = tmp_path / "rows.txt"
+    p.write_text("ab\nab\nab\n")
+    real = cli._render_word
+
+    def corrupt(codes, alphabet):
+        out = real(codes, alphabet)
+        out[0] = "b" + out[0][1:]  # w = "ab" becomes "bb", 3 above opt
+        return out
+
+    monkeypatch.setattr(cli, "_render_word", corrupt)
+    for argv in (["--objective", "median"], ["--objective", "diameter"],
+                 ["--objective", "sum-dispersion", "--strategy", "exact-construction"]):
+        code, _, err = run_main(argv + ["--input", str(p)], capsys)
+        assert code == 5 and "internal error" in err, (argv, err)
+
+
 def test_main_min_dispersion_auto_checks_delta_and_eta_before_the_dp(tmp_path, capsys):
     # k * delta <= 1 fires the DP rule, which needs neither; the checks still run
     rows = tmp_path / "rows.txt"
@@ -645,5 +736,30 @@ def test_render_pool_matches_render_word_across_blocks(alphabet, monkeypatch):
                    alphabet=alphabet)
     joined = all(len(a) == 1 for a in alphabet)
     monkeypatch.setattr(cli, "BLOCK_BYTES", 8 * 7 * 3)  # blocks of 3 rows
-    assert cli._render_pool(pool, joined) == [
-        cli._render_word(s, joined) for s in pool.strings]
+    assert cli._render_word(pool.codes, alphabet) == [
+        "".join(s) if joined else list(s) for s in pool.strings]
+
+
+def test_every_traced_name_resolves_in_the_package():
+    # bench/tracing.py wraps package functions by name and stops at the
+    # first name it cannot find; install and remove its tracer over the
+    # modules the bench loads
+    import importlib.util
+
+    from diverse_medians import core, diameter, lpround, mindisp, oracle, sumdisp
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = [cli, core, diameter, lpround, mindisp, oracle, sumdisp]
+    before = [dict(vars(m)) for m in modules]
+    tracer = tracing.Tracer(modules)
+    try:
+        tracer.install()
+        patched = {attr for _, attr, _ in tracer._undo}
+    finally:
+        tracer.uninstall()
+    names = {name for _, fns, _ in tracing.LAYERS for name in fns}
+    assert {n.split(".")[-1] for n in names} - {"dumps"} | {"json"} <= patched
+    assert [dict(vars(m)) for m in modules] == before

@@ -51,26 +51,23 @@ def test_exact_diameter_unique_median():
 @given(st.lists(st.integers(0, 50), min_size=0, max_size=12))
 def test_min_diff_partition_matches_exhaustive(weights):
     items = list(range(100, 100 + len(weights)))
-    res = min_diff_partition(items, weights)
+    parts, sums = min_diff_partition(items, weights)
     total = sum(weights)
     best = min(
         abs(total - 2 * sum(w for w, pick in zip(weights, mask) if pick))
         for mask in product([0, 1], repeat=len(weights))
     ) if weights else 0
-    assert res.diff == best
+    assert abs(sums[0] - sums[1]) == best
     # the returned parts really partition the items with the claimed sums
-    assert sorted(res.parts[0] + res.parts[1]) == sorted(items)
+    assert sorted(parts[0] + parts[1]) == sorted(items)
     by_item = dict(zip(items, weights))
-    assert sum(by_item[i] for i in res.parts[0]) == res.sums[0]
-    assert sum(by_item[i] for i in res.parts[1]) == res.sums[1]
-    assert abs(res.sums[0] - res.sums[1]) == res.diff
+    assert sum(by_item[i] for i in parts[0]) == sums[0]
+    assert sum(by_item[i] for i in parts[1]) == sums[1]
 
 
 def test_min_diff_partition_trivia():
-    res = min_diff_partition([7], [5])
-    assert res.diff == 5 and res.sums in ((0, 5), (5, 0))
-    res = min_diff_partition([], [])
-    assert res.diff == 0
+    assert min_diff_partition([7], [5]) == (([], [7]), (0, 5))
+    assert min_diff_partition([], []) == (([], []), (0, 0))
 
 
 def test_approx_equals_brute_on_enumerable_pools(rng):

@@ -113,30 +113,12 @@ def test_constraint_count_formula_matches_built_model(rng):
         _, sp_ub, _, sp_eq, _, _ = m.matrices()
         assert np.count_nonzero(a_ub) == sp_ub.nnz == ub_nnz
         assert np.count_nonzero(a_eq) == sp_eq.nnz == k * m.d * k
-        # dump() lists exactly the dense nonzeros, row-major
-        dumped = [ln for ln in m.dump().splitlines() if ln.split()[0] in ("ub", "eq")]
-        expected = [f"{name} {r} {col} {mat[r, col]:g}"
-                    for name, mat in (("ub", a_ub), ("eq", a_eq))
-                    for r, col in zip(*np.nonzero(mat))]
-        assert dumped == expected
 
 
 def test_build_rejects_k_above_alphabet():
     ctx = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
     with pytest.raises(ValidationError):
         build_ilp(ctx, Budget.make(1, ctx.opt), 3)
-
-
-def test_model_dump_is_parseable():
-    ctx = context_from_strings(["a", "a", "b"], alphabet="ab")
-    m = build_ilp(ctx, Budget.make(0, ctx.opt), 2)
-    lines = m.dump().splitlines()
-    assert lines[0].startswith("#")
-    kinds = {ln.split()[0] for ln in lines[1:]}
-    assert kinds == {"ub", "eq", "rhs_ub", "rhs_eq", "obj"}
-    for ln in lines[1:]:
-        parts = ln.split()
-        float(parts[-1])  # every record ends in a number
 
 
 # --- relaxation ----------------------------------------------------------------

@@ -22,6 +22,7 @@ from diverse_medians import (
     enumerate_approx_medians,
     enumerate_exact_medians,
     exact_median_pool,
+    hamming,
     median_cost,
 )
 from diverse_medians.oracle import DEFAULT_LIMITS, pairwise_hamming_matrix
@@ -87,8 +88,10 @@ def test_approx_pool_closed_under_direct_cost_refilter(rng):
         ctx = context_from_strings(rows, alphabet="ab")
         b = Budget.make(Fraction(1, 2), ctx.opt)
         pool = enumerate_approx_medians(ctx, b, DEFAULT_LIMITS)
+        strings = ctx.dataset.strings
         for s in pool:
-            assert b.within(ctx.direct_cost(s) - ctx.opt)
+            # the median objective by its definition, independent of median_cost
+            assert b.within(sum(hamming(x, s) for x in strings) - ctx.opt)
 
 
 # The tuple-emitting enumerators the code-matrix pools replaced, kept as
@@ -102,7 +105,7 @@ def product_exact_medians(ctx, limits):
     for gamma in majority_sets:
         size *= len(gamma)
         if size > limits.max_candidates:
-            raise CapExceeded("pool over max_candidates")
+            raise CapExceeded("pool over max_candidates", "max_candidates")
     return [tuple(p) for p in product(*majority_sets)]
 
 
@@ -130,7 +133,7 @@ def stack_approx_medians(ctx, budget, limits):
                 break
             pool.append((*prefix, a))
             if len(pool) > limits.max_candidates:
-                raise CapExceeded("pool over max_candidates")
+                raise CapExceeded("pool over max_candidates", "max_candidates")
         if len(prefix) == i:
             todo.pop()
             spent.pop()
@@ -225,7 +228,7 @@ def recursive_approx_medians(ctx, budget, limits):
         if i == ctx.d:
             pool.append(tuple(prefix))
             if len(pool) > limits.max_candidates:
-                raise CapExceeded("pool over max_candidates")
+                raise CapExceeded("pool over max_candidates", "max_candidates")
             return
         for cost, a in choices[i]:
             if used + cost > cap:
