@@ -6,14 +6,23 @@ difference counts constrained to >= 2t; its LP relaxation is solved once, and
 bipartite dependent rounding turns each candidate's fractional row-stochastic
 matrix into a 0/1 pick while preserving marginals exactly in expectation and
 row sums exactly always.
+
+The relaxation is handed to HiGHS's dual simplex (Huangfu & Hall, Math. Prog.
+Comp. 2018) through the pybind11 binding that scipy ships, loaded on its own:
+an LP run imports neither scipy.optimize nor scipy.sparse, and no other run
+loads any of scipy.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.machinery import PathFinder
 from itertools import combinations
 from typing import Sequence
 
@@ -32,13 +41,8 @@ from .mindisp import SampleConfig, tstar_upper_bound
 
 _SNAP = 1e-9  # entries this close to 0/1 are considered integral
 _ROW_TOL = 1e-6  # acceptable row-sum drift on input matrices
-
-
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first call: only an LP solve loads scipy."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
+_FEAS_TOL = 1e-9  # largest bound or row violation accepted from the LP solver
+_HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,25 +147,20 @@ class IlpModel:
         eq = (u // k, u, np.ones(self.n_u))
         return ub, b_ub, eq
 
-    def matrices(self):
+    def to_matrices(self):
         """(c, A_ub, b_ub, A_eq, b_eq, bounds) for a minimizing solver, with
-        A_ub and A_eq as scipy CSR arrays."""
-        from scipy.sparse import csr_array
-
+        A_ub and A_eq dense: the model as scipy.optimize.linprog takes it, for
+        tests and small models."""
         n = self.n_vars
         (ub_rows, ub_cols, ub_vals), b_ub, (eq_rows, eq_cols, eq_vals) = self._triplets()
-        a_ub = csr_array((ub_vals, (ub_rows, ub_cols)), shape=(b_ub.size, n))
-        a_eq = csr_array((eq_vals, (eq_rows, eq_cols)), shape=(self.k * self.d, n))
-        b_eq = np.ones(self.k * self.d)
+        a_ub = np.zeros((b_ub.size, n))
+        a_ub[ub_rows, ub_cols] = ub_vals
+        a_eq = np.zeros((self.k * self.d, n))
+        a_eq[eq_rows, eq_cols] = eq_vals
         c = np.zeros(n)
         c[self.t_index] = -1.0  # maximize t
         bounds = [(0.0, 1.0)] * (self.n_u + self.n_z) + [(0.0, float(self.d))]
-        return c, a_ub, b_ub, a_eq, b_eq, bounds
-
-    def to_matrices(self):
-        """Dense view of matrices(), for tests and small models."""
-        c, a_ub, b_ub, a_eq, b_eq, bounds = self.matrices()
-        return c, a_ub.toarray(), b_ub, a_eq.toarray(), b_eq, bounds
+        return c, a_ub, b_ub, a_eq, np.ones(self.k * self.d), bounds
 
 
 def build_ilp(ctx: MedianContext, budget: Budget, k: int) -> IlpModel:
@@ -180,26 +179,131 @@ def build_ilp(ctx: MedianContext, budget: Budget, k: int) -> IlpModel:
     )
 
 
+def _highs_core():
+    """HiGHS's pybind11 binding as scipy ships it, loaded without running the
+    scipy.optimize package (whose import, scipy.sparse included, costs more
+    than most of the LP solves here).
+
+    The module is created under scipy's own name and entered in sys.modules
+    before it runs, so a later `import scipy.optimize` reuses it instead of
+    initialising the extension again, which pybind11 refuses ("type ... is
+    already registered").
+    """
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is not None:
+        return core
+    scipy = importlib.util.find_spec("scipy")
+    where = [os.path.join(p, "optimize", "_highspy")
+             for p in (scipy.submodule_search_locations or ())] if scipy else []
+    found = PathFinder.find_spec("_core", where)
+    if found is None:
+        raise ImportError(f"the LP relaxation needs scipy>=1.15, which ships HiGHS "
+                          f"as {_HIGHS_CORE}; it was not found")
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, found.origin)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_HIGHS_CORE]
+        raise
+    return core
+
+
+def _highs(cost, upper, row_lower, row_upper, start, index, value):
+    """Minimize cost @ x subject to row_lower <= A x <= row_upper and
+    0 <= x <= upper, with A column-wise (start, index, value): HiGHS's dual
+    simplex after presolve, HiGHS's defaults otherwise, silent. These are the
+    model and options scipy.optimize.linprog(method="highs") passes.
+
+    Returns (model status, message, x), x None unless the status is optimal.
+    """
+    core = _highs_core()
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = row_upper.size
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(cost.size)
+    lp.col_upper_ = upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    highs = core._Highs()
+    highs.passOptions(options)
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        status = core.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    message = highs.modelStatusToString(status)
+    if status != core.HighsModelStatus.kOptimal:
+        return status, message, None
+    return status, message, np.array(highs.getSolution().col_value)
+
+
+def linprog(model: IlpModel) -> np.ndarray:
+    """The relaxation's optimal vertex: x[v] for every variable index v.
+
+    The model goes to HiGHS column-wise, inequality rows first. A vertex
+    HiGHS calls optimal must still meet every bound and row within
+    _FEAS_TOL, checked against the model here.
+    """
+    core = _highs_core()
+    (ub_rows, ub_cols, ub_vals), b_ub, (eq_rows, eq_cols, eq_vals) = model._triplets()
+    n, n_ub, n_eq = model.n_vars, b_ub.size, model.k * model.d
+    rows = np.concatenate([ub_rows, n_ub + eq_rows])
+    cols = np.concatenate([ub_cols, eq_cols])
+    vals = np.concatenate([ub_vals, eq_vals])
+    order = np.lexsort((rows, cols))  # by column, rows ascending within each
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    cost = np.zeros(n)
+    cost[model.t_index] = -1.0  # maximize t
+    upper = np.ones(n)
+    upper[model.t_index] = float(model.d)
+    row_lower = np.concatenate([np.full(n_ub, -core.kHighsInf), np.ones(n_eq)])
+    row_upper = np.concatenate([b_ub, np.ones(n_eq)])
+    status, message, x = _highs(cost, upper, row_lower, row_upper, start,
+                                rows[order].astype(np.int32), vals[order])
+    if status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
+        # The all-majority assignment (u_{ri1}=1, z=0, t=0) satisfies every
+        # constraint, so infeasibility means the model was built wrong.
+        raise InfeasibleError(f"LP reported infeasible: {message}")
+    if x is None:
+        raise SolverNotConverged(f"LP solver did not converge: {message}")
+    ax = np.bincount(rows, weights=vals * x[cols], minlength=row_upper.size)
+    if not (np.isfinite(x).all() and (x >= -_FEAS_TOL).all()
+            and (x <= upper + _FEAS_TOL).all() and (ax >= row_lower - _FEAS_TOL).all()
+            and (ax <= row_upper + _FEAS_TOL).all()):
+        raise SolverNotConverged(
+            f"HiGHS reported {message}, but its solution misses a bound or a row "
+            f"by more than {_FEAS_TOL:g}")
+    return x
+
+
 def solve_lp_relaxation(model: IlpModel) -> tuple[np.ndarray, float]:
     """Optimal fractional assignment and lp_value = 2 * t-tilde, from HiGHS
-    (1e-7 tolerance).
+    (see linprog).
 
     The assignment is a (k, d, k) array: u[r] is candidate r's d-by-k
     row-stochastic matrix of relaxed u values. The all-majority assignment is
-    always feasible, so failure is a solver problem, not a model one.
+    feasible in every model build_ilp makes, so InfeasibleError (HiGHS proved
+    there is no feasible point) means a model built wrong, and
+    SolverNotConverged means HiGHS stopped short of an optimal vertex that
+    meets every bound and row within 1e-9.
     """
-    c, a_ub, b_ub, a_eq, b_eq, bounds = model.matrices()
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    if res.status == 2:
-        # The all-majority assignment (u_{ri1}=1, z=0, t=0) satisfies every
-        # constraint, so infeasibility means the model was built wrong.
-        raise InfeasibleError(f"LP reported infeasible: {res.message}")
-    if res.status != 0:
-        raise SolverNotConverged(f"LP solver did not converge: {res.message}")
-    # u[r, i, j] = res.x[u_index(r, i, j)]
-    u = res.x[:model.n_u].reshape(model.k, model.d, model.k)
-    return u, 2.0 * float(res.x[model.t_index])
+    x = linprog(model)
+    # u[r, i, j] = x[u_index(r, i, j)]
+    u = x[:model.n_u].reshape(model.k, model.d, model.k)
+    return u, 2.0 * float(x[model.t_index])
 
 
 def _walk(rows: list[list[int]], cols: list[list[int]], top: int) -> list[tuple[int, int]]:

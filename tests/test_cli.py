@@ -656,26 +656,32 @@ def test_console_script_help_exits_zero():
 
 def test_scipy_loads_only_when_the_lp_runs(ties_path):
     code = (
-        "import sys, io, contextlib\n"
+        "import sys, io, contextlib, json\n"
         "loaded = []\n"
+        "def scipy_modules():\n"
+        "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "import diverse_medians\n"
-        "loaded.append('scipy' in sys.modules)\n"
+        "scipy_modules()\n"
         "import diverse_medians.cli as cli\n"
-        "loaded.append('scipy' in sys.modules)\n"
+        "scipy_modules()\n"
         "for argv in (['--objective', 'median'],\n"
         "             ['--objective', 'min-dispersion', '--strategy', 'lp', '--k', '3',\n"
         "              '--epsilon', '1/2', '--seed', '4']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv + ['--input', sys.argv[1]]) == 0\n"
-        "    loaded.append('scipy' in sys.modules)\n"
-        "print(loaded)\n"
+        "    scipy_modules()\n"
+        "print(json.dumps(loaded))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code, ties_path], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    # import, cli import and the median run stay scipy-free; the LP run loads it
-    assert proc.stdout.strip() == "[False, False, False, True]"
+    *before, after_lp = json.loads(proc.stdout)
+    # import, cli import and the median run load no scipy module at all
+    assert before == [[], [], []]
+    # the LP run loads HiGHS's binding alone: not scipy.optimize, not scipy.sparse
+    assert "scipy.optimize._highspy._core" in after_lp
+    assert "scipy.optimize" not in after_lp and "scipy.sparse" not in after_lp
 
 
 @pytest.mark.parametrize("objective, seconds, digest", [

@@ -1,6 +1,11 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from diverse_medians import (
     DEFAULT_LIMITS,
     Dataset,
     InfeasibleError,
+    SolverNotConverged,
     ValidationError,
     approx_median_pool,
     build_ilp,
@@ -22,6 +28,7 @@ from diverse_medians import (
     median_cost,
     solve_lp_relaxation,
 )
+from diverse_medians import lpround
 from diverse_medians.lpround import _SNAP, _ROW_TOL
 
 from conftest import random_rows
@@ -110,9 +117,9 @@ def test_constraint_count_formula_matches_built_model(rng):
         npairs = k * (k - 1) // 2
         cost_nnz = sum(1 for per_index in m.costs for c in per_index if c)
         ub_nnz = 2 * k * cost_nnz + 12 * npairs * m.d * k + npairs * (1 + m.d * k)
-        _, sp_ub, _, sp_eq, _, _ = m.matrices()
-        assert np.count_nonzero(a_ub) == sp_ub.nnz == ub_nnz
-        assert np.count_nonzero(a_eq) == sp_eq.nnz == k * m.d * k
+        (_, _, ub_vals), _, (_, _, eq_vals) = m._triplets()
+        assert np.count_nonzero(a_ub) == np.count_nonzero(ub_vals) == ub_vals.size == ub_nnz
+        assert np.count_nonzero(a_eq) == np.count_nonzero(eq_vals) == eq_vals.size == k * m.d * k
 
 
 def test_build_rejects_k_above_alphabet():
@@ -154,6 +161,92 @@ def test_sparse_solve_matches_dense_reference(rng):
             ref = np.array([[res.x[m.u_index(r, i, j)] for j in range(k)]
                             for i in range(m.d)])
             assert frac[r].tobytes() == ref.tobytes()
+
+
+def test_negative_budget_is_infeasible_not_unconverged():
+    # eps < 0 asks for sum u*c <= -opt < 0 while every cost is >= 0: HiGHS
+    # proves infeasibility, which is no convergence failure
+    ctx = context_from_strings(["abca", "bcab", "cabc", "aabb"], alphabet="abc")
+    m = dataclasses.replace(build_ilp(ctx, Budget.make(0, ctx.opt), 2),
+                            epsilon=Fraction(-1))
+    assert ctx.opt > 0
+    with pytest.raises(InfeasibleError) as exc:
+        solve_lp_relaxation(m)
+    assert type(exc.value) is InfeasibleError
+
+
+@pytest.mark.parametrize("shift, fails", [(1e-6, True), (1e-12, False)])
+def test_vertex_off_a_row_is_not_converged(shift, fails, monkeypatch):
+    # HiGHS says optimal, but the vertex it hands back breaks the simplex row
+    # of (r=0, i=0) by `shift`: past the 1e-9 check that is no solution
+    ctx = context_from_strings(["abca", "bcab", "cabc", "aabb"], alphabet="abc")
+    m = build_ilp(ctx, Budget.make(Fraction(1, 2), ctx.opt), 2)
+    highs = lpround._highs
+
+    def off_by_shift(*args):
+        status, message, x = highs(*args)
+        j = min(range(m.k), key=lambda j: x[m.u_index(0, 0, j)])  # stays within [0, 1]
+        x[m.u_index(0, 0, j)] += shift
+        return status, message, x
+
+    monkeypatch.setattr(lpround, "_highs", off_by_shift)
+    if fails:
+        with pytest.raises(SolverNotConverged, match="misses a bound or a row"):
+            solve_lp_relaxation(m)
+    else:
+        solve_lp_relaxation(m)
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lpround.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env)
+
+
+COEXIST = """
+import sys
+from fractions import Fraction
+if sys.argv[1] == "scipy-first":
+    import scipy.optimize
+from diverse_medians import Budget, build_ilp, context_from_strings, solve_lp_relaxation
+from diverse_medians.lpround import _highs_core
+ctx = context_from_strings(["abcab", "bcaba", "cabcc", "aabbc", "ccaba"], alphabet="abc")
+m = build_ilp(ctx, Budget.make(Fraction(1, 2), ctx.opt), 3)
+frac, lp_value = solve_lp_relaxation(m)
+import scipy.optimize
+from scipy.optimize import linprog
+assert _highs_core() is sys.modules["scipy.optimize._highspy._highs_wrapper"]._h
+c, a_ub, b_ub, a_eq, b_eq, bounds = m.to_matrices()
+res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+assert res.status == 0, res.message
+assert frac.tobytes() == res.x[:m.n_u].reshape(m.k, m.d, m.k).tobytes()
+assert lp_value == 2.0 * float(res.x[m.t_index]) > 0
+print("same vertex")
+"""
+
+
+@pytest.mark.parametrize("order", ["solve-first", "scipy-first"])
+def test_highs_binding_coexists_with_scipy_optimize(order):
+    # the binding loaded by lpround and the one scipy.optimize imports are one
+    # module in either order, and both paths reach the same vertex
+    proc = run_python(COEXIST, order)
+    assert "ImportError" not in proc.stderr and "already registered" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "same vertex"
+
+
+def test_missing_highs_binding_names_the_scipy_it_needs():
+    # a None entry makes importlib report scipy as not installed
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from diverse_medians import Budget, build_ilp, context_from_strings\n"
+            "from diverse_medians import solve_lp_relaxation\n"
+            "ctx = context_from_strings(['ab', 'ba'], alphabet='ab')\n"
+            "solve_lp_relaxation(build_ilp(ctx, Budget.make(1, ctx.opt), 2))\n")
+    proc = run_python(code)
+    assert proc.returncode == 1
+    assert "ImportError: the LP relaxation needs scipy>=1.15" in proc.stderr
 
 
 def test_opt_zero_instance_gives_lp_zero():
