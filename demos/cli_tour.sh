@@ -47,6 +47,12 @@ diverse-medians --objective sum-dispersion --format csv --input "$tmp/cells.csv"
 echo '== standalone combinatorial bound, no dataset needed =='
 diverse-medians --objective bound --sizes 2,2,2,2 --t 3
 
+echo '== an alphabet size below 1 is a validation error: exit code 2 =='
+rc=0
+diverse-medians --objective bound --sizes 0,2 --t 1 || rc=$?
+[ "$rc" = 2 ]
+echo "exit code $rc"
+
 echo '== same run twice is byte-identical =='
 diverse-medians --objective min-dispersion --input "$tmp/rows.txt" \
     --epsilon 1/2 --k 3 --seed 7 --output "$tmp/a.json"

@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -34,7 +34,6 @@ from .core import (
     MedianContext,
     ValidationError,
     build_context,
-    median_cost,
 )
 from .diameter import DiameterResult, approx_diameter_pair, exact_diameter_pair
 from .lpround import lp_min_dispersion
@@ -45,7 +44,7 @@ from .mindisp import (
     bound_certificate,
     greedy_dispersion,
     min_disp_dp_approx,
-    plotkin_bound,
+    plotkin_certificate,
     sample_approx_medians,
     sample_exact_medians,
 )
@@ -358,7 +357,7 @@ def ingest(path: str, fmt: str, alphabet: tuple[str, ...] | None = None) -> Data
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
     if fmt == "lines":
@@ -366,7 +365,10 @@ def ingest(path: str, fmt: str, alphabet: tuple[str, ...] | None = None) -> Data
     elif fmt == "fasta":
         rows = _ingest_fasta(text)
     elif fmt == "csv":
-        rows = _ingest_csv(text, alphabet)
+        try:
+            rows = _ingest_csv(text, alphabet)
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            raise ValidationError(f"{path}: {exc}") from exc
     else:
         raise ValidationError(f"unknown format {fmt!r}")
     if not rows:
@@ -407,21 +409,18 @@ def _render_word(codes: np.ndarray, alphabet: tuple[str, ...]) -> list:
     return out
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _revalidate(ctx: MedianContext, strings: list, cap: Fraction) -> list[int]:
-    """Re-encode every rendered string, recompute its cost from scratch and
-    enforce its cost class."""
-    costs = []
-    for s in strings:
-        c = median_cost(ctx, s)
-        if c > cap:
-            raise InternalError(
-                f"internal error: emitted string costs {c}, above its declared cap {cap}"
-            )
-        costs.append(c)
+    """Re-encode the rendered strings in one pass, recompute their costs from
+    the counts and enforce their cost class."""
+    codes = Dataset.from_strings(strings, ctx.alphabet).codes
+    if codes.shape[1] != ctx.d:
+        raise InternalError(f"internal error: emitted strings have length {codes.shape[1]}, "
+                            f"not d={ctx.d}")
+    costs = ctx.costs_of(codes).tolist()
+    if max(costs) > cap:
+        raise InternalError(
+            f"internal error: emitted string costs {max(costs)}, above its declared cap {cap}"
+        )
     return costs
 
 
@@ -438,65 +437,61 @@ def _class_cap(cls: str, config: RunConfig, opt: int) -> tuple[Fraction, str]:
     return (1 + a * config.epsilon + b * config.delta) * opt, label
 
 
+def _shown(value):
+    """A RunConfig or BoundCertificate value as the document shows it."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return list(value) or None
+    return value
+
+
 def _certificates(cert: BoundCertificate) -> dict:
-    return {
-        "alphabet_sizes": list(cert.alphabet_sizes),
-        "plotkin_sum": _fraction_str(cert.plotkin_sum),
-        "t": cert.t,
-        "max_code_size": cert.max_code_size,
-        "tstar_upper": _fraction_str(cert.tstar_upper),
-    }
+    """Every field of the certificate; one from --sizes alone has no tstar_upper."""
+    shown = {f.name: _shown(getattr(cert, f.name)) for f in fields(cert)}
+    if cert.tstar_upper is None:
+        del shown["tstar_upper"]
+    return shown
 
 
 def run(config: RunConfig) -> dict:
-    """Execute one configured run and return the result document as a dict."""
-    if config.objective not in OBJECTIVES:
-        raise ValidationError(f"unknown objective {config.objective!r}")
-    _check_strategy(config.objective, config.strategy)
+    """Execute one configured run and return the result document as a dict.
+    Every flag is checked before the dataset is read."""
+    objective, op = config.objective, config.oracle_op
+    if objective not in OBJECTIVES:
+        raise ValidationError(f"unknown objective {objective!r}")
+    _check_strategy(objective, config.strategy)
+    if objective == "bound" and config.t is None:
+        raise ValidationError("objective=bound requires --t")
+    if objective == "oracle":
+        if op is None:
+            raise ValidationError("objective=oracle requires --oracle-op")
+        if op not in ORACLE_OPS:
+            raise ValidationError(f"unknown oracle op {op!r}")
+        if op == "max-code-size" and (config.sizes is None or config.t is None):
+            raise ValidationError("oracle max-code-size requires --sizes and --t")
+    # bound with explicit sizes, and the max-code-size oracle, need no dataset
+    sized_bound = objective == "bound" and config.sizes is not None
+    code_size_oracle = objective == "oracle" and op == "max-code-size"
+    if config.input is None and not (sized_bound or code_size_oracle):
+        raise ValidationError(f"objective={objective} requires --input")
 
+    # the document shows every field but where it goes, its wall time and the caps
     doc: dict = {
         "schema": SCHEMA,
-        "config": {
-            "input": config.input,
-            "format": config.format,
-            "objective": config.objective,
-            "epsilon": _fraction_str(config.epsilon),
-            "k": config.k,
-            "delta": _fraction_str(config.delta),
-            "eta": _fraction_str(config.eta),
-            "strategy": config.strategy,
-            "seed": config.seed,
-            "alphabet": list(config.alphabet) if config.alphabet else None,
-            "t": config.t,
-            "sizes": list(config.sizes) if config.sizes else None,
-            "oracle_op": config.oracle_op,
-        },
+        "config": {f.name: _shown(getattr(config, f.name)) for f in fields(config)
+                   if f.name not in ("output", "timing", "limits")},
     }
-
-    # bound with explicit sizes, and the max-code-size oracle, need no dataset
-    if config.objective == "bound" and config.sizes is not None:
-        if config.t is None:
-            raise ValidationError("objective=bound requires --t")
-        b = sum(Fraction(g - 1, g) for g in config.sizes)
-        doc["certificates"] = {
-            "alphabet_sizes": list(config.sizes),
-            "plotkin_sum": _fraction_str(b),
-            "t": config.t,
-            "max_code_size": plotkin_bound(config.sizes, config.t),
-        }
+    if sized_bound:
+        doc["certificates"] = _certificates(plotkin_certificate(config.sizes, config.t))
         doc["objective_value"] = doc["certificates"]["max_code_size"]
         doc["guarantee"] = "any code with pairwise distance >= t has at most this many words (null = bound inapplicable)"
         return doc
-    if config.objective == "oracle" and config.oracle_op == "max-code-size":
-        if config.sizes is None or config.t is None:
-            raise ValidationError("oracle max-code-size requires --sizes and --t")
-        value = brute_max_code_size(config.sizes, config.t, config.limits)
-        doc["objective_value"] = value
+    if code_size_oracle:
+        doc["objective_value"] = brute_max_code_size(config.sizes, config.t, config.limits)
         doc["guarantee"] = "exhaustive search; exact maximum code size"
         return doc
 
-    if config.input is None:
-        raise ValidationError(f"objective={config.objective} requires --input")
     dataset = ingest(config.input, config.format, config.alphabet)
     ctx = build_context(dataset)
     budget = Budget.make(config.epsilon, ctx.opt)
@@ -553,8 +548,6 @@ def run(config: RunConfig) -> dict:
         return doc
 
     if config.objective == "bound":
-        if config.t is None:
-            raise ValidationError("objective=bound requires --t")
         cert = bound_certificate(ctx, budget, config.t)
         doc["certificates"] = _certificates(cert)
         doc["objective_value"] = cert.max_code_size
@@ -562,10 +555,6 @@ def run(config: RunConfig) -> dict:
         return doc
 
     # oracle (max-code-size handled above)
-    if config.oracle_op is None:
-        raise ValidationError("objective=oracle requires --oracle-op")
-    if config.oracle_op not in ORACLE_OPS:
-        raise ValidationError(f"unknown oracle op {config.oracle_op!r}")
     if config.oracle_op == "exact-medians":
         pool = exact_median_pool(ctx, config.limits)
     else:
@@ -639,29 +628,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValidationError("seed must lie in [0, 2^64)")
     if args.k < 1:
         raise ValidationError("k must be >= 1")
-    limits = EnumerationLimits(
-        max_candidates=args.max_candidates,
-        max_tuples=args.max_tuples,
-        max_states=args.max_states,
-    )
-    return RunConfig(
-        input=args.input,
-        format=args.format,
-        objective=args.objective,
-        epsilon=parse_rational(args.epsilon),
-        k=args.k,
-        delta=parse_rational(args.delta),
-        eta=parse_rational(args.eta),
-        strategy=args.strategy,
-        seed=args.seed,
-        alphabet=_parse_alphabet(args.alphabet) if args.alphabet else None,
-        output=args.output,
-        timing=args.timing,
-        t=args.t,
-        sizes=sizes,
-        oracle_op=args.oracle_op,
-        limits=limits,
-    )
+    # every other field, and each cap, takes the flag of its own name as is
+    parsed = {
+        "limits": EnumerationLimits(**{f.name: getattr(args, f.name)
+                                       for f in fields(EnumerationLimits)}),
+        "epsilon": parse_rational(args.epsilon),
+        "delta": parse_rational(args.delta),
+        "eta": parse_rational(args.eta),
+        "alphabet": _parse_alphabet(args.alphabet) if args.alphabet else None,
+        "sizes": sizes,
+    }
+    flags = vars(args)
+    return RunConfig(**{f.name: parsed.get(f.name, flags.get(f.name)) for f in fields(RunConfig)})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -692,8 +670,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         doc["wall_time_s"] = round(elapsed, 6)
     text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"diverse-medians: cannot write {config.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     print(f"diverse-medians: {config.objective} done in {elapsed:.3f}s", file=sys.stderr)

@@ -226,6 +226,10 @@ class MedianContext:
     def _decode(self, codes: np.ndarray) -> Word:
         return tuple(self.alphabet[a] for a in codes.tolist())
 
+    def costs_of(self, codes: np.ndarray) -> np.ndarray:
+        """The objective of every row of an (m, d) code matrix."""
+        return self.opt + self.cost[np.arange(self.d), codes].sum(axis=1)
+
     def encode(self, s: Sequence[Symbol] | str) -> np.ndarray:
         """The codes of a string of length d over the context's alphabet."""
         if len(s) != self.d:
@@ -329,7 +333,7 @@ def min_dispersion(members: Sequence[Sequence[Symbol] | str]) -> int:
 
 def median_cost(ctx: MedianContext, s: Sequence[Symbol] | str) -> int:
     """Objective of s via the offset formula: opt plus per-deviation costs."""
-    return ctx.opt + int(ctx.cost[np.arange(ctx.d), ctx.encode(s)].sum())
+    return int(ctx.costs_of(ctx.encode(s)[None])[0])
 
 
 def is_approx_median(ctx: MedianContext, budget: Budget, s: Sequence[Symbol] | str) -> bool:
@@ -368,8 +372,8 @@ class CandidateSet:
             raise ValidationError("candidate set needs at least one member")
         if codes.shape[1] != ctx.d:
             raise ValidationError("candidate length mismatch")
-        costs = ctx.opt + ctx.cost[np.arange(ctx.d), codes].sum(axis=1)
-        return cls(dataset=Dataset(codes=codes, alphabet=ctx.alphabet), costs=tuple(costs.tolist()))
+        return cls(dataset=Dataset(codes=codes, alphabet=ctx.alphabet),
+                   costs=tuple(ctx.costs_of(codes).tolist()))
 
     @property
     def codes(self) -> np.ndarray:
@@ -451,6 +455,14 @@ def min_distance(codes: np.ndarray) -> int:
     if len(codes) < 2:
         raise ValidationError("min_dispersion needs at least 2 members")
     return min(int(distances_to(codes[r:], 0)[1:].min()) for r in range(len(codes) - 1))
+
+
+def best_by_min_distance(trials: Sequence[np.ndarray]) -> tuple[int, int]:
+    """(position, value) of the code matrix among `trials` with the largest
+    min_distance, ties to the earliest: every best-of-N-trials engine's pick."""
+    values = [min_distance(codes) for codes in trials]
+    best = max(range(len(values)), key=values.__getitem__)  # max keeps the first
+    return best, values[best]
 
 
 def distances_to(codes: np.ndarray, r: int) -> np.ndarray:

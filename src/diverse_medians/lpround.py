@@ -35,7 +35,7 @@ from .core import (
     MedianContext,
     SolverNotConverged,
     ValidationError,
-    min_distance,
+    best_by_min_distance,
 )
 from .mindisp import SampleConfig, tstar_upper_bound
 
@@ -96,7 +96,10 @@ class IlpModel:
         return 2 * self.k + self.k * self.d + 4 * npairs * self.d * self.k + npairs
 
     def _triplets(self):
-        """Nonzeros of A_ub and A_eq as row-major (rows, cols, vals), and b_ub.
+        """The program for a minimizing solver: its rows' nonzeros as
+        row-major (rows, cols, vals), b_ub, the cost vector and the upper
+        bounds (all lower bounds are 0). Rows below b_ub.size read A x <= b_ub,
+        the k*d simplex rows after them A x = 1.
 
         Columns ascend within each row, and zero coefficients (a rank whose
         count ties the majority's, and every rank 0) are left out, so the
@@ -135,32 +138,32 @@ class IlpModel:
              np.full((npairs, 1), self.t_index)], axis=1).ravel()
         disp_vals = np.tile(np.append(np.full(dk, -1.0), 2.0), npairs)
 
-        ub = (np.concatenate([cost_rows, lin_rows, disp_rows]),
-              np.concatenate([cost_cols, lin_cols, disp_cols]),
-              np.concatenate([cost_vals, lin_vals, disp_vals]))
-        b_ub = np.zeros(disp_row0 + npairs)
+        # simplex: each (r, i) picks one rank
+        u = np.arange(self.n_u)
+        n_ub = disp_row0 + npairs
+        triplets = (np.concatenate([cost_rows, lin_rows, disp_rows, n_ub + u // k]),
+                    np.concatenate([cost_cols, lin_cols, disp_cols, u]),
+                    np.concatenate([cost_vals, lin_vals, disp_vals, np.ones(self.n_u)]))
+        b_ub = np.zeros(n_ub)
         # no assignment deviates by more than n*d, so the clamp keeps the
         # feasible set, and the bound stays a finite float at any eps
         b_ub[0:2 * k:2] = float(min(self.epsilon * self.opt, self.n * self.d))
         b_ub[2 * k + 3:disp_row0:4] = 2.0
-        u = np.arange(self.n_u)  # simplex: each (r, i) picks one rank
-        eq = (u // k, u, np.ones(self.n_u))
-        return ub, b_ub, eq
+        cost = np.zeros(self.n_vars)
+        cost[self.t_index] = -1.0  # maximize t
+        upper = np.ones(self.n_vars)
+        upper[self.t_index] = float(self.d)
+        return triplets, b_ub, cost, upper
 
     def to_matrices(self):
         """(c, A_ub, b_ub, A_eq, b_eq, bounds) for a minimizing solver, with
         A_ub and A_eq dense: the model as scipy.optimize.linprog takes it, for
         tests and small models."""
-        n = self.n_vars
-        (ub_rows, ub_cols, ub_vals), b_ub, (eq_rows, eq_cols, eq_vals) = self._triplets()
-        a_ub = np.zeros((b_ub.size, n))
-        a_ub[ub_rows, ub_cols] = ub_vals
-        a_eq = np.zeros((self.k * self.d, n))
-        a_eq[eq_rows, eq_cols] = eq_vals
-        c = np.zeros(n)
-        c[self.t_index] = -1.0  # maximize t
-        bounds = [(0.0, 1.0)] * (self.n_u + self.n_z) + [(0.0, float(self.d))]
-        return c, a_ub, b_ub, a_eq, np.ones(self.k * self.d), bounds
+        (rows, cols, vals), b_ub, cost, upper = self._triplets()
+        a = np.zeros((b_ub.size + self.k * self.d, self.n_vars))
+        a[rows, cols] = vals
+        bounds = [(0.0, x) for x in upper.tolist()]
+        return cost, a[:b_ub.size], b_ub, a[b_ub.size:], np.ones(self.k * self.d), bounds
 
 
 def build_ilp(ctx: MedianContext, budget: Budget, k: int) -> IlpModel:
@@ -257,19 +260,12 @@ def linprog(model: IlpModel) -> np.ndarray:
     _FEAS_TOL, checked against the model here.
     """
     core = _highs_core()
-    (ub_rows, ub_cols, ub_vals), b_ub, (eq_rows, eq_cols, eq_vals) = model._triplets()
-    n, n_ub, n_eq = model.n_vars, b_ub.size, model.k * model.d
-    rows = np.concatenate([ub_rows, n_ub + eq_rows])
-    cols = np.concatenate([ub_cols, eq_cols])
-    vals = np.concatenate([ub_vals, eq_vals])
+    (rows, cols, vals), b_ub, cost, upper = model._triplets()
+    n, n_eq = model.n_vars, model.k * model.d
     order = np.lexsort((rows, cols))  # by column, rows ascending within each
     start = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
-    cost = np.zeros(n)
-    cost[model.t_index] = -1.0  # maximize t
-    upper = np.ones(n)
-    upper[model.t_index] = float(model.d)
-    row_lower = np.concatenate([np.full(n_ub, -core.kHighsInf), np.ones(n_eq)])
+    row_lower = np.concatenate([np.full(b_ub.size, -core.kHighsInf), np.ones(n_eq)])
     row_upper = np.concatenate([b_ub, np.ones(n_eq)])
     status, message, x = _highs(cost, upper, row_lower, row_upper, start,
                                 rows[order].astype(np.int32), vals[order])
@@ -457,26 +453,24 @@ def lp_min_dispersion(
     frac, lp_value = solve_lp_relaxation(model)
 
     cap = (1 + budget.epsilon + delta) * ctx.opt  # exact rational threshold
-    kept, best_trial, best_members, best_val = 0, -1, None, -1
+    kept: dict[int, np.ndarray] = {}  # trial -> its (k, d) codes, trials ascending
     for trial in range(cfg.trials):
         picks = [dependent_round(frac[r], seed=[seed, trial, r])
                  for r in range(k)]
-        members = model.ranked[np.arange(ctx.d), np.argmax(picks, axis=2)]  # (k, d) codes
-        costs = ctx.opt + ctx.cost[np.arange(ctx.d), members].sum(axis=1)
-        if all(Fraction(c) <= cap for c in costs.tolist()):
-            kept += 1
-            val = min_distance(members)  # ties keep the earliest trial
-            if val > best_val:
-                best_trial, best_members, best_val = trial, members, val
+        members = model.ranked[np.arange(ctx.d), np.argmax(picks, axis=2)]
+        if all(Fraction(c) <= cap for c in ctx.costs_of(members).tolist()):
+            kept[trial] = members
     if not kept:
         raise InfeasibleError(
             f"none of {cfg.trials} rounding trials met the (1+eps+delta) cost cap"
         )
+    best, _ = best_by_min_distance(list(kept.values()))
+    chosen = list(kept)[best]
     report = LpReport(
         lp_value=lp_value,
         regime_plausible=_lp_plausible(tstar_upper_bound(ctx, budget), delta, k, ctx.d),
         trials=cfg.trials,
-        kept=kept,
-        chosen_trial=best_trial,
+        kept=len(kept),
+        chosen_trial=chosen,
     )
-    return CandidateSet.from_members(ctx, best_members), report
+    return CandidateSet.from_members(ctx, kept[chosen]), report

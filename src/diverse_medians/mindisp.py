@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,9 +26,9 @@ from .core import (
     KeyWidthExceeded,
     MedianContext,
     ValidationError,
+    best_by_min_distance,
     distances_to,
     farthest_pair,
-    min_distance,
 )
 from .diameter import DiameterResult
 from .oracle import DEFAULT_LIMITS, EnumerationLimits
@@ -76,21 +76,7 @@ class BoundCertificate:
     plotkin_sum: Fraction
     t: int
     max_code_size: int | None  # None = bound inapplicable at this t
-    tstar_upper: Fraction
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
-
-
-def _best_by_mindp(trials: list[np.ndarray]) -> tuple[int, np.ndarray]:
-    """Max minDp over the trials' (k, d) code matrices, ties to the earliest."""
-    best_val, best_members = -1, trials[0]
-    for members in trials:
-        val = min_distance(members)
-        if val > best_val:
-            best_val, best_members = val, members
-    return best_val, best_members
+    tstar_upper: Fraction | None = None  # None = no dataset to bound t* from
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +249,16 @@ def _next_layer(
 # samplers
 
 
+def _best_of_trials(
+    ctx: MedianContext, cfg: SampleConfig, draw: Callable[[np.random.Generator], np.ndarray]
+) -> tuple[CandidateSet, int]:
+    """The best by minDp of N = cfg.trials (k, d) code matrices, trial t drawn
+    from its own stream SeedSequence([seed, t]); ties to the earliest."""
+    trials = [draw(np.random.default_rng([cfg.seed, t])) for t in range(cfg.trials)]
+    best, val = best_by_min_distance(trials)
+    return CandidateSet.from_members(ctx, trials[best]), val
+
+
 def sample_exact_medians(ctx: MedianContext, cfg: SampleConfig) -> tuple[CandidateSet, int]:
     """Best of N trials of k uniform picks from each index's majority set.
 
@@ -270,14 +266,14 @@ def sample_exact_medians(ctx: MedianContext, cfg: SampleConfig) -> tuple[Candida
     random. Target: (1 - delta) * sum_i (|Gamma_i| - 1)/|Gamma_i| whp.
     """
     sizes = ctx.majority_sizes.tolist()
-    trials: list[np.ndarray] = []
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, t)
+    index = np.arange(ctx.d)[:, None]
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
         # picks[i, r]: candidate r's position in the majority set at index i
         picks = np.array([rng.integers(0, g, size=cfg.k) for g in sizes])
-        trials.append(ctx.rank[np.arange(ctx.d)[:, None], picks].T)
-    val, codes = _best_by_mindp(trials)
-    return CandidateSet.from_members(ctx, codes), val
+        return ctx.rank[index, picks].T
+
+    return _best_of_trials(ctx, cfg, draw)
 
 
 def sample_approx_medians(
@@ -295,15 +291,14 @@ def sample_approx_medians(
     w = ctx.rank[:, 0]
     devs = np.flatnonzero(y != z)
     dev_sym = np.where(y[devs] != w[devs], y[devs], z[devs])
-    trials: list[np.ndarray] = []
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, t)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
         coins = rng.integers(0, 2, size=(cfg.k, len(devs)))
         codes = np.tile(w, (cfg.k, 1))
         codes[:, devs] = np.where(coins != 0, dev_sym, w[devs])
-        trials.append(codes)
-    val, codes = _best_by_mindp(trials)
-    return CandidateSet.from_members(ctx, codes), val
+        return codes
+
+    return _best_of_trials(ctx, cfg, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +333,35 @@ def greedy_dispersion(pool: Dataset, k: int, ctx: MedianContext) -> CandidateSet
 # certificates
 
 
-def plotkin_bound(alphabet_sizes: Sequence[int], t: int) -> int | None:
-    """Code-size bound at pairwise distance >= t, or None when inapplicable.
+def plotkin_certificate(
+    alphabet_sizes: Sequence[int], t: int, tstar_upper: Fraction | None = None
+) -> BoundCertificate:
+    """Plotkin's code-size bound at pairwise distance >= t, with its inputs.
 
-    With B = sum (g-1)/g over the per-index alphabet sizes: at t = B any code
-    has at most 2 * sum(sizes) words; at t > B at most floor(t/(t-B)); below
-    B the argument gives nothing.
+    With B = sum (g-1)/g over the per-index alphabet sizes (each >= 1): at
+    t = B any code has at most 2 * sum(sizes) words; at t > B at most
+    floor(t/(t-B)); below B the argument gives nothing (max_code_size None).
     """
-    sizes = [int(g) for g in alphabet_sizes]
+    sizes = tuple(int(g) for g in alphabet_sizes)
     if any(g < 1 for g in sizes):
         raise ValidationError("alphabet sizes must be >= 1")
     if t < 0:
         raise ValidationError("t must be >= 0")
-    b = sum(Fraction(g - 1, g) for g in sizes)
-    if Fraction(t) == b:
-        return 2 * sum(sizes)
-    if Fraction(t) > b:
-        return int(Fraction(t) / (Fraction(t) - b))  # floor of a positive rational
-    return None
+    b, q = sum((Fraction(g - 1, g) for g in sizes), Fraction(0)), Fraction(t)
+    if q == b:
+        bound = 2 * sum(sizes)
+    elif q > b:
+        bound = int(q / (q - b))  # floor of a positive rational
+    else:
+        bound = None
+    return BoundCertificate(alphabet_sizes=sizes, plotkin_sum=b, t=t,
+                            max_code_size=bound, tstar_upper=tstar_upper)
+
+
+def plotkin_bound(alphabet_sizes: Sequence[int], t: int) -> int | None:
+    """Code-size bound at pairwise distance >= t, or None when inapplicable
+    (see plotkin_certificate)."""
+    return plotkin_certificate(alphabet_sizes, t).max_code_size
 
 
 def tstar_upper_bound(ctx: MedianContext, budget: Budget) -> Fraction:
@@ -364,14 +370,8 @@ def tstar_upper_bound(ctx: MedianContext, budget: Budget) -> Fraction:
 
 
 def bound_certificate(ctx: MedianContext, budget: Budget, t: int) -> BoundCertificate:
-    sizes = tuple(ctx.majority_sizes.tolist())
-    return BoundCertificate(
-        alphabet_sizes=sizes,
-        plotkin_sum=sum(Fraction(g - 1, g) for g in sizes),
-        t=t,
-        max_code_size=plotkin_bound(sizes, t),
-        tstar_upper=tstar_upper_bound(ctx, budget),
-    )
+    """The Plotkin certificate over the majority-set sizes, with tstar_upper."""
+    return plotkin_certificate(ctx.majority_sizes.tolist(), t, tstar_upper_bound(ctx, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -136,22 +136,27 @@ def enumerate_approx_medians(
     return list(approx_median_pool(ctx, budget, limits).strings)
 
 
+def _distance_blocks(pool: Dataset) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, D) per row block of the pool: D holds the distances from the
+    strings lo, lo+1, ... to every pool string, at most BLOCK_BYTES
+    mismatches per block."""
+    arr = pool.codes
+    p = arr.shape[0]
+    step = max(1, BLOCK_BYTES // max(1, p * arr.shape[1]))
+    for lo in range(0, p, step):
+        yield lo, (arr[lo : lo + step, None, :] != arr[None, :, :]).sum(axis=2)
+
+
 def pairwise_hamming_matrix(pool: Dataset) -> np.ndarray:
     """Full p x p distance matrix of a pool, for the brute-force oracles and
     tests only.
 
-    Reads the pool's code matrix in row blocks of at most BLOCK_BYTES
-    mismatches.
     The greedy engines stream their distances (core.farthest_pair and
     core.distances_to) and never call this.
     """
-    arr = pool.codes
-    p = arr.shape[0]
-    out = np.zeros((p, p), dtype=np.int32)
-    step = max(1, BLOCK_BYTES // max(1, p * arr.shape[1]))
-    for lo in range(0, p, step):
-        hi = min(p, lo + step)
-        out[lo:hi] = (arr[lo:hi, None, :] != arr[None, :, :]).sum(axis=2)
+    out = np.zeros((pool.n, pool.n), dtype=np.int32)
+    for lo, block in _distance_blocks(pool):
+        out[lo : lo + len(block)] = block
     return out
 
 
@@ -165,13 +170,7 @@ def brute_diameter(pool: Dataset, limits: EnumerationLimits = DEFAULT_LIMITS) ->
     if math.comb(p, 2) > limits.max_tuples:
         raise CapExceeded(f"{math.comb(p, 2)} pairs exceed max_tuples={limits.max_tuples}",
                           "max_tuples")
-    arr = pool.codes
-    best = 0
-    step = max(1, BLOCK_BYTES // max(1, p * arr.shape[1]))
-    for lo in range(0, p, step):
-        hi = min(p, lo + step)
-        best = max(best, int((arr[lo:hi, None, :] != arr[None, :, :]).sum(axis=2).max()))
-    return best
+    return max(int(block.max()) for _, block in _distance_blocks(pool))
 
 
 def brute_sumdp_k(

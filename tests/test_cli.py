@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -499,6 +500,27 @@ def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--objective", "bound", "--sizes", "0,2", "--t", "1"], "alphabet sizes must be >= 1"),
+    (["--objective", "median", "--input", "{tmp}/latin1.txt"],
+     "cannot read {tmp}/latin1.txt: 'utf-8' codec can't decode"),
+    (["--objective", "median", "--format", "csv", "--input", "{tmp}/wide.csv"],
+     "{tmp}/wide.csv: field larger than field limit"),
+    (["--objective", "median", "--input", "{tmp}/rows.txt", "--output", "{tmp}/no/x.json"],
+     "cannot write {tmp}/no/x.json"),
+    (["--objective", "oracle", "--input", "{tmp}/missing.txt"],
+     "objective=oracle requires --oracle-op"),
+], ids=["bound-size-0", "non-utf8-input", "csv-cell-over-limit", "output-dir-missing",
+        "oracle-op-missing"])
+def test_main_bad_input_exits_2_naming_it(argv, named, tmp_path, capsys):
+    (tmp_path / "latin1.txt").write_bytes("ab\nb\u00e9\n".encode("latin-1"))
+    (tmp_path / "wide.csv").write_text("a" * (csv.field_size_limit() + 1) + "\n")
+    (tmp_path / "rows.txt").write_text("ab\nbb\n")
+    code, _, err = run_main([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert code == 2 and named.format(tmp=tmp_path) in err, err
+    assert "Traceback" not in err
+
+
 def test_main_min_dispersion_checks_k_before_any_named_strategy(ties_path, monkeypatch,
                                                                capsys):
     def no_pool(*args, **kwargs):
@@ -630,6 +652,17 @@ def test_main_costs_the_emitted_text(tmp_path, capsys, monkeypatch):
                  ["--objective", "sum-dispersion", "--strategy", "exact-construction"]):
         code, _, err = run_main(argv + ["--input", str(p)], capsys)
         assert code == 5 and "internal error" in err, (argv, err)
+
+
+def test_main_refuses_emitted_text_of_the_wrong_length(tmp_path, capsys, monkeypatch):
+    # a renderer that adds a symbol to every row is an internal error (exit 5)
+    p = tmp_path / "rows.txt"
+    p.write_text("ab\nab\nab\n")
+    real = cli._render_word
+    monkeypatch.setattr(cli, "_render_word",
+                        lambda codes, alphabet: [w + "a" for w in real(codes, alphabet)])
+    code, _, err = run_main(["--objective", "median", "--input", str(p)], capsys)
+    assert code == 5 and "emitted strings have length 3, not d=2" in err, err
 
 
 def test_main_min_dispersion_auto_checks_delta_and_eta_before_the_dp(tmp_path, capsys):

@@ -117,7 +117,8 @@ def test_constraint_count_formula_matches_built_model(rng):
         npairs = k * (k - 1) // 2
         cost_nnz = sum(1 for per_index in m.costs for c in per_index if c)
         ub_nnz = 2 * k * cost_nnz + 12 * npairs * m.d * k + npairs * (1 + m.d * k)
-        (_, _, ub_vals), _, (_, _, eq_vals) = m._triplets()
+        (rows, _, vals), _, _, _ = m._triplets()
+        ub_vals, eq_vals = vals[rows < a_ub.shape[0]], vals[rows >= a_ub.shape[0]]
         assert np.count_nonzero(a_ub) == np.count_nonzero(ub_vals) == ub_vals.size == ub_nnz
         assert np.count_nonzero(a_eq) == np.count_nonzero(eq_vals) == eq_vals.size == k * m.d * k
 
@@ -161,6 +162,40 @@ def test_sparse_solve_matches_dense_reference(rng):
             ref = np.array([[res.x[m.u_index(r, i, j)] for j in range(k)]
                             for i in range(m.d)])
             assert frac[r].tobytes() == ref.tobytes()
+
+
+# (k, d, alphabet, symbol counts per column, cycled over d): the column shapes
+# of the benchmark's `lp` inputs, at a d whose dense model stays small
+LP_LIKE = (
+    (4, 16, "acgt", [(4, 3, 2, 1), (5, 3, 1, 1), (3, 3, 2, 2), (4, 4, 1, 1), (5, 2, 2, 1)]),
+    (5, 10, "abcdefghijklmnopqrst",
+     [(3, 2, 2, 1, 1, 1), (4, 2, 1, 1, 1, 1), (2, 2, 2, 2, 1, 1), (3, 3, 1, 1, 1, 1)]),
+    (3, 60, "acgt", [(4, 3, 2, 1), (5, 3, 1, 1), (3, 3, 2, 2), (4, 4, 1, 1), (5, 2, 2, 1)]),
+    (2, 200, "01", [(6, 5), (7, 4), (8, 3), (9, 2)]),
+)
+
+
+@pytest.mark.parametrize("k, d, alphabet, shapes", LP_LIKE)
+def test_vertex_is_scipys_on_lp_like_models(k, d, alphabet, shapes, rng):
+    # the model handed to HiGHS directly and scipy's linprog on the dense
+    # matrices reach the same vertex, bit for bit
+    from scipy.optimize import linprog
+
+    cols = []
+    for i in range(d):
+        counts = shapes[i % len(shapes)]
+        symbols = rng.permutation(len(alphabet))[: len(counts)]
+        cols.append(rng.permutation(np.repeat(symbols, counts)))
+    rows = ["".join(alphabet[c] for c in row) for row in np.stack(cols, axis=1).tolist()]
+    ctx = context_from_strings(rows, alphabet=alphabet)
+    m = build_ilp(ctx, Budget.make(Fraction(1, 10), ctx.opt), k)
+    c, a_ub, b_ub, a_eq, b_eq, bounds = m.to_matrices()
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs")
+    assert res.status == 0, res.message
+    frac, lp_value = solve_lp_relaxation(m)
+    assert frac.tobytes() == res.x[:m.n_u].reshape(m.k, m.d, m.k).tobytes()
+    assert lp_value == 2.0 * float(res.x[m.t_index]) > 0
 
 
 def test_negative_budget_is_infeasible_not_unconverged():
