@@ -6,7 +6,8 @@ output, or at --output. Diagnostics go to standard error only. Identical
 therefore only embedded when --timing asks for it.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration/state cap exceeded,
-4 infeasible or solver nonconvergence, 5 internal error (a violated invariant).
+4 infeasible or solver nonconvergence, 5 internal error (a violated invariant),
+6 standard output closed by its reader before the document was written.
 """
 
 from __future__ import annotations
@@ -14,55 +15,45 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from importlib import import_module
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
     BLOCK_BYTES,
+    DEFAULT_LIMITS,
     Budget,
     CandidateSet,
     CapExceeded,
     Dataset,
+    EnumerationLimits,
     InfeasibleError,
     InternalError,
     MedianContext,
     ValidationError,
     build_context,
 )
-from .diameter import DiameterResult, approx_diameter_pair, exact_diameter_pair
-from .lpround import lp_min_dispersion
-from .mindisp import (
-    BoundCertificate,
-    SampleConfig,
-    _diameter_at_least,
-    bound_certificate,
-    greedy_dispersion,
-    min_disp_dp_approx,
-    plotkin_certificate,
-    sample_approx_medians,
-    sample_exact_medians,
-)
-from .oracle import (
-    DEFAULT_LIMITS,
-    EnumerationLimits,
-    approx_median_pool,
-    brute_diameter,
-    brute_max_code_size,
-    brute_mindp_k,
-    brute_sumdp_k,
-    exact_median_pool,
-)
-from .sumdisp import (
-    sum_dispersion_approx_k,
-    sum_dispersion_exact_k,
-    sum_dispersion_small_dstar,
-)
+
+if TYPE_CHECKING:  # annotations only; the engine modules load on dispatch
+    from .diameter import DiameterResult
+    from .mindisp import BoundCertificate, SampleConfig
+
+
+def _module(name: str) -> ModuleType:
+    """The package module `name` (diameter, lpround, mindisp, oracle,
+    sumdisp), imported on first use, so a run loads only the engines it
+    reaches. Callers look engines up on it when they run, so a patched
+    module attribute is the one that runs."""
+    return import_module(f".{name}", __package__)
+
 
 SCHEMA = "diverse-medians/1"
 
@@ -91,7 +82,8 @@ class Strategy(NamedTuple):
 
 
 def _lp(j: "_Job") -> CandidateSet:
-    cands, report = lp_min_dispersion(j.ctx, j.budget, j.k, j.delta, j.eta, j.seed)
+    cands, report = _module("lpround").lp_min_dispersion(j.ctx, j.budget, j.k, j.delta,
+                                                         j.eta, j.seed)
     j.doc["lp_report"] = asdict(report)
     return cands
 
@@ -99,46 +91,47 @@ def _lp(j: "_Job") -> CandidateSet:
 # (objective, regime, strategy tag) -> Strategy. The regime is "exact" at
 # eps == 0 and "approx" above it; an "any" row holds in both. The engines call
 # the approximate entry points, whose pools at eps == 0 (B = 0) are the exact
-# medians, and look them up by module-global name when they run, so patching
-# cli.<name> reaches them.
+# medians, and look them up in their module when they run (see _module).
 STRATEGY_TABLE = {
     ("sum-dispersion", "any", "exact-construction"): Strategy(
         "exact optimum sumDp over exact medians", "exact",
-        lambda j: sum_dispersion_exact_k(j.ctx, j.k)),
+        lambda j: _module("sumdisp").sum_dispersion_exact_k(j.ctx, j.k)),
     ("sum-dispersion", "any", "greedy"): Strategy(
         "farthest-pair + max-gain insertion; value >= optimum / 2", "approx",
-        lambda j: sum_dispersion_small_dstar(j.ctx, j.k, j.pool())),
+        lambda j: _module("sumdisp").sum_dispersion_small_dstar(j.ctx, j.k, j.pool())),
     ("sum-dispersion", "any", "density"): Strategy(
         "value >= (1 - delta) * optimum", "approx",
-        lambda j: sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0]),
+        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0]),
     ("sum-dispersion", "any", "enumeration"): Strategy(
         "value >= optimum / 2", "approx",
-        lambda j: sum_dispersion_small_dstar(j.ctx, j.k, j.pool())),
+        lambda j: _module("sumdisp").sum_dispersion_small_dstar(j.ctx, j.k, j.pool())),
     ("sum-dispersion", "any", "density_fallback"): Strategy(
         "pool enumeration over cap; density value >= (1 - 4/D*) * optimum", "approx",
-        lambda j: sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0]),
+        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0]),
     ("min-dispersion", "exact", "dp"): Strategy(
         "exact optimum minDp over exact medians", "exact",
-        lambda j: min_disp_dp_approx(j.ctx, j.budget, j.k, limits=j.limits)[1]),
+        lambda j: _module("mindisp").min_disp_dp_approx(j.ctx, j.budget, j.k,
+                                                        limits=j.limits)[1]),
     ("min-dispersion", "exact", "greedy"): Strategy(
         "minDp >= t_star/2", "exact",
-        lambda j: greedy_dispersion(j.pool(), j.k, j.ctx)),
+        lambda j: _module("mindisp").greedy_dispersion(j.pool(), j.k, j.ctx)),
     ("min-dispersion", "exact", "sample"): Strategy(
         "minDp >= (1-2*delta)*t_star with probability >= 1-eta", "exact",
-        lambda j: sample_exact_medians(j.ctx, j.cfg)[0]),
+        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg)[0]),
     ("min-dispersion", "exact", "sample_fallback"): Strategy(
         "enumeration over cap; sampler lower bound (1-delta)*plotkin_sum only", "exact",
-        lambda j: sample_exact_medians(j.ctx, j.cfg)[0]),
+        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg)[0]),
     ("min-dispersion", "approx", "dp"): Strategy(
         "exact optimum minDp over (1+eps)-approximate medians", "approx",
-        lambda j: min_disp_dp_approx(j.ctx, j.budget, j.k, limits=j.limits)[1]),
+        lambda j: _module("mindisp").min_disp_dp_approx(j.ctx, j.budget, j.k,
+                                                        limits=j.limits)[1]),
     ("min-dispersion", "approx", "greedy"): Strategy(
         "minDp >= t_star/2; members are (1+eps)-approximate", "approx",
-        lambda j: greedy_dispersion(j.pool(), j.k, j.ctx)),
+        lambda j: _module("mindisp").greedy_dispersion(j.pool(), j.k, j.ctx)),
     ("min-dispersion", "approx", "sample"): Strategy(
         "minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
         "members are (1+2*eps)-approximate", "mix",
-        lambda j: sample_approx_medians(j.ctx, j.diameter, j.cfg)[0]),
+        lambda j: _module("mindisp").sample_approx_medians(j.ctx, j.diameter, j.cfg)[0]),
     ("min-dispersion", "any", "lpround"): Strategy(
         "minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
         "members are (1+eps+delta)-approximate", "lp", _lp),
@@ -162,8 +155,8 @@ RULES = {
     ("min-dispersion", "exact"): (
         (lambda j: j.k * j.delta <= 1, "dp"),
         # the exact-median diameter is the number of tie columns
-        (lambda j: _diameter_at_least(int((j.ctx.majority_sizes >= 2).sum()),
-                                      j.delta, j.k, add=1), "sample"),
+        (lambda j: _module("mindisp")._diameter_at_least(
+            int((j.ctx.majority_sizes >= 2).sum()), j.delta, j.k, add=1), "sample"),
         (lambda j: True, "greedy"),
         (lambda j: True, "sample_fallback"),
     ),
@@ -206,14 +199,15 @@ class _Job:
 
     @cached_property
     def diameter(self) -> DiameterResult:
-        return approx_diameter_pair(self.ctx, self.budget)
+        return _module("diameter").approx_diameter_pair(self.ctx, self.budget)
 
     @cached_property
     def cfg(self) -> SampleConfig:
-        return SampleConfig(k=self.k, delta=self.delta, eta=self.eta, seed=self.seed)
+        return _module("mindisp").SampleConfig(k=self.k, delta=self.delta, eta=self.eta,
+                                               seed=self.seed)
 
     def pool(self) -> Dataset:
-        return approx_median_pool(self.ctx, self.budget, self.limits)
+        return _module("oracle").approx_median_pool(self.ctx, self.budget, self.limits)
 
 
 def dispatch(
@@ -483,12 +477,14 @@ def run(config: RunConfig) -> dict:
                    if f.name not in ("output", "timing", "limits")},
     }
     if sized_bound:
-        doc["certificates"] = _certificates(plotkin_certificate(config.sizes, config.t))
+        doc["certificates"] = _certificates(
+            _module("mindisp").plotkin_certificate(config.sizes, config.t))
         doc["objective_value"] = doc["certificates"]["max_code_size"]
         doc["guarantee"] = "any code with pairwise distance >= t has at most this many words (null = bound inapplicable)"
         return doc
     if code_size_oracle:
-        doc["objective_value"] = brute_max_code_size(config.sizes, config.t, config.limits)
+        doc["objective_value"] = _module("oracle").brute_max_code_size(
+            config.sizes, config.t, config.limits)
         doc["guarantee"] = "exhaustive search; exact maximum code size"
         return doc
 
@@ -516,10 +512,10 @@ def run(config: RunConfig) -> dict:
         regime = _regime(config.epsilon)  # each regime names a cost class too
         cap, cls = _class_cap(regime, config, ctx.opt)
         if regime == "exact":
-            res = exact_diameter_pair(ctx)
+            res = _module("diameter").exact_diameter_pair(ctx)
             doc["guarantee"] = f"exact diameter over exact medians; {cls}"
         else:
-            res = approx_diameter_pair(ctx, budget)
+            res = _module("diameter").approx_diameter_pair(ctx, budget)
             doc["guarantee"] = (
                 f"exact diameter over (1+eps)-approximate medians "
                 f"(branch: {res.branch}); {cls}"
@@ -544,32 +540,33 @@ def run(config: RunConfig) -> dict:
         else:
             doc["objective_value"] = cands.min_dispersion()
             doc["certificates"] = _certificates(
-                bound_certificate(ctx, budget, t=doc["objective_value"]))
+                _module("mindisp").bound_certificate(ctx, budget, t=doc["objective_value"]))
         return doc
 
     if config.objective == "bound":
-        cert = bound_certificate(ctx, budget, config.t)
+        cert = _module("mindisp").bound_certificate(ctx, budget, config.t)
         doc["certificates"] = _certificates(cert)
         doc["objective_value"] = cert.max_code_size
         doc["guarantee"] = "code-size cap at pairwise distance >= t (null = bound inapplicable); tstar_upper caps achievable minDp"
         return doc
 
     # oracle (max-code-size handled above)
+    oracle = _module("oracle")
     if config.oracle_op == "exact-medians":
-        pool = exact_median_pool(ctx, config.limits)
+        pool = oracle.exact_median_pool(ctx, config.limits)
     else:
-        pool = approx_median_pool(ctx, budget, config.limits)
+        pool = oracle.approx_median_pool(ctx, budget, config.limits)
     if config.oracle_op in ("exact-medians", "approx-medians"):
         doc["strings"] = _render_word(pool.codes, ctx.alphabet)
         doc["objective_value"] = pool.n
     else:
         doc["pool_size"] = pool.n
         if config.oracle_op == "diameter":
-            doc["objective_value"] = brute_diameter(pool, config.limits)
+            doc["objective_value"] = oracle.brute_diameter(pool, config.limits)
         elif config.oracle_op == "sumdp":
-            doc["objective_value"] = brute_sumdp_k(pool, config.k, config.limits)
+            doc["objective_value"] = oracle.brute_sumdp_k(pool, config.k, config.limits)
         else:
-            doc["objective_value"] = brute_mindp_k(pool, config.k, config.limits)
+            doc["objective_value"] = oracle.brute_mindp_k(pool, config.k, config.limits)
     doc["guarantee"] = "exhaustive search; exact value"
     return doc
 
@@ -677,7 +674,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"diverse-medians: cannot write {config.output}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed the pipe before the document
+            # Python flushes stdout once more at exit: give that flush nowhere to fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("diverse-medians: standard output closed before the document was "
+                  "written", file=sys.stderr)
+            return 6
     print(f"diverse-medians: {config.objective} done in {elapsed:.3f}s", file=sys.stderr)
     return 0
 

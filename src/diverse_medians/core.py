@@ -4,7 +4,8 @@ Everything downstream (diameter pairs, dispersion maximizers, LP rounding,
 oracles) builds on the objects here: the integer-coded dataset, the median
 context (one (d, |Σ|) table of symbol counts, with the deviation costs and
 the per-index symbol ranks that give ``w``, its second-choice companion and
-``opt``), exact rational deviation budgets, and candidate sets.
+``opt``), exact rational deviation budgets, the enumeration caps, and
+candidate sets.
 
 All budget comparisons are exact integer comparisons (cross-multiplied
 rationals); no float ever decides feasibility.
@@ -12,15 +13,17 @@ rationals); no float ever decides feasibility.
 Strings stay symbol codes from ingest to the k picks: an enumerated pool of
 candidate strings is a ``Dataset`` (its (p, d) code matrix over the
 context's alphabet), and so are the members of a candidate set, decoded only
-when read as symbols. The pool kernels at the end (``farthest_pair``,
-``distances_to``) give the greedy engines Hamming distances over that matrix
-without ever holding a pool-by-pool matrix.
+when read as symbols. The pool kernels at the end (``farthest_partners``,
+``farthest_pair``, ``distances_to``) give the greedy engines Hamming
+distances over that matrix without ever holding a pool-by-pool matrix; the
+farthest partners come from float inner products of 0/1 vectors, integers
+that every BLAS sums exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -60,6 +63,24 @@ class SolverNotConverged(InfeasibleError):
 
 class InternalError(RuntimeError):
     """A violated internal invariant: a bug in this package, not in the input."""
+
+
+@dataclass(frozen=True)
+class EnumerationLimits:
+    """Hard caps checked with exact arithmetic before any enumeration starts.
+    Each is at least 1; a CapExceeded names the field it hit as its knob."""
+
+    max_candidates: int = 10**5
+    max_tuples: int = 10**7
+    max_states: int = 10**7
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValidationError(f"{f.name} must be >= 1")
+
+
+DEFAULT_LIMITS = EnumerationLimits()
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,49 +425,130 @@ class CandidateSet:
 # ---------------------------------------------------------------------------
 # streaming distance kernels over an integer-coded pool
 
-# Byte budget of one row block of distances in farthest_pair.
+# Byte budget of one block of the pool kernels: a block of inner products or
+# distances, or one chunk of the one-hot matrix in farthest_partners.
 BLOCK_BYTES = 2**22
 
 
-def farthest_pair(codes: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
-    """Farthest pair among the pool strings `rows` (ascending indices).
+def farthest_partners(
+    codes: np.ndarray, rows: np.ndarray, at: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Farthest partners over the upper triangle, for a prefix of `at`.
 
-    Returns the row-major first maximum of the distance matrix restricted to
-    rows x rows, diagonal included: what argmax over that matrix picks, so a
-    pool of copies gives (rows[0], rows[0]). Distances are built one block of
-    rows at a time, at most BLOCK_BYTES each, summing the per-column
-    mismatches in the smallest unsigned type that holds their count.
+    `rows` are ascending pool indices and `at` ascending positions in `rows`
+    (all of them by default). For position q, row q's maximum is the largest
+    distance from rows[q] to a string rows[s] with s >= q, and its partner
+    the first rows[s] at that distance; s = q counts, so a row whose later
+    strings are all copies of it is its own partner at distance 0. Returns
+    the maxima and partners of a prefix at[:c]: the positions are taken in
+    blocks, and the scan stops after the first block in which a row reaches
+    v, the number of columns on which `rows` differ (no distance exceeds it).
 
-    Only the columns on which the rows differ are read: a column where all
-    rows agree adds 0 to every distance. They are picked from a copy, for
-    `rows`, of the columns on which the pool's strings differ, never from a
-    copy of whole rows. A block of rows [lo, hi) only needs its distances to
-    the rows from lo on: the matrix is symmetric, so a maximum left of the
-    diagonal at (i, j) also sits at (j, i), which comes first in row-major
-    order and is in this block or an earlier one.
+    Distances are exact inner products. X is the one-hot matrix over the
+    (column, symbol present) pairs of those v columns, so each string has v
+    ones and the distance between strings a and b is v - X_a . X_b. Every
+    term is 0 or 1, so every partial sum is an integer at most v: exact in
+    float32 below 2^24 (float64 beyond) whatever the BLAS summation order.
+    The products run as blocked X[block] @ X[from the block's first row on].T.
+
+    Memory besides the codes: the rows' copy of the columns that vary over
+    the pool (m*v' bytes), and O(BLOCK_BYTES) for the rest. X is built one
+    chunk of at most BLOCK_BYTES at a time (at least one column; a pool
+    whose X fits one chunk builds it once), and a block of inner products
+    holds at most BLOCK_BYTES (at least one row).
     """
-    varying = np.flatnonzero(codes.min(axis=0) != codes.max(axis=0))
-    cols = codes[np.ix_(rows, varying)].T
-    cols = np.ascontiguousarray(cols[(cols != cols[:, :1]).any(axis=1)])  # (v, m)
-    m = cols.shape[1]
-    # no distance exceeds the number of columns left; reaching it means no
-    # later block can hold a strictly larger distance
-    bound = cols.shape[0]
-    dtype = np.min_scalar_type(bound)
-    step = max(1, BLOCK_BYTES // (m * dtype.itemsize))
-    best, first = -1, (0, 0)
-    for lo in range(0, m, step):
-        block = np.zeros((min(step, m - lo), m - lo), dtype=dtype)
-        for col in cols:
-            block += col[lo : lo + step, None] != col[lo:]
-        flat = int(block.argmax())
-        if block.flat[flat] > best:
-            best = int(block.flat[flat])
-            r, c = divmod(flat, m - lo)
-            first = (lo + r, lo + c)
-            if best == bound:
-                break
-    return int(rows[first[0]]), int(rows[first[1]])
+    at = np.arange(len(rows)) if at is None else at
+    cols = codes[np.ix_(rows, np.flatnonzero(codes.min(axis=0) != codes.max(axis=0)))]
+    present = [np.flatnonzero(np.bincount(col)) for col in cols.T]
+    # X's column f is cols[:, col_of[f]] == sym_of[f], one per symbol present
+    # in a column where the rows differ
+    col_of = np.array([c for c, a in enumerate(present) if len(a) > 1 for _ in a], dtype=np.intp)
+    sym_of = np.array([b for a in present if len(a) > 1 for b in a.tolist()], dtype=np.intp)
+    v, m = sum(len(a) > 1 for a in present), len(rows)
+    dtype = np.dtype(np.float32 if v < 2**24 else np.float64)
+    width = max(1, BLOCK_BYTES // (m * dtype.itemsize))
+    # no such column leaves one empty chunk, whose products are all 0
+    chunks = range(0, max(len(col_of), 1), width)
+
+    @lru_cache(maxsize=1)  # the chunk built last: all of X when it fits one
+    def onehot(f: int) -> np.ndarray:
+        return (cols[:, col_of[f : f + width]] == sym_of[f : f + width]).astype(dtype)
+
+    far = np.empty(len(at), dtype=np.int64)
+    partner = np.empty(len(at), dtype=np.int64)
+    # rows per block: the same byte budget, and 16 blocks or more where the
+    # rows allow it, since a block's own square is computed whole and then
+    # masked below its diagonal
+    step = min(width, max(32, m // 16))
+    buf = np.empty(min(step, len(at)) * m, dtype=dtype)  # every block's inner products
+    for lo in range(0, len(at), step):
+        q = at[lo : lo + step]
+        start = int(q[0])
+        inner = buf[: len(q) * (m - start)].reshape(len(q), m - start)
+        for f in chunks:
+            x = onehot(f)
+            if f:
+                inner += x[q] @ x[start:].T
+            else:
+                np.matmul(x[q], x[start:].T, out=inner)
+        # s < q lies left of the diagonal; only the first q[-1] - start columns hold any
+        w = int(q[-1]) - start
+        inner[:, :w][np.arange(w) < (q - start)[:, None]] = np.inf
+        s = inner.argmin(axis=1)  # most agreement: the first farthest partner
+        far[lo : lo + step] = v - inner[np.arange(len(q)), s].astype(np.int64)
+        partner[lo : lo + step] = rows[start + s]
+        if far[lo : lo + step].max() == v:
+            return far[: lo + len(q)], partner[: lo + len(q)]
+    return far, partner
+
+
+class FarthestPairs:
+    """Farthest pairs of a shrinking set of pool strings, as farthest_pair
+    would pick them round after round.
+
+    Each row's maximum and partner (farthest_partners) are kept between
+    rounds. Taking a pair (i, j) leaves every row whose partner is neither i
+    nor j with the same maximum and the same first argmax, so only the rows
+    whose partner was i or j are computed again. Rows are computed lazily, in
+    pool order, up to the first one that reaches the bound: a row after it
+    cannot be the first to hold the maximum.
+    """
+
+    def __init__(self, codes: np.ndarray, rows: np.ndarray):
+        self.codes = codes
+        self.avail = np.zeros(len(codes), dtype=bool)
+        self.avail[rows] = True
+        self.far = np.full(len(codes), -1, dtype=np.int64)  # -1: taken or not computed
+        self.partner = np.zeros(len(codes), dtype=np.int64)
+
+    def pair(self) -> tuple[int, int]:
+        """The row-major first maximum of the distance matrix over the
+        available strings, diagonal included: the first row whose maximum is
+        the global maximum, and its partner (a maximum left of the diagonal
+        at (i, j) also sits at (j, i), which comes first)."""
+        live = np.flatnonzero(self.avail)
+        todo = np.flatnonzero(self.far[live] < 0)
+        if len(todo):
+            far, partner = farthest_partners(self.codes, live, todo)
+            got = live[todo[: len(far)]]
+            self.far[got], self.partner[got] = far, partner
+        i = int(self.far.argmax())
+        return i, int(self.partner[i])
+
+    def take(self, i: int, j: int) -> None:
+        """Make strings i and j unavailable; the rows whose partner was one
+        of them are computed again by the next pair()."""
+        self.avail[[i, j]] = False
+        self.far[[i, j]] = -1
+        self.far[self.avail & ((self.partner == i) | (self.partner == j))] = -1
+
+
+def farthest_pair(codes: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
+    """Farthest pair among the pool strings `rows` (ascending indices): the
+    row-major first maximum of the distance matrix restricted to rows x rows,
+    diagonal included, what argmax over that matrix picks, so a pool of
+    copies gives (rows[0], rows[0])."""
+    return FarthestPairs(codes, rows).pair()
 
 
 def min_distance(codes: np.ndarray) -> int:

@@ -12,16 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .core import (
     BLOCK_BYTES,
+    DEFAULT_LIMITS,
     Budget,
     CandidateSet,
     CapExceeded,
     Dataset,
+    EnumerationLimits,
     InternalError,
     KeyWidthExceeded,
     MedianContext,
@@ -30,8 +32,9 @@ from .core import (
     distances_to,
     farthest_pair,
 )
-from .diameter import DiameterResult
-from .oracle import DEFAULT_LIMITS, EnumerationLimits
+
+if TYPE_CHECKING:  # an annotation only: a run without a diameter pair never loads it
+    from .diameter import DiameterResult
 
 
 def _check_dp_state(
@@ -310,8 +313,10 @@ def greedy_dispersion(pool: Dataset, k: int, ctx: MedianContext) -> CandidateSet
 
     Half the pool-restricted optimum. A pool smaller than k gets filled with
     duplicates (their min distance is 0, consistent with the multiset
-    definition). Memory is the pool's p*d code bytes plus one distance block:
-    a running vector holds each string's distance to its nearest chosen
+    definition). The first pair is core.farthest_pair, exact inner products
+    over the pool's one-hot matrix. Memory is the pool's p*d code bytes, a
+    copy of its varying columns and O(core.BLOCK_BYTES) for that kernel,
+    plus a running vector of each string's distance to its nearest chosen
     member. The k chosen rows are passed on as codes.
     """
     if pool.n == 0:

@@ -11,39 +11,22 @@ brute-force searches scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (
+from .core import (  # the limits live in core; oracle re-exports them
     BLOCK_BYTES,
+    DEFAULT_LIMITS,
     Budget,
     CapExceeded,
     Dataset,
+    EnumerationLimits,
     MedianContext,
     ValidationError,
     Word,
 )
-
-
-@dataclass(frozen=True)
-class EnumerationLimits:
-    """Hard caps checked with exact arithmetic before any enumeration starts.
-    Each is at least 1; a CapExceeded names the field it hit as its knob."""
-
-    max_candidates: int = 10**5
-    max_tuples: int = 10**7
-    max_states: int = 10**7
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValidationError(f"{f.name} must be >= 1")
-
-
-DEFAULT_LIMITS = EnumerationLimits()
 
 
 def exact_median_pool(

@@ -17,10 +17,10 @@ from .core import (
     Budget,
     CandidateSet,
     Dataset,
+    FarthestPairs,
     MedianContext,
     ValidationError,
     distances_to,
-    farthest_pair,
 )
 
 
@@ -174,13 +174,17 @@ def sum_dispersion_approx_k(
 ) -> tuple[CandidateSet, int]:
     """k approximate medians with (near-)maximum sum dispersion.
 
-    Binary-searches the longest feasible prefix of the op list and keeps the
-    candidates of the last feasible probe (the empty prefix is always
-    feasible).
+    Probes the whole op list first and keeps it when it is feasible.
+    Otherwise binary-searches the longest feasible prefix over [0, m] and
+    keeps the candidates of the last feasible probe (the empty prefix is
+    always feasible).
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     oplist = build_oplist(ctx, k)
+    cands, feasible = cost_greedy_assign(ctx, budget, k, oplist)
+    if feasible:
+        return cands, cands.sum_dispersion()
     lo, hi = 0, len(oplist)
     best = None
     while lo < hi:
@@ -201,10 +205,13 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
     Farthest-pair matching while two or more seats remain, then single
     insertions maximizing the summed distance to the chosen set. Half the
     optimum on every pool small enough to check exhaustively; no stronger
-    claim is made. Memory is the pool's p*d code bytes plus one distance
-    block: each matching round streams farthest_pair over the available
-    strings, and a running vector holds the summed distances for the
-    insertions. The k chosen rows are passed on as codes.
+    claim is made. The matching rounds pick the pairs farthest_pair would
+    pick over the available strings, from per-row farthest partners kept
+    across rounds (core.FarthestPairs): after a pair is taken, only the rows
+    whose partner it held are computed again. Memory is the pool's p*d code
+    bytes, a copy of its varying columns and O(core.BLOCK_BYTES) for the
+    inner-product kernel, plus vectors of p entries, one of them the summed
+    distances for the insertions. The k chosen rows are passed on as codes.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -214,14 +221,14 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
         return CandidateSet.from_members(ctx, pool.codes[[0] * k])
 
     codes = pool.codes
-    avail = np.ones(pool.n, dtype=bool)
+    pairs = FarthestPairs(codes, np.arange(pool.n))
     chosen: list[int] = []
-    while k - len(chosen) >= 2 and avail.sum() >= 2:
-        i, j = farthest_pair(codes, np.flatnonzero(avail))
+    while k - len(chosen) >= 2 and pairs.avail.sum() >= 2:
+        i, j = pairs.pair()
         if i == j:  # only copies of one string left available; go to insertion
             break
-        chosen.extend(sorted((i, j)))
-        avail[i] = avail[j] = False
+        chosen.extend((i, j))
+        pairs.take(i, j)
     gains = np.zeros(pool.n, dtype=np.int64)  # summed distance to the chosen
     for c in chosen:
         gains += distances_to(codes, c)

@@ -21,6 +21,8 @@ from diverse_medians import (
     cli,
     context_from_strings,
     exact_median_pool,
+    oracle,
+    sumdisp,
 )
 
 from conftest import tie_columns_rows
@@ -382,7 +384,7 @@ def test_main_lp_infeasible_exits_4(tmp_path, capsys):
 def test_main_cost_cap_violation_exits_5(ties_path, capsys, monkeypatch):
     # an engine that emits a string above its cost class is a bug, not an
     # infeasible instance: exit 5, not 4
-    real = cli.sum_dispersion_exact_k
+    real = sumdisp.sum_dispersion_exact_k
 
     def broken(ctx, k):
         cands = real(ctx, k)
@@ -390,7 +392,7 @@ def test_main_cost_cap_violation_exits_5(ties_path, capsys, monkeypatch):
         members[0] = tuple("z" if a == "a" else "a" for a in members[0])
         return CandidateSet.from_members(ctx, Dataset.from_strings(members, ctx.alphabet).codes)
 
-    monkeypatch.setattr(cli, "sum_dispersion_exact_k", broken)
+    monkeypatch.setattr(sumdisp, "sum_dispersion_exact_k", broken)
     code, _, err = run_main(
         ["--objective", "sum-dispersion", "--strategy", "exact-construction",
          "--input", ties_path, "--alphabet", "abcz", "--k", "2"],
@@ -406,7 +408,7 @@ def test_main_stray_runtime_error_exits_5(ties_path, capsys, monkeypatch):
     def broken(ctx, k):
         raise RuntimeError("stray fault")
 
-    monkeypatch.setattr(cli, "sum_dispersion_exact_k", broken)
+    monkeypatch.setattr(sumdisp, "sum_dispersion_exact_k", broken)
     code, _, err = run_main(
         ["--objective", "sum-dispersion", "--strategy", "exact-construction",
          "--input", ties_path, "--k", "2"],
@@ -526,7 +528,7 @@ def test_main_min_dispersion_checks_k_before_any_named_strategy(ties_path, monke
     def no_pool(*args, **kwargs):
         raise AssertionError("the pool was built before k was checked")
 
-    monkeypatch.setattr(cli, "approx_median_pool", no_pool)
+    monkeypatch.setattr(oracle, "approx_median_pool", no_pool)
     for strategy in ("dp", "greedy", "sample", "lp"):
         code, _, err = run_main(
             ["--objective", "min-dispersion", "--input", ties_path, "--k", "1",
@@ -685,6 +687,51 @@ def test_console_script_help_exits_zero():
     )
     assert proc.returncode == 0
     assert "diverse" in proc.stdout
+
+
+def test_importing_the_cli_loads_no_engine_module():
+    # the engines load on dispatch; every public name still imports from the package
+    code = (
+        "import sys, json\n"
+        "import diverse_medians.cli\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[0] in ('diverse_medians', 'scipy'))\n"
+        "import diverse_medians\n"
+        "names = {}\n"
+        "exec('from diverse_medians import *', names)\n"
+        "homes = {n: getattr(sys.modules[v.__module__], n) is v\n"
+        "         for n, v in names.items() if n in diverse_medians.__all__\n"
+        "         and hasattr(v, '__module__')}\n"
+        "print(json.dumps([loaded, sorted(set(diverse_medians.__all__) - set(names)),\n"
+        "                  sorted(n for n, ok in homes.items() if not ok)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, missing, misplaced = json.loads(proc.stdout)
+    assert loaded == ["diverse_medians", "diverse_medians.cli", "diverse_medians.core"]
+    assert missing == [] and misplaced == []
+
+
+def test_main_exits_6_without_traceback_when_the_reader_closes_early(ties_path):
+    # the reader closes its end of the pipe before the document arrives, so
+    # the first write fails (a write already blocked on a full pipe fails the
+    # same way on its next chunk)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diverse_medians.cli", "--objective", "oracle",
+             "--oracle-op", "exact-medians", "--input", ties_path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stderr == (
+        "diverse-medians: standard output closed before the document was written\n")
 
 
 def test_scipy_loads_only_when_the_lp_runs(ties_path):

@@ -32,7 +32,7 @@ from diverse_medians import (
     sample_exact_medians,
     tstar_upper_bound,
 )
-from diverse_medians import cli
+from diverse_medians import cli, diameter
 from diverse_medians.mindisp import _check_dp_state, _diameter_at_least
 
 from conftest import random_rows, reference_context
@@ -479,7 +479,7 @@ def test_approx_dispatch_sample_branch_computes_the_diameter_once(monkeypatch):
         calls.append(1)
         return approx_diameter_pair(ctx, budget)
 
-    monkeypatch.setattr(cli, "approx_diameter_pair", counting)
+    monkeypatch.setattr(diameter, "approx_diameter_pair", counting)
     ctx = context_from_strings(["1" * 60] * 6 + ["0" * 60] * 4, alphabet="01")
     b = Budget.make(Fraction(1, 2), ctx.opt)
     _, tag = cli.dispatch(

@@ -11,6 +11,7 @@ included, and stay memory-bounded.
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from diverse_medians import (
     CapExceeded,
     Dataset,
     approx_median_pool,
+    build_context,
     context_from_strings,
     greedy_dispersion,
     sum_dispersion_small_dstar,
 )
-from diverse_medians.core import distances_to, farthest_pair
+from diverse_medians.core import FarthestPairs, distances_to, farthest_pair, farthest_partners
 from diverse_medians.oracle import pairwise_hamming_matrix
 
 from conftest import pool_contexts
@@ -195,3 +197,153 @@ def test_pool_engines_stay_memory_bounded(engine):
     assert cands.k == k
     assert peak < 32 * 2**20, f"{engine} peaked at {peak / 2**20:.1f} MB"
     assert elapsed < 10.0, f"{engine} took {elapsed:.2f}s"
+
+
+# --- the inner-product kernel against the column-sum scans it replaced -------
+
+
+def column_sum_farthest_pair(codes, rows, block_bytes):
+    """farthest_pair as a per-column mismatch sum over row blocks: the
+    row-major first maximum over rows x rows, diagonal included."""
+    varying = np.flatnonzero(codes.min(axis=0) != codes.max(axis=0))
+    cols = codes[np.ix_(rows, varying)].T
+    cols = np.ascontiguousarray(cols[(cols != cols[:, :1]).any(axis=1)])  # (v, m)
+    m = cols.shape[1]
+    bound = cols.shape[0]
+    dtype = np.min_scalar_type(bound)
+    step = max(1, block_bytes // (m * dtype.itemsize))
+    best, first = -1, (0, 0)
+    for lo in range(0, m, step):
+        block = np.zeros((min(step, m - lo), m - lo), dtype=dtype)
+        for col in cols:
+            block += col[lo : lo + step, None] != col[lo:]
+        flat = int(block.argmax())
+        if block.flat[flat] > best:
+            best = int(block.flat[flat])
+            r, c = divmod(flat, m - lo)
+            first = (lo + r, lo + c)
+            if best == bound:
+                break
+    return int(rows[first[0]]), int(rows[first[1]])
+
+
+def per_round_small_dstar(codes, k, block_bytes):
+    """sum_dispersion_small_dstar with one full column-sum scan per matching
+    round: the chosen pool indices."""
+    p = len(codes)
+    if p == 1 or k == 1:
+        return [0] * k
+    avail = np.ones(p, dtype=bool)
+    chosen = []
+    while k - len(chosen) >= 2 and avail.sum() >= 2:
+        i, j = column_sum_farthest_pair(codes, np.flatnonzero(avail), block_bytes)
+        if i == j:
+            break
+        chosen.extend(sorted((i, j)))
+        avail[i] = avail[j] = False
+    gains = np.zeros(p, dtype=np.int64)
+    for c in chosen:
+        gains += distances_to(codes, c)
+    while len(chosen) < k:
+        chosen.append(int(np.argmax(gains)))
+        gains += distances_to(codes, chosen[-1])
+    return chosen
+
+
+@st.composite
+def kernel_pools(draw):
+    """(codes, alphabet size, rows): up to 40 strings of length <= 7 over 2 to
+    5 symbols, with copies, constant columns, hubs (one string that is every
+    other string's farthest partner) and a nonempty ascending row subset."""
+    sigma = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["random", "copies", "hub"]))
+    word = st.lists(st.integers(0, sigma - 1), min_size=d, max_size=d)
+    words = draw(st.lists(word, min_size=1, max_size=40))
+    if shape == "copies":
+        words = [words[i % 3] for i in range(len(words))] if len(words) > 3 else words * 4
+    elif shape == "hub":
+        # strings near all-0 and one or two near all-1: the hubs are everyone's partner
+        near = draw(st.lists(st.integers(0, d - 1), min_size=len(words), max_size=len(words)))
+        words = [[int(c == i) for c in range(d)] for i in near]
+        hubs = draw(st.lists(st.integers(0, len(words)), min_size=1, max_size=2))
+        for h in hubs:
+            words.insert(h, [1] * d)
+    codes = np.array(words, dtype=np.uint8)
+    for c in draw(st.lists(st.integers(0, d), max_size=2)):  # constant columns
+        codes = np.insert(codes, c, draw(st.integers(0, sigma - 1)), axis=1)
+    keep = draw(st.lists(st.booleans(), min_size=len(codes), max_size=len(codes)))
+    rows = np.flatnonzero(keep)
+    if not len(rows):
+        rows = np.arange(len(codes))
+    return codes, max(sigma, 2), rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_pools(), st.sampled_from([1, 2**22]))
+def test_inner_product_kernel_matches_the_column_sums(case, block_bytes):
+    import diverse_medians.core as core
+
+    codes, sigma, rows = case
+    want = column_sum_farthest_pair(codes, rows, 2**22)
+    with mock.patch.object(core, "BLOCK_BYTES", block_bytes):
+        assert farthest_pair(codes, rows) == want
+        # each computed row: its maximum and first argmax over the upper triangle
+        far, partner = farthest_partners(codes, rows)
+        sub = codes[rows]
+        dist = (sub[:, None, :] != sub[None, :, :]).sum(axis=2)
+        for q in range(len(far)):
+            assert far[q] == dist[q, q:].max()
+            assert partner[q] == rows[q + int(dist[q, q:].argmax())]
+        if len(far) < len(rows):  # the scan stopped at the largest possible distance
+            assert far.max() == (sub.min(axis=0) != sub.max(axis=0)).sum()
+        pool = Dataset(codes=codes, alphabet=tuple("abcdefgh"[:sigma]))
+        ctx = build_context(Dataset(codes=codes[rows], alphabet=pool.alphabet))
+        for k in (2, 3, 5, len(codes) + 2):
+            got = sum_dispersion_small_dstar(ctx, k, pool).codes
+            assert got.tolist() == codes[per_round_small_dstar(codes, k, 2**22)].tolist()
+
+
+def test_kept_partners_recompute_only_the_rows_that_lost_theirs():
+    # every string is at most 1 from "aaaa" but the last, "bbbb", which is the
+    # farthest partner of each; taking the first pair leaves every other row
+    # without its partner
+    pool = ["aaaa", "baaa", "abaa", "aaba", "aaab", "caaa", "acaa", "bbbb"]
+    codes = Dataset.from_strings(pool, alphabet="abc").codes
+    pairs = FarthestPairs(codes, np.arange(len(pool)))
+    stale = []
+    while pairs.avail.sum() >= 2:
+        live = np.flatnonzero(pairs.avail)
+        want = column_sum_farthest_pair(codes, live, 2**22)
+        got = pairs.pair()
+        assert got == want
+        if got[0] == got[1]:
+            break
+        pairs.take(*got)
+        stale.append(int((pairs.far[pairs.avail] < 0).sum()))
+    assert stale[0] == len(pool) - 2  # the first pair took the hub of every row
+
+
+@pytest.mark.parametrize("engine", ["greedy_dispersion", "sum_dispersion_small_dstar"])
+def test_pool_engines_stay_memory_bounded_over_a_wide_alphabet(engine):
+    # |Σ| = 20 over 200 columns: the one-hot matrix of all (column, symbol)
+    # pairs would be 4000 x 4000 float32, 64 MB; it is built in chunks of at
+    # most 4 MiB
+    rng = np.random.default_rng(12)
+    alphabet = tuple("abcdefghijklmnopqrst")
+    codes = rng.integers(0, 20, size=(4000, 200)).astype(np.uint8)
+    pool = Dataset(codes=codes, alphabet=alphabet)
+    ctx = build_context(Dataset(codes=codes[:50], alphabet=alphabet))
+    present = sum(len(np.unique(col)) for col in codes.T)
+    assert 4000 * present * 4 > 32 * 2**20
+    tracemalloc.start()
+    try:
+        if engine == "greedy_dispersion":
+            cands = greedy_dispersion(pool, 8, ctx)
+        else:
+            cands = sum_dispersion_small_dstar(ctx, 8, pool)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cands.k == 8
+    assert peak < 32 * 2**20, f"{engine} peaked at {peak / 2**20:.1f} MB"

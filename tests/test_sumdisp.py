@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from diverse_medians import (
     sum_dispersion_exact_k,
     sum_dispersion_small_dstar,
 )
-from diverse_medians import cli
+from diverse_medians import cli, sumdisp
 
 from conftest import random_rows
 
@@ -197,6 +198,45 @@ def test_density_engine_matches_reference(case):
     assert cands.codes.tolist() == ref_cands.codes.tolist()
     assert cands.costs == ref_cands.costs
     assert value == ref_cands.sum_dispersion()
+
+
+def searched_engine(ctx, budget, k, oplist):
+    """The density engine before its whole-list probe: a binary search over
+    [0, m] of the op list, keeping the last feasible probe."""
+    lo, hi = 0, len(oplist)
+    best = None
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        cands, feasible = cost_greedy_assign(ctx, budget, k, oplist[:mid])
+        if feasible:
+            lo, best = mid, cands
+        else:
+            hi = mid - 1
+    if best is None:
+        best, _ = cost_greedy_assign(ctx, budget, k, oplist[:0])
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(density_cases())
+def test_whole_list_probe_keeps_the_searched_result(case):
+    ctx, budget, k = case
+    probes = []
+    real = sumdisp.cost_greedy_assign
+
+    def counting(ctx, budget, k, prefix):
+        probes.append(len(prefix))
+        return real(ctx, budget, k, prefix)
+
+    with mock.patch.object(sumdisp, "cost_greedy_assign", counting):
+        cands, value = sum_dispersion_approx_k(ctx, budget, k)
+    oplist = build_oplist(ctx, k)
+    want = searched_engine(ctx, budget, k, oplist)
+    assert cands.codes.tolist() == want.codes.tolist()
+    assert value == want.sum_dispersion()
+    assert probes[0] == len(oplist)
+    if cost_greedy_assign(ctx, budget, k, oplist)[1]:
+        assert probes == [len(oplist)]  # a feasible whole list settles it in one probe
 
 
 def test_oplist_keys_walk_cost_index_then_symbol_string():
