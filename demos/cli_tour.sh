@@ -38,6 +38,25 @@ diverse-medians --objective min-dispersion --input "$tmp/rows.txt" --delta 0 || 
 [ "$rc" = 2 ]
 echo "exit code $rc"
 
+echo '== flags are checked before the input is read: exit code 2, naming the flag =='
+rc=0
+err=$(diverse-medians --objective min-dispersion --input "$tmp/missing.txt" --delta 2 2>&1) \
+    || rc=$?
+[ "$rc" = 2 ]
+case $err in *delta*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
+
+echo '== a closed standard error does not change the exit code: 0 =='
+rc=0
+python3 - diverse-medians --objective median --input "$tmp/rows.txt" \
+    --output "$tmp/closed.json" <<'EOF' || rc=$?
+import os, subprocess, sys
+read_end, write_end = os.pipe()
+os.close(read_end)  # the reader is gone before the run prints its first line
+sys.exit(subprocess.run(sys.argv[1:], stderr=write_end).returncode)
+EOF
+[ "$rc" = 0 ]
+echo "exit code $rc"
+
 printf 'AC,GT,AC\nGT,GT,AC\nAC,AC,GT\nAC,GT,GT\n' > "$tmp/cells.csv"
 
 echo '== CSV cells as symbols: strings render as lists of cells =='

@@ -12,10 +12,10 @@ from fractions import Fraction
 from diverse_medians import (
     Budget,
     SampleConfig,
+    approx_median_pool,
     bound_certificate,
     brute_mindp_k,
     context_from_strings,
-    exact_median_pool,
     min_disp_dp_exact,
     plotkin_bound,
     sample_exact_medians,
@@ -24,7 +24,7 @@ from diverse_medians.cli import STRATEGY_TABLE, dispatch
 
 ctx = context_from_strings(["abb", "bab", "bba", "aaa"], alphabet="ab")
 value, cs = min_disp_dp_exact(ctx, 2)
-pool = exact_median_pool(ctx)
+pool = approx_median_pool(ctx, Budget.make(0, ctx.opt))  # the exact medians
 print("DP minDp =", value, "| brute =", brute_mindp_k(pool, 2),
       "| picks:", ["".join(s) for s in cs.members])
 

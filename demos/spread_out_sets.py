@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from diverse_medians import (
     Budget,
+    approx_median_pool,
     brute_sumdp_k,
     context_from_strings,
-    exact_median_pool,
     sum_dispersion,
     sum_dispersion_approx_k,
     sum_dispersion_exact_k,
@@ -25,7 +25,7 @@ ctx = context_from_strings(["ax", "bx", "cx"], alphabet="abcx")
 cs = sum_dispersion_exact_k(ctx, 5)
 print("exact k=5 layout:", ["".join(s) for s in cs.members])
 print("  sumDp =", sum_dispersion(cs.members),
-      " oracle =", brute_sumdp_k(exact_median_pool(ctx), 5))
+      " oracle =", brute_sumdp_k(approx_median_pool(ctx, Budget.make(0, ctx.opt)), 5))
 
 # Budgeted version: spend the eps budget where the dispersion gained per
 # unit of cost (the density) is highest.

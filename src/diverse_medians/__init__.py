@@ -65,7 +65,6 @@ _EXPORTS = {
         "brute_sumdp_k",
         "enumerate_approx_medians",
         "enumerate_exact_medians",
-        "exact_median_pool",
     ),
     "sumdisp": (
         "build_oplist",

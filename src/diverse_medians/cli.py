@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    BLOCK_BYTES,
     DEFAULT_LIMITS,
     Budget,
     CandidateSet,
@@ -40,6 +39,8 @@ from .core import (
     MedianContext,
     ValidationError,
     build_context,
+    context_from_strings,
+    decode as _render_word,  # the one decoder; bench/tracing.py times renders by this name
 )
 
 if TYPE_CHECKING:  # annotations only; the engine modules load on dispatch
@@ -188,6 +189,28 @@ def _lookup(table: dict, objective: str, epsilon: Fraction, *rest: str):
     return table[key] if key in table else table[(objective, "any", *rest)]
 
 
+def _check_dispersion(objective: str, strategy: str, k: int, delta: Fraction,
+                      eta: Fraction, limits: EnumerationLimits) -> None:
+    """Refuse a dispersion run's bad parameters, whatever the strategy, before
+    any engine runs: min dispersion takes k >= 2 and delta, eta in (0, 1) (the
+    sampler's own checks), sum dispersion delta > 0."""
+    if objective not in NAMED_STRATEGIES:
+        raise ValidationError(
+            f"objective {objective!r} has no dispersion strategy; "
+            f"dispatch takes: {', '.join(NAMED_STRATEGIES)}"
+        )
+    _check_strategy(objective, strategy)
+    if objective == "min-dispersion" and k < 2:
+        raise ValidationError("k must be >= 2")
+    if k > limits.max_candidates:  # a result holds no more strings than a pool may
+        raise CapExceeded(f"k={k} exceeds max_candidates={limits.max_candidates}",
+                          "max_candidates")
+    if objective == "sum-dispersion" and not delta > 0:
+        raise ValidationError("delta must be positive")
+    if objective == "min-dispersion":
+        _module("mindisp").SampleConfig(k=k, delta=delta, eta=eta, seed=0)
+
+
 class _Job:
     """What the rules and engines of one dispersion run read. The diameter
     pair, the pool and the sampler's config are built on first use, so a run
@@ -229,25 +252,11 @@ def dispatch(
     A named strategy runs its tag's row. "auto" walks RULES for the objective
     and regime. Engines add their reports (the LP's "lp_report") to `doc`.
     """
-    if objective not in NAMED_STRATEGIES:
-        raise ValidationError(
-            f"objective {objective!r} has no dispersion strategy; "
-            f"dispatch takes: {', '.join(NAMED_STRATEGIES)}"
-        )
-    _check_strategy(objective, strategy)
-    if objective == "min-dispersion" and k < 2:
-        raise ValidationError("k must be >= 2")
-    if k > limits.max_candidates:  # a result holds no more strings than a pool may
-        raise CapExceeded(f"k={k} exceeds max_candidates={limits.max_candidates}",
-                          "max_candidates")
+    _check_dispersion(objective, strategy, k, Fraction(delta), Fraction(eta), limits)
     job = _Job(ctx, budget, k, delta, eta, seed, limits, {} if doc is None else doc)
     if strategy != "auto":
         tag = NAMED_STRATEGIES[objective][strategy]
         return _lookup(STRATEGY_TABLE, objective, budget.epsilon, tag).engine(job), tag
-    if objective == "sum-dispersion" and not job.delta > 0:
-        raise ValidationError("delta must be positive")
-    if objective == "min-dispersion":
-        job.cfg  # checks delta and eta before any rule runs
     for applies, tag in _lookup(RULES, objective, budget.epsilon):
         if applies(job):
             try:
@@ -380,29 +389,6 @@ def ingest(path: str, fmt: str, alphabet: tuple[str, ...] | None = None) -> Data
 # document assembly
 
 
-def _render_word(codes: np.ndarray, alphabet: tuple[str, ...]) -> list:
-    """Every row of an (m, d) code matrix as the document shows it: a string
-    when every symbol is one character, else a list of symbols. Rows are
-    decoded one block of at most BLOCK_BYTES at a time: never the whole
-    matrix as symbols."""
-    m, d = codes.shape
-    step = max(1, BLOCK_BYTES // (8 * d))
-    joined = all(len(a) == 1 for a in alphabet)
-    if joined:
-        points = np.array([ord(a) for a in alphabet], dtype=np.uint32)
-    else:
-        symbols = np.array(alphabet, dtype=object)
-    out: list = []
-    for lo in range(0, m, step):
-        block = codes[lo : lo + step]
-        if joined:  # one text of the block's rows, cut into rows
-            text = points[block].tobytes().decode("utf-32-le", "surrogatepass")
-            out.extend(text[j : j + d] for j in range(0, len(text), d))
-        else:
-            out.extend(symbols[block].tolist())
-    return out
-
-
 def _revalidate(ctx: MedianContext, strings: list, cap: Fraction) -> list[int]:
     """Re-encode the rendered strings in one pass, recompute their costs from
     the counts and enforce their cost class."""
@@ -467,8 +453,17 @@ def run(config: RunConfig) -> dict:
     # bound with explicit sizes, and the max-code-size oracle, need no dataset
     sized_bound = objective == "bound" and config.sizes is not None
     code_size_oracle = objective == "oracle" and op == "max-code-size"
-    if config.input is None and not (sized_bound or code_size_oracle):
-        raise ValidationError(f"objective={objective} requires --input")
+    if not (sized_bound or code_size_oracle):  # a dataset run: check every flag it reads
+        if config.input is None:
+            raise ValidationError(f"objective={objective} requires --input")
+        Budget.make(config.epsilon, 0)  # eps >= 0
+        if config.alphabet is not None:  # distinct symbols, at least 2 of them
+            context_from_strings([config.alphabet], config.alphabet)
+        if objective in NAMED_STRATEGIES:
+            _check_dispersion(objective, config.strategy, config.k, config.delta,
+                              config.eta, config.limits)
+        if objective == "bound":
+            _module("mindisp").plotkin_certificate((), config.t)  # t >= 0
 
     # the document shows every field but where it goes, its wall time and the caps
     doc: dict = {
@@ -552,10 +547,9 @@ def run(config: RunConfig) -> dict:
 
     # oracle (max-code-size handled above)
     oracle = _module("oracle")
-    if config.oracle_op == "exact-medians":
-        pool = oracle.exact_median_pool(ctx, config.limits)
-    else:
-        pool = oracle.approx_median_pool(ctx, budget, config.limits)
+    if config.oracle_op == "exact-medians":  # the exact medians are the pool at B = 0
+        budget = Budget.make(0, ctx.opt)
+    pool = oracle.approx_median_pool(ctx, budget, config.limits)
     if config.oracle_op in ("exact-medians", "approx-medians"):
         doc["strings"] = _render_word(pool.codes, ctx.alphabet)
         doc["objective_value"] = pool.n
@@ -639,6 +633,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: parsed.get(f.name, flags.get(f.name)) for f in fields(RunConfig)})
 
 
+def _say(*lines: str) -> None:
+    """Print diagnostic lines to stderr, the first under the program's name;
+    a closed stderr drops them and leaves the exit code as it is."""
+    try:
+        print(f"diverse-medians: {lines[0]}", *lines[1:], sep="\n", file=sys.stderr)
+    except BrokenPipeError:
+        # Python flushes stderr once more at exit: give that flush nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
@@ -646,21 +650,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _config_from_args(args)
         doc = run(config)
     except ValidationError as exc:
-        print(f"diverse-medians: {exc}", file=sys.stderr)
+        _say(str(exc))
         return 2
     except CapExceeded as exc:
-        print(f"diverse-medians: {exc}", file=sys.stderr)
         if exc.knob is None:  # KeyWidthExceeded: no cap lets the DP run
-            print("hint: pick --strategy auto, greedy or sample, or a smaller --k",
-                  file=sys.stderr)
+            _say(str(exc), "hint: pick --strategy auto, greedy or sample, or a smaller --k")
         else:
-            print(f"hint: raise --{exc.knob.replace('_', '-')}", file=sys.stderr)
+            _say(str(exc), f"hint: raise --{exc.knob.replace('_', '-')}")
         return 3
     except InfeasibleError as exc:
-        print(f"diverse-medians: {exc}", file=sys.stderr)
+        _say(str(exc))
         return 4
     except RuntimeError as exc:  # InternalError, or any other fault of this package
-        print(f"diverse-medians: {exc}", file=sys.stderr)
+        _say(str(exc))
         return 5
     elapsed = time.perf_counter() - started
     if config.timing:
@@ -671,7 +673,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(config.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"diverse-medians: cannot write {config.output}: {exc}", file=sys.stderr)
+            _say(f"cannot write {config.output}: {exc}")
             return 2
     else:
         try:
@@ -680,10 +682,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except BrokenPipeError:  # the reader closed the pipe before the document
             # Python flushes stdout once more at exit: give that flush nowhere to fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print("diverse-medians: standard output closed before the document was "
-                  "written", file=sys.stderr)
+            _say("standard output closed before the document was written")
             return 6
-    print(f"diverse-medians: {config.objective} done in {elapsed:.3f}s", file=sys.stderr)
+    _say(f"{config.objective} done in {elapsed:.3f}s")
     return 0
 
 

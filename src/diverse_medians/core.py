@@ -13,11 +13,11 @@ rationals); no float ever decides feasibility.
 Strings stay symbol codes from ingest to the k picks: an enumerated pool of
 candidate strings is a ``Dataset`` (its (p, d) code matrix over the
 context's alphabet), and so are the members of a candidate set, decoded only
-when read as symbols. The pool kernels at the end (``farthest_partners``,
-``farthest_pair``, ``distances_to``) give the greedy engines Hamming
-distances over that matrix without ever holding a pool-by-pool matrix; the
-farthest partners come from float inner products of 0/1 vectors, integers
-that every BLAS sums exactly.
+when read as symbols, all through one decoder (``decode``). The pool kernels
+at the end (``farthest_partners``, ``FarthestPairs``, ``distances_to``) give
+the greedy engines Hamming distances over that matrix without ever holding a
+pool-by-pool matrix; the farthest partners come from float inner products of
+0/1 vectors, integers that every BLAS sums exactly.
 """
 
 from __future__ import annotations
@@ -82,6 +82,10 @@ class EnumerationLimits:
 
 DEFAULT_LIMITS = EnumerationLimits()
 
+# Byte budget of one block of rows in decode and the pool kernels, or of one
+# chunk of the one-hot matrix in farthest_partners.
+BLOCK_BYTES = 2**22
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -108,8 +112,7 @@ class Dataset:
     @property
     def strings(self) -> tuple[Word, ...]:
         """The strings as tuples of symbols, decoded on each access."""
-        symbols = np.array(self.alphabet, dtype=object)
-        return tuple(map(tuple, symbols[self.codes].tolist()))
+        return tuple(map(tuple, decode(self.codes, self.alphabet)))
 
     @classmethod
     def from_strings(
@@ -189,6 +192,30 @@ def _encode_cells(
     return np.array(flat, dtype=np.min_scalar_type(len(alphabet))), alphabet
 
 
+def decode(codes: np.ndarray, alphabet: Sequence[Symbol]) -> list:
+    """Every row of an (m, d) code matrix as symbols: a string when every
+    symbol is one character, else a list of symbols. Rows are decoded one
+    block of at most BLOCK_BYTES at a time: never the whole matrix as
+    symbols. The one decoder: the CLI renders its documents with it, and
+    ``Dataset.strings`` and ``MedianContext.w`` read their tuples off it."""
+    m, d = codes.shape
+    step = max(1, BLOCK_BYTES // (8 * d))
+    joined = all(isinstance(a, str) and len(a) == 1 for a in alphabet)
+    if joined:
+        points = np.array([ord(a) for a in alphabet], dtype=np.uint32)
+    else:
+        symbols = np.array(alphabet, dtype=object)
+    out: list = []
+    for lo in range(0, m, step):
+        block = codes[lo : lo + step]
+        if joined:  # one text of the block's rows, cut into rows
+            text = points[block].tobytes().decode("utf-32-le", "surrogatepass")
+            out.extend(text[j : j + d] for j in range(0, len(text), d))
+        else:
+            out.extend(symbols[block].tolist())
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class MedianContext:
     """A dataset's (d, |Σ|) symbol-count table and everything the median space
@@ -231,21 +258,18 @@ class MedianContext:
     @cached_property
     def w(self) -> Word:
         """The most-frequent-symbol string, an exact median."""
-        return self._decode(self.rank[:, 0])
+        return tuple(decode(self.rank[None, :, 0], self.alphabet)[0])
 
     @cached_property
     def w_hat(self) -> Word:
         """The second-choice string."""
-        return self._decode(self.rank[:, 1])
+        return tuple(decode(self.rank[None, :, 1], self.alphabet)[0])
 
     @cached_property
     def weight(self) -> tuple[int, ...]:
         """weight[i] = count(w_i) - count(w_hat_i), the cheapest nonzero
         deviation at i (0 exactly on tie indices)."""
         return tuple(self.cost[np.arange(self.d), self.rank[:, 1]].tolist())
-
-    def _decode(self, codes: np.ndarray) -> Word:
-        return tuple(self.alphabet[a] for a in codes.tolist())
 
     def costs_of(self, codes: np.ndarray) -> np.ndarray:
         """The objective of every row of an (m, d) code matrix."""
@@ -287,16 +311,14 @@ def context_from_strings(
 
 @dataclass(frozen=True)
 class Budget:
-    """Exact rational deviation budget eps paired with its integer threshold.
+    """Exact rational deviation budget eps over an instance of optimum opt.
 
     A deviation weight W (= cost - opt) satisfies the budget iff
-    threshold_den * W <= threshold_num, i.e. W <= eps * opt exactly.
+    W <= eps * opt, decided as q * W <= p * opt for eps = p/q.
     """
 
     epsilon: Fraction
     opt: int
-    threshold_num: int  # p * opt
-    threshold_den: int  # q
 
     @classmethod
     def make(cls, epsilon: Fraction | int | str, opt: int) -> "Budget":
@@ -305,21 +327,16 @@ class Budget:
             raise ValidationError("epsilon must be nonnegative")
         if opt < 0:
             raise ValidationError("opt must be nonnegative")
-        return cls(
-            epsilon=eps,
-            opt=opt,
-            threshold_num=eps.numerator * opt,
-            threshold_den=eps.denominator,
-        )
+        return cls(epsilon=eps, opt=opt)
 
     def within(self, weight: int, mult: int = 1) -> bool:
         """Exact test weight <= mult * eps * opt (mult=2 for the doubled budget)."""
-        return self.threshold_den * weight <= mult * self.threshold_num
+        return self.epsilon.denominator * weight <= mult * self.epsilon.numerator * self.opt
 
     @property
     def floor(self) -> int:
         """Largest integer weight that satisfies the budget."""
-        return self.threshold_num // self.threshold_den
+        return self.epsilon.numerator * self.opt // self.epsilon.denominator
 
 
 def hamming(s: Sequence[Symbol] | str, t: Sequence[Symbol] | str) -> int:
@@ -425,10 +442,6 @@ class CandidateSet:
 # ---------------------------------------------------------------------------
 # streaming distance kernels over an integer-coded pool
 
-# Byte budget of one block of the pool kernels: a block of inner products or
-# distances, or one chunk of the one-hot matrix in farthest_partners.
-BLOCK_BYTES = 2**22
-
 
 def farthest_partners(
     codes: np.ndarray, rows: np.ndarray, at: np.ndarray | None = None
@@ -503,8 +516,8 @@ def farthest_partners(
 
 
 class FarthestPairs:
-    """Farthest pairs of a shrinking set of pool strings, as farthest_pair
-    would pick them round after round.
+    """Farthest pairs of a shrinking set of pool strings `rows` (ascending
+    indices), round after round.
 
     Each row's maximum and partner (farthest_partners) are kept between
     rounds. Taking a pair (i, j) leaves every row whose partner is neither i
@@ -523,9 +536,10 @@ class FarthestPairs:
 
     def pair(self) -> tuple[int, int]:
         """The row-major first maximum of the distance matrix over the
-        available strings, diagonal included: the first row whose maximum is
-        the global maximum, and its partner (a maximum left of the diagonal
-        at (i, j) also sits at (j, i), which comes first)."""
+        available strings, diagonal included, what argmax over that matrix
+        picks, so a pool of copies gives (rows[0], rows[0]): the first row
+        whose maximum is the global maximum, and its partner (a maximum left
+        of the diagonal at (i, j) also sits at (j, i), which comes first)."""
         live = np.flatnonzero(self.avail)
         todo = np.flatnonzero(self.far[live] < 0)
         if len(todo):
@@ -541,14 +555,6 @@ class FarthestPairs:
         self.avail[[i, j]] = False
         self.far[[i, j]] = -1
         self.far[self.avail & ((self.partner == i) | (self.partner == j))] = -1
-
-
-def farthest_pair(codes: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
-    """Farthest pair among the pool strings `rows` (ascending indices): the
-    row-major first maximum of the distance matrix restricted to rows x rows,
-    diagonal included, what argmax over that matrix picks, so a pool of
-    copies gives (rows[0], rows[0])."""
-    return FarthestPairs(codes, rows).pair()
 
 
 def min_distance(codes: np.ndarray) -> int:

@@ -24,13 +24,13 @@ from .core import (
     CapExceeded,
     Dataset,
     EnumerationLimits,
+    FarthestPairs,
     InternalError,
     KeyWidthExceeded,
     MedianContext,
     ValidationError,
     best_by_min_distance,
     distances_to,
-    farthest_pair,
 )
 
 if TYPE_CHECKING:  # an annotation only: a run without a diameter pair never loads it
@@ -313,11 +313,11 @@ def greedy_dispersion(pool: Dataset, k: int, ctx: MedianContext) -> CandidateSet
 
     Half the pool-restricted optimum. A pool smaller than k gets filled with
     duplicates (their min distance is 0, consistent with the multiset
-    definition). The first pair is core.farthest_pair, exact inner products
-    over the pool's one-hot matrix. Memory is the pool's p*d code bytes, a
-    copy of its varying columns and O(core.BLOCK_BYTES) for that kernel,
-    plus a running vector of each string's distance to its nearest chosen
-    member. The k chosen rows are passed on as codes.
+    definition). The first pair is the first core.FarthestPairs.pair, exact
+    inner products over the pool's one-hot matrix. Memory is the pool's p*d
+    code bytes, a copy of its varying columns and O(core.BLOCK_BYTES) for
+    that kernel, plus a running vector of each string's distance to its
+    nearest chosen member. The k chosen rows are passed on as codes.
     """
     if pool.n == 0:
         raise ValidationError("candidate pool is empty")
@@ -326,7 +326,7 @@ def greedy_dispersion(pool: Dataset, k: int, ctx: MedianContext) -> CandidateSet
     if pool.n == 1 or k == 1:
         return CandidateSet.from_members(ctx, pool.codes[[0] * k])
     codes = pool.codes
-    chosen = sorted(farthest_pair(codes, np.arange(pool.n)))
+    chosen = sorted(FarthestPairs(codes, np.arange(pool.n)).pair())
     mins = np.minimum(distances_to(codes, chosen[0]), distances_to(codes, chosen[1]))
     while len(chosen) < k:
         chosen.append(int(np.argmax(mins)))  # ties: lowest pool index

@@ -29,13 +29,6 @@ from .core import (  # the limits live in core; oracle re-exports them
 )
 
 
-def exact_median_pool(
-    ctx: MedianContext, limits: EnumerationLimits = DEFAULT_LIMITS
-) -> Dataset:
-    """All exact medians as one (p, d) code matrix: approx_median_pool at B = 0."""
-    return approx_median_pool(ctx, Budget.make(0, ctx.opt), limits)
-
-
 def approx_median_pool(
     ctx: MedianContext,
     budget: Budget,
@@ -134,7 +127,7 @@ def pairwise_hamming_matrix(pool: Dataset) -> np.ndarray:
     """Full p x p distance matrix of a pool, for the brute-force oracles and
     tests only.
 
-    The greedy engines stream their distances (core.farthest_pair and
+    The greedy engines stream their distances (core.FarthestPairs and
     core.distances_to) and never call this.
     """
     out = np.zeros((pool.n, pool.n), dtype=np.int32)

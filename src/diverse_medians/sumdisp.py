@@ -205,8 +205,8 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
     Farthest-pair matching while two or more seats remain, then single
     insertions maximizing the summed distance to the chosen set. Half the
     optimum on every pool small enough to check exhaustively; no stronger
-    claim is made. The matching rounds pick the pairs farthest_pair would
-    pick over the available strings, from per-row farthest partners kept
+    claim is made. Each matching round picks the row-major first farthest
+    pair of the available strings, from per-row farthest partners kept
     across rounds (core.FarthestPairs): after a pair is taken, only the rows
     whose partner it held are computed again. Memory is the pool's p*d code
     bytes, a copy of its varying columns and O(core.BLOCK_BYTES) for the

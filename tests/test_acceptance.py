@@ -154,7 +154,7 @@ def test_criterion_05_sum_dispersion_exact_construction():
                 row[col] = sigma[r % gamma]
             rows.append("".join(row))
         ctx = dm.context_from_strings(rows, alphabet=sigma)
-        pool = dm.exact_median_pool(ctx)
+        pool = dm.approx_median_pool(ctx, dm.Budget.make(0, ctx.opt))
         assert pool.n <= 4
         for k in range(2, 5):
             cs = dm.sum_dispersion_exact_k(ctx, k)
@@ -220,7 +220,7 @@ def test_criterion_07_min_dispersion_dps_match_brute():
         rows = accept_rows(rng, n, d, sigma)
         ctx = dm.context_from_strings(rows, alphabet=sigma)
         try:
-            pool = dm.exact_median_pool(ctx, limits)
+            pool = dm.approx_median_pool(ctx, dm.Budget.make(0, ctx.opt), limits)
         except dm.CapExceeded:
             continue
         k = int(rng.integers(2, 4))

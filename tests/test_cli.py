@@ -20,7 +20,7 @@ from diverse_medians import (
     ValidationError,
     cli,
     context_from_strings,
-    exact_median_pool,
+    core,
     oracle,
     sumdisp,
 )
@@ -512,8 +512,27 @@ def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
      "cannot write {tmp}/no/x.json"),
     (["--objective", "oracle", "--input", "{tmp}/missing.txt"],
      "objective=oracle requires --oracle-op"),
+    # each flag below is refused before the missing input is read
+    (["--objective", "min-dispersion", "--input", "{tmp}/missing.txt", "--epsilon=-1/2"],
+     "epsilon must be nonnegative"),
+    (["--objective", "median", "--input", "{tmp}/missing.txt", "--epsilon=-1/2"],
+     "epsilon must be nonnegative"),
+    (["--objective", "min-dispersion", "--input", "{tmp}/missing.txt", "--delta", "2"],
+     "delta must lie in (0, 1)"),
+    (["--objective", "min-dispersion", "--input", "{tmp}/missing.txt", "--eta", "0"],
+     "eta must lie in (0, 1)"),
+    (["--objective", "min-dispersion", "--input", "{tmp}/missing.txt", "--k", "1"],
+     "k must be >= 2"),
+    (["--objective", "sum-dispersion", "--strategy", "greedy", "--input", "{tmp}/missing.txt",
+      "--delta", "0"], "delta must be positive"),
+    (["--objective", "median", "--input", "{tmp}/missing.txt", "--alphabet", "a,a"],
+     "alphabet contains duplicate symbols"),
+    (["--objective", "median", "--input", "{tmp}/missing.txt", "--alphabet", "a"],
+     "alphabet needs at least 2 symbols"),
+    (["--objective", "bound", "--input", "{tmp}/missing.txt", "--t", "-1"], "t must be >= 0"),
 ], ids=["bound-size-0", "non-utf8-input", "csv-cell-over-limit", "output-dir-missing",
-        "oracle-op-missing"])
+        "oracle-op-missing", "epsilon", "epsilon-median", "delta", "eta", "k-min",
+        "delta-sum-greedy", "alphabet-duplicate", "alphabet-single", "t"])
 def test_main_bad_input_exits_2_naming_it(argv, named, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes("ab\nb\u00e9\n".encode("latin-1"))
     (tmp_path / "wide.csv").write_text("a" * (csv.field_size_limit() + 1) + "\n")
@@ -584,10 +603,11 @@ def test_main_refuses_k_above_max_candidates_before_any_engine(ties_path, capsys
     # allocating k rows, with a traceback and exit 1
     for argv in (["--objective", "sum-dispersion", "--strategy", "exact-construction"],
                  ["--objective", "min-dispersion", "--strategy", "sample"]):
-        code, _, err = run_main(argv + ["--input", ties_path, "--k", str(10**13)], capsys)
-        assert code == 3, err
-        assert "max_candidates=100000" in err
-        assert err.splitlines()[-1] == "hint: raise --max-candidates"
+        for path in (ties_path, ties_path + ".missing"):  # refused before the input is read
+            code, _, err = run_main(argv + ["--input", path, "--k", str(10**13)], capsys)
+            assert code == 3, err
+            assert "max_candidates=100000" in err
+            assert err.splitlines()[-1] == "hint: raise --max-candidates"
         capped = argv + ["--input", ties_path, "--max-candidates", "3"]
         assert run_main(capped + ["--k", "3"], capsys)[0] == 0
         assert run_main(capped + ["--k", "4"], capsys)[0] == 3
@@ -668,15 +688,21 @@ def test_main_refuses_emitted_text_of_the_wrong_length(tmp_path, capsys, monkeyp
 
 
 def test_main_min_dispersion_auto_checks_delta_and_eta_before_the_dp(tmp_path, capsys):
-    # k * delta <= 1 fires the DP rule, which needs neither; the checks still run
+    # k * delta <= 1 fires the DP rule, which needs neither; the checks still
+    # run, whatever the strategy, and before the input is read
     rows = tmp_path / "rows.txt"
     rows.write_text("ab\nba\n")
     base = ["--objective", "min-dispersion", "--input", str(rows), "--k", "2"]
     assert json.loads(run_main(base, capsys)[1])["strategy_tag"] == "dp"
-    for extra, message in ((["--delta", "0"], "delta"), (["--delta", "-1"], "delta"),
-                           (["--eta", "0"], "eta"), (["--eta", "5"], "eta")):
-        code, _, err = run_main(base + extra, capsys)
-        assert code == 2 and f"{message} must lie in (0, 1)" in err, (extra, err)
+    missing = ["--objective", "min-dispersion", "--input", str(tmp_path / "missing.txt"),
+               "--k", "2"]
+    for head in (base, missing):
+        for strategy in ("auto", "dp", "greedy", "sample", "lp"):
+            for extra, message in ((["--delta", "0"], "delta"), (["--delta", "-1"], "delta"),
+                                   (["--eta", "0"], "eta"), (["--eta", "5"], "eta")):
+                argv = head + ["--strategy", strategy] + extra
+                code, _, err = run_main(argv, capsys)
+                assert code == 2 and f"{message} must lie in (0, 1)" in err, (argv, err)
 
 
 def test_console_script_help_exits_zero():
@@ -732,6 +758,31 @@ def test_main_exits_6_without_traceback_when_the_reader_closes_early(ties_path):
     assert proc.returncode == 6, proc.stderr
     assert proc.stderr == (
         "diverse-medians: standard output closed before the document was written\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--objective", "median", "--output", "{tmp}/doc.json"], 0),
+    (["--objective", "min-dispersion", "--delta", "2"], 2),
+], ids=["success", "validation-error"])
+def test_main_keeps_its_exit_code_when_stderr_is_closed(argv, code, ties_path, tmp_path):
+    # the reader of standard error is gone before the run prints its first
+    # line; stderr keeps Python's default buffering, whose flush at exit
+    # would fail again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diverse_medians.cli", "--input", ties_path,
+             *(a.format(tmp=tmp_path) for a in argv)],
+            stdout=subprocess.PIPE, stderr=write_end, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code and proc.stdout == ""
+    if code == 0:
+        assert json.loads((tmp_path / "doc.json").read_text())["objective_value"] == 8
 
 
 def test_scipy_loads_only_when_the_lp_runs(ties_path):
@@ -803,7 +854,8 @@ def test_oracle_pool_renders_block_by_block(tmp_path):
         tracemalloc.stop()
     assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
     assert elapsed < 3.0, f"{elapsed:.2f} s"
-    pool = exact_median_pool(context_from_strings(tie_columns_rows()))
+    ctx = context_from_strings(tie_columns_rows())
+    pool = oracle.approx_median_pool(ctx, Budget.make(0, ctx.opt))
     assert doc["objective_value"] == pool.n == 2**16
     symbols = np.array(pool.alphabet)  # decoded by a fixed-width string view per block
     for lo in range(0, pool.n, 4096):
@@ -821,9 +873,11 @@ def test_render_pool_matches_render_word_across_blocks(alphabet, monkeypatch):
     pool = Dataset(codes=rng.integers(0, 3, size=(50, 7)).astype(np.uint8),
                    alphabet=alphabet)
     joined = all(len(a) == 1 for a in alphabet)
-    monkeypatch.setattr(cli, "BLOCK_BYTES", 8 * 7 * 3)  # blocks of 3 rows
+    # an independent decode: Dataset.strings runs through the decoder under test
+    rows = np.array(alphabet, dtype=object)[pool.codes].tolist()
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 7 * 3)  # blocks of 3 rows
     assert cli._render_word(pool.codes, alphabet) == [
-        "".join(s) if joined else list(s) for s in pool.strings]
+        "".join(s) if joined else s for s in rows]
 
 
 def test_every_traced_name_resolves_in_the_package():

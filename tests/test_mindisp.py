@@ -20,7 +20,6 @@ from diverse_medians import (
     brute_mindp_k,
     approx_median_pool,
     context_from_strings,
-    exact_median_pool,
     greedy_dispersion,
     hamming,
     is_approx_median,
@@ -47,7 +46,7 @@ def test_dp_exact_matches_brute(rng):
         ctx = context_from_strings(rows, alphabet="ab")
         for k in (2, 3):
             val, cands = min_disp_dp_exact(ctx, k)
-            pool = exact_median_pool(ctx, DEFAULT_LIMITS)
+            pool = approx_median_pool(ctx, Budget.make(0, ctx.opt), DEFAULT_LIMITS)
             assert val == brute_mindp_k(pool, k, DEFAULT_LIMITS)
             assert cands.min_dispersion() == val
             assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
@@ -319,7 +318,7 @@ def test_greedy_k2_returns_farthest_pair(rng):
     for _ in range(20):
         rows = random_rows(rng, sigma="ab")
         ctx = context_from_strings(rows, alphabet="ab")
-        pool = exact_median_pool(ctx, DEFAULT_LIMITS)
+        pool = approx_median_pool(ctx, Budget.make(0, ctx.opt), DEFAULT_LIMITS)
         cs = greedy_dispersion(pool, 2, ctx)
         words = pool.strings
         best = max(
@@ -332,7 +331,7 @@ def test_greedy_half_guarantee(rng):
     for _ in range(25):
         rows = random_rows(rng, sigma="ab", d=int(rng.integers(2, 6)))
         ctx = context_from_strings(rows, alphabet="ab")
-        pool = exact_median_pool(ctx, DEFAULT_LIMITS)
+        pool = approx_median_pool(ctx, Budget.make(0, ctx.opt), DEFAULT_LIMITS)
         k = 3
         cs = greedy_dispersion(pool, k, ctx)
         tstar = brute_mindp_k(pool, k, DEFAULT_LIMITS)

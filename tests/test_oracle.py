@@ -21,7 +21,6 @@ from diverse_medians import (
     context_from_strings,
     enumerate_approx_medians,
     enumerate_exact_medians,
-    exact_median_pool,
     hamming,
     median_cost,
 )
@@ -160,7 +159,8 @@ def test_pools_match_the_tuple_references(ctx, eps, max_candidates):
     limits = EnumerationLimits(max_candidates=max_candidates)
     b = Budget.make(eps, ctx.opt)
     for pool, reference, args in (
-        (exact_median_pool, product_exact_medians, (ctx, limits)),
+        (lambda ctx, limits: approx_median_pool(ctx, Budget.make(0, ctx.opt), limits),
+         product_exact_medians, (ctx, limits)),
         (approx_median_pool, stack_approx_medians, (ctx, b, limits)),
     ):
         want = decoded_or_cap(reference, *args)
@@ -186,7 +186,7 @@ def pool_cases():
     two = Budget.make(Fraction(2, few.opt), few.opt)
     assert two.floor == 2
     return [
-        ("exact, 16 tie columns", lambda: exact_median_pool(ties), 2**16 * 1000, 1.0),
+        ("exact, 16 tie columns", lambda: approx_median_pool(ties, zero), 2**16 * 1000, 1.0),
         ("approx at eps=0, 16 tie columns", lambda: approx_median_pool(ties, zero),
          2**16 * 1000, 2.0),
         ("approx at B=2, d=120", lambda: approx_median_pool(few, two), 7261 * d, None),
@@ -290,7 +290,7 @@ def test_brute_trio_examples():
     assert brute_mindp_k(pool, 2) == 2
 
     ctx = context_from_strings(["aa", "ab", "ba", "bb"], alphabet="ab")
-    four = exact_median_pool(ctx, DEFAULT_LIMITS)
+    four = approx_median_pool(ctx, Budget.make(0, ctx.opt), DEFAULT_LIMITS)
     assert brute_diameter(four) == 2
 
     single = Dataset.from_strings(["ab"])
@@ -323,6 +323,21 @@ def test_brute_generic_k_matches_pairwise_reasoning(rng):
             for sub in combinations(range(pool.n), k)
         )
         assert got == want
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_brute_mindp_general_k_matches_an_inline_search(k, rng):
+    # the k-subset branch for k >= 4, against max-min over hamming directly;
+    # a pool of k - 1 strings has no k-subset, value 0
+    from itertools import combinations
+
+    for p in (k - 1, k, k + 1, k + 3):
+        for _ in range(4):
+            words = random_rows(rng, n=p, d=5, sigma="abc")
+            pool = Dataset.from_strings(words, alphabet="abc")
+            want = max((min(hamming(a, b) for a, b in combinations(sub, 2))
+                        for sub in combinations(words, k)), default=0)
+            assert brute_mindp_k(pool, k) == want
 
 
 def test_brute_tuple_caps():

@@ -1,7 +1,7 @@
 """Streaming pool engines against their matrix-based references.
 
 `greedy_dispersion` and `sum_dispersion_small_dstar` stream their distances
-(core.farthest_pair / core.distances_to) over a pool's code matrix. The
+(core.FarthestPairs / core.distances_to) over a pool's code matrix. The
 references below are the engines as they were when they built the full
 p x p matrix with `pairwise_hamming_matrix` over a list of strings; the
 streaming engines must pick the same members in the same order, ties
@@ -28,7 +28,7 @@ from diverse_medians import (
     greedy_dispersion,
     sum_dispersion_small_dstar,
 )
-from diverse_medians.core import FarthestPairs, distances_to, farthest_pair, farthest_partners
+from diverse_medians.core import FarthestPairs, distances_to, farthest_partners
 from diverse_medians.oracle import pairwise_hamming_matrix
 
 from conftest import pool_contexts
@@ -75,7 +75,7 @@ def random_pool(rng, sigma, d, p, distinct):
 
 def sparse_pool(rng, d, p):
     """Strings off "a"*d in at most two columns. Distances stay below the
-    number of varying columns, so farthest_pair has to scan every block."""
+    number of varying columns, so FarthestPairs has to scan every block."""
     pool = []
     for _ in range(p):
         word = ["a"] * d
@@ -163,10 +163,10 @@ def test_farthest_pair_blocks_keep_the_first_maximum(monkeypatch):
         sub = dmat[np.ix_(rows, rows)]
         r, c = divmod(int(np.argmax(sub)), len(rows))
         want = (int(rows[r]), int(rows[c]))
-        assert farthest_pair(codes, rows) == want
+        assert FarthestPairs(codes, rows).pair() == want
         # one-row blocks: the first maximum has to survive block boundaries
         monkeypatch.setattr(core, "BLOCK_BYTES", 1)
-        assert farthest_pair(codes, rows) == want
+        assert FarthestPairs(codes, rows).pair() == want
         monkeypatch.undo()
         for i in rows[:3]:
             assert distances_to(codes, i).tolist() == dmat[i].tolist()
@@ -203,7 +203,7 @@ def test_pool_engines_stay_memory_bounded(engine):
 
 
 def column_sum_farthest_pair(codes, rows, block_bytes):
-    """farthest_pair as a per-column mismatch sum over row blocks: the
+    """FarthestPairs.pair as a per-column mismatch sum over row blocks: the
     row-major first maximum over rows x rows, diagonal included."""
     varying = np.flatnonzero(codes.min(axis=0) != codes.max(axis=0))
     cols = codes[np.ix_(rows, varying)].T
@@ -287,7 +287,7 @@ def test_inner_product_kernel_matches_the_column_sums(case, block_bytes):
     codes, sigma, rows = case
     want = column_sum_farthest_pair(codes, rows, 2**22)
     with mock.patch.object(core, "BLOCK_BYTES", block_bytes):
-        assert farthest_pair(codes, rows) == want
+        assert FarthestPairs(codes, rows).pair() == want
         # each computed row: its maximum and first argmax over the upper triangle
         far, partner = farthest_partners(codes, rows)
         sub = codes[rows]
