@@ -45,6 +45,13 @@ err=$(diverse-medians --objective min-dispersion --input "$tmp/missing.txt" --de
 [ "$rc" = 2 ]
 case $err in *delta*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
 
+echo '== the oracle checks k before reading the input too: exit code 2, naming k =='
+rc=0
+err=$(diverse-medians --objective oracle --oracle-op mindp --k 1 \
+    --input "$tmp/missing.txt" 2>&1) || rc=$?
+[ "$rc" = 2 ]
+case $err in *k\ must*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
+
 echo '== a closed standard error does not change the exit code: 0 =='
 rc=0
 python3 - diverse-medians --objective median --input "$tmp/rows.txt" \

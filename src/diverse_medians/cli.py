@@ -450,6 +450,8 @@ def run(config: RunConfig) -> dict:
             raise ValidationError(f"unknown oracle op {op!r}")
         if op == "max-code-size" and (config.sizes is None or config.t is None):
             raise ValidationError("oracle max-code-size requires --sizes and --t")
+        if op == "mindp" and config.k < 2:
+            raise ValidationError("k must be >= 2 for min dispersion")
     # bound with explicit sizes, and the max-code-size oracle, need no dataset
     sized_bound = objective == "bound" and config.sizes is not None
     code_size_oracle = objective == "oracle" and op == "max-code-size"

@@ -14,10 +14,11 @@ Strings stay symbol codes from ingest to the k picks: an enumerated pool of
 candidate strings is a ``Dataset`` (its (p, d) code matrix over the
 context's alphabet), and so are the members of a candidate set, decoded only
 when read as symbols, all through one decoder (``decode``). The pool kernels
-at the end (``farthest_partners``, ``FarthestPairs``, ``distances_to``) give
-the greedy engines Hamming distances over that matrix without ever holding a
-pool-by-pool matrix; the farthest partners come from float inner products of
-0/1 vectors, integers that every BLAS sums exactly.
+at the end (``FarthestPairs``, ``distances_to``) give the greedy engines
+Hamming distances over that matrix without ever holding a pool-by-pool
+matrix. ``FarthestPairs`` lays out the pool's one-hot matrix once and reads
+farthest partners off float inner products of its 0/1 rows, integers that
+every BLAS sums exactly.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class EnumerationLimits:
 DEFAULT_LIMITS = EnumerationLimits()
 
 # Byte budget of one block of rows in decode and the pool kernels, or of one
-# chunk of the one-hot matrix in farthest_partners.
+# chunk of the one-hot matrix in FarthestPairs.
 BLOCK_BYTES = 2**22
 
 
@@ -443,109 +444,92 @@ class CandidateSet:
 # streaming distance kernels over an integer-coded pool
 
 
-def farthest_partners(
-    codes: np.ndarray, rows: np.ndarray, at: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Farthest partners over the upper triangle, for a prefix of `at`.
+class FarthestPairs:
+    """Farthest pairs of a shrinking set of available pool strings (all of
+    them at first), round after round.
 
-    `rows` are ascending pool indices and `at` ascending positions in `rows`
-    (all of them by default). For position q, row q's maximum is the largest
-    distance from rows[q] to a string rows[s] with s >= q, and its partner
-    the first rows[s] at that distance; s = q counts, so a row whose later
-    strings are all copies of it is its own partner at distance 0. Returns
-    the maxima and partners of a prefix at[:c]: the positions are taken in
-    blocks, and the scan stops after the first block in which a row reaches
-    v, the number of columns on which `rows` differ (no distance exceeds it).
+    Row q's maximum is the largest distance from string q to an available
+    string s >= q, and its partner the first s at that distance; s = q
+    counts, so a row whose later strings are all copies of it is its own
+    partner at distance 0. Each row's maximum and partner are kept between
+    rounds. Taking a pair (i, j) leaves every row whose partner is neither i
+    nor j with the same maximum and the same first argmax, so only the rows
+    whose partner was i or j are computed again. Rows are computed lazily,
+    in pool order, one block at a time, up to the first block in which a row
+    reaches v, the number of columns on which the pool differs: no distance
+    exceeds it, so a row after that block cannot be the first to hold the
+    maximum.
 
     Distances are exact inner products. X is the one-hot matrix over the
     (column, symbol present) pairs of those v columns, so each string has v
     ones and the distance between strings a and b is v - X_a . X_b. Every
     term is 0 or 1, so every partial sum is an integer at most v: exact in
     float32 below 2^24 (float64 beyond) whatever the BLAS summation order.
-    The products run as blocked X[block] @ X[from the block's first row on].T.
+    The products run as blocked X[block] @ X[from the block's first row on].T,
+    with the taken strings masked.
 
-    Memory besides the codes: the rows' copy of the columns that vary over
-    the pool (m*v' bytes), and O(BLOCK_BYTES) for the rest. X is built one
-    chunk of at most BLOCK_BYTES at a time (at least one column; a pool
-    whose X fits one chunk builds it once), and a block of inner products
-    holds at most BLOCK_BYTES (at least one row).
-    """
-    at = np.arange(len(rows)) if at is None else at
-    cols = codes[np.ix_(rows, np.flatnonzero(codes.min(axis=0) != codes.max(axis=0)))]
-    present = [np.flatnonzero(np.bincount(col)) for col in cols.T]
-    # X's column f is cols[:, col_of[f]] == sym_of[f], one per symbol present
-    # in a column where the rows differ
-    col_of = np.array([c for c, a in enumerate(present) if len(a) > 1 for _ in a], dtype=np.intp)
-    sym_of = np.array([b for a in present if len(a) > 1 for b in a.tolist()], dtype=np.intp)
-    v, m = sum(len(a) > 1 for a in present), len(rows)
-    dtype = np.dtype(np.float32 if v < 2**24 else np.float64)
-    width = max(1, BLOCK_BYTES // (m * dtype.itemsize))
-    # no such column leaves one empty chunk, whose products are all 0
-    chunks = range(0, max(len(col_of), 1), width)
-
-    @lru_cache(maxsize=1)  # the chunk built last: all of X when it fits one
-    def onehot(f: int) -> np.ndarray:
-        return (cols[:, col_of[f : f + width]] == sym_of[f : f + width]).astype(dtype)
-
-    far = np.empty(len(at), dtype=np.int64)
-    partner = np.empty(len(at), dtype=np.int64)
-    # rows per block: the same byte budget, and 16 blocks or more where the
-    # rows allow it, since a block's own square is computed whole and then
-    # masked below its diagonal
-    step = min(width, max(32, m // 16))
-    buf = np.empty(min(step, len(at)) * m, dtype=dtype)  # every block's inner products
-    for lo in range(0, len(at), step):
-        q = at[lo : lo + step]
-        start = int(q[0])
-        inner = buf[: len(q) * (m - start)].reshape(len(q), m - start)
-        for f in chunks:
-            x = onehot(f)
-            if f:
-                inner += x[q] @ x[start:].T
-            else:
-                np.matmul(x[q], x[start:].T, out=inner)
-        # s < q lies left of the diagonal; only the first q[-1] - start columns hold any
-        w = int(q[-1]) - start
-        inner[:, :w][np.arange(w) < (q - start)[:, None]] = np.inf
-        s = inner.argmin(axis=1)  # most agreement: the first farthest partner
-        far[lo : lo + step] = v - inner[np.arange(len(q)), s].astype(np.int64)
-        partner[lo : lo + step] = rows[start + s]
-        if far[lo : lo + step].max() == v:
-            return far[: lo + len(q)], partner[: lo + len(q)]
-    return far, partner
-
-
-class FarthestPairs:
-    """Farthest pairs of a shrinking set of pool strings `rows` (ascending
-    indices), round after round.
-
-    Each row's maximum and partner (farthest_partners) are kept between
-    rounds. Taking a pair (i, j) leaves every row whose partner is neither i
-    nor j with the same maximum and the same first argmax, so only the rows
-    whose partner was i or j are computed again. Rows are computed lazily, in
-    pool order, up to the first one that reaches the bound: a row after it
-    cannot be the first to hold the maximum.
+    The layout is worked out once per pool. Memory besides the codes: the
+    copy of the columns that vary over the pool (p*v bytes), and
+    O(BLOCK_BYTES) for the rest. X is built one chunk of at most BLOCK_BYTES
+    at a time (at least one column); a pool whose X fits one chunk builds it
+    once, on the first pair(). A block of inner products holds at most
+    BLOCK_BYTES (at least one row).
     """
 
-    def __init__(self, codes: np.ndarray, rows: np.ndarray):
-        self.codes = codes
-        self.avail = np.zeros(len(codes), dtype=bool)
-        self.avail[rows] = True
-        self.far = np.full(len(codes), -1, dtype=np.int64)  # -1: taken or not computed
-        self.partner = np.zeros(len(codes), dtype=np.int64)
+    def __init__(self, codes: np.ndarray):
+        p = len(codes)
+        cols = codes[:, np.flatnonzero(codes.min(axis=0) != codes.max(axis=0))]
+        present = [np.flatnonzero(np.bincount(col)) for col in cols.T]
+        # X's column f is cols[:, col_of[f]] == sym_of[f], one per symbol present
+        col_of = np.array([c for c, a in enumerate(present) for _ in a], dtype=np.intp)
+        sym_of = np.array([b for a in present for b in a.tolist()], dtype=np.intp)
+        self.v = len(present)
+        self.dtype = dtype = np.dtype(np.float32 if self.v < 2**24 else np.float64)
+        width = max(1, BLOCK_BYTES // (p * dtype.itemsize))
+        # no varying column leaves one empty chunk, whose products are all 0
+        self.chunks = range(0, max(len(col_of), 1), width)
+        # rows per block: the same byte budget, and 16 blocks or more where
+        # the rows allow it, since a block's own square is computed whole and
+        # then masked below its diagonal
+        self.step = min(width, max(32, p // 16))
+
+        @lru_cache(maxsize=1)  # the chunk built last: all of X when it fits one
+        def onehot(f: int) -> np.ndarray:
+            return (cols[:, col_of[f : f + width]] == sym_of[f : f + width]).astype(dtype)
+
+        self.onehot = onehot
+        self.avail = np.ones(p, dtype=bool)
+        self.far = np.full(p, -1, dtype=np.int64)  # -1: taken or not computed
+        self.partner = np.zeros(p, dtype=np.int64)
 
     def pair(self) -> tuple[int, int]:
         """The row-major first maximum of the distance matrix over the
         available strings, diagonal included, what argmax over that matrix
-        picks, so a pool of copies gives (rows[0], rows[0]): the first row
-        whose maximum is the global maximum, and its partner (a maximum left
-        of the diagonal at (i, j) also sits at (j, i), which comes first)."""
-        live = np.flatnonzero(self.avail)
-        todo = np.flatnonzero(self.far[live] < 0)
-        if len(todo):
-            far, partner = farthest_partners(self.codes, live, todo)
-            got = live[todo[: len(far)]]
-            self.far[got], self.partner[got] = far, partner
+        picks, so a pool of copies gives (0, 0): the first row whose maximum
+        is the global maximum, and its partner (a maximum left of the
+        diagonal at (i, j) also sits at (j, i), which comes first)."""
+        todo = np.flatnonzero(self.avail & (self.far < 0))
+        p = len(self.avail)
+        buf = np.empty(min(self.step, len(todo)) * p, dtype=self.dtype)  # every block's products
+        for lo in range(0, len(todo), self.step):
+            q = todo[lo : lo + self.step]
+            start = int(q[0])
+            inner = buf[: len(q) * (p - start)].reshape(len(q), p - start)
+            for f in self.chunks:
+                x = self.onehot(f)
+                if f:
+                    inner += x[q] @ x[start:].T
+                else:
+                    np.matmul(x[q], x[start:].T, out=inner)
+            # s < q lies left of the diagonal; only the first q[-1] - start columns hold any
+            w = int(q[-1]) - start
+            inner[:, :w][np.arange(w) < (q - start)[:, None]] = np.inf
+            inner[:, ~self.avail[start:]] = np.inf
+            s = inner.argmin(axis=1)  # most agreement: the first farthest partner
+            self.far[q] = self.v - inner[np.arange(len(q)), s].astype(np.int64)
+            self.partner[q] = start + s
+            if self.far[q].max() == self.v:
+                break
         i = int(self.far.argmax())
         return i, int(self.partner[i])
 

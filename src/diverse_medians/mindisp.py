@@ -38,14 +38,16 @@ if TYPE_CHECKING:  # an annotation only: a run without a diameter pair never loa
 
 
 def _check_dp_state(
-    distances: tuple[int, ...], costs: tuple[int, ...], column: int, cost_cap: int
+    ctx: MedianContext, distances: tuple[int, ...], costs: tuple[int, ...], codes: np.ndarray
 ) -> None:
-    """A DP state after the first `column` indices: all pairwise distances so
-    far, plus each candidate's deviation cost."""
-    if any(not 0 <= x <= column for x in distances):
-        raise InternalError("DP state: distance outside [0, column]")
-    if any(not 0 <= c <= cost_cap for c in costs):
-        raise InternalError("DP state: cost outside budget window")
+    """The DP's final state read off its key against the members it walked
+    back to: their pairwise distances in combinations(range(k), 2) order, and
+    each member's cost above opt."""
+    pairs = combinations(range(len(codes)), 2)
+    if tuple(distances) != tuple(int((codes[r] != codes[s]).sum()) for r, s in pairs):
+        raise InternalError("DP state: distances differ from the members'")
+    if tuple(costs) != tuple((ctx.costs_of(codes) - ctx.opt).tolist()):
+        raise InternalError("DP state: costs differ from the members'")
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def min_disp_dp_approx(
         raise ValidationError("k must be >= 2")
     cap = budget.floor
     dist, cost, codes = _dp_kernel(ctx, cap, k, limits.max_states)
-    _check_dp_state(dist, cost, ctx.d, cap)
+    _check_dp_state(ctx, dist, cost, codes)
     return min(dist), CandidateSet.from_members(ctx, codes)
 
 
@@ -313,11 +315,12 @@ def greedy_dispersion(pool: Dataset, k: int, ctx: MedianContext) -> CandidateSet
 
     Half the pool-restricted optimum. A pool smaller than k gets filled with
     duplicates (their min distance is 0, consistent with the multiset
-    definition). The first pair is the first core.FarthestPairs.pair, exact
-    inner products over the pool's one-hot matrix. Memory is the pool's p*d
-    code bytes, a copy of its varying columns and O(core.BLOCK_BYTES) for
-    that kernel, plus a running vector of each string's distance to its
-    nearest chosen member. The k chosen rows are passed on as codes.
+    definition). The first pair is core.FarthestPairs(pool.codes).pair(),
+    exact inner products over the pool's one-hot matrix. Memory is the
+    pool's p*d code bytes, a copy of its varying columns and
+    O(core.BLOCK_BYTES) for that kernel, plus a running vector of each
+    string's distance to its nearest chosen member. The k chosen rows are
+    passed on as codes.
     """
     if pool.n == 0:
         raise ValidationError("candidate pool is empty")
@@ -326,7 +329,7 @@ def greedy_dispersion(pool: Dataset, k: int, ctx: MedianContext) -> CandidateSet
     if pool.n == 1 or k == 1:
         return CandidateSet.from_members(ctx, pool.codes[[0] * k])
     codes = pool.codes
-    chosen = sorted(FarthestPairs(codes, np.arange(pool.n)).pair())
+    chosen = sorted(FarthestPairs(codes).pair())
     mins = np.minimum(distances_to(codes, chosen[0]), distances_to(codes, chosen[1]))
     while len(chosen) < k:
         chosen.append(int(np.argmax(mins)))  # ties: lowest pool index

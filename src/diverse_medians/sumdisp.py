@@ -207,11 +207,13 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
     optimum on every pool small enough to check exhaustively; no stronger
     claim is made. Each matching round picks the row-major first farthest
     pair of the available strings, from per-row farthest partners kept
-    across rounds (core.FarthestPairs): after a pair is taken, only the rows
-    whose partner it held are computed again. Memory is the pool's p*d code
-    bytes, a copy of its varying columns and O(core.BLOCK_BYTES) for the
-    inner-product kernel, plus vectors of p entries, one of them the summed
-    distances for the insertions. The k chosen rows are passed on as codes.
+    across rounds by one core.FarthestPairs over the pool: its column layout,
+    and its one-hot matrix when that fits one chunk, are built once for
+    every round, and after a pair is taken only the rows whose partner it
+    held are computed again. Memory is the pool's p*d code bytes, a copy of
+    its varying columns and O(core.BLOCK_BYTES) for the inner-product
+    kernel, plus vectors of p entries, one of them the summed distances for
+    the insertions. The k chosen rows are passed on as codes.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -221,7 +223,7 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
         return CandidateSet.from_members(ctx, pool.codes[[0] * k])
 
     codes = pool.codes
-    pairs = FarthestPairs(codes, np.arange(pool.n))
+    pairs = FarthestPairs(codes)
     chosen: list[int] = []
     while k - len(chosen) >= 2 and pairs.avail.sum() >= 2:
         i, j = pairs.pair()

@@ -523,6 +523,8 @@ def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
      "eta must lie in (0, 1)"),
     (["--objective", "min-dispersion", "--input", "{tmp}/missing.txt", "--k", "1"],
      "k must be >= 2"),
+    (["--objective", "oracle", "--oracle-op", "mindp", "--input", "{tmp}/missing.txt",
+      "--k", "1"], "k must be >= 2 for min dispersion"),
     (["--objective", "sum-dispersion", "--strategy", "greedy", "--input", "{tmp}/missing.txt",
       "--delta", "0"], "delta must be positive"),
     (["--objective", "median", "--input", "{tmp}/missing.txt", "--alphabet", "a,a"],
@@ -532,7 +534,7 @@ def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
     (["--objective", "bound", "--input", "{tmp}/missing.txt", "--t", "-1"], "t must be >= 0"),
 ], ids=["bound-size-0", "non-utf8-input", "csv-cell-over-limit", "output-dir-missing",
         "oracle-op-missing", "epsilon", "epsilon-median", "delta", "eta", "k-min",
-        "delta-sum-greedy", "alphabet-duplicate", "alphabet-single", "t"])
+        "oracle-mindp-k-min", "delta-sum-greedy", "alphabet-duplicate", "alphabet-single", "t"])
 def test_main_bad_input_exits_2_naming_it(argv, named, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes("ab\nb\u00e9\n".encode("latin-1"))
     (tmp_path / "wide.csv").write_text("a" * (csv.field_size_limit() + 1) + "\n")

@@ -31,8 +31,8 @@ from diverse_medians import (
     sample_exact_medians,
     tstar_upper_bound,
 )
-from diverse_medians import cli, diameter
-from diverse_medians.mindisp import _check_dp_state, _diameter_at_least
+from diverse_medians import cli, diameter, mindisp
+from diverse_medians.mindisp import _diameter_at_least
 
 from conftest import random_rows, reference_context
 
@@ -65,12 +65,24 @@ def test_dp_approx_matches_brute(rng):
             assert all(is_approx_median(ctx, b, s) for s in cands.members)
 
 
-def test_dp_state_invariant_violation_is_an_internal_error():
-    with pytest.raises(InternalError):
-        _check_dp_state((0, 3), (0, 0), column=2, cost_cap=0)
-    with pytest.raises(InternalError):
-        _check_dp_state((1,), (0, 5), column=2, cost_cap=4)
-    _check_dp_state((0, 2), (0, 4), column=2, cost_cap=4)
+def test_dp_state_invariant_violation_is_an_internal_error(monkeypatch):
+    # a final state whose digits disagree with the members walked back to, by
+    # one in a single distance or cost digit, is caught
+    ctx = context_from_strings(["aab", "abb", "bab", "bba", "aaa"], alphabet="ab")
+    budget = Budget.make(1, ctx.opt)
+    min_disp_dp_approx(ctx, budget, 3)  # the kernel's own state passes
+    kernel = mindisp._dp_kernel
+    for part in (0, 1):
+        for at in range(3):
+            def off_by_one(*args, part=part, at=at):
+                dist, cost, codes = kernel(*args)
+                digits = [list(dist), list(cost)]
+                digits[part][at] += 1
+                return tuple(digits[0]), tuple(digits[1]), codes
+
+            monkeypatch.setattr(mindisp, "_dp_kernel", off_by_one)
+            with pytest.raises(InternalError):
+                min_disp_dp_approx(ctx, budget, 3)
 
 
 # The dict DPs the array kernel replaced, kept as references: each layer is a
@@ -200,8 +212,6 @@ def test_dp_approx_matches_dict_reference(case):
 def test_dp_blocks_keep_first_occurrence_order(monkeypatch):
     # one-state blocks: the dedup across blocks must still keep the first
     # (state, pattern) reaching each key
-    import diverse_medians.mindisp as mindisp
-
     monkeypatch.setattr(mindisp, "BLOCK_BYTES", 1)
     ctx = context_from_strings(["abcab", "bcaba", "cabbc", "abcca"], alphabet="abc")
     b = Budget.make(Fraction(1, 2), ctx.opt)

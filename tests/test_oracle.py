@@ -186,14 +186,13 @@ def pool_cases():
     two = Budget.make(Fraction(2, few.opt), few.opt)
     assert two.floor == 2
     return [
+        # the exact medians are the pool at eps = 0
         ("exact, 16 tie columns", lambda: approx_median_pool(ties, zero), 2**16 * 1000, 1.0),
-        ("approx at eps=0, 16 tie columns", lambda: approx_median_pool(ties, zero),
-         2**16 * 1000, 2.0),
         ("approx at B=2, d=120", lambda: approx_median_pool(few, two), 7261 * d, None),
     ]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["exact", "approx-eps0", "approx-B2"])
+@pytest.mark.parametrize("case", range(2), ids=["exact", "approx-B2"])
 def test_pools_stay_within_two_bytes_per_cell(case):
     # a pool is its code matrix, one byte per cell here, plus O(p) integers:
     # no list of tuples of str (8.05 bytes per cell for the exact pool)

@@ -28,7 +28,7 @@ from diverse_medians import (
     greedy_dispersion,
     sum_dispersion_small_dstar,
 )
-from diverse_medians.core import FarthestPairs, distances_to, farthest_partners
+from diverse_medians.core import BLOCK_BYTES, FarthestPairs, distances_to
 from diverse_medians.oracle import pairwise_hamming_matrix
 
 from conftest import pool_contexts
@@ -161,12 +161,11 @@ def test_farthest_pair_blocks_keep_the_first_maximum(monkeypatch):
         dmat = pairwise_hamming_matrix(Dataset.from_strings(pool))
         rows = np.arange(30) if trial % 2 else np.flatnonzero(rng.integers(0, 2, size=30))
         sub = dmat[np.ix_(rows, rows)]
-        r, c = divmod(int(np.argmax(sub)), len(rows))
-        want = (int(rows[r]), int(rows[c]))
-        assert FarthestPairs(codes, rows).pair() == want
+        want = divmod(int(np.argmax(sub)), len(rows))
+        assert FarthestPairs(codes[rows]).pair() == want
         # one-row blocks: the first maximum has to survive block boundaries
         monkeypatch.setattr(core, "BLOCK_BYTES", 1)
-        assert FarthestPairs(codes, rows).pair() == want
+        assert FarthestPairs(codes[rows]).pair() == want
         monkeypatch.undo()
         for i in rows[:3]:
             assert distances_to(codes, i).tolist() == dmat[i].tolist()
@@ -195,7 +194,10 @@ def test_pool_engines_stay_memory_bounded(engine):
     finally:
         tracemalloc.stop()
     assert cands.k == k
-    assert peak < 32 * 2**20, f"{engine} peaked at {peak / 2**20:.1f} MB"
+    # X (1.5 MiB here) fits one chunk: X plus one block of products, both
+    # within BLOCK_BYTES, and a copy of the codes at most
+    bound = 2 * BLOCK_BYTES + pool.n * pool.d
+    assert peak < bound, f"{engine} peaked at {peak / 2**20:.2f} MiB"
     assert elapsed < 10.0, f"{engine} took {elapsed:.2f}s"
 
 
@@ -287,16 +289,19 @@ def test_inner_product_kernel_matches_the_column_sums(case, block_bytes):
     codes, sigma, rows = case
     want = column_sum_farthest_pair(codes, rows, 2**22)
     with mock.patch.object(core, "BLOCK_BYTES", block_bytes):
-        assert FarthestPairs(codes, rows).pair() == want
-        # each computed row: its maximum and first argmax over the upper triangle
-        far, partner = farthest_partners(codes, rows)
         sub = codes[rows]
+        pairs = FarthestPairs(sub)
+        i, j = pairs.pair()
+        assert (int(rows[i]), int(rows[j])) == want
+        # each computed row: its maximum and first argmax over the upper triangle
         dist = (sub[:, None, :] != sub[None, :, :]).sum(axis=2)
-        for q in range(len(far)):
-            assert far[q] == dist[q, q:].max()
-            assert partner[q] == rows[q + int(dist[q, q:].argmax())]
-        if len(far) < len(rows):  # the scan stopped at the largest possible distance
-            assert far.max() == (sub.min(axis=0) != sub.max(axis=0)).sum()
+        done = np.flatnonzero(pairs.far >= 0)
+        assert done.tolist() == list(range(len(done)))  # a prefix, in pool order
+        for q in done:
+            assert pairs.far[q] == dist[q, q:].max()
+            assert pairs.partner[q] == q + int(dist[q, q:].argmax())
+        if len(done) < len(rows):  # the scan stopped at the largest possible distance
+            assert pairs.far.max() == (sub.min(axis=0) != sub.max(axis=0)).sum()
         pool = Dataset(codes=codes, alphabet=tuple("abcdefgh"[:sigma]))
         ctx = build_context(Dataset(codes=codes[rows], alphabet=pool.alphabet))
         for k in (2, 3, 5, len(codes) + 2):
@@ -310,7 +315,7 @@ def test_kept_partners_recompute_only_the_rows_that_lost_theirs():
     # without its partner
     pool = ["aaaa", "baaa", "abaa", "aaba", "aaab", "caaa", "acaa", "bbbb"]
     codes = Dataset.from_strings(pool, alphabet="abc").codes
-    pairs = FarthestPairs(codes, np.arange(len(pool)))
+    pairs = FarthestPairs(codes)
     stale = []
     while pairs.avail.sum() >= 2:
         live = np.flatnonzero(pairs.avail)
@@ -346,4 +351,7 @@ def test_pool_engines_stay_memory_bounded_over_a_wide_alphabet(engine):
     finally:
         tracemalloc.stop()
     assert cands.k == 8
-    assert peak < 32 * 2**20, f"{engine} peaked at {peak / 2**20:.1f} MB"
+    # a block of products, one chunk of X, that chunk's products and their
+    # operands, each within BLOCK_BYTES, and two copies of the codes at most
+    bound = 4 * BLOCK_BYTES + 2 * pool.n * pool.d
+    assert peak < bound, f"{engine} peaked at {peak / 2**20:.2f} MiB"
