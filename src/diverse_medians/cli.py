@@ -202,9 +202,7 @@ def _check_dispersion(objective: str, strategy: str, k: int, delta: Fraction,
     _check_strategy(objective, strategy)
     if objective == "min-dispersion" and k < 2:
         raise ValidationError("k must be >= 2")
-    if k > limits.max_candidates:  # a result holds no more strings than a pool may
-        raise CapExceeded(f"k={k} exceeds max_candidates={limits.max_candidates}",
-                          "max_candidates")
+    limits.check("max_candidates", k, "k")  # a result holds no more strings than a pool may
     if objective == "sum-dispersion" and not delta > 0:
         raise ValidationError("delta must be positive")
     if objective == "min-dispersion":

@@ -80,6 +80,13 @@ class EnumerationLimits:
             if getattr(self, f.name) < 1:
                 raise ValidationError(f"{f.name} must be >= 1")
 
+    def check(self, knob: str, amount: int, what: str) -> None:
+        """Refuse `what` when `amount` exceeds the cap of the field `knob`,
+        compared in exact integers; the message states both."""
+        cap = getattr(self, knob)
+        if amount > cap:
+            raise CapExceeded(f"{what}: {amount} exceeds {knob}={cap}", knob)
+
 
 DEFAULT_LIMITS = EnumerationLimits()
 
@@ -273,8 +280,14 @@ class MedianContext:
         return tuple(self.cost[np.arange(self.d), self.rank[:, 1]].tolist())
 
     def costs_of(self, codes: np.ndarray) -> np.ndarray:
-        """The objective of every row of an (m, d) code matrix."""
-        return self.opt + self.cost[np.arange(self.d), codes].sum(axis=1)
+        """The objective of every row of an (m, d) code matrix, gathering the
+        costs of one block of rows (at most BLOCK_BYTES) at a time."""
+        cols = np.arange(self.d)
+        step = max(1, BLOCK_BYTES // (8 * self.d))
+        out = np.empty(len(codes), dtype=np.int64)
+        for lo in range(0, len(codes), step):
+            out[lo : lo + step] = self.cost[cols, codes[lo : lo + step]].sum(axis=1)
+        return self.opt + out
 
     def encode(self, s: Sequence[Symbol] | str) -> np.ndarray:
         """The codes of a string of length d over the context's alphabet."""

@@ -8,6 +8,7 @@ join the pair's combined deviation set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,9 +53,11 @@ def min_diff_partition(
     """Split T into two parts with minimum weight-sum difference: returns the
     parts and their weight sums, the first sum at most the second.
 
-    Classic subset-sum DP over target floor(total/2); one bitset row per item
-    is kept so the achieving subset can be walked back. weights[j] belongs to
-    index T[j].
+    Classic subset-sum DP over target floor(total/2). The walk back decides
+    item j by the bitset of sums reachable with the first j items; every
+    ceil(sqrt(|T|))-th such row is kept and the rest recomputed per segment,
+    so about 2*sqrt(|T|) rows are held, for twice the big-int work of one
+    pass. weights[j] belongs to index T[j].
     """
     items = list(T)
     ws = [int(x) for x in weights]
@@ -65,17 +68,25 @@ def min_diff_partition(
     total = sum(ws)
     target = total // 2
     keep = (1 << (target + 1)) - 1  # sums beyond the target never help
-    rows = [1]
-    for x in ws:
-        rows.append((rows[-1] | (rows[-1] << x)) & keep)
-    best = rows[-1].bit_length() - 1  # largest achievable sum <= target
+    step = math.isqrt(max(len(ws) - 1, 0)) + 1  # ceil(sqrt(|T|)), at least 1
+    kept = []  # rows 0, step, 2*step, ...
+    row = 1
+    for j, x in enumerate(ws):
+        if j % step == 0:
+            kept.append(row)
+        row = (row | (row << x)) & keep
+    best = row.bit_length() - 1  # largest achievable sum <= target
     part1: list[int] = []
     cur = best
-    for j in range(len(items), 0, -1):
-        if rows[j - 1] >> cur & 1:
-            continue  # same sum reachable without item j-1
-        part1.append(items[j - 1])
-        cur -= ws[j - 1]
+    for lo in reversed(range(0, len(ws), step)):
+        rows = [kept.pop()]  # the rows of the first lo, lo+1, ... items
+        for x in ws[lo : lo + step - 1]:
+            rows.append((rows[-1] | (rows[-1] << x)) & keep)
+        for j in reversed(range(lo, min(lo + step, len(ws)))):
+            if rows[j - lo] >> cur & 1:
+                continue  # same sum reachable without item j
+            part1.append(items[j])
+            cur -= ws[j]
     part1.reverse()
     chosen = set(part1)
     part2 = [i for i in items if i not in chosen]

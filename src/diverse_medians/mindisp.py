@@ -21,7 +21,6 @@ from .core import (
     DEFAULT_LIMITS,
     Budget,
     CandidateSet,
-    CapExceeded,
     Dataset,
     EnumerationLimits,
     FarthestPairs,
@@ -117,13 +116,13 @@ def min_disp_dp_approx(
     if k < 2:
         raise ValidationError("k must be >= 2")
     cap = budget.floor
-    dist, cost, codes = _dp_kernel(ctx, cap, k, limits.max_states)
+    dist, cost, codes = _dp_kernel(ctx, cap, k, limits)
     _check_dp_state(ctx, dist, cost, codes)
     return min(dist), CandidateSet.from_members(ctx, codes)
 
 
 def _dp_kernel(
-    ctx: MedianContext, cap: int, k: int, max_states: int
+    ctx: MedianContext, cap: int, k: int, limits: EnumerationLimits
 ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     """The DP behind min_disp_dp_approx, over int64 state keys.
 
@@ -158,12 +157,8 @@ def _dp_kernel(
     admissible = (ctx.cost <= min(cap, ctx.n)).sum(axis=1)  # no cost exceeds n
     ties = np.flatnonzero(admissible >= 2)
     top = len(ties)
-    if (d + 1) * (top + 1) ** len(pairs) * (cap + 1) ** k > max_states:
-        raise CapExceeded(
-            f"state space (d+1)*(T+1)^(k(k-1)/2)*(B+1)^k with T={top} tie columns "
-            f"exceeds max_states={max_states}",
-            "max_states",
-        )
+    limits.check("max_states", (d + 1) * (top + 1) ** len(pairs) * (cap + 1) ** k,
+                 f"state space (d+1)*(T+1)^(k(k-1)/2)*(B+1)^k with T={top} tie columns")
     radices = [top + 1] * len(pairs) + [cap + 1] * k
     weights = [1] * len(radices)
     for j in range(len(radices) - 2, -1, -1):

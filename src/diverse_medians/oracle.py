@@ -20,7 +20,6 @@ from .core import (  # the limits live in core; oracle re-exports them
     BLOCK_BYTES,
     DEFAULT_LIMITS,
     Budget,
-    CapExceeded,
     Dataset,
     EnumerationLimits,
     MedianContext,
@@ -49,7 +48,7 @@ def approx_median_pool(
     cap = min(budget.floor, ctx.n * ctx.d)
     ranked = np.take_along_axis(ctx.cost, ctx.rank, axis=1)
     cols = np.flatnonzero(ranked[:, 1] <= cap)
-    size, layers = _walk_layers(ranked[cols], cap, limits.max_candidates)
+    size, layers = _walk_layers(ranked[cols], cap, limits)
     codes = np.empty((size, ctx.d), dtype=ctx.rank.dtype)
     codes[:] = ctx.rank[:, 0]  # w
     node = np.arange(size)  # each row's prefix in the layer being traced
@@ -66,7 +65,7 @@ def approx_median_pool(
 
 
 def _walk_layers(
-    ranked: np.ndarray, cap: int, max_candidates: int
+    ranked: np.ndarray, cap: int, limits: EnumerationLimits
 ) -> tuple[int, list[tuple[int, np.ndarray, np.ndarray]]]:
     """Breadth-first walk over the columns whose cost-ascending symbol costs
     are the rows of `ranked`, within total weight `cap`.
@@ -85,9 +84,7 @@ def _walk_layers(
     for costs in ranked:
         fan = np.searchsorted(costs, cap - spent, side="right")
         size = int(fan.sum())
-        if size > max_candidates:
-            raise CapExceeded(f"approx-median pool exceeds max_candidates={max_candidates}",
-                              "max_candidates")
+        limits.check("max_candidates", size, "approx-median pool layer")
         branch = np.flatnonzero(fan > 1)
         layers.append((len(fan), branch, fan[branch]))
         parent = np.repeat(np.arange(len(fan)), fan)
@@ -112,15 +109,18 @@ def enumerate_approx_medians(
     return list(approx_median_pool(ctx, budget, limits).strings)
 
 
-def _distance_blocks(pool: Dataset) -> Iterator[tuple[int, np.ndarray]]:
-    """(lo, D) per row block of the pool: D holds the distances from the
-    strings lo, lo+1, ... to every pool string, at most BLOCK_BYTES
-    mismatches per block."""
-    arr = pool.codes
-    p = arr.shape[0]
-    step = max(1, BLOCK_BYTES // max(1, p * arr.shape[1]))
-    for lo in range(0, p, step):
-        yield lo, (arr[lo : lo + step, None, :] != arr[None, :, :]).sum(axis=2)
+def _distance_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, D) per row block of an (m, d) code matrix: D holds the distances
+    from the rows lo, lo+1, ... to every row, summed column by column in the
+    smallest integer type that holds d, at most BLOCK_BYTES per block."""
+    m, d = codes.shape
+    dtype = np.min_scalar_type(d)
+    step = max(1, BLOCK_BYTES // max(1, m * dtype.itemsize))
+    for lo in range(0, m, step):
+        block = np.zeros((min(step, m - lo), m), dtype=dtype)
+        for col in codes.T:
+            block += col[lo : lo + step, None] != col
+        yield lo, block
 
 
 def pairwise_hamming_matrix(pool: Dataset) -> np.ndarray:
@@ -131,7 +131,7 @@ def pairwise_hamming_matrix(pool: Dataset) -> np.ndarray:
     core.distances_to) and never call this.
     """
     out = np.zeros((pool.n, pool.n), dtype=np.int32)
-    for lo, block in _distance_blocks(pool):
+    for lo, block in _distance_blocks(pool.codes):
         out[lo : lo + len(block)] = block
     return out
 
@@ -143,10 +143,8 @@ def brute_diameter(pool: Dataset, limits: EnumerationLimits = DEFAULT_LIMITS) ->
         raise ValidationError("empty pool")
     if p == 1:
         return 0
-    if math.comb(p, 2) > limits.max_tuples:
-        raise CapExceeded(f"{math.comb(p, 2)} pairs exceed max_tuples={limits.max_tuples}",
-                          "max_tuples")
-    return max(int(block.max()) for _, block in _distance_blocks(pool))
+    limits.check("max_tuples", math.comb(p, 2), "pairs")
+    return max(int(block.max()) for _, block in _distance_blocks(pool.codes))
 
 
 def brute_sumdp_k(
@@ -160,14 +158,10 @@ def brute_sumdp_k(
         raise ValidationError("k must be >= 1")
     if k == 1:
         return 0
-    if math.comb(p + k - 1, k) > limits.max_tuples:
-        raise CapExceeded(
-            f"{math.comb(p + k - 1, k)} multisets exceed max_tuples={limits.max_tuples}",
-            "max_tuples",
-        )
-    dmat = pairwise_hamming_matrix(pool)
+    limits.check("max_tuples", math.comb(p + k - 1, k), f"{k}-multisets")
     if k == 2:
-        return int(dmat.max())  # the (i,i) multiset contributes 0, never better
+        return brute_diameter(pool, limits)  # the (i,i) multiset contributes 0, never better
+    dmat = pairwise_hamming_matrix(pool)
     if k == 3:
         best = 0
         for i in range(p):
@@ -199,12 +193,10 @@ def brute_mindp_k(
         raise ValidationError("k must be >= 2 for min dispersion")
     if p < k:
         return 0
-    if math.comb(p, k) > limits.max_tuples:
-        raise CapExceeded(f"{math.comb(p, k)} subsets exceed max_tuples={limits.max_tuples}",
-                          "max_tuples")
-    dmat = pairwise_hamming_matrix(pool)
+    limits.check("max_tuples", math.comb(p, k), f"{k}-subsets")
     if k == 2:
-        return int(dmat.max())
+        return brute_diameter(pool, limits)
+    dmat = pairwise_hamming_matrix(pool)
     if k == 3:
         best = 0
         for i in range(p):
@@ -241,14 +233,12 @@ def brute_max_code_size(
     sizes = [int(g) for g in alphabet_sizes]
     if any(g < 1 for g in sizes):
         raise ValidationError("alphabet sizes must be >= 1")
+    if t < 0:
+        raise ValidationError("t must be >= 0")
     space = 1
-    for g in sizes:
+    for j, g in enumerate(sizes, 1):
         space *= g
-        if space > limits.max_candidates:
-            raise CapExceeded(
-                f"product space exceeds max_candidates={limits.max_candidates}",
-                "max_candidates",
-            )
+        limits.check("max_candidates", space, f"product space of the first {j} sizes")
     # constant coordinates never separate; the order of the others does not
     # change the code size, so every permutation of the sizes runs one search
     sizes = sorted(g for g in sizes if g > 1)
@@ -262,10 +252,7 @@ def brute_max_code_size(
     m = cand.shape[0]
     if m == 0:
         return 1
-    pairs = math.comb(m, 2)
-    if pairs > limits.max_tuples:
-        raise CapExceeded(f"{pairs} candidate pairs exceed max_tuples={limits.max_tuples}",
-                          "max_tuples")
+    limits.check("max_tuples", math.comb(m, 2), "candidate pairs")
     adj = _adjacency(cand, t)
 
     # Symmetry: relabeling symbols within a coordinate (fixing symbol 0) and
@@ -290,23 +277,16 @@ def brute_max_code_size(
         ])
         return _orbit_masks(keys)
 
-    return 1 + _max_clique(adj, _orbit_masks(nonzero @ classes), stabiliser_orbits,
-                           limits.max_tuples)
+    return 1 + _max_clique(adj, _orbit_masks(nonzero @ classes), stabiliser_orbits, limits)
 
 
 def _adjacency(cand: np.ndarray, t: int) -> list[int]:
     """Row v of the "distance >= t" graph as an int whose bit u is set when
-    candidates u and v differ in t coordinates or more. Distances are summed
-    column by column into int16 row blocks of at most BLOCK_BYTES, then each
-    block is packed into little-endian bits."""
-    m = cand.shape[0]
-    step = max(1, BLOCK_BYTES // (2 * m))
-    width = (m + 7) // 8
+    candidates u and v differ in t coordinates or more: each distance block
+    is thresholded and packed into little-endian bits."""
+    width = (cand.shape[0] + 7) // 8
     adj: list[int] = []
-    for lo in range(0, m, step):
-        block = np.zeros((min(step, m - lo), m), dtype=np.int16)
-        for col in cand.T:
-            block += col[lo : lo + step, None] != col
+    for _, block in _distance_blocks(cand):
         packed = np.packbits(block >= t, axis=1, bitorder="little").tobytes()
         adj.extend(int.from_bytes(packed[i : i + width], "little")
                    for i in range(0, len(packed), width))
@@ -330,7 +310,7 @@ def _max_clique(
     adj: list[int],
     root_orbits: list[int],
     stabiliser_orbits: Callable[[int], list[int]],
-    max_nodes: int,
+    limits: EnumerationLimits,
 ) -> int:
     """Max clique size via greedy-coloring branch and bound on bitsets.
 
@@ -347,9 +327,6 @@ def _max_clique(
     representative, inside P. Branching on one representative per orbit and
     then retiring O from P loses no clique size, and P stays a union of
     orbits. The loop stops once 1 + colors(P) <= best.
-
-    Each call of `expand` is one node; more than max_nodes of them raise
-    CapExceeded.
     """
     roots = sorted(root_orbits, key=lambda o: adj[_first(o)].bit_count())
     best = 1
@@ -390,9 +367,7 @@ def _max_clique(
         """
         nonlocal best, nodes
         nodes += 1
-        if nodes > max_nodes:
-            raise CapExceeded(f"code-size search exceeds max_tuples={max_nodes} nodes",
-                              "max_tuples")
+        limits.check("max_tuples", nodes, "code-size search nodes")
         order, bound = color_order(mask, best - size + 1)
         for idx in range(len(order) - 1, -1, -1):
             if size + bound[idx] <= best:

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    BLOCK_BYTES,
     Budget,
     CandidateSet,
     Dataset,
@@ -30,16 +31,22 @@ def sum_dispersion_exact_k(ctx: MedianContext, k: int) -> CandidateSet:
     Per tie index the k symbols are spread as evenly as possible over the
     majority set: k mod g symbols appear floor(k/g)+1 times, the rest
     floor(k/g) times. Even spreading maximizes k^2 - sum of squared counts.
+    The codes are filled one block of members (core.BLOCK_BYTES) at a time.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     base, q = np.divmod(k, ctx.majority_sizes)
     # member j takes the symbol at position pos[j] of the majority set (alphabet
     # order): the first q positions hold base+1 members each, the rest base
-    j = np.arange(k)[:, None]
     wide = q * (base + 1)
-    pos = np.where(j < wide, j // (base + 1), q + (j - wide) // np.maximum(base, 1))
-    return CandidateSet.from_members(ctx, ctx.rank[np.arange(ctx.d), pos])
+    cols = np.arange(ctx.d)
+    codes = np.empty((k, ctx.d), dtype=ctx.rank.dtype)
+    step = max(1, BLOCK_BYTES // (32 * ctx.d))  # up to four (step, d) int64 temporaries
+    for lo in range(0, k, step):
+        j = np.arange(lo, min(lo + step, k))[:, None]
+        pos = np.where(j < wide, j // (base + 1), q + (j - wide) // np.maximum(base, 1))
+        codes[lo : lo + step] = ctx.rank[cols, pos]
+    return CandidateSet.from_members(ctx, codes)
 
 
 def build_oplist(ctx: MedianContext, k: int) -> np.ndarray:

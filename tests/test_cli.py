@@ -15,6 +15,7 @@ import pytest
 from diverse_medians import (
     Budget,
     CandidateSet,
+    CapExceeded,
     DEFAULT_LIMITS,
     Dataset,
     ValidationError,
@@ -341,18 +342,6 @@ def test_main_missing_input_exits_2(capsys):
     assert err.strip()
 
 
-def test_main_cap_exceeded_exits_3_with_hint(ties_path, capsys):
-    code, _, err = run_main(
-        [
-            "--objective", "oracle", "--oracle-op", "exact-medians",
-            "--input", ties_path, "--max-candidates", "2",
-        ],
-        capsys,
-    )
-    assert code == 3
-    assert "max-candidates" in err
-
-
 def test_main_max_states_caps_both_dps(ties_path, capsys):
     # --max-states reaches the DP whichever way it is called; without the cap
     # each of these runs returns a DP document
@@ -532,9 +521,12 @@ def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
     (["--objective", "median", "--input", "{tmp}/missing.txt", "--alphabet", "a"],
      "alphabet needs at least 2 symbols"),
     (["--objective", "bound", "--input", "{tmp}/missing.txt", "--t", "-1"], "t must be >= 0"),
+    (["--objective", "oracle", "--oracle-op", "max-code-size", "--sizes", "3,3", "--t", "-2"],
+     "t must be >= 0"),
 ], ids=["bound-size-0", "non-utf8-input", "csv-cell-over-limit", "output-dir-missing",
         "oracle-op-missing", "epsilon", "epsilon-median", "delta", "eta", "k-min",
-        "oracle-mindp-k-min", "delta-sum-greedy", "alphabet-duplicate", "alphabet-single", "t"])
+        "oracle-mindp-k-min", "delta-sum-greedy", "alphabet-duplicate", "alphabet-single", "t",
+        "oracle-max-code-size-t"])
 def test_main_bad_input_exits_2_naming_it(argv, named, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes("ab\nb\u00e9\n".encode("latin-1"))
     (tmp_path / "wide.csv").write_text("a" * (csv.field_size_limit() + 1) + "\n")
@@ -570,16 +562,6 @@ def test_dispatch_rejects_an_objective_without_dispersion_strategies():
     for objective in ("diameter", "median", "bogus"):
         with pytest.raises(ValidationError, match="dispatch takes: sum-dispersion, min-dispersion"):
             cli.dispatch(ctx, Budget.make(0, ctx.opt), objective, 2)
-
-
-def test_main_max_code_size_product_refusal_hints_max_candidates(capsys):
-    code, _, err = run_main(
-        ["--objective", "oracle", "--oracle-op", "max-code-size", "--sizes",
-         ",".join(["3"] * 11), "--t", "3"],
-        capsys,
-    )
-    assert code == 3
-    assert err.splitlines()[-1] == "hint: raise --max-candidates"
 
 
 @pytest.mark.parametrize("length, t, max_tuples, refusal", [
@@ -648,14 +630,41 @@ def test_main_refuses_caps_below_one(tmp_path, capsys):
             assert code == 2 and f"{knob.replace('-', '_')} must be >= 1" in err, err
 
 
-def test_main_named_dp_over_max_states_hints_max_states(ties_path, capsys):
-    code, _, err = run_main(
-        ["--objective", "min-dispersion", "--strategy", "dp", "--input", ties_path,
-         "--k", "2", "--delta", "1/2", "--max-states", "10"],
-        capsys,
-    )
-    assert code == 3 and "max_states=10" in err
-    assert err.splitlines()[-1] == "hint: raise --max-states"
+ORACLE = ["--objective", "oracle", "--oracle-op"]
+
+
+@pytest.mark.parametrize("argv, knob, amount, cap", [
+    (["--objective", "sum-dispersion", "--input", "{ties}", "--k", "5"],
+     "max_candidates", "k: 5", 4),
+    (ORACLE + ["exact-medians", "--input", "{ties}"],
+     "max_candidates", "approx-median pool layer: 3", 2),  # 3 symbols at the first tie
+    (ORACLE + ["diameter", "--input", "{ties}"], "max_tuples", "pairs: 3240", 10),  # 81 medians
+    (ORACLE + ["sumdp", "--input", "{ties}", "--k", "2"], "max_tuples", "2-multisets: 3321", 10),
+    (ORACLE + ["mindp", "--input", "{ties}", "--k", "3"], "max_tuples", "3-subsets: 85320", 10),
+    (ORACLE + ["max-code-size", "--sizes", "3,3", "--t", "2"],
+     "max_candidates", "product space of the first 2 sizes: 9", 8),
+    (ORACLE + ["max-code-size", "--sizes", "3,3", "--t", "2"],
+     "max_tuples", "candidate pairs: 6", 5),  # 4 words of weight 2
+    # 23,871 candidate pairs pass; proving A(8, 3) = 20 takes more nodes
+    (ORACLE + ["max-code-size", "--sizes", "2,2,2,2,2,2,2,2", "--t", "3"],
+     "max_tuples", "code-size search nodes: 23872", 23871),
+    (["--objective", "min-dispersion", "--strategy", "dp", "--input", "{ties}", "--k", "2",
+      "--delta", "1/2"], "max_states", "with T=4 tie columns: 25", 10),  # (4+1) * (4+1)
+], ids=["k", "pool-layer", "pairs", "multisets", "subsets", "product-space",
+        "candidate-pairs", "search-nodes", "dp-states"])
+def test_every_cap_refusal_names_its_knob_amount_and_cap(argv, knob, amount, cap, ties_path,
+                                                         capsys):
+    flag = f"--{knob.replace('_', '-')}"
+    argv = [a.format(ties=ties_path) for a in argv] + [flag, str(cap)]
+    config = cli._config_from_args(cli._build_parser().parse_args(argv))
+    with pytest.raises(CapExceeded) as refusal:
+        cli.run(config)
+    assert refusal.value.knob == knob
+    assert str(refusal.value).endswith(f"{amount} exceeds {knob}={cap}"), str(refusal.value)
+    code, _, err = run_main(argv, capsys)
+    assert code == 3
+    assert err.splitlines()[-2].endswith(str(refusal.value))
+    assert err.splitlines()[-1] == f"hint: raise {flag}"
 
 
 def test_main_costs_the_emitted_text(tmp_path, capsys, monkeypatch):

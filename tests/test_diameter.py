@@ -1,8 +1,10 @@
+import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diverse_medians import (
@@ -63,6 +65,49 @@ def test_min_diff_partition_matches_exhaustive(weights):
     by_item = dict(zip(items, weights))
     assert sum(by_item[i] for i in parts[0]) == sums[0]
     assert sum(by_item[i] for i in parts[1]) == sums[1]
+
+
+def full_row_partition(T, weights):
+    """The partition DP keeping one bitset row per item for its walk back:
+    the reference for the kept-row walk of min_diff_partition."""
+    total = sum(weights)
+    keep = (1 << (total // 2 + 1)) - 1
+    rows = [1]
+    for x in weights:
+        rows.append((rows[-1] | (rows[-1] << x)) & keep)
+    best = rows[-1].bit_length() - 1
+    part1, cur = [], best
+    for j in range(len(T), 0, -1):
+        if not rows[j - 1] >> cur & 1:
+            part1.append(T[j - 1])
+            cur -= weights[j - 1]
+    part1.reverse()
+    chosen = set(part1)
+    return (part1, [i for i in T if i not in chosen]), (best, total - best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 1000), max_size=80))
+@example([3, 1, 1, 2, 1])  # an even split exists
+@example([50, 1, 2, 3])  # none does: one weight outweighs the rest
+def test_min_diff_partition_matches_the_full_row_reference(weights):
+    items = list(range(100, 100 + len(weights)))
+    assert min_diff_partition(items, weights) == full_row_partition(items, weights)
+
+
+def test_min_diff_partition_keeps_about_two_sqrt_rows():
+    # 1,000 equal weights: every row but the first few spans 100,001 bits, and
+    # one row per item holds about 10 MiB
+    n, w = 1000, 200
+    tracemalloc.start()
+    try:
+        (part1, part2), sums = min_diff_partition(list(range(n)), [w] * n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sums == (n * w // 2, n * w // 2) and len(part1) == len(part2)
+    row = (n * w // 2 + 1) // 30 * 4 + 64  # 30 bits per 4-byte digit, plus the header
+    assert peak <= 3 * math.isqrt(n) * row, peak
 
 
 def test_min_diff_partition_trivia():

@@ -23,6 +23,7 @@ from diverse_medians import (
     enumerate_exact_medians,
     hamming,
     median_cost,
+    oracle,
 )
 from diverse_medians.oracle import DEFAULT_LIMITS, pairwise_hamming_matrix
 
@@ -337,6 +338,23 @@ def test_brute_mindp_general_k_matches_an_inline_search(k, rng):
             want = max((min(hamming(a, b) for a, b in combinations(sub, 2))
                         for sub in combinations(words, k)), default=0)
             assert brute_mindp_k(pool, k) == want
+
+
+@pytest.mark.parametrize("block_bytes", [2**22, 20], ids=["one-block", "row-blocks"])
+def test_distance_kernel_and_the_k2_searches_match_hamming(block_bytes, rng, monkeypatch):
+    # the kernel sums in uint8 up to d = 255 and in uint16 from d = 256, where
+    # "a"*d and "b"*d lie d apart; at k = 2 both searches are the diameter and
+    # build no p x p matrix
+    monkeypatch.setattr(oracle, "BLOCK_BYTES", block_bytes)
+    for d in (3, 255, 256):
+        strs = random_rows(rng, n=10, d=d, sigma="abc") + ["a" * d, "b" * d]
+        pool = Dataset.from_strings(strs, alphabet="abc")
+        want = np.array([[hamming(s, t) for t in strs] for s in strs])
+        assert np.array_equal(pairwise_hamming_matrix(pool), want)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "pairwise_hamming_matrix", None)
+            assert brute_diameter(pool) == brute_sumdp_k(pool, 2) == d
+            assert brute_mindp_k(pool, 2) == d
 
 
 def test_brute_tuple_caps():

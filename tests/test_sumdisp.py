@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -25,6 +26,7 @@ from diverse_medians import (
     sum_dispersion_small_dstar,
 )
 from diverse_medians import cli, sumdisp
+from diverse_medians.core import BLOCK_BYTES
 
 from conftest import random_rows
 
@@ -55,6 +57,43 @@ def test_exact_matches_brute_on_tie_instances(rng):
         for k in (2, 3, 4):
             cs = sum_dispersion_exact_k(ctx, k)
             assert cs.sum_dispersion() == brute_sumdp_k(pool, k, DEFAULT_LIMITS)
+
+
+def closed_form_codes(ctx, k):
+    """The balanced layout of all k members at once, as one (k, d) position
+    matrix: the reference for the block-by-block fill."""
+    base, q = np.divmod(k, ctx.majority_sizes)
+    j = np.arange(k)[:, None]
+    wide = q * (base + 1)
+    pos = np.where(j < wide, j // (base + 1), q + (j - wide) // np.maximum(base, 1))
+    return ctx.rank[np.arange(ctx.d), pos]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 200), st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       st.integers(1, 2000))
+def test_exact_layout_matches_the_closed_form(k, sizes, block_bytes):
+    # column i is a sizes[i]-way tie over 60 rows; a small BLOCK_BYTES cuts
+    # the members into many blocks, down to one member per block
+    ctx = context_from_strings(["".join("abcdef"[r % g] for g in sizes) for r in range(60)],
+                               alphabet="abcdef")
+    with mock.patch.object(sumdisp, "BLOCK_BYTES", block_bytes):
+        cs = sum_dispersion_exact_k(ctx, k)
+    assert np.array_equal(cs.codes, closed_form_codes(ctx, k))
+    assert cs.costs == (ctx.opt,) * k
+
+
+def test_exact_layout_holds_the_codes_and_a_block_of_temporaries():
+    k, d = 20_000, 1_000
+    ctx = context_from_strings(["a" * d, "b" * d], alphabet="ab")
+    tracemalloc.start()
+    try:
+        cs = sum_dispersion_exact_k(ctx, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cs.codes.nbytes == k * d
+    assert peak <= k * d + 2 * BLOCK_BYTES, peak
 
 
 def test_exact_k1_is_w():
