@@ -52,6 +52,14 @@ err=$(diverse-medians --objective oracle --oracle-op mindp --k 1 \
 [ "$rc" = 2 ]
 case $err in *k\ must*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
 
+echo '== a strategy the objective does not take: exit code 2, naming the ones it does =='
+rc=0
+err=$(diverse-medians --objective sum-dispersion --strategy dp --input "$tmp/rows.txt" 2>&1) \
+    || rc=$?
+[ "$rc" = 2 ]
+case $err in *'allowed: auto, exact-construction, greedy') echo "exit code $rc: $err" ;;
+    *) exit 1 ;; esac
+
 echo '== a closed standard error does not change the exit code: 0 =='
 rc=0
 python3 - diverse-medians --objective median --input "$tmp/rows.txt" \

@@ -59,7 +59,7 @@ def _module(name: str) -> ModuleType:
 SCHEMA = "diverse-medians/1"
 
 OBJECTIVES = ("median", "diameter", "sum-dispersion", "min-dispersion", "bound", "oracle")
-STRATEGIES = ("auto", "dp", "greedy", "sample", "lp", "exact-construction")
+DISPERSION = ("sum-dispersion", "min-dispersion")  # the objectives dispatch runs
 FORMATS = ("lines", "fasta", "csv")
 ORACLE_OPS = ("exact-medians", "approx-medians", "diameter", "sumdp", "mindp",
               "max-code-size")
@@ -75,11 +75,14 @@ COST_CLASSES = {
 
 
 class Strategy(NamedTuple):
-    """A STRATEGY_TABLE row; the engine maps the run's _Job to a CandidateSet."""
+    """A STRATEGY_TABLE row: the engine maps the run's _Job to a CandidateSet;
+    `name` is the --strategy that runs it, `auto` its test in the auto walk."""
 
     guarantee: str
     cost_class: str
     engine: Callable[["_Job"], CandidateSet]
+    name: str | None = None
+    auto: Callable[["_Job"], bool] | None = None
 
 
 def _lp(j: "_Job") -> CandidateSet:
@@ -90,83 +93,76 @@ def _lp(j: "_Job") -> CandidateSet:
 
 
 # (objective, regime, strategy tag) -> Strategy. The regime is "exact" at
-# eps == 0 and "approx" above it; an "any" row holds in both. The engines call
-# the approximate entry points, whose pools at eps == 0 (B = 0) are the exact
-# medians, and look them up in their module when they run (see _module).
+# eps == 0 and "approx" above it; an "any" row holds in both. "auto" walks the
+# rows in table order (see dispatch). The engines call the approximate entry
+# points, whose pools at eps == 0 (B = 0) are the exact medians, and look them
+# up in their module when they run (see _module).
 STRATEGY_TABLE = {
     ("sum-dispersion", "any", "exact-construction"): Strategy(
         "exact optimum sumDp over exact medians", "exact",
-        lambda j: _module("sumdisp").sum_dispersion_exact_k(j.ctx, j.k)),
+        lambda j: _module("sumdisp").sum_dispersion_exact_k(j.ctx, j.k),
+        name="exact-construction"),
     ("sum-dispersion", "any", "greedy"): Strategy(
         "farthest-pair + max-gain insertion; value >= optimum / 2", "approx",
-        lambda j: _module("sumdisp").sum_dispersion_small_dstar(j.ctx, j.k, j.pool())),
+        lambda j: _module("sumdisp").sum_dispersion_small_dstar(j.ctx, j.k, j.pool()),
+        name="greedy"),
     ("sum-dispersion", "any", "density"): Strategy(
         "value >= (1 - delta) * optimum", "approx",
-        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0]),
+        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0],
+        auto=lambda j: j.diameter.diameter >= 4 / j.delta),
     ("sum-dispersion", "any", "enumeration"): Strategy(
         "value >= optimum / 2", "approx",
-        lambda j: _module("sumdisp").sum_dispersion_small_dstar(j.ctx, j.k, j.pool())),
+        lambda j: _module("sumdisp").sum_dispersion_small_dstar(j.ctx, j.k, j.pool()),
+        auto=lambda j: True),
     ("sum-dispersion", "any", "density_fallback"): Strategy(
         "pool enumeration over cap; density value >= (1 - 4/D*) * optimum", "approx",
-        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0]),
-    ("min-dispersion", "exact", "dp"): Strategy(
-        "exact optimum minDp over exact medians", "exact",
-        lambda j: _module("mindisp").min_disp_dp_approx(j.ctx, j.budget, j.k,
-                                                        limits=j.limits)[1]),
-    ("min-dispersion", "exact", "greedy"): Strategy(
-        "minDp >= t_star/2", "exact",
-        lambda j: _module("mindisp").greedy_dispersion(j.pool(), j.k, j.ctx)),
-    ("min-dispersion", "exact", "sample"): Strategy(
-        "minDp >= (1-2*delta)*t_star with probability >= 1-eta", "exact",
-        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg)[0]),
-    ("min-dispersion", "exact", "sample_fallback"): Strategy(
-        "enumeration over cap; sampler lower bound (1-delta)*plotkin_sum only", "exact",
-        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg)[0]),
+        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0],
+        auto=lambda j: True),
+    # the approx rows come first, so the names read dp, greedy, sample, lp
     ("min-dispersion", "approx", "dp"): Strategy(
         "exact optimum minDp over (1+eps)-approximate medians", "approx",
         lambda j: _module("mindisp").min_disp_dp_approx(j.ctx, j.budget, j.k,
-                                                        limits=j.limits)[1]),
+                                                        limits=j.limits)[1],
+        name="dp", auto=lambda j: j.k * j.delta <= 1),
     ("min-dispersion", "approx", "greedy"): Strategy(
         "minDp >= t_star/2; members are (1+eps)-approximate", "approx",
-        lambda j: _module("mindisp").greedy_dispersion(j.pool(), j.k, j.ctx)),
+        lambda j: _module("mindisp").greedy_dispersion(j.pool(), j.k, j.ctx),
+        name="greedy", auto=lambda j: j.diameter.diameter * j.delta**2 <= 4),
     ("min-dispersion", "approx", "sample"): Strategy(
         "minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
         "members are (1+2*eps)-approximate", "mix",
-        lambda j: _module("mindisp").sample_approx_medians(j.ctx, j.diameter, j.cfg)[0]),
+        lambda j: _module("mindisp").sample_approx_medians(j.ctx, j.diameter, j.cfg)[0],
+        name="sample", auto=lambda j: True),
+    ("min-dispersion", "exact", "dp"): Strategy(
+        "exact optimum minDp over exact medians", "exact",
+        lambda j: _module("mindisp").min_disp_dp_approx(j.ctx, j.budget, j.k,
+                                                        limits=j.limits)[1],
+        name="dp", auto=lambda j: j.k * j.delta <= 1),
+    ("min-dispersion", "exact", "sample"): Strategy(
+        "minDp >= (1-2*delta)*t_star with probability >= 1-eta", "exact",
+        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg)[0],
+        # the exact-median diameter is the number of tie columns
+        name="sample", auto=lambda j: _module("mindisp")._diameter_at_least(
+            int((j.ctx.majority_sizes >= 2).sum()), j.delta, j.k, add=1)),
+    ("min-dispersion", "exact", "greedy"): Strategy(
+        "minDp >= t_star/2", "exact",
+        lambda j: _module("mindisp").greedy_dispersion(j.pool(), j.k, j.ctx),
+        name="greedy", auto=lambda j: True),
+    ("min-dispersion", "exact", "sample_fallback"): Strategy(
+        "enumeration over cap; sampler lower bound (1-delta)*plotkin_sum only", "exact",
+        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg)[0], auto=lambda j: True),
     ("min-dispersion", "any", "lpround"): Strategy(
         "minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
-        "members are (1+eps+delta)-approximate", "lp", _lp),
+        "members are (1+eps+delta)-approximate", "lp", _lp, name="lp"),
 }
 
-# --strategy names each objective takes besides "auto", and the tag each runs
-NAMED_STRATEGIES = {
-    "sum-dispersion": {"exact-construction": "exact-construction", "greedy": "greedy"},
-    "min-dispersion": {"dp": "dp", "greedy": "greedy", "sample": "sample", "lp": "lpround"},
-}
 
-# (objective, regime) -> the ordered rules "auto" walks: (applies, tag). The
-# first rule that applies and whose engine raises no CapExceeded wins; the
-# last rule always applies. The LP pipeline runs only when named.
-RULES = {
-    ("sum-dispersion", "any"): (
-        (lambda j: j.diameter.diameter >= 4 / j.delta, "density"),
-        (lambda j: True, "enumeration"),
-        (lambda j: True, "density_fallback"),
-    ),
-    ("min-dispersion", "exact"): (
-        (lambda j: j.k * j.delta <= 1, "dp"),
-        # the exact-median diameter is the number of tie columns
-        (lambda j: _module("mindisp")._diameter_at_least(
-            int((j.ctx.majority_sizes >= 2).sum()), j.delta, j.k, add=1), "sample"),
-        (lambda j: True, "greedy"),
-        (lambda j: True, "sample_fallback"),
-    ),
-    ("min-dispersion", "approx"): (
-        (lambda j: j.k * j.delta <= 1, "dp"),
-        (lambda j: j.diameter.diameter * j.delta**2 <= 4, "greedy"),
-        (lambda j: True, "sample"),
-    ),
-}
+def _names(rows) -> tuple[str, ...]:
+    """"auto" and the --strategy names of `rows`, in table order."""
+    return ("auto", *dict.fromkeys(row.name for row in rows if row.name))
+
+
+STRATEGIES = _names(STRATEGY_TABLE.values())
 
 
 def _regime(epsilon: Fraction) -> str:
@@ -174,9 +170,15 @@ def _regime(epsilon: Fraction) -> str:
     return "exact" if epsilon == 0 else "approx"
 
 
+def _rows(objective: str, epsilon: Fraction) -> list[tuple[str, Strategy]]:
+    """(tag, row) for each row of `objective` that holds at `epsilon`, in table order."""
+    return [(tag, row) for (obj, regime, tag), row in STRATEGY_TABLE.items()
+            if obj == objective and regime in (_regime(epsilon), "any")]
+
+
 def _check_strategy(objective: str, strategy: str) -> None:
     """Refuse a strategy the objective does not take, naming the ones it does."""
-    allowed = ["auto", *NAMED_STRATEGIES.get(objective, ())]
+    allowed = _names(row for (obj, *_), row in STRATEGY_TABLE.items() if obj == objective)
     if strategy not in allowed:
         raise ValidationError(
             f"strategy {strategy!r} does not apply to objective "
@@ -184,20 +186,15 @@ def _check_strategy(objective: str, strategy: str) -> None:
         )
 
 
-def _lookup(table: dict, objective: str, epsilon: Fraction, *rest: str):
-    key = (objective, _regime(epsilon), *rest)
-    return table[key] if key in table else table[(objective, "any", *rest)]
-
-
 def _check_dispersion(objective: str, strategy: str, k: int, delta: Fraction,
                       eta: Fraction, limits: EnumerationLimits) -> None:
     """Refuse a dispersion run's bad parameters, whatever the strategy, before
     any engine runs: min dispersion takes k >= 2 and delta, eta in (0, 1) (the
     sampler's own checks), sum dispersion delta > 0."""
-    if objective not in NAMED_STRATEGIES:
+    if objective not in DISPERSION:
         raise ValidationError(
             f"objective {objective!r} has no dispersion strategy; "
-            f"dispatch takes: {', '.join(NAMED_STRATEGIES)}"
+            f"dispatch takes: {', '.join(DISPERSION)}"
         )
     _check_strategy(objective, strategy)
     if objective == "min-dispersion" and k < 2:
@@ -247,18 +244,19 @@ def dispatch(
     """k strings for a "sum-dispersion" or "min-dispersion" objective, and the
     tag of the STRATEGY_TABLE row that made them.
 
-    A named strategy runs its tag's row. "auto" walks RULES for the objective
-    and regime. Engines add their reports (the LP's "lp_report") to `doc`.
+    A named strategy runs the row of that name and lets its CapExceeded
+    through. "auto" runs the first row whose test holds and whose engine
+    raises no CapExceeded; the last test always holds, and the LP row has
+    none. Engines add their reports (the LP's "lp_report") to `doc`.
     """
     _check_dispersion(objective, strategy, k, Fraction(delta), Fraction(eta), limits)
     job = _Job(ctx, budget, k, delta, eta, seed, limits, {} if doc is None else doc)
-    if strategy != "auto":
-        tag = NAMED_STRATEGIES[objective][strategy]
-        return _lookup(STRATEGY_TABLE, objective, budget.epsilon, tag).engine(job), tag
-    for applies, tag in _lookup(RULES, objective, budget.epsilon):
-        if applies(job):
+    for tag, row in _rows(objective, budget.epsilon):
+        if strategy == row.name:
+            return row.engine(job), tag
+        if strategy == "auto" and row.auto and row.auto(job):
             try:
-                return _lookup(STRATEGY_TABLE, objective, budget.epsilon, tag).engine(job), tag
+                return row.engine(job), tag
             except CapExceeded as exc:
                 refused = exc
     raise refused
@@ -458,10 +456,12 @@ def run(config: RunConfig) -> dict:
             raise ValidationError(f"objective={objective} requires --input")
         Budget.make(config.epsilon, 0)  # eps >= 0
         if config.alphabet is not None:  # distinct symbols, at least 2 of them
-            context_from_strings([config.alphabet], config.alphabet)
-        if objective in NAMED_STRATEGIES:
+            declared = context_from_strings([config.alphabet], config.alphabet)
+        if objective in DISPERSION:
             _check_dispersion(objective, config.strategy, config.k, config.delta,
                               config.eta, config.limits)
+        if config.strategy == "lp" and config.alphabet is not None:  # k <= |alphabet|
+            _module("lpround").build_ilp(declared, Budget.make(config.epsilon, 0), config.k)
         if objective == "bound":
             _module("mindisp").plotkin_certificate((), config.t)  # t >= 0
 
@@ -521,11 +521,11 @@ def run(config: RunConfig) -> dict:
         doc["branch"] = res.branch
         return doc
 
-    if config.objective in NAMED_STRATEGIES:
+    if config.objective in DISPERSION:
         cands, tag = dispatch(ctx, budget, config.objective, config.k, config.delta,
                               config.eta, config.seed, strategy=config.strategy,
                               limits=config.limits, doc=doc)
-        row = _lookup(STRATEGY_TABLE, config.objective, config.epsilon, tag)
+        row = dict(_rows(config.objective, config.epsilon))[tag]
         cap, label = _class_cap(row.cost_class, config, ctx.opt)
         _emit(doc, ctx, cands.codes, cap)
         doc["strategy_tag"] = tag

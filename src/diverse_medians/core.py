@@ -442,11 +442,10 @@ class CandidateSet:
     def sum_dispersion(self) -> int:
         # Column identity: pairs differing at i = (k^2 - sum of squared counts)/2,
         # where the counts are how many members carry each symbol at i; always
-        # an integer since the counts sum to k and l^2 = l (mod 2).
+        # an integer since the counts sum to k and l^2 = l (mod 2). The counts
+        # are build_context's, one k x d bool mask at a time.
         k, d = self.codes.shape
-        sigma = len(self.dataset.alphabet)
-        flat = (self.codes + np.arange(d) * sigma).ravel()
-        counts = np.bincount(flat, minlength=d * sigma).astype(np.int64)
+        counts = build_context(self.dataset).counts
         return (k * k * d - int((counts * counts).sum())) // 2
 
     def min_dispersion(self) -> int:

@@ -3,8 +3,8 @@
 Engines: exact dynamic programs over pairwise-distance states (with and
 without a cost budget), best-of-N uniform samplers, farthest-point greedy
 over an enumerated pool, and Plotkin-style certificates bounding what any
-algorithm could achieve. The regime split that picks an engine from (k,
-delta) and the instance's diameter lives in cli.RULES.
+algorithm could achieve. The `auto` tests of the cli.STRATEGY_TABLE rows
+pick an engine from (k, delta) and the instance's diameter.
 """
 
 from __future__ import annotations

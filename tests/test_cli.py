@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from diverse_medians import (
     cli,
     context_from_strings,
     core,
+    diameter,
+    lpround,
+    mindisp,
     oracle,
     sumdisp,
 )
@@ -520,12 +524,15 @@ def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
      "alphabet contains duplicate symbols"),
     (["--objective", "median", "--input", "{tmp}/missing.txt", "--alphabet", "a"],
      "alphabet needs at least 2 symbols"),
+    (["--objective", "min-dispersion", "--strategy", "lp", "--k", "3", "--alphabet", "ab",
+      "--input", "{tmp}/missing.txt"], "k=3 exceeds the alphabet size 2"),
     (["--objective", "bound", "--input", "{tmp}/missing.txt", "--t", "-1"], "t must be >= 0"),
     (["--objective", "oracle", "--oracle-op", "max-code-size", "--sizes", "3,3", "--t", "-2"],
      "t must be >= 0"),
 ], ids=["bound-size-0", "non-utf8-input", "csv-cell-over-limit", "output-dir-missing",
         "oracle-op-missing", "epsilon", "epsilon-median", "delta", "eta", "k-min",
-        "oracle-mindp-k-min", "delta-sum-greedy", "alphabet-duplicate", "alphabet-single", "t",
+        "oracle-mindp-k-min", "delta-sum-greedy", "alphabet-duplicate", "alphabet-single",
+        "lp-k-above-alphabet", "t",
         "oracle-max-code-size-t"])
 def test_main_bad_input_exits_2_naming_it(argv, named, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes("ab\nb\u00e9\n".encode("latin-1"))
@@ -562,6 +569,80 @@ def test_dispatch_rejects_an_objective_without_dispersion_strategies():
     for objective in ("diameter", "median", "bogus"):
         with pytest.raises(ValidationError, match="dispatch takes: sum-dispersion, min-dispersion"):
             cli.dispatch(ctx, Budget.make(0, ctx.opt), objective, 2)
+
+
+# every engine function a STRATEGY_TABLE row calls
+TABLE_ENGINES = [(sumdisp, "sum_dispersion_exact_k"), (sumdisp, "sum_dispersion_small_dstar"),
+                 (sumdisp, "sum_dispersion_approx_k"), (mindisp, "min_disp_dp_approx"),
+                 (mindisp, "greedy_dispersion"), (mindisp, "sample_exact_medians"),
+                 (mindisp, "sample_approx_medians"), (lpround, "lp_min_dispersion")]
+
+
+@pytest.fixture
+def refusing_engines(monkeypatch):
+    """Each table engine records its name in the returned list and raises
+    CapExceeded("refused <calls so far>"); every auto test holds at k = 2 and
+    delta = 1/4 (k*delta <= 1, D* = 32 >= 4/delta, D* * delta^2 <= 4, and the
+    sampler's diameter test)."""
+    calls = []
+
+    def refusing(name):
+        def engine(*args, **kwargs):
+            calls.append(name)
+            raise CapExceeded(f"refused {len(calls)}", "max_candidates")
+        return engine
+
+    for module, name in TABLE_ENGINES:
+        monkeypatch.setattr(module, name, refusing(name))
+    monkeypatch.setattr(oracle, "approx_median_pool", lambda *args, **kwargs: None)
+    monkeypatch.setattr(diameter, "approx_diameter_pair",
+                        lambda *args, **kwargs: SimpleNamespace(diameter=32))
+    monkeypatch.setattr(mindisp, "_diameter_at_least", lambda *args, **kwargs: True)
+    return calls
+
+
+SUM_WALK = ["sum_dispersion_approx_k", "sum_dispersion_small_dstar", "sum_dispersion_approx_k"]
+
+
+@pytest.mark.parametrize("objective, epsilon, engines", [
+    ("sum-dispersion", 0, SUM_WALK),  # density, enumeration, density_fallback
+    ("sum-dispersion", Fraction(1, 2), SUM_WALK),
+    # dp, sample, greedy, sample_fallback
+    ("min-dispersion", 0, ["min_disp_dp_approx", "sample_exact_medians", "greedy_dispersion",
+                           "sample_exact_medians"]),
+    # dp, greedy, sample
+    ("min-dispersion", Fraction(1, 2), ["min_disp_dp_approx", "greedy_dispersion",
+                                        "sample_approx_medians"]),
+], ids=["sum-exact", "sum-approx", "min-exact", "min-approx"])
+def test_auto_walk_tries_every_row_in_order_and_raises_the_last_refusal(
+        objective, epsilon, engines, refusing_engines):
+    ctx = context_from_strings(["aab", "abb"], alphabet="ab")
+    with pytest.raises(CapExceeded, match=f"^refused {len(engines)}$"):
+        cli.dispatch(ctx, Budget.make(epsilon, ctx.opt), objective, 2)
+    assert refusing_engines == engines
+
+
+# (objective, --strategy) -> the engine it runs at eps = 0 and at eps > 0
+NAMED_ENGINES = {
+    ("sum-dispersion", "exact-construction"): ("sum_dispersion_exact_k",) * 2,
+    ("sum-dispersion", "greedy"): ("sum_dispersion_small_dstar",) * 2,
+    ("min-dispersion", "dp"): ("min_disp_dp_approx",) * 2,
+    ("min-dispersion", "greedy"): ("greedy_dispersion",) * 2,
+    ("min-dispersion", "sample"): ("sample_exact_medians", "sample_approx_medians"),
+    ("min-dispersion", "lp"): ("lp_min_dispersion",) * 2,
+}
+
+
+@pytest.mark.parametrize("objective, strategy", NAMED_ENGINES)
+def test_named_strategy_runs_its_own_row_and_lets_its_refusal_through(
+        objective, strategy, refusing_engines):
+    assert {"auto"} | {name for _, name in NAMED_ENGINES} == set(cli.STRATEGIES)
+    ctx = context_from_strings(["aab", "abb"], alphabet="ab")
+    for epsilon, engine in zip((0, Fraction(1, 2)), NAMED_ENGINES[objective, strategy]):
+        refusing_engines.clear()
+        with pytest.raises(CapExceeded, match="^refused 1$"):
+            cli.dispatch(ctx, Budget.make(epsilon, ctx.opt), objective, 2, strategy=strategy)
+        assert refusing_engines == [engine]
 
 
 @pytest.mark.parametrize("length, t, max_tuples, refusal", [

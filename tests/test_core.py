@@ -23,6 +23,8 @@ from diverse_medians import (
     sum_dispersion,
 )
 
+from diverse_medians.core import BLOCK_BYTES
+
 from conftest import random_rows, reference_context
 
 
@@ -112,17 +114,38 @@ def test_distance_helpers():
 
 
 def test_candidate_set_column_identity(rng):
-    # sum_dispersion via per-column counts must equal the direct pairwise sum
-    for _ in range(40):
-        rows = random_rows(rng, sigma="abc")
-        ctx = context_from_strings(rows, alphabet="abc")
-        members = [
-            tuple(random_rows(rng, n=1, d=ctx.d, sigma="abc")[0])
-            for _ in range(int(rng.integers(2, 6)))
-        ]
-        cs = CandidateSet.from_members(ctx, Dataset.from_strings(members, "abc").codes)
-        assert cs.sum_dispersion() == sum_dispersion(members)
-        assert cs.min_dispersion() == min_dispersion(members)
+    # sum_dispersion via per-column counts must equal the direct pairwise sum,
+    # over uint8 codes and, past 255 symbols, uint16 codes
+    for size, dtype in ((2, np.uint8), (20, np.uint8), (300, np.uint16)):
+        sigma = "".join(chr(0x100 + s) for s in range(size))
+        for _ in range(40):
+            rows = random_rows(rng, sigma=sigma)
+            ctx = context_from_strings(rows, alphabet=sigma)
+            members = [
+                tuple(random_rows(rng, n=1, d=ctx.d, sigma=sigma)[0])
+                for _ in range(int(rng.integers(2, 6)))
+            ]
+            cs = CandidateSet.from_members(ctx, Dataset.from_strings(members, sigma).codes)
+            assert cs.codes.dtype == dtype
+            assert cs.sum_dispersion() == sum_dispersion(members)
+            assert cs.min_dispersion() == min_dispersion(members)
+
+
+def test_candidate_set_sum_dispersion_memory_bound():
+    # k = 20,000 members of length 1,000: one k x d bool mask at a time, where
+    # an int64 index per cell took 8·k·d bytes
+    k, d = 20_000, 1_000
+    codes = np.random.default_rng(5).integers(0, 2, (k, d), dtype=np.uint8)
+    ones = codes.sum(axis=0, dtype=np.int64)
+    cs = CandidateSet(dataset=Dataset(codes=codes, alphabet=("a", "b")), costs=())
+    tracemalloc.start()
+    try:
+        value = cs.sum_dispersion()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == int((ones * (k - ones)).sum())
+    assert peak < k * d + BLOCK_BYTES, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_median_predicates():

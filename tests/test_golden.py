@@ -231,11 +231,15 @@ def test_every_tag_has_exactly_one_table_row():
         reached.add(rows[0])
     assert reached == set(cli.STRATEGY_TABLE)
     assert {row.cost_class for row in cli.STRATEGY_TABLE.values()} == set(cli.COST_CLASSES)
-    # every --strategy name an objective accepts runs one row in both regimes
-    assert set(cli.STRATEGIES) == {"auto"}.union(*cli.NAMED_STRATEGIES.values())
-    for objective, names in cli.NAMED_STRATEGIES.items():
+    # every row runs by its name or from the walk, and every --strategy name
+    # an objective accepts runs one row in both regimes
+    assert all(row.name or row.auto for row in cli.STRATEGY_TABLE.values())
+    for objective in cli.DISPERSION:
+        names = {row.name for (obj, _, _), row in cli.STRATEGY_TABLE.items()
+                 if obj == objective and row.name}
         for regime in ("exact", "approx"):
-            for tag in names.values():
-                rows = [key for key in ((objective, regime, tag), (objective, "any", tag))
-                        if key in cli.STRATEGY_TABLE]
-                assert len(rows) == 1, (objective, regime, tag, rows)
+            for name in names:
+                rows = [key for key, row in cli.STRATEGY_TABLE.items()
+                        if key[:2] in ((objective, regime), (objective, "any"))
+                        and row.name == name]
+                assert len(rows) == 1, (objective, regime, name, rows)
