@@ -52,6 +52,15 @@ err=$(diverse-medians --objective oracle --oracle-op mindp --k 1 \
 [ "$rc" = 2 ]
 case $err in *k\ must*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
 
+echo '== a declared alphabet is checked in little memory: exit code 2 under a 1 GB ceiling =='
+# 8,000 symbols: |Σ|×|Σ| tables would need 488 MiB each before the input is read
+symbols=$(python3 -c 'print(",".join(f"s{i}" for i in range(8000)))')
+rc=0
+err=$( (ulimit -v 1000000; diverse-medians --objective median --alphabet "$symbols" \
+    --input "$tmp/missing.txt") 2>&1) || rc=$?
+[ "$rc" = 2 ]
+case $err in *"cannot read $tmp/missing.txt"*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
+
 echo '== a strategy the objective does not take: exit code 2, naming the ones it does =='
 rc=0
 err=$(diverse-medians --objective sum-dispersion --strategy dp --input "$tmp/rows.txt" 2>&1) \

@@ -41,6 +41,7 @@ from .core import (
     build_context,
     context_from_strings,
     decode as _render_word,  # the one decoder; bench/tracing.py times renders by this name
+    row_blocks,
 )
 
 if TYPE_CHECKING:  # annotations only; the engine modules load on dispatch
@@ -386,13 +387,15 @@ def ingest(path: str, fmt: str, alphabet: tuple[str, ...] | None = None) -> Data
 
 
 def _revalidate(ctx: MedianContext, strings: list, cap: Fraction) -> list[int]:
-    """Re-encode the rendered strings in one pass, recompute their costs from
-    the counts and enforce their cost class."""
-    codes = Dataset.from_strings(strings, ctx.alphabet).codes
-    if codes.shape[1] != ctx.d:
-        raise InternalError(f"internal error: emitted strings have length {codes.shape[1]}, "
-                            f"not d={ctx.d}")
-    costs = ctx.costs_of(codes).tolist()
+    """Re-encode the rendered strings one row block at a time, recompute their
+    costs from the counts and enforce their cost class."""
+    costs: list[int] = []
+    for rows in row_blocks(len(strings), 8 * ctx.d):
+        codes = Dataset.from_strings(strings[rows], ctx.alphabet).codes
+        if codes.shape[1] != ctx.d:
+            raise InternalError(f"internal error: emitted strings have length "
+                                f"{codes.shape[1]}, not d={ctx.d}")
+        costs.extend(ctx.costs_of(codes).tolist())
     if max(costs) > cap:
         raise InternalError(
             f"internal error: emitted string costs {max(costs)}, above its declared cap {cap}"
@@ -455,8 +458,8 @@ def run(config: RunConfig) -> dict:
         if config.input is None:
             raise ValidationError(f"objective={objective} requires --input")
         Budget.make(config.epsilon, 0)  # eps >= 0
-        if config.alphabet is not None:  # distinct symbols, at least 2 of them
-            declared = context_from_strings([config.alphabet], config.alphabet)
+        if config.alphabet is not None:  # distinct, at least 2; one per row: 1 x |Σ| tables
+            declared = context_from_strings(zip(config.alphabet), config.alphabet)
         if objective in DISPERSION:
             _check_dispersion(objective, config.strategy, config.k, config.delta,
                               config.eta, config.limits)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,9 +90,15 @@ class EnumerationLimits:
 
 DEFAULT_LIMITS = EnumerationLimits()
 
-# Byte budget of one block of rows in decode and the pool kernels, or of one
-# chunk of the one-hot matrix in FarthestPairs.
+# Byte budget of one block of rows (row_blocks) or one one-hot chunk (FarthestPairs).
 BLOCK_BYTES = 2**22
+
+
+def row_blocks(m: int, row_bytes: int) -> Iterator[slice]:
+    """Rows 0..m-1 as consecutive slices of at least one row and at most
+    BLOCK_BYTES at `row_bytes` per row, BLOCK_BYTES read on the call."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return (slice(lo, min(lo + step, m)) for lo in range(0, m, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,15 +213,14 @@ def decode(codes: np.ndarray, alphabet: Sequence[Symbol]) -> list:
     symbols. The one decoder: the CLI renders its documents with it, and
     ``Dataset.strings`` and ``MedianContext.w`` read their tuples off it."""
     m, d = codes.shape
-    step = max(1, BLOCK_BYTES // (8 * d))
     joined = all(isinstance(a, str) and len(a) == 1 for a in alphabet)
     if joined:
         points = np.array([ord(a) for a in alphabet], dtype=np.uint32)
     else:
         symbols = np.array(alphabet, dtype=object)
     out: list = []
-    for lo in range(0, m, step):
-        block = codes[lo : lo + step]
+    for rows in row_blocks(m, 8 * d):
+        block = codes[rows]
         if joined:  # one text of the block's rows, cut into rows
             text = points[block].tobytes().decode("utf-32-le", "surrogatepass")
             out.extend(text[j : j + d] for j in range(0, len(text), d))
@@ -283,10 +288,9 @@ class MedianContext:
         """The objective of every row of an (m, d) code matrix, gathering the
         costs of one block of rows (at most BLOCK_BYTES) at a time."""
         cols = np.arange(self.d)
-        step = max(1, BLOCK_BYTES // (8 * self.d))
         out = np.empty(len(codes), dtype=np.int64)
-        for lo in range(0, len(codes), step):
-            out[lo : lo + step] = self.cost[cols, codes[lo : lo + step]].sum(axis=1)
+        for rows in row_blocks(len(codes), 8 * self.d):
+            out[rows] = self.cost[cols, codes[rows]].sum(axis=1)
         return self.opt + out
 
     def encode(self, s: Sequence[Symbol] | str) -> np.ndarray:
@@ -573,7 +577,6 @@ def distances_to(codes: np.ndarray, r: int) -> np.ndarray:
     """Hamming distances from pool string r to every pool string, as one
     vector, comparing one block of rows (at most BLOCK_BYTES) at a time."""
     out = np.empty(len(codes), dtype=np.min_scalar_type(codes.shape[1]))
-    step = max(1, BLOCK_BYTES // codes.shape[1])
-    for lo in range(0, len(codes), step):
-        (codes[lo : lo + step] != codes[r]).sum(axis=1, dtype=out.dtype, out=out[lo : lo + step])
+    for rows in row_blocks(len(codes), codes.shape[1]):
+        (codes[rows] != codes[r]).sum(axis=1, dtype=out.dtype, out=out[rows])
     return out

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .core import (
-    BLOCK_BYTES,
     DEFAULT_LIMITS,
     Budget,
     CandidateSet,
@@ -30,6 +29,7 @@ from .core import (
     ValidationError,
     best_by_min_distance,
     distances_to,
+    row_blocks,
 )
 
 if TYPE_CHECKING:  # an annotation only: a run without a diameter pair never loads it
@@ -220,10 +220,9 @@ def _next_layer(
     would pass `cap` is dropped (add is None when every pattern adds 0).
     """
     npat = len(offsets)
-    step = max(1, BLOCK_BYTES // (8 * npat))
     new = first = None
-    for lo in range(0, len(keys), step):
-        block = keys[lo : lo + step]
+    for rows in row_blocks(len(keys), 8 * npat):
+        block = keys[rows]
         cand = (block[:, None] + offsets).ravel()
         pos = None
         if add is not None:
@@ -233,7 +232,7 @@ def _next_layer(
             pos = np.flatnonzero(fits)
             cand = cand[pos]
         cand, idx = np.unique(cand, return_index=True)
-        idx = (idx if pos is None else pos[idx]) + lo * npat
+        idx = (idx if pos is None else pos[idx]) + rows.start * npat
         if new is None:
             new, first = cand, idx
         else:

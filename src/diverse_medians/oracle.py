@@ -17,7 +17,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import (  # the limits live in core; oracle re-exports them
-    BLOCK_BYTES,
     DEFAULT_LIMITS,
     Budget,
     Dataset,
@@ -25,6 +24,7 @@ from .core import (  # the limits live in core; oracle re-exports them
     MedianContext,
     ValidationError,
     Word,
+    row_blocks,
 )
 
 
@@ -109,18 +109,17 @@ def enumerate_approx_medians(
     return list(approx_median_pool(ctx, budget, limits).strings)
 
 
-def _distance_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(lo, D) per row block of an (m, d) code matrix: D holds the distances
-    from the rows lo, lo+1, ... to every row, summed column by column in the
-    smallest integer type that holds d, at most BLOCK_BYTES per block."""
+def _distance_blocks(codes: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, D) per row block of an (m, d) code matrix (core.row_blocks): D
+    holds the distances from those rows to every row, summed column by column
+    in the smallest integer type that holds d."""
     m, d = codes.shape
     dtype = np.min_scalar_type(d)
-    step = max(1, BLOCK_BYTES // max(1, m * dtype.itemsize))
-    for lo in range(0, m, step):
-        block = np.zeros((min(step, m - lo), m), dtype=dtype)
+    for rows in row_blocks(m, m * dtype.itemsize):
+        block = np.zeros((rows.stop - rows.start, m), dtype=dtype)
         for col in codes.T:
-            block += col[lo : lo + step, None] != col
-        yield lo, block
+            block += col[rows, None] != col
+        yield rows, block
 
 
 def pairwise_hamming_matrix(pool: Dataset) -> np.ndarray:
@@ -131,8 +130,8 @@ def pairwise_hamming_matrix(pool: Dataset) -> np.ndarray:
     core.distances_to) and never call this.
     """
     out = np.zeros((pool.n, pool.n), dtype=np.int32)
-    for lo, block in _distance_blocks(pool.codes):
-        out[lo : lo + len(block)] = block
+    for rows, block in _distance_blocks(pool.codes):
+        out[rows] = block
     return out
 
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    BLOCK_BYTES,
     Budget,
     CandidateSet,
     Dataset,
@@ -22,6 +21,7 @@ from .core import (
     MedianContext,
     ValidationError,
     distances_to,
+    row_blocks,
 )
 
 
@@ -41,11 +41,10 @@ def sum_dispersion_exact_k(ctx: MedianContext, k: int) -> CandidateSet:
     wide = q * (base + 1)
     cols = np.arange(ctx.d)
     codes = np.empty((k, ctx.d), dtype=ctx.rank.dtype)
-    step = max(1, BLOCK_BYTES // (32 * ctx.d))  # up to four (step, d) int64 temporaries
-    for lo in range(0, k, step):
-        j = np.arange(lo, min(lo + step, k))[:, None]
+    for rows in row_blocks(k, 32 * ctx.d):  # up to four (rows, d) int64 temporaries
+        j = np.arange(rows.start, rows.stop)[:, None]
         pos = np.where(j < wide, j // (base + 1), q + (j - wide) // np.maximum(base, 1))
-        codes[lo : lo + step] = ctx.rank[cols, pos]
+        codes[rows] = ctx.rank[cols, pos]
     return CandidateSet.from_members(ctx, codes)
 
 

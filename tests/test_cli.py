@@ -955,6 +955,38 @@ def test_oracle_pool_renders_block_by_block(tmp_path):
         assert doc["strings"][lo : lo + 4096] == rows.tolist()
 
 
+def test_declared_alphabet_is_checked_without_an_alphabet_square(tmp_path):
+    # one row per symbol: a single row of |Σ| symbols made |Σ| x |Σ| count,
+    # cost and rank tables, 397 MiB at 4,000 symbols, before the input was read
+    symbols = tuple(f"s{i}" for i in range(4000))
+    config = make_config(input=str(tmp_path / "missing.txt"), alphabet=symbols)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="cannot read"):
+            cli.run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= core.BLOCK_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_revalidate_reencodes_one_row_block_at_a_time():
+    # 20,000 rendered strings of length 1,000 re-encoded in one call peaked
+    # at 57 MiB; a block of rows at a time holds a block of codes and costs
+    n, d = 20_000, 1_000
+    ctx = context_from_strings(["a" * d, "a" * d, "b" * d], alphabet="ab")
+    codes = np.random.default_rng(5).integers(0, 2, size=(n, d), dtype=np.uint8)
+    strings = cli._render_word(codes, ctx.alphabet)
+    tracemalloc.start()
+    try:
+        costs = cli._revalidate(ctx, strings, Fraction(2 * d))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert costs == (ctx.opt + codes.sum(axis=1, dtype=np.int64)).tolist()
+    assert peak <= 2 * core.BLOCK_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize("alphabet", [
     ("a", "b", "c"),
     ("\x00", "é", "\U0001F600"),  # a trailing NUL, a two-byte and an astral symbol

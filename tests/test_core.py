@@ -1,7 +1,9 @@
+import ast
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from diverse_medians import (
     sum_dispersion,
 )
 
-from diverse_medians.core import BLOCK_BYTES
+from diverse_medians import core
+from diverse_medians.core import BLOCK_BYTES, row_blocks
 
 from conftest import random_rows, reference_context
 
@@ -363,3 +366,35 @@ def test_context_from_strings_memory_and_time_bound():
     assert ctx.n == n and ctx.d == d and ctx.opt > 0
     assert peak < 6 * n * d, f"peak {peak / 1e6:.1f} MB"
     assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 64, 2**22])
+def test_row_blocks_cover_every_row_once_within_the_budget(block_bytes, monkeypatch):
+    # BLOCK_BYTES is read on the call, so patching core reaches every loop
+    monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
+    for m in (0, 1, 5, 100, 1001):
+        for row_bytes in (1, 3, 8, 64, 2**23):
+            blocks = list(row_blocks(m, row_bytes))
+            assert [r for s in blocks for r in range(m)[s]] == list(range(m))
+            assert all(s.step is None for s in blocks)
+            rows = [s.stop - s.start for s in blocks]
+            cap = 1 if row_bytes > block_bytes else block_bytes // row_bytes
+            assert all(1 <= n <= cap for n in rows)
+            assert all(n == cap for n in rows[:-1])  # only the last block is short
+    assert list(row_blocks(0, 8)) == []
+
+
+def test_only_core_binds_block_bytes():
+    # one knob: every other module takes its blocks from core.row_blocks
+    binders = set()
+    for path in Path(core.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(a.asname or a.name).split(".")[-1] for a in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                continue
+            if "BLOCK_BYTES" in names:
+                binders.add(path.name)
+    assert binders == {"core.py"}

@@ -31,7 +31,7 @@ from diverse_medians import (
     sample_exact_medians,
     tstar_upper_bound,
 )
-from diverse_medians import cli, diameter, mindisp
+from diverse_medians import cli, core, diameter, mindisp
 from diverse_medians.mindisp import _diameter_at_least
 
 from conftest import random_rows, reference_context
@@ -212,7 +212,7 @@ def test_dp_approx_matches_dict_reference(case):
 def test_dp_blocks_keep_first_occurrence_order(monkeypatch):
     # one-state blocks: the dedup across blocks must still keep the first
     # (state, pattern) reaching each key
-    monkeypatch.setattr(mindisp, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 1)
     ctx = context_from_strings(["abcab", "bcaba", "cabbc", "abcca"], alphabet="abc")
     b = Budget.make(Fraction(1, 2), ctx.opt)
     for k in (2, 3):

@@ -22,6 +22,7 @@ from diverse_medians import (
     enumerate_approx_medians,
     enumerate_exact_medians,
     hamming,
+    core,
     median_cost,
     oracle,
 )
@@ -345,7 +346,7 @@ def test_distance_kernel_and_the_k2_searches_match_hamming(block_bytes, rng, mon
     # the kernel sums in uint8 up to d = 255 and in uint16 from d = 256, where
     # "a"*d and "b"*d lie d apart; at k = 2 both searches are the diameter and
     # build no p x p matrix
-    monkeypatch.setattr(oracle, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
     for d in (3, 255, 256):
         strs = random_rows(rng, n=10, d=d, sigma="abc") + ["a" * d, "b" * d]
         pool = Dataset.from_strings(strs, alphabet="abc")

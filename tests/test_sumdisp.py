@@ -25,7 +25,7 @@ from diverse_medians import (
     sum_dispersion_exact_k,
     sum_dispersion_small_dstar,
 )
-from diverse_medians import cli, sumdisp
+from diverse_medians import cli, core, sumdisp
 from diverse_medians.core import BLOCK_BYTES
 
 from conftest import random_rows
@@ -77,7 +77,7 @@ def test_exact_layout_matches_the_closed_form(k, sizes, block_bytes):
     # the members into many blocks, down to one member per block
     ctx = context_from_strings(["".join("abcdef"[r % g] for g in sizes) for r in range(60)],
                                alphabet="abcdef")
-    with mock.patch.object(sumdisp, "BLOCK_BYTES", block_bytes):
+    with mock.patch.object(core, "BLOCK_BYTES", block_bytes):
         cs = sum_dispersion_exact_k(ctx, k)
     assert np.array_equal(cs.codes, closed_form_codes(ctx, k))
     assert cs.costs == (ctx.opt,) * k
