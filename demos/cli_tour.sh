@@ -61,6 +61,29 @@ err=$( (ulimit -v 1000000; diverse-medians --objective median --alphabet "$symbo
 [ "$rc" = 2 ]
 case $err in *"cannot read $tmp/missing.txt"*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
 
+echo '== a flag past 4300 digits: exit code 2, naming it, with no traceback =='
+rc=0
+err=$(diverse-medians --objective median --input "$tmp/rows.txt" --epsilon 1e5000 2>&1) \
+    || rc=$?
+[ "$rc" = 2 ]
+case $err in *Traceback*) exit 1 ;; *--epsilon*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
+
+echo '== a delta with a 30-digit denominator: the exact auto walk decides at once, exit code 0 =='
+printf 'aaaaaaaaaaaaaa\naaaaaaaaaaaaaa\nbbbbbbbbbbbbbb\nbbbbbbbbbbbbbb\n' > "$tmp/ties14.txt"
+rc=0
+timeout 60 diverse-medians --objective min-dispersion --input "$tmp/ties14.txt" --k 2 \
+    --delta 999999999999999999999999999999/1000000000000000000000000000000 \
+    --output "$tmp/long-delta.json" || rc=$?
+[ "$rc" = 0 ]
+echo "exit code $rc"
+
+echo '== the DP refuses k = 20,000 before it allocates: exit code 3 under a 1 GB ceiling =='
+rc=0
+err=$( (ulimit -v 1000000; diverse-medians --objective min-dispersion --strategy dp \
+    --input "$tmp/rows.txt" --k 20000) 2>&1) || rc=$?
+[ "$rc" = 3 ]
+case $err in *max_states=*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
+
 echo '== a strategy the objective does not take: exit code 2, naming the ones it does =='
 rc=0
 err=$(diverse-medians --objective sum-dispersion --strategy dp --input "$tmp/rows.txt" 2>&1) \

@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from importlib import import_module
@@ -37,6 +38,7 @@ from .core import (
     InfeasibleError,
     InternalError,
     MedianContext,
+    SHOWN_DIGITS,
     ValidationError,
     build_context,
     context_from_strings,
@@ -417,9 +419,11 @@ def _class_cap(cls: str, config: RunConfig, opt: int) -> tuple[Fraction, str]:
 
 
 def _shown(value):
-    """A RunConfig or BoundCertificate value as the document shows it."""
+    """A RunConfig or BoundCertificate value as the document shows it; a
+    Fraction as str() writes it, through Decimal, which has no digit limit."""
     if isinstance(value, Fraction):
-        return str(value)
+        num, den = (str(Decimal(n)) for n in value.as_integer_ratio())
+        return num if den == "1" else f"{num}/{den}"
     if isinstance(value, tuple):
         return list(value) or None
     return value
@@ -622,13 +626,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValidationError("seed must lie in [0, 2^64)")
     if args.k < 1:
         raise ValidationError("k must be >= 1")
+    rationals = {name: parse_rational(getattr(args, name)) for name in ("epsilon", "delta", "eta")}
+    for name, value in rationals.items():
+        if max(abs(value.numerator), value.denominator) >= 10**SHOWN_DIGITS:
+            raise ValidationError(f"--{name} has a numerator or denominator of more "
+                                  f"than {SHOWN_DIGITS} digits")
     # every other field, and each cap, takes the flag of its own name as is
     parsed = {
+        **rationals,
         "limits": EnumerationLimits(**{f.name: getattr(args, f.name)
                                        for f in fields(EnumerationLimits)}),
-        "epsilon": parse_rational(args.epsilon),
-        "delta": parse_rational(args.delta),
-        "eta": parse_rational(args.eta),
         "alphabet": _parse_alphabet(args.alphabet) if args.alphabet else None,
         "sizes": sizes,
     }

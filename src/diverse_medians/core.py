@@ -24,6 +24,7 @@ every BLAS sums exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -82,13 +83,24 @@ class EnumerationLimits:
 
     def check(self, knob: str, amount: int, what: str) -> None:
         """Refuse `what` when `amount` exceeds the cap of the field `knob`,
-        compared in exact integers; the message states both."""
+        compared in exact integers; the message states both (see _stated)."""
         cap = getattr(self, knob)
         if amount > cap:
-            raise CapExceeded(f"{what}: {amount} exceeds {knob}={cap}", knob)
+            raise CapExceeded(f"{what}: {_stated(amount)} exceeds {knob}={_stated(cap)}", knob)
 
 
 DEFAULT_LIMITS = EnumerationLimits()
+
+# str() refuses an int of more than this many digits (CPython's default
+# sys.get_int_max_str_digits()). A longer flag is refused, a longer cap
+# amount is stated by its size, and str(Decimal(n)) prints longer results.
+SHOWN_DIGITS = 4300
+
+
+def _stated(n: int) -> str:
+    """n >= 0 in decimal, or past SHOWN_DIGITS digits as "2^b or more" with
+    b = n.bit_length() - 1, which stays true of any amount n bounds from below."""
+    return str(Decimal(n)) if n < 10**SHOWN_DIGITS else f"2^{n.bit_length() - 1} or more"
 
 # Byte budget of one block of rows (row_blocks) or one one-hot chunk (FarthestPairs).
 BLOCK_BYTES = 2**22

@@ -10,6 +10,7 @@ pick an engine from (k, delta) and the instance's diameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -26,6 +27,7 @@ from .core import (
     InternalError,
     KeyWidthExceeded,
     MedianContext,
+    SHOWN_DIGITS,
     ValidationError,
     best_by_min_distance,
     distances_to,
@@ -37,14 +39,19 @@ if TYPE_CHECKING:  # an annotation only: a run without a diameter pair never loa
 
 
 def _check_dp_state(
-    ctx: MedianContext, distances: tuple[int, ...], costs: tuple[int, ...], codes: np.ndarray
+    ctx: MedianContext, distances: Sequence[int], costs: Sequence[int], codes: np.ndarray
 ) -> None:
     """The DP's final state read off its key against the members it walked
-    back to: their pairwise distances in combinations(range(k), 2) order, and
-    each member's cost above opt."""
-    pairs = combinations(range(len(codes)), 2)
-    if tuple(distances) != tuple(int((codes[r] != codes[s]).sum()) for r, s in pairs):
+    back to: their pairwise distances in combinations(range(k), 2) order, one
+    distances_to vector per member, and each member's cost above opt."""
+    k, at = len(codes), 0
+    if len(distances) != k * (k - 1) // 2:
         raise InternalError("DP state: distances differ from the members'")
+    for r in range(k - 1):  # the pairs (r, s) with s > r
+        row = distances_to(codes[r:], 0)[1:]
+        if not np.array_equal(distances[at : at + len(row)], row):
+            raise InternalError("DP state: distances differ from the members'")
+        at += len(row)
     if tuple(costs) != tuple((ctx.costs_of(codes) - ctx.opt).tolist()):
         raise InternalError("DP state: costs differ from the members'")
 
@@ -118,12 +125,12 @@ def min_disp_dp_approx(
     cap = budget.floor
     dist, cost, codes = _dp_kernel(ctx, cap, k, limits)
     _check_dp_state(ctx, dist, cost, codes)
-    return min(dist), CandidateSet.from_members(ctx, codes)
+    return int(np.min(dist)), CandidateSet.from_members(ctx, codes)
 
 
 def _dp_kernel(
     ctx: MedianContext, cap: int, k: int, limits: EnumerationLimits
-) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+) -> tuple[Sequence[int], Sequence[int], np.ndarray]:
     """The DP behind min_disp_dp_approx, over int64 state keys.
 
     Column i offers its admissible symbols, those whose ``ctx.cost`` is at
@@ -134,7 +141,7 @@ def _dp_kernel(
     admissible symbols can grow a distance: on any other column every
     candidate takes w_i and the layer is unchanged, so the DP skips it. The
     precheck refuses (d+1) * (T+1)^(k(k-1)/2) * (cap+1)^k > max_states in
-    exact integers before any allocation.
+    exact integers, decided from T, k and cap before any allocation.
 
     A state is one int64 in mixed radix: a digit of radix T+1 per pair
     distance, in combinations(range(k), 2) order, most significant first,
@@ -150,31 +157,39 @@ def _dp_kernel(
 
     Returns the final state with the largest minimum distance (largest key on
     ties) as (distances, costs), and the (k, d) codes of the members reaching
-    it.
+    it. With no tie column the distances are one broadcast 0, so no C(k, 2)
+    object is built.
     """
     d = ctx.d
-    pairs = list(combinations(range(k), 2))
+    npairs = k * (k - 1) // 2
     admissible = (ctx.cost <= min(cap, ctx.n)).sum(axis=1)  # no cost exceeds n
     ties = np.flatnonzero(admissible >= 2)
     top = len(ties)
-    limits.check("max_states", (d + 1) * (top + 1) ** len(pairs) * (cap + 1) ** k,
+    # Keys stay below R = (T+1)^C(k,2) * (B+1)^k, and key + offset below 2R.
+    # R >= 2^low; past 2^room it exceeds max_states and every amount stated in
+    # digits, so 2^room stands in for it and R is never formed.
+    low = npairs * ((top + 1).bit_length() - 1) + k * ((cap + 1).bit_length() - 1)
+    room = max(limits.max_states.bit_length(), (10**SHOWN_DIGITS).bit_length())
+    size = (top + 1) ** npairs * (cap + 1) ** k if low <= room else 1 << room
+    limits.check("max_states", (d + 1) * size,
                  f"state space (d+1)*(T+1)^(k(k-1)/2)*(B+1)^k with T={top} tie columns")
-    radices = [top + 1] * len(pairs) + [cap + 1] * k
-    weights = [1] * len(radices)
-    for j in range(len(radices) - 2, -1, -1):
-        weights[j] = weights[j + 1] * radices[j + 1]
-    # keys stay below the radix product R, and key + offset below 2R
-    if 2 * weights[0] * radices[0] > 2**63:
+    if size > 2**62:
         raise KeyWidthExceeded(
-            f"DP state keys would need more than 63 bits ({radices[0]}^{len(pairs)} "
+            f"DP state keys would need more than 63 bits ({top + 1}^{npairs} "
             f"distance digits); no max_states lets this DP run on this input"
         )
-    weights = np.array(weights, dtype=np.int64)
-    w_dist, w_cost = weights[: len(pairs)], weights[len(pairs):]
-
     # every candidate takes w_i on a column with one admissible symbol; the
     # others are read back from the DP steps
     codes = np.tile(ctx.rank[:, 0], (k, 1))
+    if not top:  # no layer: the one state is C(k, 2) zero distances, k zero costs
+        return np.broadcast_to(0, npairs), (0,) * k, codes
+    pairs = list(combinations(range(k), 2))
+    radices = [top + 1] * npairs + [cap + 1] * k
+    weights = [1] * len(radices)
+    for j in range(len(radices) - 2, -1, -1):
+        weights[j] = weights[j + 1] * radices[j + 1]
+    weights = np.array(weights, dtype=np.int64)
+    w_dist, w_cost = weights[:npairs], weights[npairs:]
     keys = np.zeros(1, dtype=np.int64)
     steps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
     for i in ties.tolist():
@@ -188,7 +203,7 @@ def _dp_kernel(
         offsets, rep = np.unique(offsets, return_index=True)
         order = np.argsort(rep)
         offsets, rep = offsets[order], rep[order]
-        add = add[rep] if add[rep].any() else None
+        add = add[rep]
         live = len(keys)
         keys, first = _next_layer(keys, offsets, add, w_cost, cap)
         parent, pattern = np.divmod(first, len(offsets))
@@ -206,33 +221,28 @@ def _dp_kernel(
     for i, parent, pattern, assign in reversed(steps):
         codes[:, i] = assign[pattern[best]]
         best = int(parent[best])
-    return digits[: len(pairs)], digits[len(pairs):], codes
+    return digits[:npairs], digits[npairs:], codes
 
 
 def _next_layer(
-    keys: np.ndarray, offsets: np.ndarray, add: np.ndarray | None, w_cost: np.ndarray,
-    cap: int,
+    keys: np.ndarray, offsets: np.ndarray, add: np.ndarray, w_cost: np.ndarray, cap: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One DP layer: the distinct keys `keys[s] + offsets[p]` in order of first
     occurrence over (s, p) row-major, with that flat index s * P + p.
 
     `add` (P, k) holds each pattern's cost digits; a candidate whose cost digit
-    would pass `cap` is dropped (add is None when every pattern adds 0).
+    would pass `cap` is dropped.
     """
     npat = len(offsets)
     new = first = None
     for rows in row_blocks(len(keys), 8 * npat):
         block = keys[rows]
-        cand = (block[:, None] + offsets).ravel()
-        pos = None
-        if add is not None:
-            fits = np.ones((len(block), npat), dtype=bool)
-            for r, wt in enumerate(w_cost):
-                fits &= (block // wt % (cap + 1))[:, None] <= cap - add[:, r]
-            pos = np.flatnonzero(fits)
-            cand = cand[pos]
-        cand, idx = np.unique(cand, return_index=True)
-        idx = (idx if pos is None else pos[idx]) + rows.start * npat
+        fits = np.ones((len(block), npat), dtype=bool)
+        for r, wt in enumerate(w_cost):
+            fits &= (block // wt % (cap + 1))[:, None] <= cap - add[:, r]
+        pos = np.flatnonzero(fits)
+        cand, idx = np.unique((block[:, None] + offsets).ravel()[pos], return_index=True)
+        idx = pos[idx] + rows.start * npat
         if new is None:
             new, first = cand, idx
         else:
@@ -383,19 +393,29 @@ def bound_certificate(ctx: MedianContext, budget: Budget, t: int) -> BoundCertif
 def _diameter_at_least(dstar: int, delta: Fraction, k: int, add: int) -> bool:
     """Exact test of D* >= (4/delta^2) * (2*log2(k) + add).
 
-    Equivalent to 2^(D*p^2 - 4*add*q^2) >= k^(8q^2) for delta = p/q; the
-    bit-length bracket settles almost every case without the big powers.
+    Equivalent to a >= c*log2(k) with a = D*p^2 - 4*add*q^2, c = 8q^2 for
+    delta = p/q. The bit-length bracket settles almost every case; inside it
+    a power of two k compares a with c*log2(k) in integers, and any other k
+    the sign of a*ln(2) - c*ln(k), never 0, at a precision that doubles until
+    it exceeds the rounding error. Neither 2^a nor k^c is formed.
     """
     p, q = delta.numerator, delta.denominator
     a = dstar * p * p - 4 * add * q * q
     c = 8 * q * q
-    if a < 0:
-        return False
-    if k == 1:
-        return True
     bits = k.bit_length()
     if a >= c * bits:
         return True  # log2 k < bit_length
     if a < c * (bits - 1):
         return False  # log2 k >= bit_length - 1
-    return 2**a >= k**c
+    if k & (k - 1) == 0:
+        return a >= c * (bits - 1)
+    prec = a.bit_length() // 3 + 30  # past the digits of a
+    while True:
+        with localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            # ln is correctly rounded, and each rounding errs by under
+            # 10^(1-prec) of a value below a + c*bits: a gap 100 times their
+            # sum has the sign of the exact one
+            gap = a * Decimal(2).ln() - c * Decimal(k).ln()
+            if abs(gap) > (a + c * bits) * Decimal(10) ** (3 - prec):
+                return gap > 0
+        prec *= 2

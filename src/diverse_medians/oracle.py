@@ -248,10 +248,7 @@ def brute_max_code_size(
         return 1
     points = np.indices(sizes, dtype=np.int16).reshape(d, -1).T  # product order
     cand = points[(points != 0).sum(axis=1) >= t]
-    m = cand.shape[0]
-    if m == 0:
-        return 1
-    limits.check("max_tuples", math.comb(m, 2), "candidate pairs")
+    limits.check("max_tuples", math.comb(cand.shape[0], 2), "candidate pairs")
     adj = _adjacency(cand, t)
 
     # Symmetry: relabeling symbols within a coordinate (fixing symbol 0) and
@@ -392,8 +389,6 @@ def _max_clique(
             sub = below & adj[_first(sub_orbit)]
             if sub:
                 expand(sub, 2)
-            elif best < 2:
-                best = 2
             below &= ~sub_orbit
             if not color_order(below, best)[0]:
                 break

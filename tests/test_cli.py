@@ -529,11 +529,19 @@ def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
     (["--objective", "bound", "--input", "{tmp}/missing.txt", "--t", "-1"], "t must be >= 0"),
     (["--objective", "oracle", "--oracle-op", "max-code-size", "--sizes", "3,3", "--t", "-2"],
      "t must be >= 0"),
+    # more digits than str() prints: these used to end in a traceback with exit 1
+    (["--objective", "median", "--input", "{tmp}/missing.txt", "--epsilon", "1e5000"],
+     "--epsilon has a numerator or denominator of more than 4300 digits"),
+    (["--objective", "min-dispersion", "--input", "{tmp}/missing.txt", "--delta", "1e-4300"],
+     "--delta has a numerator or denominator of more than 4300 digits"),
+    (["--objective", "min-dispersion", "--strategy", "lp", "--k", "3", "--input",
+      "{tmp}/missing.txt", "--eta", "1e-30000"],
+     "--eta has a numerator or denominator of more than 4300 digits"),
 ], ids=["bound-size-0", "non-utf8-input", "csv-cell-over-limit", "output-dir-missing",
         "oracle-op-missing", "epsilon", "epsilon-median", "delta", "eta", "k-min",
         "oracle-mindp-k-min", "delta-sum-greedy", "alphabet-duplicate", "alphabet-single",
         "lp-k-above-alphabet", "t",
-        "oracle-max-code-size-t"])
+        "oracle-max-code-size-t", "epsilon-digits", "delta-digits", "eta-digits"])
 def test_main_bad_input_exits_2_naming_it(argv, named, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes("ab\nb\u00e9\n".encode("latin-1"))
     (tmp_path / "wide.csv").write_text("a" * (csv.field_size_limit() + 1) + "\n")
@@ -731,8 +739,11 @@ ORACLE = ["--objective", "oracle", "--oracle-op"]
      "max_tuples", "code-size search nodes: 23872", 23871),
     (["--objective", "min-dispersion", "--strategy", "dp", "--input", "{ties}", "--k", "2",
       "--delta", "1/2"], "max_states", "with T=4 tie columns: 25", 10),  # (4+1) * (4+1)
+    # 5 * 5^C(2000, 2), about 1.4 million digits: stated by size, never formed
+    (["--objective", "min-dispersion", "--strategy", "dp", "--input", "{ties}", "--k", "2000"],
+     "max_states", "with T=4 tie columns: 2^14287 or more", 10**7),
 ], ids=["k", "pool-layer", "pairs", "multisets", "subsets", "product-space",
-        "candidate-pairs", "search-nodes", "dp-states"])
+        "candidate-pairs", "search-nodes", "dp-states", "dp-states-by-size"])
 def test_every_cap_refusal_names_its_knob_amount_and_cap(argv, knob, amount, cap, ties_path,
                                                          capsys):
     flag = f"--{knob.replace('_', '-')}"
@@ -1027,3 +1038,71 @@ def test_every_traced_name_resolves_in_the_package():
     names = {name for _, fns, _ in tracing.LAYERS for name in fns}
     assert {n.split(".")[-1] for n in names} - {"dumps"} | {"json"} <= patched
     assert [dict(vars(m)) for m in modules] == before
+
+
+# --- numbers past str()'s digit limit, and k far past what the DP can hold ----------
+
+TOUR_ROWS = "abca\nabcb\nabca\nbbcb\n"
+
+
+def run_cli(argv, timeout, ulimit_kb=None):
+    """One CLI process, optionally under a virtual-memory ceiling."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    cmd = [sys.executable, "-m", "diverse_medians.cli", *argv]
+    if ulimit_kb is not None:
+        cmd = ["sh", "-c", f'ulimit -v {ulimit_kb}; exec "$@"', "sh", *cmd]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_main_flag_at_the_digit_limit_prints_every_digit(tmp_path, capsys):
+    # 10^4299 has 4300 digits and is accepted; tstar_upper = 4(1+eps)opt/n
+    # then has 4302, and the certificate prints them all
+    p = tmp_path / "ab.txt"
+    p.write_text("a" * 100 + "\n" + "b" * 100 + "\n")
+    code, out, err = run_main(["--objective", "bound", "--t", "2", "--epsilon", "1e4299",
+                               "--input", str(p)], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["config"]["epsilon"] == "1" + "0" * 4299
+    assert doc["opt"] == 100
+    assert doc["certificates"]["tstar_upper"] == "2" + "0" * 4298 + "200"
+
+
+def test_main_auto_walk_goes_on_past_a_refusal_stated_by_size(tmp_path, capsys):
+    # B = 10^2000 * opt: the DP's state space has about 8,000 digits; its
+    # refusal used to end in a traceback with exit 1 instead of the next row
+    tour = tmp_path / "tour.txt"
+    tour.write_text(TOUR_ROWS)
+    code, out, err = run_main(["--objective", "min-dispersion", "--k", "4", "--epsilon", "1e2000",
+                               "--input", str(tour)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["strategy_tag"] != "dp"
+
+
+@pytest.mark.parametrize("rows, argv, codes", [
+    (TOUR_ROWS, ["--strategy", "dp"], {3}),
+    ("a\na\nb\n", ["--strategy", "dp"], {0, 3}),  # no tie column: k copies of w
+    # auto: the DP refuses and greedy runs; one column keeps the O(k^2 d)
+    # minimum-distance pass over the k members short
+    ("a\nb\n", ["--delta", "1/20000"], {0}),
+], ids=["dp", "dp-no-tie-column", "auto"])
+def test_main_dp_at_k_20000_decides_before_it_allocates(rows, argv, codes, tmp_path):
+    # the DP used to build C(k, 2) = 2 * 10^8 pairs before its precheck, and
+    # died for memory under this 1 GB ceiling
+    p = tmp_path / "rows.txt"
+    p.write_text(rows)
+    proc = run_cli(["--objective", "min-dispersion", "--k", "20000", "--input", str(p), *argv],
+                   timeout=120, ulimit_kb=1_000_000)
+    assert proc.returncode in codes, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_exact_auto_walk_takes_a_long_delta_in_little_time(tmp_path):
+    # 14 tie columns: the sample row's test used to form 2^a with a ~ 10^61
+    p = tmp_path / "ties14.txt"
+    p.write_text("a" * 14 + "\n" + "a" * 14 + "\n" + "b" * 14 + "\n" + "b" * 14 + "\n")
+    delta = f"{10**30 - 1}/{10**30}"
+    for k in ("2", "3"):
+        proc = run_cli(["--objective", "min-dispersion", "--k", k, "--delta", delta,
+                        "--input", str(p)], timeout=60)
+        assert proc.returncode == 0, proc.stderr

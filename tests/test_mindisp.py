@@ -391,6 +391,21 @@ def test_diameter_threshold_is_boundary_exact():
     assert not _diameter_at_least(79, Fraction(1, 2), 4, add=1)
 
 
+def test_diameter_threshold_matches_the_literal_powers():
+    # the test decides 2^a >= k^c without forming either power; on this grid
+    # every branch runs: both brackets, a power of two k, and the Decimal loop
+    for dstar, (p, q), k, add in product(range(0, 40, 3), [(1, 2), (2, 3), (3, 4), (1, 1)],
+                                         range(1, 13), (0, 1)):
+        a, c = dstar * p * p - 4 * add * q * q, 8 * q * q
+        expected = a >= 0 and 2**a >= k**c
+        assert _diameter_at_least(dstar, Fraction(p, q), k, add) == expected, (dstar, p, q, k)
+    # k = 2^200 + 1, a = 200c = 1600: a*ln(2) - c*ln(k) is about -5e-60, so the
+    # precision doubles before its sign is sure
+    k = 2**200 + 1
+    for dstar in (1600, 1601):
+        assert _diameter_at_least(dstar, Fraction(1), k, 0) == (2**dstar >= k**8)
+
+
 # --- dispatchers ------------------------------------------------------------------
 
 
