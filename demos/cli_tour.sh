@@ -68,6 +68,23 @@ err=$(diverse-medians --objective median --input "$tmp/rows.txt" --epsilon 1e500
 [ "$rc" = 2 ]
 case $err in *Traceback*) exit 1 ;; *--epsilon*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
 
+echo '== a flag of a hundred million digits is refused before it is expanded: exit code 2 =='
+rc=0
+err=$(timeout 10 diverse-medians --objective median --input "$tmp/rows.txt" \
+    --epsilon 1e100000000 2>&1) || rc=$?
+[ "$rc" = 2 ]
+case $err in *Traceback*) exit 1 ;; *--epsilon*) echo "exit code $rc: $err" ;; *) exit 1 ;; esac
+
+echo '== k = 20,000 on the rows widened to 400 columns: members repeat, min dispersion 0 at once =='
+# one distance pass per member took 24 s on a 2-core host; one pass finds the repeat
+python3 -c 'import sys; [print(r[:3] * 133 + r[3]) for r in sys.argv[1:]]' \
+    abca abcb abca bbcb > "$tmp/rows400.txt"
+rc=0
+timeout 10 diverse-medians --objective min-dispersion --input "$tmp/rows400.txt" --k 20000 \
+    --delta 1/20000 --output "$tmp/k20000.json" || rc=$?
+[ "$rc" = 0 ]
+echo "exit code $rc"
+
 echo '== a delta with a 30-digit denominator: the exact auto walk decides at once, exit code 0 =='
 printf 'aaaaaaaaaaaaaa\naaaaaaaaaaaaaa\nbbbbbbbbbbbbbb\nbbbbbbbbbbbbbb\n' > "$tmp/ties14.txt"
 rc=0

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -285,12 +286,27 @@ class RunConfig:
     limits: EnumerationLimits
 
 
-def parse_rational(text: str) -> Fraction:
-    """Exact rational from "p/q" or a decimal literal ("0.25" -> 1/4)."""
+def parse_rational(text: str, flag: str = "the number") -> Fraction:
+    """Exact rational from "p/q" or a decimal literal ("0.25" -> 1/4), refused
+    when its numerator or denominator has more than SHOWN_DIGITS digits.
+
+    A literal m·10^e with |e| above SHOWN_DIGITS + len(literal) is decided
+    before Fraction would form 10^e: read at exponent 0 (each exponent digit
+    made 0), it is valid exactly when the literal is, and 0 exactly when m is.
+    A nonzero m then has at most len(literal) digits, so the numerator (e > 0)
+    or the denominator (e < 0) is past SHOWN_DIGITS digits.
+    """
+    literal = text.strip()
+    cut = max(literal.rfind("e"), literal.rfind("E")) + 1  # 0: no exponent
     try:
-        return Fraction(text.strip())
+        far = cut > 0 and abs(int(literal[cut:])) > SHOWN_DIGITS + len(literal)
+        value = Fraction(literal[:cut] + re.sub(r"\d", "0", literal[cut:]) if far else literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational number: {text!r}") from exc
+    if far and value or max(abs(value.numerator), value.denominator) >= 10**SHOWN_DIGITS:
+        raise ValidationError(f"{flag} has a numerator or denominator of more than "
+                              f"{SHOWN_DIGITS} digits")
+    return value
 
 
 def _parse_alphabet(text: str) -> tuple[str, ...]:
@@ -626,11 +642,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValidationError("seed must lie in [0, 2^64)")
     if args.k < 1:
         raise ValidationError("k must be >= 1")
-    rationals = {name: parse_rational(getattr(args, name)) for name in ("epsilon", "delta", "eta")}
-    for name, value in rationals.items():
-        if max(abs(value.numerator), value.denominator) >= 10**SHOWN_DIGITS:
-            raise ValidationError(f"--{name} has a numerator or denominator of more "
-                                  f"than {SHOWN_DIGITS} digits")
+    rationals = {name: parse_rational(getattr(args, name), f"--{name}")
+                 for name in ("epsilon", "delta", "eta")}
     # every other field, and each cap, takes the flag of its own name as is
     parsed = {
         **rationals,

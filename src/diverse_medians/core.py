@@ -312,9 +312,22 @@ class MedianContext:
         return Dataset.from_strings([s], self.alphabet).codes[0]
 
 
+def symbol_counts(codes: np.ndarray, sigma: int) -> np.ndarray:
+    """The (d, sigma) int64 table of how many rows of an (m, d) code matrix,
+    every code below sigma, hold each symbol at each index: one np.bincount
+    of index*sigma + code per block of rows (row_blocks at 8 bytes a cell),
+    O(m*d) time whatever sigma. The one per-index symbol count."""
+    m, d = codes.shape
+    counts = np.zeros(d * sigma, dtype=np.int64)
+    offsets = np.arange(d, dtype=np.int64) * sigma
+    for rows in row_blocks(m, 8 * d):
+        counts += np.bincount((codes[rows] + offsets).ravel(), minlength=d * sigma)
+    return counts.reshape(d, sigma)
+
+
 def build_context(dataset: Dataset) -> MedianContext:
-    """Count every symbol at every index, in one pass over the code matrix per
-    symbol, and derive costs, ranks and opt from that table.
+    """Count every symbol at every index (symbol_counts) and derive costs,
+    ranks and opt from that table.
 
     When an index is unanimous (count n), the second choice is the first
     other alphabet symbol; its weight n can never be picked up by any
@@ -322,9 +335,7 @@ def build_context(dataset: Dataset) -> MedianContext:
     """
     if len(dataset.alphabet) < 2:
         raise ValidationError("alphabet needs at least 2 symbols to define a second choice")
-    counts = np.empty((dataset.d, len(dataset.alphabet)), dtype=np.int64)
-    for j in range(len(dataset.alphabet)):
-        counts[:, j] = (dataset.codes == j).sum(axis=0)
+    counts = symbol_counts(dataset.codes, len(dataset.alphabet))
     best = counts.max(axis=1)
     cost = best[:, None] - counts
     rank = np.argsort(cost, axis=1, kind="stable").astype(dataset.codes.dtype)
@@ -458,10 +469,9 @@ class CandidateSet:
     def sum_dispersion(self) -> int:
         # Column identity: pairs differing at i = (k^2 - sum of squared counts)/2,
         # where the counts are how many members carry each symbol at i; always
-        # an integer since the counts sum to k and l^2 = l (mod 2). The counts
-        # are build_context's, one k x d bool mask at a time.
+        # an integer since the counts sum to k and l^2 = l (mod 2).
         k, d = self.codes.shape
-        counts = build_context(self.dataset).counts
+        counts = symbol_counts(self.codes, len(self.dataset.alphabet))
         return (k * k * d - int((counts * counts).sum())) // 2
 
     def min_dispersion(self) -> int:
@@ -507,11 +517,9 @@ class FarthestPairs:
     def __init__(self, codes: np.ndarray):
         p = len(codes)
         cols = codes[:, np.flatnonzero(codes.min(axis=0) != codes.max(axis=0))]
-        present = [np.flatnonzero(np.bincount(col)) for col in cols.T]
         # X's column f is cols[:, col_of[f]] == sym_of[f], one per symbol present
-        col_of = np.array([c for c, a in enumerate(present) for _ in a], dtype=np.intp)
-        sym_of = np.array([b for a in present for b in a.tolist()], dtype=np.intp)
-        self.v = len(present)
+        col_of, sym_of = np.nonzero(symbol_counts(cols, int(cols.max(initial=0)) + 1))
+        self.v = cols.shape[1]
         self.dtype = dtype = np.dtype(np.float32 if self.v < 2**24 else np.float64)
         width = max(1, BLOCK_BYTES // (p * dtype.itemsize))
         # no varying column leaves one empty chunk, whose products are all 0
@@ -571,9 +579,12 @@ class FarthestPairs:
 
 def min_distance(codes: np.ndarray) -> int:
     """Minimum Hamming distance between two rows of a code matrix (two rows
-    or more; a repeated row gives 0), one distances_to vector per row."""
+    or more): 0 at once when a row repeats, else one distances_to vector per
+    row."""
     if len(codes) < 2:
         raise ValidationError("min_dispersion needs at least 2 members")
+    if len(set(map(bytes, codes))) < len(codes):  # np.unique(axis=0) sorts far slower
+        return 0
     return min(int(distances_to(codes[r:], 0)[1:].min()) for r in range(len(codes) - 1))
 
 

@@ -43,15 +43,20 @@ def _check_dp_state(
 ) -> None:
     """The DP's final state read off its key against the members it walked
     back to: their pairwise distances in combinations(range(k), 2) order, one
-    distances_to vector per member, and each member's cost above opt."""
+    distances_to vector per member, or, when every distance is 0, one check
+    that every member equals the first; and each member's cost above opt."""
     k, at = len(codes), 0
     if len(distances) != k * (k - 1) // 2:
         raise InternalError("DP state: distances differ from the members'")
-    for r in range(k - 1):  # the pairs (r, s) with s > r
-        row = distances_to(codes[r:], 0)[1:]
-        if not np.array_equal(distances[at : at + len(row)], row):
+    if not np.any(distances):
+        if not (codes == codes[0]).all():
             raise InternalError("DP state: distances differ from the members'")
-        at += len(row)
+    else:
+        for r in range(k - 1):  # the pairs (r, s) with s > r
+            row = distances_to(codes[r:], 0)[1:]
+            if not np.array_equal(distances[at : at + len(row)], row):
+                raise InternalError("DP state: distances differ from the members'")
+            at += len(row)
     if tuple(costs) != tuple((ctx.costs_of(codes) - ctx.opt).tolist()):
         raise InternalError("DP state: costs differ from the members'")
 

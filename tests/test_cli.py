@@ -537,18 +537,67 @@ def test_main_oracle_bad_arguments_exit_2(ties_path, capsys):
     (["--objective", "min-dispersion", "--strategy", "lp", "--k", "3", "--input",
       "{tmp}/missing.txt", "--eta", "1e-30000"],
      "--eta has a numerator or denominator of more than 4300 digits"),
+    # an exponent this long is refused before 10^e is formed (10 s each when it was)
+    (["--objective", "median", "--input", "{tmp}/missing.txt", "--epsilon", "1e10000000"],
+     "--epsilon has a numerator or denominator of more than 4300 digits"),
+    (["--objective", "min-dispersion", "--input", "{tmp}/missing.txt",
+      "--delta", "2.5e-10000000"],
+     "--delta has a numerator or denominator of more than 4300 digits"),
+    (["--objective", "min-dispersion", "--input", "{tmp}/missing.txt", "--eta", "1E+10000000"],
+     "--eta has a numerator or denominator of more than 4300 digits"),
+    (["--objective", "bound", "--input", "{tmp}/rows.txt"], "objective=bound requires --t"),
+    (["--objective", "oracle", "--oracle-op", "max-code-size", "--t", "2"],
+     "oracle max-code-size requires --sizes and --t"),
+    (["--objective", "median"], "objective=median requires --input"),
+    (["--objective", "bound", "--sizes", "2,x", "--t", "1"], "bad --sizes: '2,x'"),
+    (["--objective", "bound", "--sizes", ",", "--t", "1"], "empty --sizes"),
+    (["--objective", "median", "--input", "{tmp}/rows.txt", "--k", "0"], "k must be >= 1"),
+    (["--objective", "median", "--input", "{tmp}/rows.txt", "--alphabet", ","],
+     "empty alphabet"),
+    (["--objective", "median", "--format", "fasta", "--input", "{tmp}/headless.fa"],
+     "sequence data before the first '>' header"),
 ], ids=["bound-size-0", "non-utf8-input", "csv-cell-over-limit", "output-dir-missing",
         "oracle-op-missing", "epsilon", "epsilon-median", "delta", "eta", "k-min",
         "oracle-mindp-k-min", "delta-sum-greedy", "alphabet-duplicate", "alphabet-single",
         "lp-k-above-alphabet", "t",
-        "oracle-max-code-size-t", "epsilon-digits", "delta-digits", "eta-digits"])
+        "oracle-max-code-size-t", "epsilon-digits", "delta-digits", "eta-digits",
+        "epsilon-exponent", "delta-exponent", "eta-exponent", "bound-t-missing",
+        "oracle-max-code-size-sizes-missing", "input-missing", "sizes-bad", "sizes-empty",
+        "k-zero", "alphabet-empty", "fasta-headless"])
 def test_main_bad_input_exits_2_naming_it(argv, named, tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes("ab\nb\u00e9\n".encode("latin-1"))
     (tmp_path / "wide.csv").write_text("a" * (csv.field_size_limit() + 1) + "\n")
     (tmp_path / "rows.txt").write_text("ab\nbb\n")
+    (tmp_path / "headless.fa").write_text("ACGT\n>r1\nACGT\n")
+    start = time.perf_counter()
     code, _, err = run_main([a.format(tmp=tmp_path) for a in argv], capsys)
+    elapsed = time.perf_counter() - start
     assert code == 2 and named.format(tmp=tmp_path) in err, err
     assert "Traceback" not in err
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_main_takes_a_zero_with_a_long_exponent_as_zero(tmp_path, capsys):
+    # 0 * 10^(10^7) is 0: read without forming 10^e (9.6 s when it was)
+    p = tmp_path / "rows.txt"
+    p.write_text("ab\nbb\n")
+    start = time.perf_counter()
+    code, out, err = run_main(["--objective", "median", "--input", str(p),
+                               "--epsilon", "0e10000000"], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert json.loads(out)["config"]["epsilon"] == "0"
+    assert cli.parse_rational("-0.0E-10000000") == 0
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_library_entry_points_refuse_an_unknown_name(tmp_path):
+    p = tmp_path / "rows.txt"
+    p.write_text("ab\nbb\n")
+    with pytest.raises(ValidationError, match="unknown format 'xml'"):
+        cli.ingest(str(p), "xml")
+    with pytest.raises(ValidationError, match="unknown objective 'bogus'"):
+        cli.run(make_config(objective="bogus", input=str(p)))
 
 
 def test_main_min_dispersion_checks_k_before_any_named_strategy(ties_path, monkeypatch,
@@ -1082,8 +1131,8 @@ def test_main_auto_walk_goes_on_past_a_refusal_stated_by_size(tmp_path, capsys):
 @pytest.mark.parametrize("rows, argv, codes", [
     (TOUR_ROWS, ["--strategy", "dp"], {3}),
     ("a\na\nb\n", ["--strategy", "dp"], {0, 3}),  # no tie column: k copies of w
-    # auto: the DP refuses and greedy runs; one column keeps the O(k^2 d)
-    # minimum-distance pass over the k members short
+    # auto: the DP refuses and greedy runs; its k members repeat, so their
+    # minimum distance is 0 at once
     ("a\nb\n", ["--delta", "1/20000"], {0}),
 ], ids=["dp", "dp-no-tie-column", "auto"])
 def test_main_dp_at_k_20000_decides_before_it_allocates(rows, argv, codes, tmp_path):

@@ -135,8 +135,8 @@ def test_candidate_set_column_identity(rng):
 
 
 def test_candidate_set_sum_dispersion_memory_bound():
-    # k = 20,000 members of length 1,000: one k x d bool mask at a time, where
-    # an int64 index per cell took 8·k·d bytes
+    # k = 20,000 members of length 1,000: one block of offset codes at a
+    # time, where an int64 index per cell took 8·k·d bytes
     k, d = 20_000, 1_000
     codes = np.random.default_rng(5).integers(0, 2, (k, d), dtype=np.uint8)
     ones = codes.sum(axis=0, dtype=np.int64)
@@ -149,6 +149,19 @@ def test_candidate_set_sum_dispersion_memory_bound():
         tracemalloc.stop()
     assert value == int((ones * (k - ones)).sum())
     assert peak < k * d + BLOCK_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_min_dispersion_of_repeated_members_is_zero_at_once():
+    # 20,000 members: one distances_to pass per member took 6 s on 4 columns
+    ctx = context_from_strings(["abca", "abcb", "abca", "bbcb"], alphabet="abc")
+    copies = np.tile(ctx.rank[:, 0], (20_000, 1))
+    grid = np.indices((3,) * 4).reshape(4, -1).T  # every word over abc once
+    start = time.perf_counter()
+    assert CandidateSet.from_members(ctx, copies).min_dispersion() == 0
+    assert core.min_distance(np.concatenate((grid, grid[40:41]))) == 0
+    assert core.min_distance(grid) == 1
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_median_predicates():
@@ -366,6 +379,31 @@ def test_context_from_strings_memory_and_time_bound():
     assert ctx.n == n and ctx.d == d and ctx.opt > 0
     assert peak < 6 * n * d, f"peak {peak / 1e6:.1f} MB"
     assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_build_context_counts_a_wide_alphabet_in_little_time():
+    # 4000 x 1000 over 300 symbols: one bool pass per symbol took 0.87 s
+    n, d, sigma = 4000, 1000, 300
+    codes = np.random.default_rng(3).integers(0, sigma, (n, d)).astype(np.uint16)
+    dataset = Dataset(codes=codes, alphabet=tuple(f"s{j}" for j in range(sigma)))
+    start = time.perf_counter()
+    ctx = build_context(dataset)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.3, f"{elapsed:.2f} s"
+    for i in (0, 517, d - 1):
+        assert np.array_equal(ctx.counts[i], np.bincount(codes[:, i], minlength=sigma))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, 2**22])
+def test_symbol_counts_match_one_pass_per_symbol(block_bytes, monkeypatch):
+    # blocks of one row, of a few rows, and one block: the same table
+    monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(11)
+    for m, d, sigma in ((1, 1, 2), (7, 3, 2), (50, 4, 20), (30, 9, 300), (5, 0, 3)):
+        codes = rng.integers(0, sigma, (m, d)).astype(np.min_scalar_type(sigma))
+        want = np.stack([(codes == j).sum(axis=0) for j in range(sigma)], axis=1)
+        got = core.symbol_counts(codes, sigma)
+        assert got.dtype == np.int64 and np.array_equal(got, want.reshape(d, sigma))
 
 
 @pytest.mark.parametrize("block_bytes", [1, 7, 64, 2**22])

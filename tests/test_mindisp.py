@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,17 @@ def test_dp_state_invariant_violation_is_an_internal_error(monkeypatch):
             monkeypatch.setattr(mindisp, "_dp_kernel", off_by_one)
             with pytest.raises(InternalError):
                 min_disp_dp_approx(ctx, budget, 3)
+
+    # all-zero distances are checked by comparing every member to the first,
+    # and these members differ
+    def zero_distances(*args):
+        dist, cost, codes = kernel(*args)
+        assert len(np.unique(codes, axis=0)) > 1
+        return (0,) * len(dist), cost, codes
+
+    monkeypatch.setattr(mindisp, "_dp_kernel", zero_distances)
+    with pytest.raises(InternalError):
+        min_disp_dp_approx(ctx, budget, 3)
 
 
 # The dict DPs the array kernel replaced, kept as references: each layer is a
@@ -240,6 +252,17 @@ def test_dp_skips_columns_with_one_admissible_symbol():
     elapsed = time.perf_counter() - t0
     assert (val, cands.members) == dict_dp_exact(ctx, 4)
     assert elapsed < 0.3, f"{elapsed:.2f} s"
+
+
+def test_dp_without_a_tie_column_at_k_20000():
+    # k copies of w: the state check compares each member to the first, where
+    # one distances_to vector per member took 12 s
+    ctx = context_from_strings(["abca", "abca", "abcb"], alphabet="abc")
+    t0 = time.perf_counter()
+    val, cands = min_disp_dp_exact(ctx, 20_000)
+    elapsed = time.perf_counter() - t0
+    assert val == 0 and set(cands.members) == {ctx.w}
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_dp_approx_memory_and_time_bound():
