@@ -18,6 +18,7 @@ from diverse_medians import (
     brute_diameter,
     context_from_strings,
     exact_diameter_pair,
+    median_cost,
 )
 
 # Exact route: with zero budget the answer is just the number of tied
@@ -40,4 +41,4 @@ oracle = brute_diameter(pool)
 print(f"budgeted diameter = {res.diameter} via {res.branch}; "
       f"oracle over {pool.n} candidates = {oracle}")
 assert res.diameter == oracle
-assert res.costs[0] <= (1 + budget.epsilon) * ctx.opt
+assert all(median_cost(ctx, s) <= (1 + budget.epsilon) * ctx.opt for s in res.pair)

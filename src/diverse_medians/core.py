@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from decimal import Decimal
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -429,7 +429,7 @@ def is_exact_median(ctx: MedianContext, s: Sequence[Symbol] | str) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Ordered multiset of k candidate strings with cached costs.
+    """Ordered multiset of k candidate strings.
 
     The members are a (k, d) code matrix over the context's alphabet, held as
     a ``Dataset`` like a pool; ``members`` decodes them. Duplicate members are
@@ -437,22 +437,19 @@ class CandidateSet:
     """
 
     dataset: Dataset
-    costs: tuple[int, ...]
 
     @classmethod
     def from_members(
         cls, ctx: MedianContext, codes: np.ndarray | Sequence[Sequence[int]]
     ) -> "CandidateSet":
         """The candidate set whose member r has the symbol codes ``codes[r]``
-        (a (k, d) matrix over the context's alphabet); costs are gathered
-        from ``ctx.cost``."""
+        (a (k, d) matrix over the context's alphabet)."""
         codes = np.asarray(codes, dtype=ctx.dataset.codes.dtype)
         if codes.ndim != 2 or len(codes) == 0:
             raise ValidationError("candidate set needs at least one member")
         if codes.shape[1] != ctx.d:
             raise ValidationError("candidate length mismatch")
-        return cls(dataset=Dataset(codes=codes, alphabet=ctx.alphabet),
-                   costs=tuple(ctx.costs_of(codes).tolist()))
+        return cls(dataset=Dataset(codes=codes, alphabet=ctx.alphabet))
 
     @property
     def codes(self) -> np.ndarray:
@@ -603,3 +600,23 @@ def distances_to(codes: np.ndarray, r: int) -> np.ndarray:
     for rows in row_blocks(len(codes), codes.shape[1]):
         (codes[rows] != codes[r]).sum(axis=1, dtype=out.dtype, out=out[rows])
     return out
+
+
+def pool_greedy(ctx: MedianContext, pool: Dataset, k: int, fold: np.ufunc,
+                first: Callable[[np.ndarray], Sequence[int]]) -> CandidateSet:
+    """k pool rows: those `first(pool.codes)` picks (at most k; row 0 alone
+    for one string, k = 1 or no pick), then one at a time the first row with
+    the largest `fold` (np.minimum or np.add) of its distances to the chosen.
+    Once that is 0 for every row it stays 0 (a sum of 0 means every row
+    equals row 0): the rows still missing are row 0, added with no more pass."""
+    if pool.n == 0:
+        raise ValidationError("candidate pool is empty")
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    codes = pool.codes
+    chosen = (list(first(codes)) if pool.n > 1 and k > 1 else []) or [0]
+    value = reduce(fold, (distances_to(codes, r).astype(np.int64) for r in chosen))
+    while len(chosen) < k and value.any():
+        chosen.append(int(value.argmax()))  # ties: lowest pool index
+        fold(value, distances_to(codes, chosen[-1]), out=value)
+    return CandidateSet.from_members(ctx, codes[chosen + [0] * (k - len(chosen))])

@@ -20,11 +20,10 @@ from .core import Budget, Dataset, MedianContext, Word
 @dataclass(frozen=True, eq=False)
 class DiameterResult:
     """The two strings as a (2, d) code matrix over the context's alphabet,
-    their distance, their costs and the branch that found them."""
+    their distance and the branch that found them."""
 
     dataset: Dataset
     diameter: int
-    costs: tuple[int, int]
     branch: str  # "exact" | "greedy_SR" | "partitioned_T1T2"
 
     @property
@@ -42,7 +41,6 @@ def exact_diameter_pair(ctx: MedianContext) -> DiameterResult:
     return DiameterResult(
         dataset=_deviate(ctx, ties[:0], ties),  # on a tie index, rank[i, 1] is majority too
         diameter=len(ties),
-        costs=(ctx.opt, ctx.opt),
         branch="exact",
     )
 
@@ -123,7 +121,6 @@ def approx_diameter_pair(ctx: MedianContext, budget: Budget) -> DiameterResult:
     s = int(np.searchsorted(acc, cap, side="right")) - 1
     taken = int(np.searchsorted(acc, acc[s] + cap, side="right")) - 1
     S, R = order[:s].tolist(), order[s:taken].tolist()
-    sum_s, sum_r = int(acc[s]), int(acc[taken] - acc[s])
 
     if taken < d:
         T = S + R + [int(order[taken])]
@@ -134,13 +131,11 @@ def approx_diameter_pair(ctx: MedianContext, budget: Budget) -> DiameterResult:
                 return DiameterResult(
                     dataset=_deviate(ctx, part1, part2),
                     diameter=len(T),
-                    costs=(ctx.opt + sum1, ctx.opt + sum2),
                     branch="partitioned_T1T2",
                 )
 
     return DiameterResult(
         dataset=_deviate(ctx, S, R),
         diameter=taken,
-        costs=(ctx.opt + sum_s, ctx.opt + sum_r),
         branch="greedy_SR",
     )

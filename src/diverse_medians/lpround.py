@@ -215,7 +215,7 @@ def _highs_core():
 
 def _highs(cost, upper, row_lower, row_upper, start, index, value):
     """Minimize cost @ x subject to row_lower <= A x <= row_upper and
-    0 <= x <= upper, with A column-wise (start, index, value): HiGHS's dual
+    0 <= x <= upper, with A row-wise (start, index, value): HiGHS's dual
     simplex after presolve, HiGHS's defaults otherwise, silent. These are the
     model and options scipy.optimize.linprog(method="highs") passes.
 
@@ -225,7 +225,7 @@ def _highs(cost, upper, row_lower, row_upper, start, index, value):
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
     lp.num_row_ = lp.a_matrix_.num_row_ = row_upper.size
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
     lp.col_cost_ = cost
     lp.col_lower_ = np.zeros(cost.size)
     lp.col_upper_ = upper
@@ -255,20 +255,19 @@ def _highs(cost, upper, row_lower, row_upper, start, index, value):
 def linprog(model: IlpModel) -> np.ndarray:
     """The relaxation's optimal vertex: x[v] for every variable index v.
 
-    The model goes to HiGHS column-wise, inequality rows first. A vertex
-    HiGHS calls optimal must still meet every bound and row within
-    _FEAS_TOL, checked against the model here.
+    The model goes to HiGHS row-wise, as _triplets lists it, inequality rows
+    first. A vertex HiGHS calls optimal must still meet every bound and row
+    within _FEAS_TOL, checked against the model here.
     """
     core = _highs_core()
     (rows, cols, vals), b_ub, cost, upper = model._triplets()
-    n, n_eq = model.n_vars, model.k * model.d
-    order = np.lexsort((rows, cols))  # by column, rows ascending within each
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    n_eq = model.k * model.d
     row_lower = np.concatenate([np.full(b_ub.size, -core.kHighsInf), np.ones(n_eq)])
     row_upper = np.concatenate([b_ub, np.ones(n_eq)])
+    start = np.zeros(row_upper.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=row_upper.size), out=start[1:])
     status, message, x = _highs(cost, upper, row_lower, row_upper, start,
-                                rows[order].astype(np.int32), vals[order])
+                                cols.astype(np.int32), vals)
     if status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
         # The all-majority assignment (u_{ri1}=1, z=0, t=0) satisfies every
         # constraint, so infeasibility means the model was built wrong.

@@ -31,6 +31,7 @@ from .core import (
     ValidationError,
     best_by_min_distance,
     distances_to,
+    pool_greedy,
     row_blocks,
 )
 
@@ -327,23 +328,12 @@ def greedy_dispersion(pool: Dataset, k: int, ctx: MedianContext) -> CandidateSet
     definition). The first pair is core.FarthestPairs(pool.codes).pair(),
     exact inner products over the pool's one-hot matrix. Memory is the
     pool's p*d code bytes, a copy of its varying columns and
-    O(core.BLOCK_BYTES) for that kernel, plus a running vector of each
+    O(core.BLOCK_BYTES) for that kernel, plus core.pool_greedy's vector of each
     string's distance to its nearest chosen member. The k chosen rows are
     passed on as codes.
     """
-    if pool.n == 0:
-        raise ValidationError("candidate pool is empty")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if pool.n == 1 or k == 1:
-        return CandidateSet.from_members(ctx, pool.codes[[0] * k])
-    codes = pool.codes
-    chosen = sorted(FarthestPairs(codes).pair())
-    mins = np.minimum(distances_to(codes, chosen[0]), distances_to(codes, chosen[1]))
-    while len(chosen) < k:
-        chosen.append(int(np.argmax(mins)))  # ties: lowest pool index
-        np.minimum(mins, distances_to(codes, chosen[-1]), out=mins)
-    return CandidateSet.from_members(ctx, codes[chosen])
+    return pool_greedy(ctx, pool, k, np.minimum,
+                       lambda codes: sorted(FarthestPairs(codes).pair()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .core import (
     FarthestPairs,
     MedianContext,
     ValidationError,
-    distances_to,
+    pool_greedy,
     row_blocks,
 )
 
@@ -219,29 +219,17 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
     held are computed again. Memory is the pool's p*d code bytes, a copy of
     its varying columns and O(core.BLOCK_BYTES) for the inner-product
     kernel, plus vectors of p entries, one of them the summed distances for
-    the insertions. The k chosen rows are passed on as codes.
+    the insertions (core.pool_greedy). The k chosen rows are passed on as codes.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if pool.n == 0:
-        raise ValidationError("candidate pool is empty")
-    if pool.n == 1 or k == 1:
-        return CandidateSet.from_members(ctx, pool.codes[[0] * k])
 
-    codes = pool.codes
-    pairs = FarthestPairs(codes)
-    chosen: list[int] = []
-    while k - len(chosen) >= 2 and pairs.avail.sum() >= 2:
-        i, j = pairs.pair()
-        if i == j:  # only copies of one string left available; go to insertion
-            break
-        chosen.extend((i, j))
-        pairs.take(i, j)
-    gains = np.zeros(pool.n, dtype=np.int64)  # summed distance to the chosen
-    for c in chosen:
-        gains += distances_to(codes, c)
-    while len(chosen) < k:
-        chosen.append(int(np.argmax(gains)))  # duplicates allowed: argmax over all
-        gains += distances_to(codes, chosen[-1])
-    return CandidateSet.from_members(ctx, pool.codes[chosen])
+    def matching(codes: np.ndarray) -> list[int]:
+        pairs, chosen = FarthestPairs(codes), []
+        while k - len(chosen) >= 2 and pairs.avail.sum() >= 2:
+            i, j = pairs.pair()
+            if i == j:  # only copies of one string left available; go to insertion
+                break
+            chosen.extend((i, j))
+            pairs.take(i, j)
+        return chosen
 
+    return pool_greedy(ctx, pool, k, np.add, matching)

@@ -140,7 +140,7 @@ def test_candidate_set_sum_dispersion_memory_bound():
     k, d = 20_000, 1_000
     codes = np.random.default_rng(5).integers(0, 2, (k, d), dtype=np.uint8)
     ones = codes.sum(axis=0, dtype=np.int64)
-    cs = CandidateSet(dataset=Dataset(codes=codes, alphabet=("a", "b")), costs=())
+    cs = CandidateSet(dataset=Dataset(codes=codes, alphabet=("a", "b")))
     tracemalloc.start()
     try:
         value = cs.sum_dispersion()

@@ -162,10 +162,3 @@ def test_zero_budget_reduces_to_exact():
     res = approx_diameter_pair(ctx, b)
     exact = exact_diameter_pair(ctx)
     assert res.diameter == exact.diameter
-
-
-def test_diameter_costs_recorded():
-    ctx = context_from_strings(["aa", "ab", "ba"], alphabet="ab")
-    b = Budget.make(Fraction(1, 2), ctx.opt)
-    res = approx_diameter_pair(ctx, b)
-    assert res.costs == tuple(median_cost(ctx, s) for s in res.pair)

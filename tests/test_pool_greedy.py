@@ -22,6 +22,7 @@ from diverse_medians import (
     Budget,
     CapExceeded,
     Dataset,
+    ValidationError,
     approx_median_pool,
     build_context,
     context_from_strings,
@@ -355,3 +356,69 @@ def test_pool_engines_stay_memory_bounded_over_a_wide_alphabet(engine):
     # operands, each within BLOCK_BYTES, and two copies of the codes at most
     bound = 4 * BLOCK_BYTES + 2 * pool.n * pool.d
     assert peak < bound, f"{engine} peaked at {peak / 2**20:.2f} MiB"
+
+
+# --- the shared fill: early stop and input checks ----------------------------
+
+
+def counted_distance_passes(monkeypatch):
+    """Wrap distances_to at every module attribute bound to it; returns the
+    list that records one entry per pass."""
+    import diverse_medians.core as core
+    import diverse_medians.mindisp as mindisp
+    import diverse_medians.sumdisp as sumdisp
+
+    real, calls = core.distances_to, []
+
+    def counting(codes, r):
+        calls.append(r)
+        return real(codes, r)
+
+    for mod in (core, mindisp, sumdisp):
+        if getattr(mod, "distances_to", None) is real:
+            monkeypatch.setattr(mod, "distances_to", counting)
+    return calls
+
+
+def test_min_greedy_stops_its_distance_passes_once_every_string_is_chosen(monkeypatch):
+    # a pool of 2 at k = 20,000: after the farthest pair every string sits at
+    # distance 0 from a chosen one, and the other 19,998 picks are row 0
+    words = ["ab", "ba"]
+    ctx = context_from_strings(words, alphabet="ab")
+    pool = Dataset.from_strings(words, alphabet="ab")
+    calls = counted_distance_passes(monkeypatch)
+    assert greedy_dispersion(pool, 20_000, ctx).k == 20_000
+    assert len(calls) == 2
+    # the reference gathers every chosen column per pick: 20 s at k = 20,000
+    got = greedy_dispersion(pool, 2_000, ctx).members
+    assert len(calls) == 4
+    assert list(got) == [tuple(words[i]) for i in greedy_reference(words, 2_000)]
+
+
+def test_sum_greedy_stops_its_distance_passes_on_a_pool_of_copies(monkeypatch):
+    # every summed distance is 0 from the first pick on
+    words = ["abba"] * 6
+    ctx = context_from_strings(words + ["baab"], alphabet="ab")
+    pool = Dataset.from_strings(words, alphabet="ab")
+    k = 1_000
+    calls = counted_distance_passes(monkeypatch)
+    got = sum_dispersion_small_dstar(ctx, k, pool).members
+    assert len(calls) == 1
+    assert list(got) == [tuple(words[i]) for i in sum_reference(words, k)]
+
+
+@pytest.mark.parametrize("engine", ["greedy_dispersion", "sum_dispersion_small_dstar"])
+def test_pool_engines_refuse_an_empty_pool_and_k_below_1(engine):
+    ctx = context_from_strings(["ab", "ba"], alphabet="ab")
+    pool = Dataset.from_strings(["ab", "ba"], alphabet="ab")
+    empty = Dataset(codes=pool.codes[:0], alphabet=pool.alphabet)
+
+    def run(pool, k):
+        if engine == "greedy_dispersion":
+            return greedy_dispersion(pool, k, ctx)
+        return sum_dispersion_small_dstar(ctx, k, pool)
+
+    with pytest.raises(ValidationError, match="candidate pool is empty"):
+        run(empty, 2)
+    with pytest.raises(ValidationError, match=r"k must be >= 1"):
+        run(pool, 0)

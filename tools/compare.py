@@ -61,7 +61,9 @@ MIN = ["--objective", "min-dispersion"]
 ORACLE = ["--objective", "oracle", "--oracle-op"]
 # the first configurations, whose flags win over the seed and eta drawn for
 # them: one per STRATEGY_TABLE row (its tag in the comment), then every
-# oracle op, every format, the other objectives and exit code 4
+# oracle op, every format, the other objectives and exit code 4, then both
+# pool greedies at a k above their pool (4 exact medians), past the fill's
+# early stop
 RECIPES = [
     SUM + ["--input", "ties.txt", "--k", "3", "--strategy", "exact-construction"],
     SUM + ["--input", "ties.txt", "--k", "3", "--strategy", "greedy", "--epsilon", "1/2"],
@@ -94,6 +96,8 @@ RECIPES = [
     SUM + ["--input", "han.txt", "--k", "4", "--epsilon", "1/2"],
     MIN + ["--input", "lumpy.txt", "--k", "3", "--strategy", "lp", "--epsilon", "1/4",
            "--delta", "1/8", "--eta", "1/2", "--seed", "2"],  # no trial in the cost cap
+    SUM + ["--input", "pairs.txt", "--k", "9", "--strategy", "greedy"],
+    MIN + ["--input", "pairs.txt", "--k", "9", "--strategy", "greedy"],
 ]
 
 EPSILONS = ["0", "0", "0", "1/4", "1/2", "1", "3/2", "0.1", "1/100"]
