@@ -538,7 +538,7 @@ def run(config: RunConfig) -> dict:
                 f"exact diameter over (1+eps)-approximate medians "
                 f"(branch: {res.branch}); {cls}"
             )
-        _emit(doc, ctx, res.dataset.codes, cap)
+        _emit(doc, ctx, res.codes, cap)
         doc["dstar"] = res.diameter
         doc["objective_value"] = res.diameter
         doc["branch"] = res.branch

@@ -2,21 +2,20 @@
 
 Everything downstream (diameter pairs, dispersion maximizers, LP rounding,
 oracles) builds on the objects here: the integer-coded dataset, the median
-context (one (d, |Σ|) table of symbol counts, with the deviation costs and
-the per-index symbol ranks that give ``w``, its second-choice companion and
-``opt``), exact rational deviation budgets, the enumeration caps, and
-candidate sets.
+context (the (d, |Σ|) table of deviation costs and the per-index symbol
+ranks that give ``w``, its second-choice companion and ``opt``), exact
+rational deviation budgets, the enumeration caps, and candidate sets.
 
 All budget comparisons are exact integer comparisons (cross-multiplied
 rationals); no float ever decides feasibility.
 
 Strings stay symbol codes from ingest to the k picks: an enumerated pool of
 candidate strings is a ``Dataset`` (its (p, d) code matrix over the
-context's alphabet), and so are the members of a candidate set, decoded only
-when read as symbols, all through one decoder (``decode``). The pool kernels
-at the end (``FarthestPairs``, ``distances_to``) give the greedy engines
-Hamming distances over that matrix without ever holding a pool-by-pool
-matrix. ``FarthestPairs`` lays out the pool's one-hot matrix once and reads
+context's alphabet), and so are a candidate set and a diameter pair, decoded
+only when read as symbols, all through one decoder (``decode``). The pool
+kernels at the end (``FarthestPairs``, ``distances_to``) give the greedy
+engines Hamming distances over that matrix without ever holding a
+pool-by-pool matrix. ``FarthestPairs`` lays out the pool's one-hot matrix once and reads
 farthest partners off float inner products of its 0/1 rows, integers that
 every BLAS sums exactly.
 """
@@ -243,22 +242,22 @@ def decode(codes: np.ndarray, alphabet: Sequence[Symbol]) -> list:
 
 @dataclass(frozen=True, eq=False)
 class MedianContext:
-    """A dataset's (d, |Σ|) symbol-count table and everything the median space
-    derives from it, all indexed by symbol code.
+    """A dataset's (d, |Σ|) deviation costs and symbol ranks, and everything
+    the median space derives from them, all indexed by symbol code.
 
-    ``counts[i, a]`` is how many strings hold symbol a at index i, and
-    ``cost[i, a] = max(counts[i]) - counts[i, a]`` is the objective increase
-    from placing a at index i instead of w_i: 0 exactly on the majority set.
-    ``rank[i]`` lists the symbols at index i by ascending cost, alphabet order
-    on ties, so ``rank[i, 0]`` is w_i, the most frequent symbol, and
-    ``rank[i, 1]`` the second choice w_hat_i; the majority set at i is
-    ``rank[i, :g_i]`` with g_i = ``majority_sizes[i]``, in alphabet order.
-    Tie-breaks everywhere use the dataset's alphabet order, so all of it is
-    deterministic. Contexts compare by identity.
+    ``cost[i, a]`` is how many more strings hold w_i than a at index i: the
+    objective increase from placing a at index i instead of w_i, 0 exactly
+    on the majority set. ``rank[i]`` lists the symbols at index i by
+    ascending cost, alphabet order on ties, so ``rank[i, 0]`` is w_i, the
+    most frequent symbol, and ``rank[i, 1]`` the second choice w_hat_i; the
+    majority set at i is ``rank[i, :g_i]`` with g_i = ``majority_sizes[i]``,
+    in alphabet order. Tie-breaks everywhere use the dataset's alphabet
+    order, so all of it is deterministic. A context holds its dataset rather
+    than being one, so it is never taken for a pool. Contexts compare by
+    identity.
     """
 
     dataset: Dataset
-    counts: np.ndarray
     cost: np.ndarray
     rank: np.ndarray
     opt: int
@@ -326,8 +325,8 @@ def symbol_counts(codes: np.ndarray, sigma: int) -> np.ndarray:
 
 
 def build_context(dataset: Dataset) -> MedianContext:
-    """Count every symbol at every index (symbol_counts) and derive costs,
-    ranks and opt from that table.
+    """Count every symbol at every index (symbol_counts), turn that table into
+    the costs in place, and derive ranks and opt from it.
 
     When an index is unanimous (count n), the second choice is the first
     other alphabet symbol; its weight n can never be picked up by any
@@ -335,11 +334,11 @@ def build_context(dataset: Dataset) -> MedianContext:
     """
     if len(dataset.alphabet) < 2:
         raise ValidationError("alphabet needs at least 2 symbols to define a second choice")
-    counts = symbol_counts(dataset.codes, len(dataset.alphabet))
-    best = counts.max(axis=1)
-    cost = best[:, None] - counts
+    cost = symbol_counts(dataset.codes, len(dataset.alphabet))
+    best = cost.max(axis=1)
+    np.subtract(best[:, None], cost, out=cost)
     rank = np.argsort(cost, axis=1, kind="stable").astype(dataset.codes.dtype)
-    return MedianContext(dataset=dataset, counts=counts, cost=cost, rank=rank,
+    return MedianContext(dataset=dataset, cost=cost, rank=rank,
                          opt=int((dataset.n - best).sum()))
 
 
@@ -428,15 +427,15 @@ def is_exact_median(ctx: MedianContext, s: Sequence[Symbol] | str) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class CandidateSet:
-    """Ordered multiset of k candidate strings.
-
-    The members are a (k, d) code matrix over the context's alphabet, held as
-    a ``Dataset`` like a pool; ``members`` decodes them. Duplicate members are
+class CandidateSet(Dataset):
+    """Ordered multiset of k candidate strings: a ``Dataset`` of k rows over
+    the context's alphabet, like a pool. ``members`` decodes them (it is
+    ``strings``) and ``k`` counts them (it is ``n``). Duplicate members are
     legal (several constructions use them on purpose).
     """
 
-    dataset: Dataset
+    members = Dataset.strings
+    k = Dataset.n
 
     @classmethod
     def from_members(
@@ -444,31 +443,19 @@ class CandidateSet:
     ) -> "CandidateSet":
         """The candidate set whose member r has the symbol codes ``codes[r]``
         (a (k, d) matrix over the context's alphabet)."""
-        codes = np.asarray(codes, dtype=ctx.dataset.codes.dtype)
+        codes = np.asarray(codes, dtype=ctx.rank.dtype)
         if codes.ndim != 2 or len(codes) == 0:
             raise ValidationError("candidate set needs at least one member")
         if codes.shape[1] != ctx.d:
             raise ValidationError("candidate length mismatch")
-        return cls(dataset=Dataset(codes=codes, alphabet=ctx.alphabet))
-
-    @property
-    def codes(self) -> np.ndarray:
-        return self.dataset.codes
-
-    @property
-    def members(self) -> tuple[Word, ...]:
-        return self.dataset.strings
-
-    @property
-    def k(self) -> int:
-        return self.dataset.n
+        return cls(codes=codes, alphabet=ctx.alphabet)
 
     def sum_dispersion(self) -> int:
         # Column identity: pairs differing at i = (k^2 - sum of squared counts)/2,
         # where the counts are how many members carry each symbol at i; always
         # an integer since the counts sum to k and l^2 = l (mod 2).
         k, d = self.codes.shape
-        counts = symbol_counts(self.codes, len(self.dataset.alphabet))
+        counts = symbol_counts(self.codes, len(self.alphabet))
         return (k * k * d - int((counts * counts).sum())) // 2
 
     def min_dispersion(self) -> int:
@@ -608,15 +595,20 @@ def pool_greedy(ctx: MedianContext, pool: Dataset, k: int, fold: np.ufunc,
     for one string, k = 1 or no pick), then one at a time the first row with
     the largest `fold` (np.minimum or np.add) of its distances to the chosen.
     Once that is 0 for every row it stays 0 (a sum of 0 means every row
-    equals row 0): the rows still missing are row 0, added with no more pass."""
+    equals row 0): the rows still missing are row 0, added with no more pass.
+    A row picked again (the sum fold past p picks) reuses its distance
+    vector from a memo of at most BLOCK_BYTES of vectors."""
     if pool.n == 0:
         raise ValidationError("candidate pool is empty")
     if k < 1:
         raise ValidationError("k must be >= 1")
     codes = pool.codes
+    vector_bytes = pool.n * np.min_scalar_type(pool.d).itemsize
+    dist = lru_cache(maxsize=max(1, BLOCK_BYTES // vector_bytes))(
+        lambda r: distances_to(codes, r))
     chosen = (list(first(codes)) if pool.n > 1 and k > 1 else []) or [0]
-    value = reduce(fold, (distances_to(codes, r).astype(np.int64) for r in chosen))
+    value = reduce(fold, (dist(r).astype(np.int64) for r in chosen))
     while len(chosen) < k and value.any():
         chosen.append(int(value.argmax()))  # ties: lowest pool index
-        fold(value, distances_to(codes, chosen[-1]), out=value)
+        fold(value, dist(chosen[-1]), out=value)
     return CandidateSet.from_members(ctx, codes[chosen + [0] * (k - len(chosen))])

@@ -14,21 +14,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Budget, Dataset, MedianContext, Word
+from .core import Budget, Dataset, MedianContext
 
 
-@dataclass(frozen=True, eq=False)
-class DiameterResult:
-    """The two strings as a (2, d) code matrix over the context's alphabet,
-    their distance and the branch that found them."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class DiameterResult(Dataset):
+    """The two strings, a ``Dataset`` of 2 rows over the context's alphabet
+    (``pair`` decodes them: it is ``strings``), their distance and the
+    branch that found them."""
 
-    dataset: Dataset
     diameter: int
     branch: str  # "exact" | "greedy_SR" | "partitioned_T1T2"
 
-    @property
-    def pair(self) -> tuple[Word, Word]:
-        return self.dataset.strings
+    pair = Dataset.strings
 
 
 def exact_diameter_pair(ctx: MedianContext) -> DiameterResult:
@@ -39,9 +37,8 @@ def exact_diameter_pair(ctx: MedianContext) -> DiameterResult:
     """
     ties = np.flatnonzero(ctx.majority_sizes >= 2)
     return DiameterResult(
-        dataset=_deviate(ctx, ties[:0], ties),  # on a tie index, rank[i, 1] is majority too
-        diameter=len(ties),
-        branch="exact",
+        codes=_deviate(ctx, ties[:0], ties),  # on a tie index, rank[i, 1] is majority too
+        alphabet=ctx.alphabet, diameter=len(ties), branch="exact",
     )
 
 
@@ -91,13 +88,13 @@ def min_diff_partition(
     return (part1, part2), (best, total - best)
 
 
-def _deviate(ctx: MedianContext, first: Sequence[int], second: Sequence[int]) -> Dataset:
-    """Two copies of w, the first switched to the second choice at the indices
-    `first`, the second at the indices `second`."""
+def _deviate(ctx: MedianContext, first: Sequence[int], second: Sequence[int]) -> np.ndarray:
+    """The (2, d) codes of two copies of w, the first switched to the second
+    choice at the indices `first`, the second at the indices `second`."""
     codes = np.tile(ctx.rank[:, 0], (2, 1))
     codes[0, first] = ctx.rank[first, 1]
     codes[1, second] = ctx.rank[second, 1]
-    return Dataset(codes=codes, alphabet=ctx.alphabet)
+    return codes
 
 
 def approx_diameter_pair(ctx: MedianContext, budget: Budget) -> DiameterResult:
@@ -128,14 +125,8 @@ def approx_diameter_pair(ctx: MedianContext, budget: Budget) -> DiameterResult:
         if budget.within(total, mult=2):
             (part1, part2), (sum1, sum2) = min_diff_partition(T, weight[T].tolist())
             if budget.within(sum1) and budget.within(sum2):
-                return DiameterResult(
-                    dataset=_deviate(ctx, part1, part2),
-                    diameter=len(T),
-                    branch="partitioned_T1T2",
-                )
+                return DiameterResult(codes=_deviate(ctx, part1, part2), alphabet=ctx.alphabet,
+                                      diameter=len(T), branch="partitioned_T1T2")
 
-    return DiameterResult(
-        dataset=_deviate(ctx, S, R),
-        diameter=taken,
-        branch="greedy_SR",
-    )
+    return DiameterResult(codes=_deviate(ctx, S, R), alphabet=ctx.alphabet,
+                          diameter=taken, branch="greedy_SR")

@@ -302,7 +302,7 @@ def sample_approx_medians(
     The two halves of the deviation set each fit one eps-budget, so every
     output is a (1+2eps)-approximate median deterministically.
     """
-    y, z = diameter.dataset.codes
+    y, z = diameter.codes
     w = ctx.rank[:, 0]
     devs = np.flatnonzero(y != z)
     dev_sym = np.where(y[devs] != w[devs], y[devs], z[devs])

@@ -61,11 +61,12 @@ def test_criterion_02_offset_identity():
         ctx = dm.context_from_strings(rows, alphabet=sigma)
         enc = {a: j for j, a in enumerate(sigma)}
         mat = np.array([[enc[c] for c in r] for r in rows])
+        counts = [np.bincount(mat[:, i], minlength=len(sigma)) for i in range(d)]
         for _ in range(50):
             s = "".join(rng.choice(list(sigma), size=d))
             direct = int((mat != np.array([enc[c] for c in s])).sum())
             offset = ctx.opt + sum(
-                int(ctx.counts[i, enc[ctx.w[i]]] - ctx.counts[i, enc[s[i]]])
+                int(counts[i][enc[ctx.w[i]]] - counts[i][enc[s[i]]])
                 for i in range(d)
                 if s[i] != ctx.w[i]
             )

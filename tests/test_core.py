@@ -140,7 +140,7 @@ def test_candidate_set_sum_dispersion_memory_bound():
     k, d = 20_000, 1_000
     codes = np.random.default_rng(5).integers(0, 2, (k, d), dtype=np.uint8)
     ones = codes.sum(axis=0, dtype=np.int64)
-    cs = CandidateSet(dataset=Dataset(codes=codes, alphabet=("a", "b")))
+    cs = CandidateSet(codes=codes, alphabet=("a", "b"))
     tracemalloc.start()
     try:
         value = cs.sum_dispersion()
@@ -250,11 +250,11 @@ def coded_values(rows, alphabet):
     # the reference's dicts, read off the arrays: nonzero counts and the costs
     # of the symbols other than w_i, in alphabet order; majority sets from rank
     alpha = ds.alphabet
-    counts = ctx.counts.tolist()
+    counts = core.symbol_counts(ds.codes, len(alpha)).tolist()
     cost = ctx.cost.tolist()
     rank = ctx.rank.tolist()
     sizes = ctx.majority_sizes.tolist()
-    assert ctx.counts.shape == ctx.cost.shape == ctx.rank.shape == (ds.d, len(alpha))
+    assert ctx.cost.shape == ctx.rank.shape == (ds.d, len(alpha))
     return values, dict(
         counts=[[(a, c) for a, c in zip(alpha, row) if c] for row in counts],
         majority_sets=[tuple(alpha[a] for a in row[:g]) for row, g in zip(rank, sizes)],
@@ -391,7 +391,26 @@ def test_build_context_counts_a_wide_alphabet_in_little_time():
     elapsed = time.perf_counter() - start
     assert elapsed < 0.3, f"{elapsed:.2f} s"
     for i in (0, 517, d - 1):
-        assert np.array_equal(ctx.counts[i], np.bincount(codes[:, i], minlength=sigma))
+        counts = np.bincount(codes[:, i], minlength=sigma)
+        assert np.array_equal(ctx.cost[i], counts.max() - counts)
+
+
+def test_build_context_keeps_only_its_cost_and_rank_tables():
+    # 2 rows of 1,500 cells over 3,000 symbols: the count table becomes the
+    # (int64) costs in place, so the traced peak is the costs, argsort's
+    # int64 order and the uint16 ranks, and the context keeps costs and ranks
+    d = 1_500
+    dataset = Dataset.from_strings([[f"c{i}" for i in range(d)], [f"d{i}" for i in range(d)]])
+    cells = d * len(dataset.alphabet)
+    tracemalloc.start()
+    try:
+        ctx = build_context(dataset)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.opt == d and ctx.cost.shape == (d, 2 * d)
+    assert peak <= 20 * cells, f"peak {peak / cells:.1f} bytes per cell"
+    assert kept <= 12 * cells, f"kept {kept / cells:.1f} bytes per cell"
 
 
 @pytest.mark.parametrize("block_bytes", [1, 100, 2**22])

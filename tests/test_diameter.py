@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from diverse_medians import (
     Budget,
+    CandidateSet,
     DEFAULT_LIMITS,
+    Dataset,
     approx_diameter_pair,
     approx_median_pool,
     brute_diameter,
@@ -34,6 +36,11 @@ def test_exact_diameter_is_tie_count():
     assert hamming(*res.pair) == res.diameter
     for s in res.pair:
         assert median_cost(ctx, s) == ctx.opt
+    # a pool, a candidate set and a diameter pair are each a string matrix
+    pool = approx_median_pool(ctx, Budget.make(0, ctx.opt))
+    cs = CandidateSet.from_members(ctx, res.codes)
+    assert all(isinstance(x, Dataset) for x in (pool, cs, res))
+    assert res.pair == res.strings == cs.members == cs.strings
 
 
 def test_exact_diameter_four_median_instance():

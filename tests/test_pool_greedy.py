@@ -407,6 +407,34 @@ def test_sum_greedy_stops_its_distance_passes_on_a_pool_of_copies(monkeypatch):
     assert list(got) == [tuple(words[i]) for i in sum_reference(words, k)]
 
 
+def tie_pool(ties):
+    """Two rows of 100 columns that differ on `ties` of them: the context and
+    its pool of 2^ties exact medians."""
+    ctx = context_from_strings(["a" * 100, "a" * (100 - ties) + "b" * ties])
+    return ctx, approx_median_pool(ctx, Budget.make(0, ctx.opt))
+
+
+def test_sum_greedy_makes_one_distance_pass_per_pool_string_past_the_pool(monkeypatch):
+    # a pool of 1,024 at k = 20,000: the matching rounds take every string
+    # and the fill picks strings again, each of whose distance vector is kept
+    ctx, pool = tie_pool(10)
+    calls = counted_distance_passes(monkeypatch)
+    assert sum_dispersion_small_dstar(ctx, 20_000, pool).k == 20_000
+    assert len(calls) <= pool.n == 1_024
+
+
+@pytest.mark.parametrize("block_bytes", [1, BLOCK_BYTES])
+def test_sum_greedy_past_the_pool_matches_the_reference(block_bytes, monkeypatch):
+    # a memo of one vector (every repeat computed again) and of all of them
+    import diverse_medians.core as core
+
+    monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
+    ctx, pool = tie_pool(6)
+    words = pool.strings
+    got = sum_dispersion_small_dstar(ctx, 200, pool).members
+    assert list(got) == [words[i] for i in sum_reference(words, 200)]
+
+
 @pytest.mark.parametrize("engine", ["greedy_dispersion", "sum_dispersion_small_dstar"])
 def test_pool_engines_refuse_an_empty_pool_and_k_below_1(engine):
     ctx = context_from_strings(["ab", "ba"], alphabet="ab")

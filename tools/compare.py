@@ -11,7 +11,8 @@ masked. Every differing configuration is printed with a one-line diff.
 
 The draw covers every objective, --strategy, regime (eps = 0 and eps > 0),
 input format and oracle op, small --max-* caps, bad flags and bad inputs,
-and an input of more than 300 symbols. Its first configurations are one
+inputs of more than 300 symbols, and a (d, |Σ|) table of 4.5 million cells
+(2 rows of 1,500 cells over 3,000 symbols). Its first configurations are one
 recipe per STRATEGY_TABLE row; --timing is never drawn, since it embeds a
 wall time.
 
@@ -89,6 +90,7 @@ RECIPES = [
     ORACLE + ["max-code-size", "--sizes", "2,2", "--t", "1"],
     ["--objective", "median", "--input", "cells.csv", "--format", "csv"],
     ["--objective", "median", "--input", "rand.fa", "--format", "fasta"],
+    ["--objective", "median", "--input", "wide3000.csv", "--format", "csv"],
     ["--objective", "diameter", "--input", "han.txt"],
     ["--objective", "diameter", "--input", "wide.csv", "--format", "csv", "--epsilon", "1/4"],
     ["--objective", "bound", "--input", "tour.txt", "--t", "2"],
@@ -138,6 +140,9 @@ def write_inputs(rng: np.random.Generator, work: Path) -> dict[str, tuple[str, s
     files["han.txt"] = "\n".join("".join(row) for row in han[cells]) + "\n"
     cells = np.concatenate((rng.permutation(350), rng.integers(0, 350, 5))).reshape(5, 71)
     files["wide.csv"] = "\n".join(",".join(f"s{c}" for c in row) for row in cells) + "\n"
+    # a wide cost table for the median recipe: every cell its own symbol
+    files["wide3000.csv"] = "".join(",".join(f"{c}{i}" for i in range(1500)) + "\n"
+                                    for c in "cd")
     files.update({"headless.fa": "ACGT\n>r\nACGT\n", "ragged.txt": "ab\nabc\n",
                   "empty.txt": "", "foreign.txt": "ab\nbc\n"})
     for name, text in files.items():
