@@ -5,9 +5,10 @@ output, or at --output. Diagnostics go to standard error only. Identical
 (config, seed, input) triples produce byte-identical documents; wall time is
 therefore only embedded when --timing asks for it.
 
-Exit codes: 0 success, 2 validation error, 3 enumeration/state cap exceeded,
-4 infeasible or solver nonconvergence, 5 internal error (a violated invariant),
-6 standard output closed by its reader before the document was written.
+Exit codes: 0 success, 2 validation error, 3 enumeration/state cap exceeded
+or an allocation the machine refused, 4 infeasible or solver nonconvergence,
+5 internal error (a violated invariant), 6 standard output closed by its
+reader before the document was written.
 """
 
 from __future__ import annotations
@@ -680,6 +681,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             _say(str(exc), "hint: pick --strategy auto, greedy or sample, or a smaller --k")
         else:
             _say(str(exc), f"hint: raise --{exc.knob.replace('_', '-')}")
+        return 3
+    except MemoryError as exc:  # an allocation the machine refused
+        _say(f"not enough memory: {exc}")
         return 3
     except InfeasibleError as exc:
         _say(str(exc))

@@ -314,14 +314,15 @@ class MedianContext:
 def symbol_counts(codes: np.ndarray, sigma: int) -> np.ndarray:
     """The (d, sigma) int64 table of how many rows of an (m, d) code matrix,
     every code below sigma, hold each symbol at each index: one np.bincount
-    of index*sigma + code per block of rows (row_blocks at 8 bytes a cell),
-    O(m*d) time whatever sigma. The one per-index symbol count."""
+    of index*sigma + code per block of columns (row_blocks at 8*max(m, sigma)
+    bytes a column), O(m*d) time whatever sigma. The one per-index count."""
     m, d = codes.shape
-    counts = np.zeros(d * sigma, dtype=np.int64)
+    counts = np.empty((d, sigma), dtype=np.int64)
     offsets = np.arange(d, dtype=np.int64) * sigma
-    for rows in row_blocks(m, 8 * d):
-        counts += np.bincount((codes[rows] + offsets).ravel(), minlength=d * sigma)
-    return counts.reshape(d, sigma)
+    for cols in row_blocks(d, 8 * max(m, sigma)):
+        ids = codes[:, cols] + offsets[: cols.stop - cols.start]
+        counts[cols] = np.bincount(ids.ravel(), minlength=ids.shape[1] * sigma).reshape(-1, sigma)
+    return counts
 
 
 def build_context(dataset: Dataset) -> MedianContext:
@@ -337,7 +338,9 @@ def build_context(dataset: Dataset) -> MedianContext:
     cost = symbol_counts(dataset.codes, len(dataset.alphabet))
     best = cost.max(axis=1)
     np.subtract(best[:, None], cost, out=cost)
-    rank = np.argsort(cost, axis=1, kind="stable").astype(dataset.codes.dtype)
+    rank = np.empty(cost.shape, dtype=dataset.codes.dtype)
+    for rows in row_blocks(len(cost), 8 * cost.shape[1]):  # argsort's int64 order per block
+        rank[rows] = np.argsort(cost[rows], axis=1, kind="stable")
     return MedianContext(dataset=dataset, cost=cost, rank=rank,
                          opt=int((dataset.n - best).sum()))
 
@@ -456,7 +459,7 @@ class CandidateSet(Dataset):
         # an integer since the counts sum to k and l^2 = l (mod 2).
         k, d = self.codes.shape
         counts = symbol_counts(self.codes, len(self.alphabet))
-        return (k * k * d - int((counts * counts).sum())) // 2
+        return (k * k * d - int(np.vdot(counts, counts))) // 2
 
     def min_dispersion(self) -> int:
         return min_distance(self.codes)

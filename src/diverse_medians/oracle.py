@@ -46,9 +46,8 @@ def approx_median_pool(
     """
     # no string deviates by more than n*d, so the clamp keeps the pool as it is
     cap = min(budget.floor, ctx.n * ctx.d)
-    ranked = np.take_along_axis(ctx.cost, ctx.rank, axis=1)
-    cols = np.flatnonzero(ranked[:, 1] <= cap)
-    size, layers = _walk_layers(ranked[cols], cap, limits)
+    cols = np.flatnonzero(ctx.cost[np.arange(ctx.d), ctx.rank[:, 1]] <= cap)
+    size, layers = _walk_layers(ctx, cols, cap, limits)
     codes = np.empty((size, ctx.d), dtype=ctx.rank.dtype)
     codes[:] = ctx.rank[:, 0]  # w
     node = np.arange(size)  # each row's prefix in the layer being traced
@@ -65,10 +64,10 @@ def approx_median_pool(
 
 
 def _walk_layers(
-    ranked: np.ndarray, cap: int, limits: EnumerationLimits
+    ctx: MedianContext, cols: np.ndarray, cap: int, limits: EnumerationLimits
 ) -> tuple[int, list[tuple[int, np.ndarray, np.ndarray]]]:
-    """Breadth-first walk over the columns whose cost-ascending symbol costs
-    are the rows of `ranked`, within total weight `cap`.
+    """Breadth-first walk over the columns `cols` of the context, within
+    total weight `cap`, each column's costs taken in rank order as it is reached.
 
     Layer j lists the feasible prefixes over the first j columns in
     depth-first order. A prefix takes the first `fan` symbols of the next
@@ -81,7 +80,7 @@ def _walk_layers(
     """
     spent = np.zeros(1, dtype=np.int64)  # weight of each prefix of the layer
     layers = []
-    for costs in ranked:
+    for costs in (ctx.cost[i, ctx.rank[i]] for i in cols):
         fan = np.searchsorted(costs, cap - spent, side="right")
         size = int(fan.sum())
         limits.check("max_candidates", size, "approx-median pool layer")

@@ -59,12 +59,12 @@ def build_oplist(ctx: MedianContext, k: int) -> np.ndarray:
     as infinitely dense).
 
     The k slots (majority_count = k..1) run as passes over the (d, |Σ|)
-    table, one symbol column at a time: each slot gives every index still
-    gaining the symbol of maximum density (ties: cheaper cost, then alphabet
-    order; zero-cost ops compare by gain). Densities compare by integer
-    cross-multiplication, g * c' against g' * c (each side at most k * n,
-    far inside int64). An index drops out as soon as no conversion gains
-    anything, which also keeps one op per (index, majority_count).
+    costs, read in place one symbol column at a time: each slot gives every
+    index still gaining the symbol of maximum density (ties: cheaper cost,
+    then alphabet order; zero-cost ops compare by gain). Densities compare by
+    integer cross-multiplication, g * c' against g' * c (each side at most
+    k * n, far inside int64). An index drops out as soon as no conversion
+    gains anything, which also keeps one op per (index, majority_count).
 
     The global order is density descending, then cost ascending, then index,
     symbol code, target_count: the distinct densities are ranked once, in
@@ -75,21 +75,19 @@ def build_oplist(ctx: MedianContext, k: int) -> np.ndarray:
     then symbol *string* (not alphabet position).
     """
     d, sigma = ctx.cost.shape
-    other = np.arange(sigma) != ctx.rank[:, :1]  # (d, sigma): every symbol but w_i
     counts = np.zeros((d, sigma), dtype=np.int64)  # ops so far per (index, symbol)
     live = np.arange(d)
     slots = [np.zeros((5, 0), dtype=np.int64)]
     for ell in range(k, 0, -1):
-        gain, costs = ell - 1 - counts[live], ctx.cost[live].astype(np.int64)
-        ok = other[live] & (gain >= 1)
+        w = ctx.rank[live, 0]
         # best op so far per live index; gain 0 at cost 1 loses to every op
         bg = np.zeros(len(live), dtype=np.int64)
         bc = np.ones(len(live), dtype=np.int64)
         ba = np.full(len(live), -1, dtype=np.int64)
         for a in range(sigma):
-            g, ca = gain[:, a], costs[:, a]
+            g, ca = ell - 1 - counts[live, a], ctx.cost[live, a]
             cross = g * bc - bg * ca
-            better = ok[:, a] & np.where(
+            better = (w != a) & (g >= 1) & np.where(
                 ca == 0,
                 (bc > 0) | (g > bg),
                 (bc > 0) & ((cross > 0) | ((cross == 0) & (ca < bc))),

@@ -1146,6 +1146,28 @@ def test_main_dp_at_k_20000_decides_before_it_allocates(rows, argv, codes, tmp_p
     assert "Traceback" not in proc.stderr
 
 
+def test_main_memory_error_exits_3_in_one_line(monkeypatch, capsys, ties_path):
+    def refuse(dataset):
+        raise MemoryError("Unable to allocate 7.2 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_context", refuse)
+    code, out, err = run_main(["--objective", "median", "--input", ties_path], capsys)
+    assert (code, out) == (3, "")
+    assert err == "diverse-medians: not enough memory: Unable to allocate 7.2 GiB for an array\n"
+
+
+def test_main_table_past_the_memory_ceiling_exits_3_without_a_traceback(tmp_path):
+    # 30,000 distinct cells a row: a (d, |Σ|) cost table of several GB, which a
+    # 1 GB ceiling refuses; that used to end in a traceback with exit 1
+    p = tmp_path / "wide.csv"
+    p.write_text("".join(",".join(f"{c}{i}" for i in range(30_000)) + "\n" for c in "cd"))
+    proc = run_cli(["--objective", "median", "--format", "csv", "--input", str(p)],
+                   timeout=120, ulimit_kb=1_000_000)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and "not enough memory" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_main_exact_auto_walk_takes_a_long_delta_in_little_time(tmp_path):
     # 14 tie columns: the sample row's test used to form 2^a with a ~ 10^61
     p = tmp_path / "ties14.txt"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from diverse_medians import (
     Budget,
     CandidateSet,
+    CapExceeded,
     Dataset,
     ValidationError,
     build_context,
@@ -25,7 +26,7 @@ from diverse_medians import (
     sum_dispersion,
 )
 
-from diverse_medians import core
+from diverse_medians import core, oracle, sumdisp
 from diverse_medians.core import BLOCK_BYTES, row_blocks
 
 from conftest import random_rows, reference_context
@@ -395,22 +396,69 @@ def test_build_context_counts_a_wide_alphabet_in_little_time():
         assert np.array_equal(ctx.cost[i], counts.max() - counts)
 
 
+def wide_dataset(d=1_500):
+    """2 rows of d cells over 2d symbols: every column a 1-1 tie."""
+    return Dataset.from_strings([[f"c{i}" for i in range(d)], [f"d{i}" for i in range(d)]])
+
+
+def traced(step):
+    """(result, peak) of step() under tracemalloc: the new allocations only.
+    A CapExceeded it raises is its result."""
+    tracemalloc.start()
+    try:
+        try:
+            result = step()
+        except CapExceeded as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_build_context_keeps_only_its_cost_and_rank_tables():
     # 2 rows of 1,500 cells over 3,000 symbols: the count table becomes the
-    # (int64) costs in place, so the traced peak is the costs, argsort's
-    # int64 order and the uint16 ranks, and the context keeps costs and ranks
-    d = 1_500
-    dataset = Dataset.from_strings([[f"c{i}" for i in range(d)], [f"d{i}" for i in range(d)]])
-    cells = d * len(dataset.alphabet)
+    # (int64) costs in place, so the traced peak is the costs, the uint16
+    # ranks and argsort's int64 order of one block of rows, and the context
+    # keeps costs and ranks
+    dataset = wide_dataset()
+    cells = dataset.d * len(dataset.alphabet)
     tracemalloc.start()
     try:
         ctx = build_context(dataset)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ctx.opt == d and ctx.cost.shape == (d, 2 * d)
-    assert peak <= 20 * cells, f"peak {peak / cells:.1f} bytes per cell"
+    assert ctx.opt == dataset.d and ctx.cost.shape == (dataset.d, 2 * dataset.d)
+    assert peak <= 12 * cells, f"peak {peak / cells:.1f} bytes per cell"
     assert kept <= 12 * cells, f"kept {kept / cells:.1f} bytes per cell"
+
+
+@pytest.fixture(scope="module")
+def wide_ctx():
+    return build_context(wide_dataset())
+
+
+@pytest.mark.parametrize("step, bound", [
+    ("symbol_counts", 10), ("build_oplist", 10), ("approx_median_pool", 2), ("sum_dispersion", 10),
+])
+def test_steps_after_ingest_hold_one_table_beside_the_context(step, bound, wide_ctx):
+    # each step reads the context's (d, |Σ|) tables in place: one block of
+    # columns, one symbol column or one walked column at a time, so none
+    # holds more than one int64 (d, |Σ|) table (8 bytes a cell) besides
+    ctx = wide_ctx
+    cells = ctx.d * len(ctx.alphabet)
+    members = CandidateSet.from_members(ctx, np.arange(8 * ctx.d).reshape(8, ctx.d) % (2 * ctx.d))
+    result, peak = traced({
+        "symbol_counts": lambda: core.symbol_counts(ctx.dataset.codes, len(ctx.alphabet)),
+        "build_oplist": lambda: sumdisp.build_oplist(ctx, 8),
+        "approx_median_pool": lambda: oracle.approx_median_pool(ctx, Budget.make(0, ctx.opt)),
+        "sum_dispersion": members.sum_dispersion,
+    }[step])
+    assert peak <= bound * cells, f"peak {peak / cells:.1f} bytes per cell"
+    if step == "approx_median_pool":  # 2^1500 exact medians
+        assert isinstance(result, CapExceeded) and result.knob == "max_candidates"
+    elif step == "sum_dispersion":
+        assert result == sum_dispersion(members.members)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 100, 2**22])

@@ -308,6 +308,55 @@ def test_lp_value_dominates_brute_tstar(rng):
         checked += 1
 
 
+def lp_value_reference(m):
+    """The relaxation's value in exact arithmetic. Averaging an optimum over
+    the k! orders of the candidates gives one u shared by all of them, so the
+    value is a fractional knapsack over the columns by ascending second-rank
+    cost c: a column is worth 2 at c/2 per candidate, out of the budget
+    E = min(eps*opt, n*d); the first one that does not fit is worth 4E/c for
+    what is left of E."""
+    spare = min(m.epsilon * m.opt, Fraction(m.n * m.d))
+    value = Fraction(0)
+    for c in sorted(m.costs[:, 1].tolist()):
+        if spare < Fraction(c, 2):
+            return value + 4 * spare / c
+        value, spare = value + 2, spare - Fraction(c, 2)
+    return value
+
+
+@st.composite
+def lp_models(draw):
+    sigma = "abcd"[:draw(st.integers(2, 4))]
+    d = draw(st.integers(1, 8))
+    row = st.text(alphabet=sigma, min_size=d, max_size=d)
+    ctx = context_from_strings(draw(st.lists(row, min_size=2, max_size=7)), alphabet=sigma)
+    eps = draw(st.one_of(st.just(Fraction(0)), st.just(Fraction(10**6)),
+                         st.fractions(0, 10**6, max_denominator=100)))
+    return build_ilp(ctx, Budget.make(eps, ctx.opt), draw(st.integers(2, len(sigma))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lp_models())
+def test_lp_value_matches_the_exact_knapsack(m):
+    assert abs(solve_lp_relaxation(m)[1] - lp_value_reference(m)) <= 1e-9
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(10**6)])
+def test_lp_value_matches_the_exact_knapsack_at_bench_size(eps):
+    # n = 10, d = 60, k = 4 over ACGT, the column profiles cycled as the
+    # bench's lp-d60-k4 input cycles them: the same LP value, 118.4 at eps 1/10
+    shapes = [(4, 3, 2, 1), (5, 3, 1, 1), (3, 3, 2, 2), (4, 4, 1, 1), (5, 2, 2, 1)]
+    gen = np.random.default_rng(60)
+    cols = [gen.permutation(np.repeat(np.arange(4), shapes[i % 5])) for i in range(60)]
+    ctx = context_from_strings(["".join("ACGT"[c] for c in row) for row in np.array(cols).T],
+                               alphabet="ACGT")
+    m = build_ilp(ctx, Budget.make(eps, ctx.opt), 4)
+    want = lp_value_reference(m)
+    assert abs(solve_lp_relaxation(m)[1] - want) <= 1e-9
+    if eps == Fraction(1, 10):
+        assert want == Fraction(592, 5)
+
+
 def test_exhaustive_model_space_solve_matches_oracle(rng):
     # stand-in for an integral solve: filter the ranked product space by the
     # exact cost window, then brute-force the best k-subset

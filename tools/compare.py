@@ -12,9 +12,10 @@ masked. Every differing configuration is printed with a one-line diff.
 The draw covers every objective, --strategy, regime (eps = 0 and eps > 0),
 input format and oracle op, small --max-* caps, bad flags and bad inputs,
 inputs of more than 300 symbols, and a (d, |Σ|) table of 4.5 million cells
-(2 rows of 1,500 cells over 3,000 symbols). Its first configurations are one
-recipe per STRATEGY_TABLE row; --timing is never drawn, since it embeds a
-wall time.
+(2 rows of 1,500 cells over 3,000 symbols, declared so that the CSV header
+heuristic keeps both rows) under the median, the density op list and the pool
+walk. Its first configurations are one recipe per STRATEGY_TABLE row;
+--timing is never drawn, since it embeds a wall time.
 
 Exit status 1 when a configuration differs, or when the working tree's
 documents did not reach every STRATEGY_TABLE row (raise N); 2 when <rev>
@@ -57,6 +58,10 @@ SMALL = {
                   "AC,GT,TT,GT,GT,AC\nTT,GT,AC,AC,GT,GT\n"),
     "lumpy.txt": "ccb\ncca\naaa\ncca\nbca\ncab\ncab\naca\n",
 }
+# every cell of wide3000.csv is its own symbol: with the alphabet inferred,
+# the CSV header heuristic would drop its first row
+WIDE = ["--input", "wide3000.csv", "--format", "csv",
+        "--alphabet", ",".join(f"{c}{i}" for c in "cd" for i in range(1500))]
 SUM = ["--objective", "sum-dispersion"]
 MIN = ["--objective", "min-dispersion"]
 ORACLE = ["--objective", "oracle", "--oracle-op"]
@@ -90,7 +95,7 @@ RECIPES = [
     ORACLE + ["max-code-size", "--sizes", "2,2", "--t", "1"],
     ["--objective", "median", "--input", "cells.csv", "--format", "csv"],
     ["--objective", "median", "--input", "rand.fa", "--format", "fasta"],
-    ["--objective", "median", "--input", "wide3000.csv", "--format", "csv"],
+    ["--objective", "median", *WIDE],
     ["--objective", "diameter", "--input", "han.txt"],
     ["--objective", "diameter", "--input", "wide.csv", "--format", "csv", "--epsilon", "1/4"],
     ["--objective", "bound", "--input", "tour.txt", "--t", "2"],
@@ -100,6 +105,10 @@ RECIPES = [
            "--delta", "1/8", "--eta", "1/2", "--seed", "2"],  # no trial in the cost cap
     SUM + ["--input", "pairs.txt", "--k", "9", "--strategy", "greedy"],
     MIN + ["--input", "pairs.txt", "--k", "9", "--strategy", "greedy"],
+    # the wide table under the density op list, and under the pool walk up
+    # to its max_candidates refusal
+    SUM + [*WIDE, "--epsilon", "1/2", "--k", "8"],
+    MIN + [*WIDE, "--strategy", "greedy", "--k", "4"],
 ]
 
 EPSILONS = ["0", "0", "0", "1/4", "1/2", "1", "3/2", "0.1", "1/100"]
@@ -140,7 +149,7 @@ def write_inputs(rng: np.random.Generator, work: Path) -> dict[str, tuple[str, s
     files["han.txt"] = "\n".join("".join(row) for row in han[cells]) + "\n"
     cells = np.concatenate((rng.permutation(350), rng.integers(0, 350, 5))).reshape(5, 71)
     files["wide.csv"] = "\n".join(",".join(f"s{c}" for c in row) for row in cells) + "\n"
-    # a wide cost table for the median recipe: every cell its own symbol
+    # a wide cost table for the WIDE recipes: every cell its own symbol
     files["wide3000.csv"] = "".join(",".join(f"{c}{i}" for i in range(1500)) + "\n"
                                     for c in "cd")
     files.update({"headless.fa": "ACGT\n>r\nACGT\n", "ragged.txt": "ab\nabc\n",
