@@ -274,7 +274,7 @@ class MedianContext:
     def alphabet(self) -> tuple[Symbol, ...]:
         return self.dataset.alphabet
 
-    @property
+    @cached_property
     def majority_sizes(self) -> np.ndarray:
         """Size of the majority set at every index (2 or more on tie indices)."""
         return (self.cost == 0).sum(axis=1)

@@ -58,13 +58,15 @@ def build_oplist(ctx: MedianContext, k: int) -> np.ndarray:
     target_count, and its density is gain per unit cost (zero-cost ops count
     as infinitely dense).
 
-    The k slots (majority_count = k..1) run as passes over the (d, |Σ|)
-    costs, read in place one symbol column at a time: each slot gives every
-    index still gaining the symbol of maximum density (ties: cheaper cost,
-    then alphabet order; zero-cost ops compare by gain). Densities compare by
-    integer cross-multiplication, g * c' against g' * c (each side at most
-    k * n, far inside int64). An index drops out as soon as no conversion
-    gains anything, which also keeps one op per (index, majority_count).
+    Each slot (majority_count = k..1) gives every index still gaining its
+    densest symbol (ties: cheaper cost, then alphabet order; zero-cost ops
+    compare by gain). An untaken symbol has the largest gain, so the next in
+    ctx.rank[i] beats every later one: the symbols taken at i are a prefix
+    of rank[i, 1:], at most k - 1 long, and a slot scans rank positions 1 to
+    min(|Σ|, k) - 1, the ops so far counted per (index, position). Densities
+    compare by integer cross-multiplication, g * c' against g' * c (each
+    side at most k * n, far inside int64). An index drops out as soon as no
+    conversion gains anything, which also keeps one op per (index, slot).
 
     The global order is density descending, then cost ascending, then index,
     symbol code, target_count: the distinct densities are ranked once, in
@@ -75,30 +77,28 @@ def build_oplist(ctx: MedianContext, k: int) -> np.ndarray:
     then symbol *string* (not alphabet position).
     """
     d, sigma = ctx.cost.shape
-    counts = np.zeros((d, sigma), dtype=np.int64)  # ops so far per (index, symbol)
+    counts = np.zeros((d, min(sigma, k)), dtype=np.int64)  # ops so far per (index, rank position)
     live = np.arange(d)
     slots = [np.zeros((5, 0), dtype=np.int64)]
     for ell in range(k, 0, -1):
-        w = ctx.rank[live, 0]
         # best op so far per live index; gain 0 at cost 1 loses to every op
-        bg = np.zeros(len(live), dtype=np.int64)
+        bg, bj = np.zeros((2, len(live)), dtype=np.int64)
         bc = np.ones(len(live), dtype=np.int64)
-        ba = np.full(len(live), -1, dtype=np.int64)
-        for a in range(sigma):
-            g, ca = ell - 1 - counts[live, a], ctx.cost[live, a]
+        for j in range(1, counts.shape[1]):
+            g, ca = ell - 1 - counts[live, j], ctx.cost[live, ctx.rank[live, j]]
             cross = g * bc - bg * ca
-            better = (w != a) & (g >= 1) & np.where(
+            better = (g >= 1) & np.where(
                 ca == 0,
                 (bc > 0) | (g > bg),
                 (bc > 0) & ((cross > 0) | ((cross == 0) & (ca < bc))),
             )
-            bg[better], bc[better], ba[better] = g[better], ca[better], a
-        hit = ba >= 0
-        live, a, c = live[hit], ba[hit], bc[hit]
+            bg[better], bc[better], bj[better] = g[better], ca[better], j
+        hit = bj > 0
+        live, j, c = live[hit], bj[hit], bc[hit]
         if not len(live):
             break  # gains only shrink from here
-        counts[live, a] += 1
-        slots.append(np.stack([live, a, counts[live, a], np.full_like(live, ell), c]))
+        counts[live, j] += 1
+        slots.append(np.stack([live, ctx.rank[live, j], counts[live, j], np.full_like(live, ell), c]))
     index, symbol, target, majority, cost = np.concatenate(slots, axis=1)
 
     gain, paid = majority - target, cost > 0

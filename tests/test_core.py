@@ -439,12 +439,13 @@ def wide_ctx():
 
 
 @pytest.mark.parametrize("step, bound", [
-    ("symbol_counts", 10), ("build_oplist", 10), ("approx_median_pool", 2), ("sum_dispersion", 10),
+    ("symbol_counts", 10), ("build_oplist", 1), ("approx_median_pool", 2), ("sum_dispersion", 10),
 ])
 def test_steps_after_ingest_hold_one_table_beside_the_context(step, bound, wide_ctx):
     # each step reads the context's (d, |Σ|) tables in place: one block of
-    # columns, one symbol column or one walked column at a time, so none
-    # holds more than one int64 (d, |Σ|) table (8 bytes a cell) besides
+    # columns or one walked column at a time, so none holds more than one
+    # int64 (d, |Σ|) table (8 bytes a cell) besides; the op list walks each
+    # index's first min(|Σ|, k) rank positions and holds no (d, |Σ|) table
     ctx = wide_ctx
     cells = ctx.d * len(ctx.alphabet)
     members = CandidateSet.from_members(ctx, np.arange(8 * ctx.d).reshape(8, ctx.d) % (2 * ctx.d))

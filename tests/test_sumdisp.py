@@ -298,6 +298,24 @@ def test_oplist_one_op_per_index_slot():
     assert (majority - target > 0).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(density_cases())
+def test_oplist_symbols_are_a_rank_prefix(case):
+    # the slot scan reads only rank positions 1..min(|Σ|, k) - 1: at every
+    # index the symbols set are rank[i, 1:m+1], each taken 1, 2, ... times
+    ctx, _, k = case
+    index, symbol, target, _, _, _ = build_oplist(ctx, k).T
+    for i in range(ctx.d):
+        at = index == i
+        taken = {}
+        for a, t in sorted(zip(symbol[at].tolist(), target[at].tolist())):
+            taken.setdefault(a, []).append(t)
+        m = len(taken)
+        assert m <= min(len(ctx.alphabet), k) - 1
+        assert set(taken) == set(ctx.rank[i, 1:m + 1].tolist())
+        assert all(ts == list(range(1, len(ts) + 1)) for ts in taken.values())
+
+
 def test_oplist_global_order_contracts(rng):
     # zero-cost ops lead; per-index finite densities never increase along the
     # list (the slot walk emits them strictly decreasing, the sort keeps it)

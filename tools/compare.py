@@ -105,6 +105,8 @@ RECIPES = [
            "--delta", "1/8", "--eta", "1/2", "--seed", "2"],  # no trial in the cost cap
     SUM + ["--input", "pairs.txt", "--k", "9", "--strategy", "greedy"],
     MIN + ["--input", "pairs.txt", "--k", "9", "--strategy", "greedy"],
+    # the density op list at full width: k past |Σ| = 3, over tie columns
+    SUM + ["--input", "lumpy.txt", "--epsilon", "1", "--k", "6", "--delta", "4"],
     # the wide table under the density op list, and under the pool walk up
     # to its max_candidates refusal
     SUM + [*WIDE, "--epsilon", "1/2", "--k", "8"],
