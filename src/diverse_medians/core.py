@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -593,14 +593,16 @@ def distances_to(codes: np.ndarray, r: int) -> np.ndarray:
 
 
 def pool_greedy(ctx: MedianContext, pool: Dataset, k: int, fold: np.ufunc,
-                first: Callable[[np.ndarray], Sequence[int]]) -> CandidateSet:
-    """k pool rows: those `first(pool.codes)` picks (at most k; row 0 alone
-    for one string, k = 1 or no pick), then one at a time the first row with
-    the largest `fold` (np.minimum or np.add) of its distances to the chosen.
-    Once that is 0 for every row it stays 0 (a sum of 0 means every row
-    equals row 0): the rows still missing are row 0, added with no more pass.
-    A row picked again (the sum fold past p picks) reuses its distance
-    vector from a memo of at most BLOCK_BYTES of vectors."""
+                pairs: int) -> CandidateSet:
+    """k pool rows: up to min(pairs, k // 2) farthest pairs of the strings
+    not yet taken (FarthestPairs), stopping early at a pair of copies or
+    when fewer than two strings are left (row 0 alone if none is taken),
+    then one at a time the first row with the largest `fold` (np.minimum or
+    np.add) of its distances to the chosen. Once that is 0 for every row it
+    stays 0 (a sum of 0 means every row equals row 0): the rows still
+    missing are row 0, added with no more pass. A row picked again (the sum
+    fold past p picks) reuses its distance vector from a memo of at most
+    BLOCK_BYTES of vectors."""
     if pool.n == 0:
         raise ValidationError("candidate pool is empty")
     if k < 1:
@@ -609,7 +611,16 @@ def pool_greedy(ctx: MedianContext, pool: Dataset, k: int, fold: np.ufunc,
     vector_bytes = pool.n * np.min_scalar_type(pool.d).itemsize
     dist = lru_cache(maxsize=max(1, BLOCK_BYTES // vector_bytes))(
         lambda r: distances_to(codes, r))
-    chosen = (list(first(codes)) if pool.n > 1 and k > 1 else []) or [0]
+    chosen = []
+    if pool.n > 1 and k > 1:
+        far = FarthestPairs(codes)
+        while len(chosen) < 2 * min(pairs, k // 2) and far.avail.sum() >= 2:
+            i, j = far.pair()
+            if i == j:  # only copies of one string left available
+                break
+            chosen.extend((i, j))
+            far.take(i, j)
+    chosen = chosen or [0]
     value = reduce(fold, (dist(r).astype(np.int64) for r in chosen))
     while len(chosen) < k and value.any():
         chosen.append(int(value.argmax()))  # ties: lowest pool index

@@ -23,7 +23,6 @@ from .core import (
     CandidateSet,
     Dataset,
     EnumerationLimits,
-    FarthestPairs,
     InternalError,
     KeyWidthExceeded,
     MedianContext,
@@ -325,15 +324,14 @@ def greedy_dispersion(pool: Dataset, k: int, ctx: MedianContext) -> CandidateSet
 
     Half the pool-restricted optimum. A pool smaller than k gets filled with
     duplicates (their min distance is 0, consistent with the multiset
-    definition). The first pair is core.FarthestPairs(pool.codes).pair(),
-    exact inner products over the pool's one-hot matrix. Memory is the
-    pool's p*d code bytes, a copy of its varying columns and
-    O(core.BLOCK_BYTES) for that kernel, plus core.pool_greedy's vector of each
-    string's distance to its nearest chosen member. The k chosen rows are
-    passed on as codes.
+    definition). This is core.pool_greedy with one farthest pair and the
+    np.minimum fold: the pair comes from core.FarthestPairs, exact inner
+    products over the pool's one-hot matrix. Memory is the pool's p*d code
+    bytes, a copy of its varying columns and O(core.BLOCK_BYTES) for that
+    kernel, plus core.pool_greedy's vector of each string's distance to its
+    nearest chosen member. The k chosen rows are passed on as codes.
     """
-    return pool_greedy(ctx, pool, k, np.minimum,
-                       lambda codes: sorted(FarthestPairs(codes).pair()))
+    return pool_greedy(ctx, pool, k, np.minimum, 1)
 
 
 # ---------------------------------------------------------------------------

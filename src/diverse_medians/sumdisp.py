@@ -17,7 +17,6 @@ from .core import (
     Budget,
     CandidateSet,
     Dataset,
-    FarthestPairs,
     MedianContext,
     ValidationError,
     pool_greedy,
@@ -209,7 +208,8 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
     Farthest-pair matching while two or more seats remain, then single
     insertions maximizing the summed distance to the chosen set. Half the
     optimum on every pool small enough to check exhaustively; no stronger
-    claim is made. Each matching round picks the row-major first farthest
+    claim is made. This is core.pool_greedy with k // 2 farthest pairs and
+    the np.add fold. Each matching round picks the row-major first farthest
     pair of the available strings, from per-row farthest partners kept
     across rounds by one core.FarthestPairs over the pool: its column layout,
     and its one-hot matrix when that fits one chunk, are built once for
@@ -217,17 +217,6 @@ def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> Can
     held are computed again. Memory is the pool's p*d code bytes, a copy of
     its varying columns and O(core.BLOCK_BYTES) for the inner-product
     kernel, plus vectors of p entries, one of them the summed distances for
-    the insertions (core.pool_greedy). The k chosen rows are passed on as codes.
+    the insertions. The k chosen rows are passed on as codes.
     """
-
-    def matching(codes: np.ndarray) -> list[int]:
-        pairs, chosen = FarthestPairs(codes), []
-        while k - len(chosen) >= 2 and pairs.avail.sum() >= 2:
-            i, j = pairs.pair()
-            if i == j:  # only copies of one string left available; go to insertion
-                break
-            chosen.extend((i, j))
-            pairs.take(i, j)
-        return chosen
-
-    return pool_greedy(ctx, pool, k, np.add, matching)
+    return pool_greedy(ctx, pool, k, np.add, k // 2)

@@ -26,7 +26,7 @@ from diverse_medians import (
     sum_dispersion,
 )
 
-from diverse_medians import core, oracle, sumdisp
+from diverse_medians import core, diameter, lpround, mindisp, oracle, sumdisp
 from diverse_medians.core import BLOCK_BYTES, row_blocks
 
 from conftest import random_rows, reference_context
@@ -504,3 +504,63 @@ def test_only_core_binds_block_bytes():
             if "BLOCK_BYTES" in names:
                 binders.add(path.name)
     assert binders == {"core.py"}
+
+
+CHECK_CTX = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
+EMPTY_POOL = Dataset(codes=np.zeros((0, 2), dtype=np.uint8), alphabet=("a", "b"))
+POOL = CHECK_CTX.dataset
+EXACT = Budget.make(0, CHECK_CTX.opt)
+
+# (id, call, the exception type and message it raises, or the value it returns)
+INPUT_CHECKS = [
+    ("empty-dataset", lambda: Dataset.from_strings([]),
+     (ValidationError, "empty dataset: at least one string required")),
+    ("encode-length", lambda: CHECK_CTX.encode("abc"),
+     (ValidationError, "length mismatch: 3 vs d=2")),
+    ("budget-negative-opt", lambda: Budget.make(0, -1),
+     (ValidationError, "opt must be nonnegative")),
+    ("hamming-length", lambda: hamming("ab", "a"), (ValidationError, "length mismatch: 2 vs 1")),
+    ("exact-median-length", lambda: is_exact_median(CHECK_CTX, "abc"), False),
+    ("members-none", lambda: CandidateSet.from_members(CHECK_CTX, np.zeros((0, 2))),
+     (ValidationError, "candidate set needs at least one member")),
+    ("members-width", lambda: CandidateSet.from_members(CHECK_CTX, [[0, 1, 0]]),
+     (ValidationError, "candidate length mismatch")),
+    ("min-dispersion-one-member",
+     lambda: CandidateSet.from_members(CHECK_CTX, [[0, 1]]).min_dispersion(),
+     (ValidationError, "min_dispersion needs at least 2 members")),
+    ("partition-misaligned", lambda: diameter.min_diff_partition([0, 1], [1]),
+     (ValueError, "weights must align with T")),
+    ("partition-negative", lambda: diameter.min_diff_partition([0], [-1]),
+     (ValueError, "weights must be nonnegative")),
+    ("ilp-k1", lambda: lpround.build_ilp(CHECK_CTX, EXACT, 1),
+     (ValidationError, "k must be >= 2")),
+    ("dp-approx-k1", lambda: mindisp.min_disp_dp_approx(CHECK_CTX, EXACT, 1),
+     (ValidationError, "k must be >= 2")),
+    ("brute-diameter-empty", lambda: oracle.brute_diameter(EMPTY_POOL),
+     (ValidationError, "empty pool")),
+    ("brute-sumdp-empty", lambda: oracle.brute_sumdp_k(EMPTY_POOL, 2),
+     (ValidationError, "empty pool")),
+    ("brute-mindp-empty", lambda: oracle.brute_mindp_k(EMPTY_POOL, 2),
+     (ValidationError, "empty pool")),
+    ("brute-sumdp-k0", lambda: oracle.brute_sumdp_k(POOL, 0), (ValidationError, "k must be >= 1")),
+    ("brute-sumdp-k1", lambda: oracle.brute_sumdp_k(POOL, 1), 0),
+    ("brute-mindp-k1", lambda: oracle.brute_mindp_k(POOL, 1),
+     (ValidationError, "k must be >= 2 for min dispersion")),
+    ("sum-exact-k0", lambda: sumdisp.sum_dispersion_exact_k(CHECK_CTX, 0),
+     (ValidationError, "k must be >= 1")),
+    ("sum-approx-k0", lambda: sumdisp.sum_dispersion_approx_k(CHECK_CTX, EXACT, 0),
+     (ValidationError, "k must be >= 1")),
+]
+
+
+@pytest.mark.parametrize("call, want", [c[1:] for c in INPUT_CHECKS],
+                         ids=[c[0] for c in INPUT_CHECKS])
+def test_public_input_checks_refuse_or_answer_as_documented(call, want):
+    if isinstance(want, tuple):
+        error, message = want
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+    else:
+        got = call()
+        assert type(got) is type(want) and got == want

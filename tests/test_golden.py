@@ -45,6 +45,9 @@ CASES = [
      SUM + ["--k", "3", "--strategy", "exact-construction"], "exact-construction"),
     ("sum-greedy", "ties", SUM + ["--k", "3", "--strategy", "greedy", "--epsilon", "1/2"],
      "greedy"),
+    # k = 6: three farthest-pair rounds over the 81-string pool, past the one of k = 3
+    ("sum-greedy-rounds", "ties", SUM + ["--k", "6", "--strategy", "greedy", "--epsilon", "1/2"],
+     "greedy"),
     ("sum-density", "wide", SUM + ["--k", "3", "--epsilon", "1/2"], "density"),
     ("sum-enumeration", "ties", SUM + ["--k", "3"], "enumeration"),
     ("sum-density-fallback", "ties", SUM + ["--k", "2", "--max-candidates", "10"],
@@ -115,6 +118,8 @@ DIGESTS = {
         "0e716dbae6b1b9b5187fa90a020dafb5453723f859cb4f7f5cb4c91e786721f9",
     "sum-greedy":
         "84c577564c84dc19218cdf208a834629e73c4179865a6f6f52200d3b5a387a0a",
+    "sum-greedy-rounds":
+        "06e2d6fdb0405f5522ac789247e580b6f3ef0f2dc0af6366eedab6e1b9895a1c",
     "sum-density":
         "ac3b972160c25cdab2012e8b4a604c64cc3b1f5baab4a19894ba1aa8527ff568",
     "sum-enumeration":

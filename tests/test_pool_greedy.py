@@ -293,6 +293,7 @@ def test_inner_product_kernel_matches_the_column_sums(case, block_bytes):
         sub = codes[rows]
         pairs = FarthestPairs(sub)
         i, j = pairs.pair()
+        assert i <= j  # partners lie on or right of the diagonal: pairs come ordered
         assert (int(rows[i]), int(rows[j])) == want
         # each computed row: its maximum and first argmax over the upper triangle
         dist = (sub[:, None, :] != sub[None, :, :]).sum(axis=2)
