@@ -18,7 +18,6 @@ _EXPORTS = {
         "EnumerationLimits",
         "InfeasibleError",
         "InternalError",
-        "KeyWidthExceeded",
         "MedianContext",
         "SolverNotConverged",
         "ValidationError",

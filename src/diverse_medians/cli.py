@@ -677,7 +677,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _say(str(exc))
         return 2
     except CapExceeded as exc:
-        if exc.knob is None:  # KeyWidthExceeded: no cap lets the DP run
+        if exc.knob is None:  # DP keys past 63 bits: no cap lets the DP run
             _say(str(exc), "hint: pick --strategy auto, greedy or sample, or a smaller --k")
         else:
             _say(str(exc), f"hint: raise --{exc.knob.replace('_', '-')}")

@@ -40,18 +40,12 @@ class ValidationError(ValueError):
 
 class CapExceeded(RuntimeError):
     """An enumeration or DP would exceed its configured size cap; ``knob``
-    names the ``EnumerationLimits`` field that sets that cap."""
+    names the ``EnumerationLimits`` field that sets that cap, or is None when
+    no cap lets it run (a DP whose state keys would not fit in 63 bits)."""
 
     def __init__(self, message: str, knob: str | None):
         super().__init__(message)
         self.knob = knob
-
-
-class KeyWidthExceeded(CapExceeded):
-    """A DP's state keys would not fit in 63 bits: no size cap lets it run."""
-
-    def __init__(self, message: str):
-        super().__init__(message, None)
 
 
 class InfeasibleError(RuntimeError):

@@ -21,10 +21,10 @@ from .core import (
     DEFAULT_LIMITS,
     Budget,
     CandidateSet,
+    CapExceeded,
     Dataset,
     EnumerationLimits,
     InternalError,
-    KeyWidthExceeded,
     MedianContext,
     SHOWN_DIGITS,
     ValidationError,
@@ -78,12 +78,10 @@ class SampleConfig:
 
     @property
     def trials(self) -> int:
-        """N = ceil(log2(1/eta)), at least 1 — exact integer arithmetic."""
+        """N = ceil(log2(1/eta)), at least 1 — exact integer arithmetic: with
+        1/eta = p/q, 2^N >= p/q exactly when 2^N >= ceil(p/q) = (p-1)//q + 1."""
         inv = 1 / self.eta
-        n = 1
-        while (1 << n) * inv.denominator < inv.numerator:
-            n += 1
-        return n
+        return max(1, ((inv.numerator - 1) // inv.denominator).bit_length())
 
 
 @dataclass(frozen=True)
@@ -179,9 +177,10 @@ def _dp_kernel(
     limits.check("max_states", (d + 1) * size,
                  f"state space (d+1)*(T+1)^(k(k-1)/2)*(B+1)^k with T={top} tie columns")
     if size > 2**62:
-        raise KeyWidthExceeded(
+        raise CapExceeded(
             f"DP state keys would need more than 63 bits ({top + 1}^{npairs} "
-            f"distance digits); no max_states lets this DP run on this input"
+            f"distance digits); no max_states lets this DP run on this input",
+            None,
         )
     # every candidate takes w_i on a column with one admissible symbol; the
     # others are read back from the DP steps

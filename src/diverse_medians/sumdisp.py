@@ -123,16 +123,16 @@ def build_oplist(ctx: MedianContext, k: int) -> np.ndarray:
 
 def cost_greedy_assign(
     ctx: MedianContext, budget: Budget, k: int, prefix: np.ndarray
-) -> tuple[CandidateSet, bool]:
+) -> CandidateSet | None:
     """Realize an op-list prefix on k candidate strings, cheapest seats first.
 
     For each key (c, i, a) that it holds h times, the prefix wants h
     candidates carrying symbol a at index i, at cost c. The keys are walked
     in key order (ascending cost, then index, then symbol string); each
     assigns its h cheapest candidates, by (weight, seat), that still hold w_i
-    at i and whose budget survives the surcharge. The walk stops at the first
-    key that falls short and flags the prefix infeasible; the candidates it
-    returns then carry only the keys seated before it.
+    at i and whose budget survives the surcharge. The seated candidates come
+    back as one set, or None at the first key that falls short: the prefix
+    is infeasible, and no set is built for it.
     """
     index, symbol, _, _, cost, key = prefix.T
     need = np.bincount(key)
@@ -161,7 +161,7 @@ def cost_greedy_assign(
                 if len(take) == h:
                     break
         if len(take) < h:
-            return CandidateSet.from_members(ctx, members), False
+            return None
         for y in take:
             seat_key[y] += step
             mask ^= 1 << y
@@ -169,7 +169,7 @@ def cost_greedy_assign(
         holding[i] = mask
         if step:
             seats.sort(key=seat_key.__getitem__)
-    return CandidateSet.from_members(ctx, members), True
+    return CandidateSet.from_members(ctx, members)
 
 
 def sum_dispersion_approx_k(
@@ -177,28 +177,25 @@ def sum_dispersion_approx_k(
 ) -> tuple[CandidateSet, int]:
     """k approximate medians with (near-)maximum sum dispersion.
 
-    Probes the whole op list first and keeps it when it is feasible.
-    Otherwise binary-searches the longest feasible prefix over [0, m] and
-    keeps the candidates of the last feasible probe (the empty prefix is
-    always feasible).
+    One binary search for the longest feasible op-list prefix, keeping the
+    candidates of the last feasible probe. Its first probe is the whole
+    list, which settles it when feasible; otherwise the search runs over
+    [0, m] with mid = (lo + hi + 1) // 2. The empty prefix, always feasible,
+    is probed only when every other probe was infeasible.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     oplist = build_oplist(ctx, k)
-    cands, feasible = cost_greedy_assign(ctx, budget, k, oplist)
-    if feasible:
-        return cands, cands.sum_dispersion()
-    lo, hi = 0, len(oplist)
-    best = None
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        cands, feasible = cost_greedy_assign(ctx, budget, k, oplist[:mid])
-        if feasible:
-            lo, best = mid, cands
-        else:
+    # oplist[:m + 1] is the whole list, and its rejection leaves hi = m
+    lo, hi = 0, len(oplist) + 1
+    mid, best = hi, None
+    while best is None or lo < hi:
+        cands = cost_greedy_assign(ctx, budget, k, oplist[:mid])
+        if cands is None:
             hi = mid - 1
-    if best is None:
-        best, _ = cost_greedy_assign(ctx, budget, k, oplist[:0])
+        else:
+            lo, best = mid, cands
+        mid = (lo + hi + 1) // 2
     return best, best.sum_dispersion()
 
 

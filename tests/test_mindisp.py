@@ -303,6 +303,31 @@ def test_trial_count_arithmetic():
     assert mk(Fraction(9, 10)) == 1  # ceil never drops below one trial
 
 
+def doubling_trials(eta):
+    """N = ceil(log2(1/eta)), at least 1, by doubling until 2^N * q >= p for
+    1/eta = p/q: the count before it became a formula."""
+    inv = 1 / eta
+    n = 1
+    while (1 << n) * inv.denominator < inv.numerator:
+        n += 1
+    return n
+
+
+def test_trial_count_matches_doubling(rng):
+    mk = lambda eta: SampleConfig(k=2, delta=Fraction(1, 2), eta=eta, seed=0).trials
+    etas = []
+    for _ in range(5000):
+        q = int(rng.integers(2, 10**6))
+        etas.append(Fraction(int(rng.integers(1, q)), q))
+    # around powers of two, where the ceiling steps
+    etas += [Fraction(1, 2**j + s) for j in range(1, 70) for s in (-1, 0, 1) if 2**j + s > 1]
+    etas += [Fraction(2**j - 1, 2**(2 * j)) for j in range(1, 70)]
+    for digits in (10, 1000, 4299):  # eta = 10^-digits and a ragged fraction that small
+        etas += [Fraction(1, 10**digits), Fraction(7, 3 * 10**digits + 1)]
+    for eta in etas:
+        assert mk(eta) == doubling_trials(eta), eta
+
+
 def test_sample_config_validation():
     with pytest.raises(ValidationError):
         SampleConfig(k=1, delta=Fraction(1, 2), eta=Fraction(1, 2), seed=0)

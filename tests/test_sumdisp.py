@@ -225,10 +225,10 @@ def test_density_engine_matches_reference(case):
     assert ops.dtype == np.int64 and ops.shape == (len(ref), 6)
     assert ops[:, :5].tolist() == [list(op) for op in ref]
     for j in range(len(ref) + 1):
-        cands, feasible = cost_greedy_assign(ctx, budget, k, ops[:j])
+        cands = cost_greedy_assign(ctx, budget, k, ops[:j])
         members, ref_feasible = reference_assign(ctx, budget, k, ref[:j])
-        assert feasible == ref_feasible
-        if feasible:
+        assert (cands is not None) == ref_feasible
+        if ref_feasible:
             assert cands.codes.tolist() == members
     cands, value = sum_dispersion_approx_k(ctx, budget, k)
     ref_cands = CandidateSet.from_members(ctx, reference_engine(ctx, budget, k))
@@ -238,20 +238,24 @@ def test_density_engine_matches_reference(case):
 
 
 def searched_engine(ctx, budget, k, oplist):
-    """The density engine before its whole-list probe: a binary search over
-    [0, m] of the op list, keeping the last feasible probe."""
+    """The density engine without its whole-list probe: a binary search over
+    [0, m] of the op list, keeping the last feasible probe, then the empty
+    prefix if no probe was feasible. Returns (candidates, prefix lengths
+    probed)."""
     lo, hi = 0, len(oplist)
-    best = None
+    best, probes = None, []
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        cands, feasible = cost_greedy_assign(ctx, budget, k, oplist[:mid])
-        if feasible:
+        probes.append(mid)
+        cands = cost_greedy_assign(ctx, budget, k, oplist[:mid])
+        if cands is not None:
             lo, best = mid, cands
         else:
             hi = mid - 1
     if best is None:
-        best, _ = cost_greedy_assign(ctx, budget, k, oplist[:0])
-    return best
+        probes.append(0)
+        best = cost_greedy_assign(ctx, budget, k, oplist[:0])
+    return best, probes
 
 
 @settings(max_examples=100, deadline=None)
@@ -268,12 +272,40 @@ def test_whole_list_probe_keeps_the_searched_result(case):
     with mock.patch.object(sumdisp, "cost_greedy_assign", counting):
         cands, value = sum_dispersion_approx_k(ctx, budget, k)
     oplist = build_oplist(ctx, k)
-    want = searched_engine(ctx, budget, k, oplist)
+    want, searched = searched_engine(ctx, budget, k, oplist)
     assert cands.codes.tolist() == want.codes.tolist()
     assert value == want.sum_dispersion()
-    assert probes[0] == len(oplist)
-    if cost_greedy_assign(ctx, budget, k, oplist)[1]:
+    if cost_greedy_assign(ctx, budget, k, oplist) is not None:
         assert probes == [len(oplist)]  # a feasible whole list settles it in one probe
+    else:  # then the search over [0, m], hi starting at m
+        assert probes == [len(oplist), *searched]
+
+
+def test_density_builds_a_set_for_feasible_probes_only():
+    # golden's csv6 rows at k = 3, eps = 1: probes 12 (rejected), 6, 9 (seated),
+    # 11, 10 (rejected); an infeasible probe returns None and builds nothing
+    rows = ["GT,AC,GT,AC,AC,AC", "AC,GT,AC,AC,GT,AC", "AC,GT,AC,GT,GT,AC",
+            "AC,GT,TT,GT,GT,AC", "TT,GT,AC,AC,GT,GT"]
+    ctx = context_from_strings([r.split(",") for r in rows], alphabet=("GT", "AC", "TT"))
+    budget = Budget.make(1, ctx.opt)
+    probes, built = [], []
+    assign, build = sumdisp.cost_greedy_assign, CandidateSet.from_members
+
+    def probing(ctx, budget, k, prefix):
+        cands = assign(ctx, budget, k, prefix)
+        probes.append((len(prefix), cands is not None))
+        return cands
+
+    def building(ctx, codes):
+        built.append(len(probes))  # the 0-based number of the probe in progress
+        return build(ctx, codes)
+
+    with mock.patch.object(sumdisp, "cost_greedy_assign", probing), \
+            mock.patch.object(CandidateSet, "from_members", building):
+        cands, value = sum_dispersion_approx_k(ctx, budget, 3)
+    assert probes == [(12, False), (6, True), (9, True), (11, False), (10, False)]
+    assert built == [1, 2]  # built inside the second and third probes only
+    assert value == cands.sum_dispersion() == 15
 
 
 def test_oplist_keys_walk_cost_index_then_symbol_string():
@@ -353,16 +385,15 @@ def test_cost_greedy_respects_budget(rng):
         ctx = context_from_strings(rows, alphabet="abc")
         b = Budget.make(Fraction(1, 2), ctx.opt)
         oplist = build_oplist(ctx, 3)
-        cands, feasible = cost_greedy_assign(ctx, b, 3, oplist)
-        for s in cands.members:
-            assert is_approx_median(ctx, b, s)
+        for j in range(len(oplist) + 1):
+            cands = cost_greedy_assign(ctx, b, 3, oplist[:j])
+            for s in () if cands is None else cands.members:
+                assert is_approx_median(ctx, b, s)
 
 
 def test_cost_greedy_empty_prefix_is_k_copies_of_w():
     ctx = context_from_strings(["ab", "ba", "aa"], alphabet="ab")
-    cands, feasible = cost_greedy_assign(ctx, Budget.make(0, ctx.opt), 3,
-                                         build_oplist(ctx, 3)[:0])
-    assert feasible
+    cands = cost_greedy_assign(ctx, Budget.make(0, ctx.opt), 3, build_oplist(ctx, 3)[:0])
     assert cands.members == (ctx.w,) * 3
 
 
@@ -375,8 +406,8 @@ def linear_scan_reference(ctx, budget, k):
     prefix length, which the binary search assumes."""
     oplist = build_oplist(ctx, k)
     for j in range(len(oplist), -1, -1):
-        cands, ok = cost_greedy_assign(ctx, budget, k, oplist[:j])
-        if ok:
+        cands = cost_greedy_assign(ctx, budget, k, oplist[:j])
+        if cands is not None:
             return cands, cands.sum_dispersion()
 
 

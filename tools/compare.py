@@ -111,6 +111,9 @@ RECIPES = [
     # to its max_candidates refusal
     SUM + [*WIDE, "--epsilon", "1/2", "--k", "8"],
     MIN + [*WIDE, "--strategy", "greedy", "--k", "4"],
+    # the DP's refusal that no cap lifts: 1,500 tie columns need state keys
+    # past 63 bits under a max_states no drawn configuration reaches
+    MIN + [*WIDE, "--strategy", "dp", "--k", "4", "--max-states", "1" + "0" * 40],
 ]
 
 EPSILONS = ["0", "0", "0", "1/4", "1/2", "1", "3/2", "0.1", "1/100"]
