@@ -32,8 +32,8 @@ print("  sumDp =", sum_dispersion(cs.members),
 rows = ["aaaaaaaa", "aaaabbbb", "bbbbaaaa", "abababab"]
 ctx = context_from_strings(rows, alphabet="ab")
 budget = Budget.make(Fraction(1, 2), ctx.opt)
-cs, value = sum_dispersion_approx_k(ctx, budget, 3)
-print("density greedy k=3:", ["".join(s) for s in cs.members], "-> sumDp", value)
+cs = sum_dispersion_approx_k(ctx, budget, 3)
+print("density greedy k=3:", ["".join(s) for s in cs.members], "-> sumDp", cs.sum_dispersion())
 
 # The CLI's "auto" walk reports which regime it used.
 cs, tag = dispatch(ctx, budget, "sum-dispersion", 3, Fraction(1, 4))

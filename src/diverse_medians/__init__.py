@@ -51,7 +51,6 @@ _EXPORTS = {
         "greedy_dispersion",
         "min_disp_dp_approx",
         "min_disp_dp_exact",
-        "plotkin_bound",
         "sample_approx_medians",
         "sample_exact_medians",
         "tstar_upper_bound",

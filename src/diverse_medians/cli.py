@@ -113,7 +113,7 @@ STRATEGY_TABLE = {
         name="greedy"),
     ("sum-dispersion", "any", "density"): Strategy(
         "value >= (1 - delta) * optimum", "approx",
-        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0],
+        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k),
         auto=lambda j: j.diameter.diameter >= 4 / j.delta),
     ("sum-dispersion", "any", "enumeration"): Strategy(
         "value >= optimum / 2", "approx",
@@ -121,13 +121,12 @@ STRATEGY_TABLE = {
         auto=lambda j: True),
     ("sum-dispersion", "any", "density_fallback"): Strategy(
         "pool enumeration over cap; density value >= (1 - 4/D*) * optimum", "approx",
-        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k)[0],
+        lambda j: _module("sumdisp").sum_dispersion_approx_k(j.ctx, j.budget, j.k),
         auto=lambda j: True),
     # the approx rows come first, so the names read dp, greedy, sample, lp
     ("min-dispersion", "approx", "dp"): Strategy(
         "exact optimum minDp over (1+eps)-approximate medians", "approx",
-        lambda j: _module("mindisp").min_disp_dp_approx(j.ctx, j.budget, j.k,
-                                                        limits=j.limits)[1],
+        lambda j: _module("mindisp").min_disp_dp_approx(j.ctx, j.budget, j.k, limits=j.limits),
         name="dp", auto=lambda j: j.k * j.delta <= 1),
     ("min-dispersion", "approx", "greedy"): Strategy(
         "minDp >= t_star/2; members are (1+eps)-approximate", "approx",
@@ -136,16 +135,15 @@ STRATEGY_TABLE = {
     ("min-dispersion", "approx", "sample"): Strategy(
         "minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
         "members are (1+2*eps)-approximate", "mix",
-        lambda j: _module("mindisp").sample_approx_medians(j.ctx, j.diameter, j.cfg)[0],
+        lambda j: _module("mindisp").sample_approx_medians(j.ctx, j.diameter, j.cfg),
         name="sample", auto=lambda j: True),
     ("min-dispersion", "exact", "dp"): Strategy(
         "exact optimum minDp over exact medians", "exact",
-        lambda j: _module("mindisp").min_disp_dp_approx(j.ctx, j.budget, j.k,
-                                                        limits=j.limits)[1],
+        lambda j: _module("mindisp").min_disp_dp_approx(j.ctx, j.budget, j.k, limits=j.limits),
         name="dp", auto=lambda j: j.k * j.delta <= 1),
     ("min-dispersion", "exact", "sample"): Strategy(
         "minDp >= (1-2*delta)*t_star with probability >= 1-eta", "exact",
-        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg)[0],
+        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg),
         # the exact-median diameter is the number of tie columns
         name="sample", auto=lambda j: _module("mindisp")._diameter_at_least(
             int((j.ctx.majority_sizes >= 2).sum()), j.delta, j.k, add=1)),
@@ -155,7 +153,7 @@ STRATEGY_TABLE = {
         name="greedy", auto=lambda j: True),
     ("min-dispersion", "exact", "sample_fallback"): Strategy(
         "enumeration over cap; sampler lower bound (1-delta)*plotkin_sum only", "exact",
-        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg)[0], auto=lambda j: True),
+        lambda j: _module("mindisp").sample_exact_medians(j.ctx, j.cfg), auto=lambda j: True),
     ("min-dispersion", "any", "lpround"): Strategy(
         "minDp >= (1-delta)/2*t_star with probability >= 1-eta; "
         "members are (1+eps+delta)-approximate", "lp", _lp, name="lp"),

@@ -569,12 +569,11 @@ def min_distance(codes: np.ndarray) -> int:
     return min(int(distances_to(codes[r:], 0)[1:].min()) for r in range(len(codes) - 1))
 
 
-def best_by_min_distance(trials: Sequence[np.ndarray]) -> tuple[int, int]:
-    """(position, value) of the code matrix among `trials` with the largest
+def best_by_min_distance(trials: Sequence[np.ndarray]) -> int:
+    """The position of the code matrix among `trials` with the largest
     min_distance, ties to the earliest: every best-of-N-trials engine's pick."""
     values = [min_distance(codes) for codes in trials]
-    best = max(range(len(values)), key=values.__getitem__)  # max keeps the first
-    return best, values[best]
+    return max(range(len(values)), key=values.__getitem__)  # max keeps the first
 
 
 def distances_to(codes: np.ndarray, r: int) -> np.ndarray:

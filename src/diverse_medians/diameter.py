@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Budget, Dataset, MedianContext
+from .core import Budget, Dataset, MedianContext, ValidationError
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -57,9 +57,9 @@ def min_diff_partition(
     items = list(T)
     ws = [int(x) for x in weights]
     if len(items) != len(ws):
-        raise ValueError("weights must align with T")
+        raise ValidationError("weights must align with T")
     if any(x < 0 for x in ws):
-        raise ValueError("weights must be nonnegative")
+        raise ValidationError("weights must be nonnegative")
     total = sum(ws)
     target = total // 2
     keep = (1 << (target + 1)) - 1  # sums beyond the target never help

@@ -362,7 +362,7 @@ def dependent_round(frac: Sequence[Sequence[float]] | np.ndarray, seed) -> np.nd
     if np.any(np.abs(sums - 1.0) > _ROW_TOL):
         raise ValidationError("matrix rows must each sum to 1")
     arr /= sums[:, None]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     arr[np.abs(arr) <= _SNAP] = 0.0
     arr[np.abs(arr - 1.0) <= _SNAP] = 1.0
     d, k = arr.shape
@@ -463,8 +463,7 @@ def lp_min_dispersion(
         raise InfeasibleError(
             f"none of {cfg.trials} rounding trials met the (1+eps+delta) cost cap"
         )
-    best, _ = best_by_min_distance(list(kept.values()))
-    chosen = list(kept)[best]
+    chosen = list(kept)[best_by_min_distance(list(kept.values()))]
     report = LpReport(
         lp_value=lp_value,
         regime_plausible=_lp_plausible(tstar_upper_bound(ctx, budget), delta, k, ctx.d),

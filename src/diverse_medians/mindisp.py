@@ -99,8 +99,8 @@ class BoundCertificate:
 
 def min_disp_dp_exact(
     ctx: MedianContext, k: int, *, limits: EnumerationLimits = DEFAULT_LIMITS
-) -> tuple[int, CandidateSet]:
-    """Exact max minDp over k-tuples of exact medians: min_disp_dp_approx at B = 0."""
+) -> CandidateSet:
+    """k exact medians whose minDp is the maximum: min_disp_dp_approx at B = 0."""
     return min_disp_dp_approx(ctx, Budget.make(0, ctx.opt), k, limits=limits)
 
 
@@ -110,8 +110,8 @@ def min_disp_dp_approx(
     k: int,
     *,
     limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> tuple[int, CandidateSet]:
-    """Exact max minDp over k-tuples of (1+eps)-approximate medians.
+) -> CandidateSet:
+    """k (1+eps)-approximate medians whose minDp is the maximum over k-tuples.
 
     State: the k(k-1)/2 pairwise distances accumulated column by column, and
     each candidate's deviation weight, capped at B = floor(eps * opt); every
@@ -128,7 +128,7 @@ def min_disp_dp_approx(
     cap = budget.floor
     dist, cost, codes = _dp_kernel(ctx, cap, k, limits)
     _check_dp_state(ctx, dist, cost, codes)
-    return int(np.min(dist)), CandidateSet.from_members(ctx, codes)
+    return CandidateSet.from_members(ctx, codes)
 
 
 def _dp_kernel(
@@ -264,15 +264,14 @@ def _next_layer(
 
 def _best_of_trials(
     ctx: MedianContext, cfg: SampleConfig, draw: Callable[[np.random.Generator], np.ndarray]
-) -> tuple[CandidateSet, int]:
+) -> CandidateSet:
     """The best by minDp of N = cfg.trials (k, d) code matrices, trial t drawn
     from its own stream SeedSequence([seed, t]); ties to the earliest."""
     trials = [draw(np.random.default_rng([cfg.seed, t])) for t in range(cfg.trials)]
-    best, val = best_by_min_distance(trials)
-    return CandidateSet.from_members(ctx, trials[best]), val
+    return CandidateSet.from_members(ctx, trials[best_by_min_distance(trials)])
 
 
-def sample_exact_medians(ctx: MedianContext, cfg: SampleConfig) -> tuple[CandidateSet, int]:
+def sample_exact_medians(ctx: MedianContext, cfg: SampleConfig) -> CandidateSet:
     """Best of N trials of k uniform picks from each index's majority set.
 
     Every draw is an exact median by construction; only the dispersion is
@@ -291,7 +290,7 @@ def sample_exact_medians(ctx: MedianContext, cfg: SampleConfig) -> tuple[Candida
 
 def sample_approx_medians(
     ctx: MedianContext, diameter: DiameterResult, cfg: SampleConfig
-) -> tuple[CandidateSet, int]:
+) -> CandidateSet:
     """Best of N trials of coin-flip mixes of a maximum-diameter pair.
 
     `diameter` is approx_diameter_pair(ctx, budget), computed by the caller.
@@ -360,12 +359,6 @@ def plotkin_certificate(
         bound = None
     return BoundCertificate(alphabet_sizes=sizes, plotkin_sum=b, t=t,
                             max_code_size=bound, tstar_upper=tstar_upper)
-
-
-def plotkin_bound(alphabet_sizes: Sequence[int], t: int) -> int | None:
-    """Code-size bound at pairwise distance >= t, or None when inapplicable
-    (see plotkin_certificate)."""
-    return plotkin_certificate(alphabet_sizes, t).max_code_size
 
 
 def tstar_upper_bound(ctx: MedianContext, budget: Budget) -> Fraction:

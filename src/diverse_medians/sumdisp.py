@@ -172,9 +172,7 @@ def cost_greedy_assign(
     return CandidateSet.from_members(ctx, members)
 
 
-def sum_dispersion_approx_k(
-    ctx: MedianContext, budget: Budget, k: int
-) -> tuple[CandidateSet, int]:
+def sum_dispersion_approx_k(ctx: MedianContext, budget: Budget, k: int) -> CandidateSet:
     """k approximate medians with (near-)maximum sum dispersion.
 
     One binary search for the longest feasible op-list prefix, keeping the
@@ -196,7 +194,7 @@ def sum_dispersion_approx_k(
         else:
             lo, best = mid, cands
         mid = (lo + hi + 1) // 2
-    return best, best.sum_dispersion()
+    return best
 
 
 def sum_dispersion_small_dstar(ctx: MedianContext, k: int, pool: Dataset) -> CandidateSet:

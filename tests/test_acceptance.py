@@ -15,6 +15,7 @@ import pytest
 
 import diverse_medians as dm
 from diverse_medians import cli
+from diverse_medians.mindisp import plotkin_certificate
 
 
 def accept_rows(rng, n, d, sigma):
@@ -196,7 +197,7 @@ def test_criterion_06_density_guarantees():
         dstar = dm.brute_diameter(pool)
         for k in (2, 3):
             vstar = dm.brute_sumdp_k(pool, k)
-            _, v = dm.sum_dispersion_approx_k(ctx, budget, k)
+            v = dm.sum_dispersion_approx_k(ctx, budget, k).sum_dispersion()
             if dstar > 0:
                 assert Fraction(v) >= (1 - Fraction(4, dstar)) * vstar
             assert v >= vstar - (k - 1) * (k + 1)
@@ -226,12 +227,10 @@ def test_criterion_07_min_dispersion_dps_match_brute():
             continue
         k = int(rng.integers(2, 4))
         try:
-            value, cs = dm.min_disp_dp_exact(
-                ctx, k, limits=dm.EnumerationLimits(max_states=10**6))
+            cs = dm.min_disp_dp_exact(ctx, k, limits=dm.EnumerationLimits(max_states=10**6))
         except dm.CapExceeded:
             continue
-        assert value == dm.brute_mindp_k(pool, k, limits)
-        assert value == cs.min_dispersion()
+        assert cs.min_dispersion() == dm.brute_mindp_k(pool, k, limits)
         assert all(dm.is_exact_median(ctx, s) for s in cs.members)
         exact_cases += 1
     while approx_cases < 100:
@@ -247,11 +246,11 @@ def test_criterion_07_min_dispersion_dps_match_brute():
             continue
         k = int(rng.integers(2, 4))
         try:
-            value, cs = dm.min_disp_dp_approx(
+            cs = dm.min_disp_dp_approx(
                 ctx, budget, k, limits=dm.EnumerationLimits(max_states=10**6))
         except dm.CapExceeded:
             continue
-        assert value == dm.brute_mindp_k(pool, k, limits)
+        assert cs.min_dispersion() == dm.brute_mindp_k(pool, k, limits)
         assert all(dm.is_approx_median(ctx, budget, s) for s in cs.members)
         approx_cases += 1
     elapsed = time.perf_counter() - t0
@@ -272,16 +271,16 @@ def test_criterion_08_sampler_bounds():
     exact_hits = approx_hits = 0
     for seed in range(100):
         cfg = dm.SampleConfig(k=4, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=seed)
-        cs, mindp = dm.sample_exact_medians(exact_ctx, cfg)
+        cs = dm.sample_exact_medians(exact_ctx, cfg)
         assert all(dm.is_exact_median(exact_ctx, s) for s in cs.members)  # 100%
-        if mindp >= 10:  # (1 - delta) * 40 * (1/2)
+        if cs.min_dispersion() >= 10:  # (1 - delta) * 40 * (1/2)
             exact_hits += 1
-        cs2, mindp2 = dm.sample_approx_medians(approx_ctx, approx_diameter, cfg)
+        cs2 = dm.sample_approx_medians(approx_ctx, approx_diameter, cfg)
         cap = (1 + 2 * approx_budget.epsilon) * approx_ctx.opt
         assert all(
             Fraction(dm.median_cost(approx_ctx, s)) <= cap for s in cs2.members
         )  # 100%
-        if mindp2 >= 15:  # (1 - delta) * D* / 2 with D* = 60
+        if cs2.min_dispersion() >= 15:  # (1 - delta) * D* / 2 with D* = 60
             approx_hits += 1
     assert exact_hits >= 80, f"exact sampler met its bound only {exact_hits}/100"
     assert approx_hits >= 80, f"approx sampler met its bound only {approx_hits}/100"
@@ -314,7 +313,7 @@ def test_criterion_09_plotkin_certificate():
     for sizes in size_tuples(3**6):
         d = len(sizes)
         for t in range(1, d + 1):
-            bound = dm.plotkin_bound(sizes, t)
+            bound = plotkin_certificate(sizes, t).max_code_size
             if bound is None:
                 continue
             applicable += 1

@@ -635,6 +635,34 @@ TABLE_ENGINES = [(sumdisp, "sum_dispersion_exact_k"), (sumdisp, "sum_dispersion_
                  (mindisp, "sample_approx_medians"), (lpround, "lp_min_dispersion")]
 
 
+# a 2-2 tie on every column, eps = 1/2, k = 3: every engine has choices to make
+TIE_CTX = context_from_strings(["abab", "baba", "abba", "baab"], alphabet="ab")
+TIE_BUDGET = Budget.make(Fraction(1, 2), TIE_CTX.opt)
+TIE_CFG = mindisp.SampleConfig(k=3, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=0)
+TIE_POOL = oracle.approx_median_pool(TIE_CTX, TIE_BUDGET, DEFAULT_LIMITS)
+
+
+# every dispersion engine but lp_min_dispersion, whose LpReport rides beside the set
+DISPERSION_ENGINES = {
+    "sum_dispersion_exact_k": lambda: sumdisp.sum_dispersion_exact_k(TIE_CTX, 3),
+    "sum_dispersion_approx_k": lambda: sumdisp.sum_dispersion_approx_k(TIE_CTX, TIE_BUDGET, 3),
+    "sum_dispersion_small_dstar":
+        lambda: sumdisp.sum_dispersion_small_dstar(TIE_CTX, 3, TIE_POOL),
+    "min_disp_dp_exact": lambda: mindisp.min_disp_dp_exact(TIE_CTX, 3),
+    "min_disp_dp_approx": lambda: mindisp.min_disp_dp_approx(TIE_CTX, TIE_BUDGET, 3),
+    "greedy_dispersion": lambda: mindisp.greedy_dispersion(TIE_POOL, 3, TIE_CTX),
+    "sample_exact_medians": lambda: mindisp.sample_exact_medians(TIE_CTX, TIE_CFG),
+    "sample_approx_medians": lambda: mindisp.sample_approx_medians(
+        TIE_CTX, diameter.approx_diameter_pair(TIE_CTX, TIE_BUDGET), TIE_CFG),
+}
+
+
+@pytest.mark.parametrize("engine", DISPERSION_ENGINES)
+def test_every_dispersion_engine_returns_its_candidate_set(engine):
+    cands = DISPERSION_ENGINES[engine]()
+    assert type(cands) is CandidateSet and cands.codes.shape == (3, TIE_CTX.d)
+
+
 @pytest.fixture
 def refusing_engines(monkeypatch):
     """Each table engine records its name in the returned list and raises

@@ -529,9 +529,9 @@ INPUT_CHECKS = [
      lambda: CandidateSet.from_members(CHECK_CTX, [[0, 1]]).min_dispersion(),
      (ValidationError, "min_dispersion needs at least 2 members")),
     ("partition-misaligned", lambda: diameter.min_diff_partition([0, 1], [1]),
-     (ValueError, "weights must align with T")),
+     (ValidationError, "weights must align with T")),
     ("partition-negative", lambda: diameter.min_diff_partition([0], [-1]),
-     (ValueError, "weights must be nonnegative")),
+     (ValidationError, "weights must be nonnegative")),
     ("ilp-k1", lambda: lpround.build_ilp(CHECK_CTX, EXACT, 1),
      (ValidationError, "k must be >= 2")),
     ("dp-approx-k1", lambda: mindisp.min_disp_dp_approx(CHECK_CTX, EXACT, 1),

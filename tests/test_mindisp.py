@@ -27,13 +27,12 @@ from diverse_medians import (
     median_cost,
     min_disp_dp_approx,
     min_disp_dp_exact,
-    plotkin_bound,
     sample_approx_medians,
     sample_exact_medians,
     tstar_upper_bound,
 )
 from diverse_medians import cli, core, diameter, mindisp
-from diverse_medians.mindisp import _diameter_at_least
+from diverse_medians.mindisp import _diameter_at_least, plotkin_certificate
 
 from conftest import random_rows, reference_context
 
@@ -46,10 +45,9 @@ def test_dp_exact_matches_brute(rng):
         rows = random_rows(rng, sigma="ab")
         ctx = context_from_strings(rows, alphabet="ab")
         for k in (2, 3):
-            val, cands = min_disp_dp_exact(ctx, k)
+            cands = min_disp_dp_exact(ctx, k)
             pool = approx_median_pool(ctx, Budget.make(0, ctx.opt), DEFAULT_LIMITS)
-            assert val == brute_mindp_k(pool, k, DEFAULT_LIMITS)
-            assert cands.min_dispersion() == val
+            assert cands.min_dispersion() == brute_mindp_k(pool, k, DEFAULT_LIMITS)
             assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
 
 
@@ -60,9 +58,9 @@ def test_dp_approx_matches_brute(rng):
         eps = Fraction(int(rng.integers(0, 3)), 2)
         b = Budget.make(eps, ctx.opt)
         for k in (2, 3):
-            val, cands = min_disp_dp_approx(ctx, b, k)
+            cands = min_disp_dp_approx(ctx, b, k)
             pool = approx_median_pool(ctx, b, DEFAULT_LIMITS)
-            assert val == brute_mindp_k(pool, k, DEFAULT_LIMITS)
+            assert cands.min_dispersion() == brute_mindp_k(pool, k, DEFAULT_LIMITS)
             assert all(is_approx_median(ctx, b, s) for s in cands.members)
 
 
@@ -182,8 +180,8 @@ def dp_instances(draw, sigmas):
 @settings(max_examples=120, deadline=None)
 @given(dp_instances((2, 4, 20)), st.sampled_from([2, 3, 4]))
 def test_dp_exact_matches_dict_reference(ctx, k):
-    val, cands = min_disp_dp_exact(ctx, k)
-    assert (val, cands.members) == dict_dp_exact(ctx, k)
+    cands = min_disp_dp_exact(ctx, k)
+    assert (cands.min_dispersion(), cands.members) == dict_dp_exact(ctx, k)
 
 
 EPSILONS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
@@ -210,7 +208,7 @@ def test_dp_approx_matches_dict_reference(case):
     ctx, k, eps = case
     b = Budget.make(eps, ctx.opt)
     try:
-        val, cands = min_disp_dp_approx(ctx, b, k)
+        cands = min_disp_dp_approx(ctx, b, k)
     except CapExceeded:
         # only the precheck refuses, before any layer is built: T counts the
         # columns with two or more symbols of cost <= B
@@ -218,7 +216,7 @@ def test_dp_approx_matches_dict_reference(case):
         top = sum(sum(c <= b.floor for c in costs.values()) >= 1 for costs in per_char)
         assert (ctx.d + 1) * (top + 1) ** (k * (k - 1) // 2) * (b.floor + 1) ** k > 10**7
         return
-    assert (val, cands.members) == dict_dp_approx(ctx, b, k)
+    assert (cands.min_dispersion(), cands.members) == dict_dp_approx(ctx, b, k)
 
 
 def test_dp_blocks_keep_first_occurrence_order(monkeypatch):
@@ -228,10 +226,10 @@ def test_dp_blocks_keep_first_occurrence_order(monkeypatch):
     ctx = context_from_strings(["abcab", "bcaba", "cabbc", "abcca"], alphabet="abc")
     b = Budget.make(Fraction(1, 2), ctx.opt)
     for k in (2, 3):
-        val, cands = min_disp_dp_exact(ctx, k)
-        assert (val, cands.members) == dict_dp_exact(ctx, k)
-        val, cands = min_disp_dp_approx(ctx, b, k)
-        assert (val, cands.members) == dict_dp_approx(ctx, b, k)
+        cands = min_disp_dp_exact(ctx, k)
+        assert (cands.min_dispersion(), cands.members) == dict_dp_exact(ctx, k)
+        cands = min_disp_dp_approx(ctx, b, k)
+        assert (cands.min_dispersion(), cands.members) == dict_dp_approx(ctx, b, k)
 
 
 def test_dp_key_past_63_bits_is_cap_exceeded():
@@ -248,9 +246,9 @@ def test_dp_skips_columns_with_one_admissible_symbol():
     d = 20000
     ctx = context_from_strings(["A" * d, "C" + "A" * (d - 1)], alphabet="AC")
     t0 = time.perf_counter()
-    val, cands = min_disp_dp_exact(ctx, 4, limits=EnumerationLimits(max_states=10**40))
+    cands = min_disp_dp_exact(ctx, 4, limits=EnumerationLimits(max_states=10**40))
     elapsed = time.perf_counter() - t0
-    assert (val, cands.members) == dict_dp_exact(ctx, 4)
+    assert (cands.min_dispersion(), cands.members) == dict_dp_exact(ctx, 4)
     assert elapsed < 0.3, f"{elapsed:.2f} s"
 
 
@@ -259,9 +257,9 @@ def test_dp_without_a_tie_column_at_k_20000():
     # one distances_to vector per member took 12 s
     ctx = context_from_strings(["abca", "abca", "abcb"], alphabet="abc")
     t0 = time.perf_counter()
-    val, cands = min_disp_dp_exact(ctx, 20_000)
+    cands = min_disp_dp_exact(ctx, 20_000)
     elapsed = time.perf_counter() - t0
-    assert val == 0 and set(cands.members) == {ctx.w}
+    assert cands.min_dispersion() == 0 and set(cands.members) == {ctx.w}
     assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
@@ -273,12 +271,12 @@ def test_dp_approx_memory_and_time_bound():
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        val, cands = min_disp_dp_approx(ctx, b, 3)
+        cands = min_disp_dp_approx(ctx, b, 3)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert val == cands.min_dispersion() == d  # three symbols per column differ
+    assert cands.min_dispersion() == d  # three symbols per column differ
     # the dict layers peaked at 59 MiB and took 3.5 s here; the arrays need 5 MiB
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert elapsed < 2.0, f"{elapsed:.2f} s"
@@ -342,9 +340,8 @@ def test_exact_sampler_members_are_exact_medians(rng):
         rows = random_rows(rng, sigma="ab")
         ctx = context_from_strings(rows, alphabet="ab")
         cfg = SampleConfig(k=3, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=seed)
-        cands, val = sample_exact_medians(ctx, cfg)
+        cands = sample_exact_medians(ctx, cfg)
         assert all(median_cost(ctx, s) == ctx.opt for s in cands.members)
-        assert cands.min_dispersion() == val
 
 
 def test_approx_sampler_cost_class(rng):
@@ -353,7 +350,7 @@ def test_approx_sampler_cost_class(rng):
         ctx = context_from_strings(rows, alphabet="ab")
         b = Budget.make(Fraction(1, 2), ctx.opt)
         cfg = SampleConfig(k=3, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=seed)
-        cands, _ = sample_approx_medians(ctx, approx_diameter_pair(ctx, b), cfg)
+        cands = sample_approx_medians(ctx, approx_diameter_pair(ctx, b), cfg)
         cap = (1 + 2 * b.epsilon) * ctx.opt  # mixes are (1+2eps)-approximate
         assert all(Fraction(median_cost(ctx, s)) <= cap for s in cands.members)
 
@@ -363,10 +360,10 @@ def test_samplers_are_seed_deterministic():
     cfg = SampleConfig(k=4, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=7)
     a = sample_exact_medians(ctx, cfg)
     b = sample_exact_medians(ctx, cfg)
-    assert a[0].members == b[0].members and a[1] == b[1]
+    assert a.members == b.members
     other = SampleConfig(k=4, delta=Fraction(1, 2), eta=Fraction(1, 8), seed=8)
     c = sample_exact_medians(ctx, other)
-    assert a[0].members != c[0].members or a[1] != c[1]
+    assert a.members != c.members
 
 
 # --- greedy ----------------------------------------------------------------------
@@ -400,21 +397,24 @@ def test_greedy_half_guarantee(rng):
 
 
 def test_plotkin_bound_cases():
+    def bound(sizes, t):
+        return plotkin_certificate(sizes, t).max_code_size
+
     # B = 2 for four binary coordinates
-    assert plotkin_bound((2, 2, 2, 2), 2) == 16  # t == B: 2 * sum sizes
-    assert plotkin_bound((2, 2, 2, 2), 3) == 3  # floor(3 / (3 - 2))
-    assert plotkin_bound((2, 2, 2, 2), 4) == 2
-    assert plotkin_bound((2, 2, 2, 2), 1) is None  # below B: inapplicable
-    assert plotkin_bound((3, 3), 2) == 3  # B = 4/3, floor(2 / (2/3))
-    assert plotkin_bound((5,), 1) == 5  # B = 4/5: floor(1 / (1/5)), the full column
-    assert plotkin_bound((2, 2), 1) == 8  # t == B exactly: 2 * sum of sizes
+    assert bound((2, 2, 2, 2), 2) == 16  # t == B: 2 * sum sizes
+    assert bound((2, 2, 2, 2), 3) == 3  # floor(3 / (3 - 2))
+    assert bound((2, 2, 2, 2), 4) == 2
+    assert bound((2, 2, 2, 2), 1) is None  # below B: inapplicable
+    assert bound((3, 3), 2) == 3  # B = 4/3, floor(2 / (2/3))
+    assert bound((5,), 1) == 5  # B = 4/5: floor(1 / (1/5)), the full column
+    assert bound((2, 2), 1) == 8  # t == B exactly: 2 * sum of sizes
 
 
 def test_plotkin_bound_validation():
     with pytest.raises(ValidationError):
-        plotkin_bound((0, 2), 1)
+        plotkin_certificate((0, 2), 1)
     with pytest.raises(ValidationError):
-        plotkin_bound((2, 2), -1)
+        plotkin_certificate((2, 2), -1)
 
 
 def test_tstar_upper_bound_exact_fraction():

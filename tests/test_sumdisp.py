@@ -230,11 +230,11 @@ def test_density_engine_matches_reference(case):
         assert (cands is not None) == ref_feasible
         if ref_feasible:
             assert cands.codes.tolist() == members
-    cands, value = sum_dispersion_approx_k(ctx, budget, k)
+    cands = sum_dispersion_approx_k(ctx, budget, k)
     ref_cands = CandidateSet.from_members(ctx, reference_engine(ctx, budget, k))
     assert cands.codes.tolist() == ref_cands.codes.tolist()
     assert all(budget.within(c - ctx.opt) for c in ctx.costs_of(cands.codes).tolist())
-    assert value == ref_cands.sum_dispersion()
+    assert cands.sum_dispersion() == ref_cands.sum_dispersion()
 
 
 def searched_engine(ctx, budget, k, oplist):
@@ -270,11 +270,11 @@ def test_whole_list_probe_keeps_the_searched_result(case):
         return real(ctx, budget, k, prefix)
 
     with mock.patch.object(sumdisp, "cost_greedy_assign", counting):
-        cands, value = sum_dispersion_approx_k(ctx, budget, k)
+        cands = sum_dispersion_approx_k(ctx, budget, k)
     oplist = build_oplist(ctx, k)
     want, searched = searched_engine(ctx, budget, k, oplist)
     assert cands.codes.tolist() == want.codes.tolist()
-    assert value == want.sum_dispersion()
+    assert cands.sum_dispersion() == want.sum_dispersion()
     if cost_greedy_assign(ctx, budget, k, oplist) is not None:
         assert probes == [len(oplist)]  # a feasible whole list settles it in one probe
     else:  # then the search over [0, m], hi starting at m
@@ -302,10 +302,10 @@ def test_density_builds_a_set_for_feasible_probes_only():
 
     with mock.patch.object(sumdisp, "cost_greedy_assign", probing), \
             mock.patch.object(CandidateSet, "from_members", building):
-        cands, value = sum_dispersion_approx_k(ctx, budget, 3)
+        cands = sum_dispersion_approx_k(ctx, budget, 3)
     assert probes == [(12, False), (6, True), (9, True), (11, False), (10, False)]
     assert built == [1, 2]  # built inside the second and third probes only
-    assert value == cands.sum_dispersion() == 15
+    assert cands.sum_dispersion() == 15
 
 
 def test_oplist_keys_walk_cost_index_then_symbol_string():
@@ -420,7 +420,7 @@ def test_binary_search_agrees_with_linear_scan(rng):
         k = int(rng.integers(2, 5))
         fast = sum_dispersion_approx_k(ctx, b, k)
         slow = linear_scan_reference(ctx, b, k)
-        assert fast[1] == slow[1]
+        assert fast.sum_dispersion() == slow[1]
 
 
 def test_approx_members_stay_within_budget(rng):
@@ -428,7 +428,7 @@ def test_approx_members_stay_within_budget(rng):
         rows = random_rows(rng, sigma="ab")
         ctx = context_from_strings(rows, alphabet="ab")
         b = Budget.make(Fraction(1, 3), ctx.opt)
-        cands, _ = sum_dispersion_approx_k(ctx, b, 4)
+        cands = sum_dispersion_approx_k(ctx, b, 4)
         assert all(is_approx_median(ctx, b, s) for s in cands.members)
 
 
