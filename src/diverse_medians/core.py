@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -558,22 +558,35 @@ class FarthestPairs:
         self.far[self.avail & ((self.partner == i) | (self.partner == j))] = -1
 
 
-def min_distance(codes: np.ndarray) -> int:
+def min_distance(codes: np.ndarray, floor: int = -1) -> int:
     """Minimum Hamming distance between two rows of a code matrix (two rows
     or more): 0 at once when a row repeats, else one distances_to vector per
-    row."""
+    row. Once the running minimum is at most `floor` it is returned at once,
+    an upper bound then, not the minimum (the default -1 scans every row)."""
     if len(codes) < 2:
         raise ValidationError("min_dispersion needs at least 2 members")
     if len(set(map(bytes, codes))) < len(codes):  # np.unique(axis=0) sorts far slower
         return 0
-    return min(int(distances_to(codes[r:], 0)[1:].min()) for r in range(len(codes) - 1))
+    low = codes.shape[1]
+    for r in range(len(codes) - 1):
+        low = min(low, int(distances_to(codes[r:], 0)[1:].min()))
+        if low <= floor:
+            break
+    return low
 
 
-def best_by_min_distance(trials: Sequence[np.ndarray]) -> int:
-    """The position of the code matrix among `trials` with the largest
-    min_distance, ties to the earliest: every best-of-N-trials engine's pick."""
-    values = [min_distance(codes) for codes in trials]
-    return max(range(len(values)), key=values.__getitem__)  # max keeps the first
+def best_trial(trials: int, draw: Callable[[int], np.ndarray | None]) -> tuple:
+    """Every best-of-N-trials engine's pick, holding two trials at most: of the
+    code matrices draw(0), ..., draw(trials - 1), None skipped, the first with
+    the largest min_distance, as (t, codes, count not None) or (-1, None, 0)."""
+    chosen, best, value, admitted = -1, None, -1, 0
+    for t, codes in enumerate(map(draw, range(trials))):
+        if codes is not None:
+            admitted += 1
+            here = min_distance(codes, floor=value)  # a tie keeps the earlier
+            if here > value:
+                chosen, best, value = t, codes, here
+    return chosen, best, admitted
 
 
 def distances_to(codes: np.ndarray, r: int) -> np.ndarray:

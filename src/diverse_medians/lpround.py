@@ -35,7 +35,7 @@ from .core import (
     MedianContext,
     SolverNotConverged,
     ValidationError,
-    best_by_min_distance,
+    best_trial,
 )
 from .mindisp import SampleConfig, tstar_upper_bound
 
@@ -441,6 +441,7 @@ def lp_min_dispersion(
 ) -> tuple[CandidateSet, LpReport]:
     """Solve the relaxation once, round N = ceil(log2(1/eta)) times, keep the
     best trial whose members all cost at most (1+eps+delta)*opt (exact check).
+    Trial t rounds candidate r with seed [seed, t, r]; core.best_trial picks.
 
     Raises InfeasibleError when no trial passes the cost filter. The report
     says whether the guarantee's t* precondition was even plausible on this
@@ -452,23 +453,22 @@ def lp_min_dispersion(
     frac, lp_value = solve_lp_relaxation(model)
 
     cap = (1 + budget.epsilon + delta) * ctx.opt  # exact rational threshold
-    kept: dict[int, np.ndarray] = {}  # trial -> its (k, d) codes, trials ascending
-    for trial in range(cfg.trials):
-        picks = [dependent_round(frac[r], seed=[seed, trial, r])
-                 for r in range(k)]
+
+    def draw(trial: int) -> np.ndarray | None:
+        picks = [dependent_round(frac[r], seed=[seed, trial, r]) for r in range(k)]
         members = model.ranked[np.arange(ctx.d), np.argmax(picks, axis=2)]
-        if all(Fraction(c) <= cap for c in ctx.costs_of(members).tolist()):
-            kept[trial] = members
-    if not kept:
+        return members if int(ctx.costs_of(members).max()) <= cap else None
+
+    chosen, members, kept = best_trial(cfg.trials, draw)
+    if members is None:
         raise InfeasibleError(
             f"none of {cfg.trials} rounding trials met the (1+eps+delta) cost cap"
         )
-    chosen = list(kept)[best_by_min_distance(list(kept.values()))]
     report = LpReport(
         lp_value=lp_value,
         regime_plausible=_lp_plausible(tstar_upper_bound(ctx, budget), delta, k, ctx.d),
         trials=cfg.trials,
-        kept=len(kept),
+        kept=kept,
         chosen_trial=chosen,
     )
-    return CandidateSet.from_members(ctx, kept[chosen]), report
+    return CandidateSet.from_members(ctx, members), report

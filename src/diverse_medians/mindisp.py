@@ -1,9 +1,10 @@
 """k medians maximizing min dispersion.
 
 Engines: exact dynamic programs over pairwise-distance states (with and
-without a cost budget), best-of-N uniform samplers, farthest-point greedy
-over an enumerated pool, and Plotkin-style certificates bounding what any
-algorithm could achieve. The `auto` tests of the cli.STRATEGY_TABLE rows
+without a cost budget), best-of-N uniform samplers (trial t drawn from
+SeedSequence([seed, t]), picked by core.best_trial as drawn), farthest-point
+greedy over an enumerated pool, and Plotkin-style certificates bounding what
+any algorithm could achieve. The `auto` tests of the cli.STRATEGY_TABLE rows
 pick an engine from (k, delta) and the instance's diameter.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .core import (
     MedianContext,
     SHOWN_DIGITS,
     ValidationError,
-    best_by_min_distance,
+    best_trial,
     distances_to,
     pool_greedy,
     row_blocks,
@@ -262,15 +263,6 @@ def _next_layer(
 # samplers
 
 
-def _best_of_trials(
-    ctx: MedianContext, cfg: SampleConfig, draw: Callable[[np.random.Generator], np.ndarray]
-) -> CandidateSet:
-    """The best by minDp of N = cfg.trials (k, d) code matrices, trial t drawn
-    from its own stream SeedSequence([seed, t]); ties to the earliest."""
-    trials = [draw(np.random.default_rng([cfg.seed, t])) for t in range(cfg.trials)]
-    return CandidateSet.from_members(ctx, trials[best_by_min_distance(trials)])
-
-
 def sample_exact_medians(ctx: MedianContext, cfg: SampleConfig) -> CandidateSet:
     """Best of N trials of k uniform picks from each index's majority set.
 
@@ -280,12 +272,13 @@ def sample_exact_medians(ctx: MedianContext, cfg: SampleConfig) -> CandidateSet:
     sizes = ctx.majority_sizes.tolist()
     index = np.arange(ctx.d)[:, None]
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
+    def draw(t: int) -> np.ndarray:
+        rng = np.random.default_rng([cfg.seed, t])
         # picks[i, r]: candidate r's position in the majority set at index i
         picks = np.array([rng.integers(0, g, size=cfg.k) for g in sizes])
         return ctx.rank[index, picks].T
 
-    return _best_of_trials(ctx, cfg, draw)
+    return CandidateSet.from_members(ctx, best_trial(cfg.trials, draw)[1])
 
 
 def sample_approx_medians(
@@ -304,13 +297,13 @@ def sample_approx_medians(
     devs = np.flatnonzero(y != z)
     dev_sym = np.where(y[devs] != w[devs], y[devs], z[devs])
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        coins = rng.integers(0, 2, size=(cfg.k, len(devs)))
+    def draw(t: int) -> np.ndarray:
+        coins = np.random.default_rng([cfg.seed, t]).integers(0, 2, size=(cfg.k, len(devs)))
         codes = np.tile(w, (cfg.k, 1))
         codes[:, devs] = np.where(coins != 0, dev_sym, w[devs])
         return codes
 
-    return _best_of_trials(ctx, cfg, draw)
+    return CandidateSet.from_members(ctx, best_trial(cfg.trials, draw)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import ast
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +163,17 @@ def test_min_dispersion_of_repeated_members_is_zero_at_once():
     assert core.min_distance(grid) == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_min_distance_stops_at_its_floor(rng):
+    # a scan stopped at `floor` answers at most floor, and one that runs
+    # through answers the minimum over every pair
+    for _ in range(200):
+        codes = rng.integers(0, 3, size=(int(rng.integers(2, 7)), int(rng.integers(1, 9))))
+        least = min(int((a != b).sum()) for a, b in combinations(codes, 2))
+        for floor in range(-1, codes.shape[1] + 1):
+            got = core.min_distance(codes, floor)
+            assert got == least if least > floor else got <= floor
 
 
 def test_median_predicates():

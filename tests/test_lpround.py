@@ -17,6 +17,7 @@ from diverse_medians import (
     DEFAULT_LIMITS,
     Dataset,
     InfeasibleError,
+    SampleConfig,
     SolverNotConverged,
     ValidationError,
     approx_median_pool,
@@ -29,6 +30,7 @@ from diverse_medians import (
     solve_lp_relaxation,
 )
 from diverse_medians import lpround
+from diverse_medians.core import min_distance
 from diverse_medians.lpround import _SNAP, _ROW_TOL
 
 from conftest import random_rows
@@ -618,6 +620,49 @@ def test_pipeline_raises_when_every_trial_overshoots():
     b = Budget.make(Fraction(1, 4), ctx.opt)
     with pytest.raises(InfeasibleError):
         lp_min_dispersion(ctx, b, 3, Fraction(1, 8), Fraction(1, 2), seed=2)
+
+
+def kept_dict_reference(ctx, budget, k, delta, eta, seed):
+    """The pick the streaming core.best_trial replaced, kept as the reference:
+    every trial under the cost cap in a dict by trial number, then
+    list(kept)[i] for the first i with the largest min_distance. Returns
+    (members, kept, chosen_trial), or None when no trial is under the cap."""
+    model = build_ilp(ctx, budget, k)
+    frac, _ = solve_lp_relaxation(model)
+    cap = (1 + budget.epsilon + delta) * ctx.opt
+    kept = {}
+    for trial in range(SampleConfig(k=k, delta=delta, eta=eta, seed=seed).trials):
+        picks = [dependent_round(frac[r], seed=[seed, trial, r]) for r in range(k)]
+        members = model.ranked[np.arange(ctx.d), np.argmax(picks, axis=2)]
+        if all(Fraction(c) <= cap for c in ctx.costs_of(members).tolist()):
+            kept[trial] = members
+    if not kept:
+        return None
+    values = [min_distance(codes) for codes in kept.values()]
+    chosen = list(kept)[max(range(len(values)), key=values.__getitem__)]
+    return kept[chosen], len(kept), chosen
+
+
+def test_pipeline_picks_what_the_kept_dict_picked():
+    # lumpy deviation costs: at 100 trials from 19 to 87 pass the cost cap,
+    # and at 1 or 7 trials some runs keep none
+    rows = ["ccb", "cca", "aaa", "cca", "bca", "cab", "cab", "aca"]
+    ctx = context_from_strings(rows, alphabet="abc")
+    partial = infeasible = 0
+    for eps, k, seed, trials in product((Fraction(1, 4), Fraction(1, 2)), (2, 3), range(3),
+                                        (1, 7, 100)):
+        b, delta, eta = Budget.make(eps, ctx.opt), Fraction(1, 8), Fraction(1, 2**trials)
+        ref = kept_dict_reference(ctx, b, k, delta, eta, seed)
+        if ref is None:
+            infeasible += 1
+            with pytest.raises(InfeasibleError):
+                lp_min_dispersion(ctx, b, k, delta, eta, seed)
+            continue
+        cands, report = lp_min_dispersion(ctx, b, k, delta, eta, seed)
+        assert np.array_equal(cands.codes, ref[0])
+        assert (report.kept, report.chosen_trial) == ref[1:]
+        partial += 0 < report.kept < report.trials
+    assert partial >= 10 and infeasible >= 3
 
 
 def test_pipeline_is_seed_deterministic():

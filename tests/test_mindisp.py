@@ -366,6 +366,69 @@ def test_samplers_are_seed_deterministic():
     assert a.members != c.members
 
 
+# The best-of-N pick the streaming core.best_trial replaced, kept as the
+# reference: every trial drawn into one list, then the first with the largest
+# min_distance; the draws are the samplers' own, one stream per trial.
+def listed_pick_reference(cfg, draw):
+    trials = [draw(np.random.default_rng([cfg.seed, t])) for t in range(cfg.trials)]
+    values = [core.min_distance(codes) for codes in trials]
+    return trials[max(range(len(values)), key=values.__getitem__)]
+
+
+def exact_draw_reference(ctx, k):
+    sizes, index = ctx.majority_sizes.tolist(), np.arange(ctx.d)[:, None]
+    return lambda rng: ctx.rank[index, np.array([rng.integers(0, g, size=k) for g in sizes])].T
+
+
+def approx_draw_reference(ctx, pair, k):
+    (y, z), w = pair.codes, ctx.rank[:, 0]
+    devs = np.flatnonzero(y != z)
+    dev_sym = np.where(y[devs] != w[devs], y[devs], z[devs])
+
+    def draw(rng):
+        coins = rng.integers(0, 2, size=(k, len(devs)))
+        codes = np.tile(w, (k, 1))
+        codes[:, devs] = np.where(coins != 0, dev_sym, w[devs])
+        return codes
+
+    return draw
+
+
+@pytest.mark.parametrize("trials", [1, 7, 100])
+def test_samplers_pick_what_the_listed_trials_picked(rng, trials):
+    for seed in range(8):
+        rows = random_rows(rng, n=int(rng.integers(2, 6)), d=int(rng.integers(2, 9)),
+                           sigma="abc")
+        ctx = context_from_strings(rows, alphabet="abc")
+        pair = approx_diameter_pair(ctx, Budget.make(Fraction(1, 2), ctx.opt))
+        k = int(rng.integers(2, 6))
+        cfg = SampleConfig(k=k, delta=Fraction(1, 2), eta=Fraction(1, 2**trials), seed=seed)
+        assert cfg.trials == trials
+        assert np.array_equal(sample_exact_medians(ctx, cfg).codes,
+                              listed_pick_reference(cfg, exact_draw_reference(ctx, k)))
+        assert np.array_equal(sample_approx_medians(ctx, pair, cfg).codes,
+                              listed_pick_reference(cfg, approx_draw_reference(ctx, pair, k)))
+
+
+def test_samplers_hold_a_bounded_number_of_trials(rng):
+    # 500 trials of k = 128 members over d = 32 columns: holding every trial
+    # takes 500 * k * d bytes; one draw works on its (d, k) int64 picks or
+    # (k, d) coins, 8 * k * d bytes each, and the peak stays within four of those
+    d, k = 32, 128
+    ctx = context_from_strings(random_rows(rng, n=4, d=d, sigma="ab"), alphabet="ab")
+    pair = approx_diameter_pair(ctx, Budget.make(Fraction(1, 2), ctx.opt))
+    cfg = SampleConfig(k=k, delta=Fraction(1, 2), eta=Fraction(1, 2**500), seed=3)
+    for run in (lambda: sample_exact_medians(ctx, cfg),
+                lambda: sample_approx_medians(ctx, pair, cfg)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * k * d, f"peak {peak / (k * d):.0f} k*d bytes"
+
+
 # --- greedy ----------------------------------------------------------------------
 
 

@@ -114,6 +114,13 @@ RECIPES = [
     # the DP's refusal that no cap lifts: 1,500 tie columns need state keys
     # past 63 bits under a max_states no drawn configuration reaches
     MIN + [*WIDE, "--strategy", "dp", "--k", "4", "--max-states", "1" + "0" * 40],
+    # the best-of-N pick over N = 100 trials, past every drawn ETAS value: both
+    # samplers, and the LP rounding with some trials over its cost cap
+    MIN + ["--input", "ab90.txt", "--k", "4", "--strategy", "sample", "--eta", "1e-30"],
+    MIN + ["--input", "stripes.txt", "--k", "5", "--strategy", "sample", "--epsilon", "1/2",
+           "--eta", "1e-30"],
+    MIN + ["--input", "lumpy.txt", "--k", "3", "--strategy", "lp", "--epsilon", "1/4",
+           "--delta", "1/8", "--eta", "1e-30"],
 ]
 
 EPSILONS = ["0", "0", "0", "1/4", "1/2", "1", "3/2", "0.1", "1/100"]
